@@ -149,6 +149,28 @@ def _coupling(mats, k0, m0) -> float:
     return abs(alpha + beta * float(k0 @ k1) / (np.linalg.norm(k0) * np.linalg.norm(k1)))
 
 
+#: Largest predicted window share a verify-transmission request may have.
+#: Of 160 requests at nu = 0.16, g_max = 3 and materials in [0.6, 1.6],
+#: those failing began at a share of 0.91 and all at or below 0.90 passed;
+#: of 24 requests run at both, g_max = 5 failed on the same ones as g_max = 3.
+MAX_WINDOW_SHARE = 0.7
+
+
+def _window_share(mats, k0, m0, a: float) -> float:
+    """How far the two-mode branches stray from c|k0| on the oracle's ray, as a
+    share of the half-width of its tracking window (a known defect: the window
+    is centred at c|k0|, not at the predicted centre, see NOTES.md).
+
+    The ray and the window are those `gap --verify` uses by default: delta_tilde
+    in [-2 s, 2 s] and a half-width of max(5 s / |k0|, 1e-3), s the splitting.
+    A request whose share passes 1 exits 3 with "expected 2 bands within ...".
+    """
+    centre, s, nu_val, knorm = ref.two_mode("transmission", k0, m0, a, 1.0, mats)
+    lo, hi = ref.branches((centre, s, nu_val, knorm), np.linspace(-2.0 * s, 2.0 * s, 41))
+    stray = max(float(np.abs(lo - knorm).max()), float(np.abs(hi - knorm).max()))
+    return stray / max(5.0 * s / knorm, 1e-3)
+
+
 def _material_flags(mats) -> list[str]:
     names = ("--gamma-plus", "--gamma-minus", "--rho-plus", "--rho-minus")
     return [f"{n}={v!r}" for n, v in zip(names, mats)]
@@ -517,11 +539,14 @@ class VerifyTransmission(Workload):
                 a = float(self.rng.uniform(0.75, 0.9))
             else:
                 k0, m0 = axis_pair(self.rng, 0.2)
-                # keep the splitting well away from zero
-                mats = materials(self.rng, 0.6, 1.6)
-                while _coupling(mats, k0, m0) < 0.15:
+                # keep the splitting well away from zero, and both bands well
+                # inside the oracle's tracking window (see _window_share)
+                while True:
                     mats = materials(self.rng, 0.6, 1.6)
-                a = float(self.rng.uniform(0.35, 0.9))
+                    a = float(self.rng.uniform(0.35, 0.9))
+                    if (_coupling(mats, k0, m0) >= 0.15
+                            and _window_share(mats, k0, m0, a) <= MAX_WINDOW_SHARE):
+                        break
             argv = ["gap", "--verify", "--problem", "transmission", *_k_m_flags(k0, m0),
                     f"--a={a!r}", *_material_flags(mats), f"--g-max={g_max}", "--out", self.out]
             reqs.append(Request(f"verify-g{g_max}", argv,
