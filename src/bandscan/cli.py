@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -56,6 +57,34 @@ def _vec3i(s: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 3 integers, got {s!r}")
     return tuple(int(float(p)) for p in parts)
+
+
+#: Options whose value is a comma-separated vector.
+_VECTOR_OPTIONS = ("--k0", "--m0", "--semiaxes", "--ellipsoid")
+_NEGATIVE_VECTOR = re.compile(r"-\.?\d[\d.eE+\-, ]*")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """Rewrite `--k0 -0.5,0.2,0` as `--k0=-0.5,0.2,0`.
+
+    argparse reads a value that starts with "-" and is not a plain number as
+    an option, so a vector with a negative first component would otherwise
+    be rejected.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--":
+            return out + argv[i:]
+        if (tok in _VECTOR_OPTIONS and i + 1 < len(argv)
+                and _NEGATIVE_VECTOR.fullmatch(argv[i + 1])):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
 
 
 def _add_config_options(sub: argparse.ArgumentParser) -> None:
@@ -394,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_vector_values(argv))
     try:
         return args.func(args)
     except (ConfigError, DomainError, MeshError) as exc:

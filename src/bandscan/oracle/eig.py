@@ -1,10 +1,17 @@
 """Hermitian eigensolver front end and the ASCII matrix exchange format.
 
 Dense problems go through LAPACK; large sparse/operator problems go through
-preconditioned LOBPCG with a deterministic starting block.  Returned
-eigenpairs are residual-checked: ||A x - lambda (M) x|| <= tol * scale with
-scale = max(|lambda|) over the returned set, and a NumericalError carries
-the residual report when the iteration cap is hit.
+preconditioned block LOBPCG with a deterministic (or warm) starting block.
+Returned eigenpairs are residual-checked: ||A x - lambda (M) x|| <= tol *
+scale with scale = max(|lambda|) over the block, and a NumericalError
+carries the residual report when the iteration cap is hit.
+
+The iteration keeps its search basis orthonormal: X^H Y products are single
+zgemm calls, blocks are orthonormalized by Cholesky-QR run twice (Householder
+QR when the Gram matrix is not safely positive definite), and the
+Rayleigh-Ritz step drops directions whose Gram eigenvalues are negligible
+and any Ritz value outside a known spectral interval, so an ill-conditioned
+basis cannot produce a ghost eigenvalue.
 
 Triplet export format (ASCII, documented for debugging):
 
@@ -20,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import zgemm
 from scipy.sparse.linalg import LinearOperator
 
 from ..errors import DomainError, NumericalError
@@ -31,12 +39,17 @@ MAX_SPARSE = 120_000
 
 @dataclass(frozen=True)
 class EigResult:
-    """Sorted lowest eigenvalues of one discretized Bloch problem."""
+    """Sorted lowest eigenvalues of one discretized Bloch problem.
+
+    `vectors` is the eigenvector (Ritz) block when the solver returns one;
+    it warm-starts the solve at a nearby wave vector.
+    """
 
     eigenvalues: np.ndarray = field(repr=False)
     k: tuple[float, float, float]
     resolution: str
     residual_norm: float
+    vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -58,97 +71,162 @@ def _residuals(A, M, vals, vecs):
     return np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(MV, axis=0), 1e-300)
 
 
-def _rayleigh_ritz(S, AS):
-    """Ritz pairs of the subspace span(S); robust against mild rank loss."""
-    G = S.conj().T @ AS
-    G = 0.5 * (G + G.conj().T)
-    Mg = S.conj().T @ S
-    Mg = 0.5 * (Mg + Mg.conj().T)
-    try:
-        theta, C = scipy.linalg.eigh(G, Mg)
-        return theta, C
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        # rank-deficient basis: drop directions below the cutoff
-        w, U = np.linalg.eigh(Mg)
-        keep = w > 1e-12 * max(w.max(), 1e-300)
-        if not np.any(keep):
-            raise NumericalError("eigensolver basis collapsed")
-        B = U[:, keep] / np.sqrt(w[keep])[None, :]
-        Gr = B.conj().T @ G @ B
-        Gr = 0.5 * (Gr + Gr.conj().T)
-        theta, C = np.linalg.eigh(Gr)
-        return theta, B @ C
+#: Gram eigenvalues below this fraction of the largest mark directions of a
+#: search basis that are numerically dependent; they are dropped.
+GRAM_DROP = 1e-10
 
 
-def _block_preconditioned_eigensolve(A_mul, T_mul, X0, count, tol, maxiter):
-    """Locally optimal block preconditioned solver for lowest eigenpairs.
+def _inner(X, Y):
+    """X^H Y for (N, p) and (N, q) blocks, in one zgemm that conjugates X itself."""
+    X = np.ascontiguousarray(X, dtype=complex)
+    Y = np.ascontiguousarray(Y, dtype=complex)
+    return zgemm(1.0, Y.T, X.T, trans_b=2).T
 
-    Deterministic LOBPCG variant: subspace span[X, T r, P] per step, with
-    explicit re-orthogonalization and a Gram-based fallback when the basis
-    degenerates (the situation that breaks stock implementations).
+
+def _hermitian_part(G):
+    return 0.5 * (G + G.conj().T)
+
+
+def _orthonormalize(V):
+    """Orthonormal basis of span(V), dropping numerically dependent columns.
+
+    Cholesky-QR, run twice, with the Gram matrix scaled to unit diagonal;
+    Householder QR takes over when that matrix is not safely positive
+    definite (condition number of V above about 1e6, where Cholesky-QR
+    loses orthogonality).
+    """
+    V = V[:, np.linalg.norm(V, axis=0) > 0]
+    if V.shape[1] == 0:
+        return V
+    for _ in range(2):
+        G = _inner(V, V)
+        d = 1.0 / np.sqrt(np.diag(G).real)
+        try:
+            R = scipy.linalg.cholesky(G * np.outer(d, d), lower=False, check_finite=False)
+        except np.linalg.LinAlgError:
+            break
+        r = np.abs(np.diag(R))
+        if r.min() <= 1e-6 * r.max():
+            break
+        V = V @ (d[:, None] * scipy.linalg.solve_triangular(
+            R, np.eye(R.shape[0]), lower=False, check_finite=False
+        ))
+    else:
+        return V
+    Q, R = np.linalg.qr(V / np.linalg.norm(V, axis=0))
+    r = np.abs(np.diag(R))
+    return np.ascontiguousarray(Q[:, r > GRAM_DROP * r.max()])
+
+
+def _ritz_from_gram(Mg, G, spectrum=None):
+    """Ritz pairs from the Gram matrix Mg = S^H S and G = S^H A S, ascending.
+
+    Returns (theta, C) with the Ritz vectors S C orthonormal.  Directions
+    whose Gram eigenvalue is below GRAM_DROP times the largest are dropped
+    before the reduced problem is solved, so an ill-conditioned S cannot
+    produce a ghost Ritz value; values outside `spectrum`, an interval known
+    to hold every eigenvalue of A, are discarded as well.
+    """
+    # unit-diagonal scaling first, so the cut does not depend on column norms
+    d = 1.0 / np.sqrt(np.maximum(np.diag(Mg).real, 1e-300))
+    w, U = scipy.linalg.eigh(_hermitian_part(Mg * np.outer(d, d)), check_finite=False)
+    keep = w > GRAM_DROP * max(w[-1], 1e-300)
+    if not np.any(keep):
+        raise NumericalError("eigensolver basis collapsed")
+    B = d[:, None] * U[:, keep] / np.sqrt(w[keep])[None, :]
+    theta, C = scipy.linalg.eigh(_hermitian_part(B.conj().T @ G @ B), check_finite=False)
+    C = B @ C
+    if spectrum is not None:
+        lo, hi = spectrum
+        slack = 1e-8 * max(abs(lo), abs(hi), 1.0)
+        ok = (theta >= lo - slack) & (theta <= hi + slack)
+        theta, C = theta[ok], C[:, ok]
+    return theta, C
+
+
+def _rayleigh_ritz(S, AS, spectrum=None):
+    """Ritz pairs of span(S) from the block S and its image AS (see _ritz_from_gram)."""
+    return _ritz_from_gram(_inner(S, S), _inner(S, AS), spectrum)
+
+
+def _residuals_rel(X, AX, theta):
+    """Residual block, and its column norms relative to the spectral scale of the block."""
+    R = AX - X * theta[None, :]
+    return R, np.linalg.norm(R, axis=0) / max(float(np.max(np.abs(theta))), 1e-8)
+
+
+def _block_preconditioned_eigensolve(A_mul, T_mul, X0, count, tol, maxiter, spectrum=None):
+    """Locally optimal block preconditioned solver for the lowest eigenpairs.
+
+    LOBPCG in the orthonormal-basis form of Duersch, Shao, Yang and Gu (SISC
+    40(5), 2018).  X holds the current Ritz vectors and P, orthonormal and
+    orthogonal to X, the conjugate directions; the preconditioned residuals
+    W of the unconverged columns (soft locking) are orthogonalized against
+    [X, P] and made orthonormal.  Of the Gram matrices of S = [X, P, W] only
+    the columns of W are computed (S^H W and S^H A W): the rest is known
+    from the previous step (X^H A X = diag(theta), X^H A P = 0, the identity
+    for the Gram of [X, P]).  P is chosen in the small space, among the
+    Ritz vectors not kept, as the span of the part of the new X outside the
+    old one, so it needs no tall QR.  The implicitly updated A X is
+    refreshed once before convergence is accepted.
     Returns (theta, X, relative residuals, iterations).
     """
-    X, _ = np.linalg.qr(np.asarray(X0, dtype=complex))
+    X = _orthonormalize(np.asarray(X0, dtype=complex))
+    if X.shape[1] < count:
+        raise NumericalError("starting block is rank deficient")
     AX = A_mul(X)
-    P = AP = None
-    theta = rel = None
+    theta, C = _rayleigh_ritz(X, AX, spectrum)
+    # XP = [X, P] and AXP = [AX, AP] are each one contiguous block
+    XP, AXP = X @ C, AX @ C
+    mx = XP.shape[1]
+    PAP = None
+    rel = None
     for it in range(maxiter):
-        theta_full, C = _rayleigh_ritz(X, AX)
-        X = X @ C
-        AX = AX @ C
-        theta = theta_full
-        R = AX - X * theta[None, :]
-        # residuals relative to the spectral scale of the computed block
-        scale = max(float(np.max(np.abs(theta))), 1e-8)
-        rel = np.linalg.norm(R, axis=0) / scale
+        X, AX = XP[:, :mx], AXP[:, :mx]
+        R, rel = _residuals_rel(X, AX, theta)
         if np.all(rel[:count] <= tol):
-            # refresh the implicit product before accepting, guarding
-            # against drift accumulated through the three-term recurrence
+            X = np.ascontiguousarray(X)
             AX = A_mul(X)
-            theta, C = _rayleigh_ritz(X, AX)
-            X = X @ C
-            AX = AX @ C
-            R = AX - X * theta[None, :]
-            scale = max(float(np.max(np.abs(theta))), 1e-8)
-            rel = np.linalg.norm(R, axis=0) / scale
+            theta, C = _rayleigh_ritz(X, AX, spectrum)
+            X, AX = X @ C, AX @ C
+            R, rel = _residuals_rel(X, AX, theta)
             if np.all(rel[:count] <= tol):
                 return theta, X, rel, it
-        W = T_mul(R)
-        W = W - X @ (X.conj().T @ W)
-        if P is not None:
-            W = W - P @ (P.conj().T @ W)
-        keep = np.linalg.norm(W, axis=0) > 1e-14
-        if not np.any(keep):
-            return theta, X, rel, it
-        W, _ = np.linalg.qr(W[:, keep])
+            XP, AXP, PAP, mx = X, AX, None, X.shape[1]
+        W = T_mul(R[:, rel > tol])
+        norms = np.linalg.norm(W, axis=0)
+        # one projection pass: the Gram matrix below is exact, so what it
+        # leaves of [X, P] in W is accounted for in the Rayleigh-Ritz step
+        W = W - XP @ _inner(XP, W)
+        W = W[:, np.linalg.norm(W, axis=0) > 1e-10 * norms]
+        if W.shape[1] == 0:
+            return theta, np.ascontiguousarray(X), rel, it
+        W = _orthonormalize(W)
         AW = A_mul(W)
-        S = [X, W]
-        AS = [AX, AW]
-        if P is not None:
-            S.append(P)
-            AS.append(AP)
-        S = np.concatenate(S, axis=1)
-        AS = np.concatenate(AS, axis=1)
-        th2, C = _rayleigh_ritz(S, AS)
-        m = X.shape[1]
-        C = C[:, :m]
-        Xn = S @ C
-        AXn = AS @ C
-        # new conjugate directions: the non-X part of the update
-        Cw = C[m:, :]
-        Pn = S[:, m:] @ Cw
-        APn = AS[:, m:] @ Cw
-        try:
-            Pq, Rp = np.linalg.qr(Pn)
-            good = np.abs(np.diag(Rp)) > 1e-12 * max(np.linalg.norm(Pn), 1e-300)
-            if np.any(good):
-                APq = np.linalg.solve(Rp.conj().T, APn.conj().T).conj().T
-                P, AP = Pq[:, good], APq[:, good]
-            else:
-                P = AP = None
-        except np.linalg.LinAlgError:
-            P = AP = None
-        X, AX = Xn, AXn
+        S = np.concatenate([XP, W], axis=1)
+        AS = np.concatenate([AXP, AW], axis=1)
+        nb, nw = XP.shape[1], W.shape[1]
+        Mg = np.eye(nb + nw, dtype=complex)
+        G = np.zeros_like(Mg)
+        G[:mx, :mx] = np.diag(theta)
+        if PAP is not None:
+            G[mx:nb, mx:nb] = PAP
+        Mg[:, nb:], G[:, nb:] = _inner(S, W), _inner(S, AW)
+        Mg[nb:, :nb], G[nb:, :nb] = Mg[:nb, nb:].conj().T, G[:nb, nb:].conj().T
+        theta_all, C = _ritz_from_gram(Mg, G, spectrum)
+        m = min(mx, theta_all.size)
+        if m < count:
+            raise NumericalError("eigensolver basis collapsed")
+        theta, Cx, Crest = theta_all[:m], C[:, :m], C[:, m:]
+        # the part of the new X outside the old one, in the coordinates of
+        # the remaining (orthonormal) Ritz vectors, spans the new P
+        U, sv, _ = np.linalg.svd(Crest.conj().T @ (Mg[:, :mx] @ Cx[:mx]), full_matrices=False)
+        Q = U[:, sv > 1e-12]
+        Z = np.concatenate([Cx, Crest @ Q], axis=1)
+        XP, AXP = S @ Z, AS @ Z
+        PAP = (Q.conj().T * theta_all[m:]) @ Q if Q.shape[1] else None
+        mx = m
+    X = np.ascontiguousarray(XP[:, :mx])
     return theta, X, rel, maxiter
 
 
@@ -159,11 +237,13 @@ def hermitian_eigensolve(
     *,
     precond=None,
     v0=None,
+    spectrum=None,
     tol: float = 1e-8,
     maxiter: int = 400,
     seed: int = 0,
     allow_large: bool = False,
     return_residual: bool = False,
+    return_vectors: bool = False,
 ):
     """Lowest `count` eigenvalues of a Hermitian (pencil) problem.
 
@@ -171,8 +251,15 @@ def hermitian_eigensolve(
     Dense inputs (or anything of dimension <= 4000) are solved directly;
     otherwise LOBPCG runs with the supplied preconditioner and starting
     block.  v0 defaults to a seeded random block, so fixed inputs and seed
-    give bit-identical output.  allow_large lifts the sparse-dimension cap
-    for matrix-free grid operators that manage their own memory.
+    give bit-identical output; a warm start passes the Ritz block of a
+    nearby problem.  `spectrum` is an interval known to contain every
+    eigenvalue of A: Ritz values outside it are rejected.  allow_large lifts
+    the sparse-dimension cap for matrix-free grid operators that manage
+    their own memory.
+
+    Returns the eigenvalues, followed by the maximum relative residual when
+    return_residual is set and by the eigenvector (Ritz) block, which has
+    at least `count` columns, when return_vectors is set.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -188,6 +275,10 @@ def hermitian_eigensolve(
     if not dense_like and n > MAX_SPARSE and not allow_large:
         raise DomainError(f"operator dimension {n} exceeds cap {MAX_SPARSE}")
 
+    def result(vals, res, vecs):
+        extra = ((res,) if return_residual else ()) + ((vecs,) if return_vectors else ())
+        return (vals, *extra) if extra else vals
+
     if dense_like and (n <= 4000 or isinstance(A, np.ndarray)):
         Ad = _as_dense(A)
         Md = None if M is None else _as_dense(M)
@@ -199,10 +290,11 @@ def hermitian_eigensolve(
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"dense eigensolve failed: {exc}") from exc
         vals = np.asarray(vals, dtype=float)
+        res = None
         if return_residual:
             res = _residuals(Ad, Md, vals, vecs)
-            return vals, float(np.max(res) / max(np.max(np.abs(vals)), 1e-300))
-        return vals
+            res = float(np.max(res) / max(np.max(np.abs(vals)), 1e-300))
+        return result(vals, res, vecs)
 
     # iterative path
     if M is not None:
@@ -210,8 +302,8 @@ def hermitian_eigensolve(
     if v0 is None:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
-    X = np.array(v0, dtype=complex, copy=True)
-    if X.shape[0] != n or X.shape[1] < count:
+    X = np.asarray(v0, dtype=complex)
+    if X.ndim != 2 or X.shape[0] != n or X.shape[1] < count:
         raise DomainError("starting block shape mismatch")
 
     A_mul = (lambda V: A @ V)
@@ -223,22 +315,16 @@ def hermitian_eigensolve(
         T_mul = precond
 
     vals, vecs, rel, iters = _block_preconditioned_eigensolve(
-        A_mul, T_mul, X, count, tol, maxiter
+        A_mul, T_mul, X, count, tol, maxiter, spectrum
     )
     if np.all(rel[:count] <= tol):
         out = np.asarray(vals[:count].real, dtype=float)
-        if return_residual:
-            return out, float(np.max(rel[:count]))
-        return out
+        return result(out, float(np.max(rel[:count])), vecs)
     raise NumericalError(
         f"eigensolver did not converge: relative residuals "
         f"{np.array2string(rel[:count], precision=3)} exceed tol {tol} "
         f"after {iters} iterations"
     )
-
-
-def eigensolve_residual(A, count: int, vals, vecs) -> float:
-    return float(np.max(_residuals(A, None, np.asarray(vals)[:count], vecs[:, :count])))
 
 
 def export_triplets(A, path) -> None:

@@ -17,10 +17,21 @@ with symbol
 
     sum_j [ 4 sin^2(g_j h/2)/h^2 - 2 k_j sin(g_j h)/h + k_j^2 ],
 
-which is also what the FFT preconditioner inverts.  The module ships the
-free-lattice Green function (Bessel-integral form) and the exact discrete
-capacitance of a masked node pattern; together they give a staircase-free
-baseline for remainder studies against the asymptotic formulas.
+which is also what the FFT preconditioner inverts.  The restricted operator
+is a principal submatrix of the unmasked one, so its eigenvalues lie in the
+range of the symbol; the eigensolver uses that interval to reject spurious
+Ritz values.
+
+Each solve assembles the restricted 7-point stencil once per k as a CSR
+matrix (`assemble_sparse`), which the block eigensolver applies; small free
+dimensions go to dense LAPACK instead.  The iterative solve starts from
+plane waves of the lowest symbol modes or, along a ray of nearby k, from
+the Ritz block of the previous solve (`v0`).
+
+The module ships the free-lattice Green function (Bessel-integral form) and
+the exact discrete capacitance of a masked node pattern; together they give
+a staircase-free baseline for remainder studies against the asymptotic
+formulas.
 """
 
 from __future__ import annotations
@@ -118,7 +129,7 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 class _GridOperator:
-    """Matrix-free restricted stencil operator and its FFT preconditioner."""
+    """The restricted stencil operator as a CSR matrix, and its FFT preconditioner."""
 
     def __init__(self, grid: FDGrid, k, workers: int | None = None):
         self.grid = grid
@@ -128,46 +139,31 @@ class _GridOperator:
         self.nfree = self.idx.size
         n = grid.n
         self.shape3 = (n, n, n)
+        self.matrix = assemble_sparse(n, self.k, grid.inclusion_mask)
         sym = fourier_symbol(n, self.k)
+        # the masked operator is a principal submatrix of the periodic one,
+        # so its eigenvalues lie within the range of the symbol
+        self.spectrum = (float(sym.min()), float(sym.max()))
         # shift keeps the preconditioner positive definite near the low modes
         tau = max(float(self.k @ self.k), 1e-6)
         self.pre_sym = 1.0 / (sym + tau)
-        self.h = grid.h
-        self.k2 = float(self.k @ self.k)
-
-    def _scatter(self, V):
-        full = np.zeros((np.prod(self.shape3), V.shape[1]), dtype=complex)
-        full[self.idx] = V
-        return full.reshape(*self.shape3, V.shape[1])
-
-    def _gather(self, G):
-        return G.reshape(-1, G.shape[-1])[self.idx]
 
     def matmat(self, V):
-        V = np.asarray(V, dtype=complex)
-        squeeze = V.ndim == 1
-        if squeeze:
-            V = V[:, None]
-        G = self._scatter(V)
-        h = self.h
-        out = (6.0 / h**2 + self.k2) * G
-        for ax, kj in enumerate(self.k):
-            up = np.roll(G, -1, axis=ax)
-            dn = np.roll(G, 1, axis=ax)
-            out += -(up + dn) / h**2 + (1j * kj / h) * (up - dn)
-        R = self._gather(out)
-        return R[:, 0] if squeeze else R
+        return self.matrix @ np.asarray(V, dtype=complex)
 
     def precmat(self, V):
         V = np.asarray(V, dtype=complex)
         squeeze = V.ndim == 1
         if squeeze:
             V = V[:, None]
-        G = self._scatter(V)
-        Gh = scipy.fft.fftn(G, axes=(0, 1, 2), workers=self.workers)
-        Gh *= self.pre_sym[..., None]
-        G = scipy.fft.ifftn(Gh, axes=(0, 1, 2), workers=self.workers)
-        R = self._gather(G)
+        # one grid per column, columns first, so each transform is contiguous
+        G = np.zeros((V.shape[1], self.grid.n**3), dtype=complex)
+        G[:, self.idx] = V.T
+        G = G.reshape(V.shape[1], *self.shape3)
+        G = scipy.fft.fftn(G, axes=(1, 2, 3), workers=self.workers, overwrite_x=True)
+        G *= self.pre_sym[None]
+        G = scipy.fft.ifftn(G, axes=(1, 2, 3), workers=self.workers, overwrite_x=True)
+        R = G.reshape(V.shape[1], -1)[:, self.idx].T
         return R[:, 0] if squeeze else R
 
     def as_linear_operators(self):
@@ -190,9 +186,7 @@ class _GridOperator:
         for g in gs:
             w = np.exp(1j * (g[0] * X + g[1] * Y + g[2] * Z))
             cols.append(w.ravel()[self.idx])
-        B = np.stack(cols, axis=1)
-        Q, _ = np.linalg.qr(B)
-        return Q
+        return np.stack(cols, axis=1)
 
 
 def _block_modes(n: int, k, count: int, max_extra: int = 8):
@@ -218,31 +212,32 @@ def _block_modes(n: int, k, count: int, max_extra: int = 8):
 
 
 def assemble_sparse(n: int, k, mask: np.ndarray | None = None) -> sp.csr_matrix:
-    """Explicit sparse matrix of the (restricted) grid operator.
+    """Sparse matrix of the grid operator, restricted to the nodes outside `mask`.
 
-    Mainly for debugging exports and for cross-checking the matrix-free
-    path; identical spectra are asserted in the test suite.
+    Row r holds the 7-point stencil of free node r; couplings to masked
+    nodes are left out.  This is the operator every FD solve applies, and
+    its spectrum is checked against the Fourier symbol in the test suite.
     """
     k = np.asarray(k, dtype=float)
     h = TWO_PI / n
-    eye = sp.identity(n, format="csr")
-    shift = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n)
-    )
-    ops = []
+    node = np.arange(n**3).reshape(n, n, n)
+    free = node.ravel() if mask is None else np.flatnonzero(~np.asarray(mask).ravel())
+    pos = np.full(n**3, -1)
+    pos[free] = np.arange(free.size)
+    cols = [free]
+    vals = [6.0 / h**2 + float(k @ k)]
     for axis in range(3):
-        parts = [eye, eye, eye]
-        parts[axis] = shift
-        up = sp.kron(sp.kron(parts[0], parts[1]), parts[2], format="csr")
-        ops.append(up)
-    A = sp.identity(n**3, format="csr", dtype=complex) * (6.0 / h**2 + float(k @ k))
-    for axis, up in enumerate(ops):
-        dn = up.T.tocsr()
-        A = A - (up + dn) / h**2 + (1j * k[axis] / h) * (up - dn)
-    if mask is not None:
-        free = np.flatnonzero(~mask.ravel())
-        A = A[free][:, free]
-    return A.tocsr()
+        # np.roll by -1 gives the +1 neighbour along the axis
+        for step, sign in ((-1, 1.0), (1, -1.0)):
+            cols.append(np.roll(node, step, axis=axis).ravel()[free])
+            vals.append(-1.0 / h**2 + sign * 1j * k[axis] / h)
+    C = pos[np.stack(cols, axis=1)]
+    V = np.broadcast_to(np.array(vals, dtype=complex), C.shape)
+    inside = C >= 0
+    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
+    A = sp.csr_matrix((V[inside], C[inside], indptr), shape=(free.size, free.size))
+    A.sum_duplicates()
+    return A
 
 
 def fd_dirichlet_eigenvalues(
@@ -255,12 +250,18 @@ def fd_dirichlet_eigenvalues(
     tol: float = 1e-8,
     maxiter: int = 400,
     workers: int | None = None,
+    v0=None,
 ) -> EigResult:
     """Lowest `count` values of lambda = (omega/c)^2 for the masked problem.
 
     Requires n >= 16 and at least two grid cells across the inclusion
     diameter (a hard floor below which the staircase sphere degenerates);
     below four cells a resolution warning is issued instead.
+
+    The iterative solve starts from plane waves of the lowest symbol modes,
+    or from `v0`, the `vectors` block of a solve at a nearby k on the same
+    grid and mask (plane waves fill any missing columns).  The result
+    carries the Ritz block in `vectors` for that purpose.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
@@ -288,18 +289,28 @@ def fd_dirichlet_eigenvalues(
     resolution = f"fd n={n} h={grid.h:.6g} masked={nmask}"
 
     if op.nfree <= DENSE_LIMIT:
-        A = assemble_sparse(n, k, grid.inclusion_mask).toarray()
-        vals, res = hermitian_eigensolve(A, count, return_residual=True)
-        return EigResult(vals, tuple(map(float, k)), resolution, res)
+        vals, res, vecs = hermitian_eigensolve(
+            op.matrix.toarray(), count, return_residual=True, return_vectors=True
+        )
+        return EigResult(vals, tuple(map(float, k)), resolution, res, vecs)
 
     modes = _block_modes(n, k, count)
-    X = op.plane_wave_block(modes)
+    if v0 is None:
+        X = op.plane_wave_block(modes)
+    else:
+        X = np.asarray(v0, dtype=complex)
+        if X.ndim != 2 or X.shape[0] != op.nfree:
+            raise DomainError(f"v0 must have {op.nfree} rows, one per free node")
+        if X.shape[1] < len(modes):
+            X = np.hstack([X, op.plane_wave_block(modes[X.shape[1]:])])
+        else:
+            X = X[:, : len(modes)]
     A, T = op.as_linear_operators()
-    vals, res = hermitian_eigensolve(
-        A, count, precond=T, v0=X, tol=tol, maxiter=maxiter, allow_large=True,
-        return_residual=True,
+    vals, res, vecs = hermitian_eigensolve(
+        A, count, precond=T, v0=X, spectrum=op.spectrum, tol=tol, maxiter=maxiter,
+        allow_large=True, return_residual=True, return_vectors=True,
     )
-    return EigResult(vals, tuple(map(float, k)), resolution, res)
+    return EigResult(vals, tuple(map(float, k)), resolution, res, vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Numeric measurement of a local gap along the ray k = (1 + delta) k0.
 
 For each delta on the grid the relevant eigensolver runs, the two bands
-nearest omega0 = c |k0| are picked inside a tracking window (default five
-predicted splittings wide), and the reported gap is the interval between
-the maximum of the lower band and the minimum of the upper band, or None
-when the band ranges overlap.  Frequencies are omega / c with c the host
-speed.
+nearest the pair centre that the two-mode model predicts are picked inside
+a tracking window around it (default five predicted splittings wide), and
+the reported gap is the interval between the maximum of the lower band and
+the minimum of the upper band, or None when the band ranges overlap.  The
+pair centre is |k0| + a_tilde / (2 |k0|) for the Dirichlet problem and
+|k0| (1 + (alpha + beta) f / 2) for the transmission problem; the bands
+shift by that much from c |k0| before they split.  Frequencies are
+omega / c with c the host speed.
+
+Along the ray each FD solve starts from the Ritz block of the previous
+point, which saves iterations and leaves the eigenvalues unchanged within
+the solver tolerance.
 """
 
 from __future__ import annotations
@@ -31,13 +38,13 @@ class MeasuredGap:
     deltas: np.ndarray
 
 
-def _auto_count(problem: str, kv, knorm: float, window: float, n: int, g_max: int) -> int:
+def _auto_count(problem: str, kv, center: float, window: float, n: int, g_max: int) -> int:
     """Eigenvalues needed so everything up to the window top is computed.
 
     Counted from the unperturbed spectrum at the scan point (the inclusion
     only moves bands by a fraction of the window), plus a safety margin.
     """
-    top = (knorm + 1.5 * window) ** 2
+    top = (center + 1.5 * window) ** 2
     if problem == "dirichlet":
         vals = np.sort(fourier_symbol(n, np.asarray(kv, dtype=float)).ravel())
     else:
@@ -90,12 +97,15 @@ def measure_gap_numeric(
         if dirichlet_params is None:
             raise DomainError("dirichlet_params required")
         split = dirichlet_params.a_tilde / knorm
+        center = knorm + 0.5 * split
         c_host = 1.0
     elif problem == "transmission":
         if transmission_params is None:
             raise DomainError("transmission_params required")
         split = coupling_mu(k0, m0, transmission_params, tol) / knorm
-        c_host = transmission_params.materials.c_plus
+        mats = transmission_params.materials
+        center = knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * transmission_params.f)
+        c_host = mats.c_plus
     else:
         raise DomainError(f"unknown problem kind {problem!r}")
 
@@ -110,16 +120,18 @@ def measure_gap_numeric(
     window = max(window_factor * split, 1e-3)
     lower = np.empty(len(deltas))
     upper = np.empty(len(deltas))
+    ritz = None
     for i, d in enumerate(deltas):
         kv = (1.0 + d) * k0
-        cnt = count if count is not None else _auto_count(problem, kv, knorm, window, n, g_max)
+        cnt = count if count is not None else _auto_count(problem, kv, center, window, n, g_max)
         if problem == "dirichlet":
-            res = fd_dirichlet_eigenvalues(kv, dirichlet_params.a, n, cnt)
+            res = fd_dirichlet_eigenvalues(kv, dirichlet_params.a, n, cnt, v0=ritz)
+            ritz = res.vectors
             omegas = np.sqrt(np.maximum(res.eigenvalues, 0.0))
         else:
             res = pwe_transmission_eigenvalues(kv, transmission_params, g_max, cnt)
             omegas = np.sqrt(np.maximum(res.eigenvalues, 0.0)) / c_host
-        lower[i], upper[i] = _pick_two_bands(omegas, knorm, window)
+        lower[i], upper[i] = _pick_two_bands(omegas, center, window)
 
     lo = float(lower.max())
     hi = float(upper.min())

@@ -226,7 +226,10 @@ def gap_with_status_transmission(
     """
     adm = lattice.gap_admissible(k0, m0, exclusion_band, tol)
     if adm.verdict is lattice.Verdict.HIGHER_ORDER_EXCLUDED:
-        raise DomainError("higher-order exceptional point; no gap theory here")
+        raise DomainError(
+            "k0 is a higher-order exceptional point (three or more plane waves "
+            "degenerate); no gap theory here"
+        )
     if adm.verdict is lattice.Verdict.BOUNDARY_EXCLUDED:
         raise DomainError(
             f"|k0|/|m0|={adm.ratio} inside the exclusion band around sqrt(2)/2"

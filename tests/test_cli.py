@@ -118,6 +118,28 @@ class TestGap:
         assert report.measured_lo_over_c is not None
         assert report.rel_discrepancy == pytest.approx(0.0, abs=0.25)
 
+    @pytest.mark.parametrize("problem", ["dirichlet", "transmission"])
+    def test_higher_order_rejection_names_k0(self, tmp_path, capsys, problem):
+        rc = run([
+            "gap", "--problem", problem, "--k0", "0.5,0.5,0", "--m0", "1,0,0",
+            "--a", "0.1", "--out", str(tmp_path / "ho"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "k0" in err and "higher-order" in err
+
+    def test_negative_vector_after_space(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        rc = run([
+            "gap", "--k0", "-0.5,0.2,0", "--m0", "-1,0,0", "--a", "0.1",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        report = GapReport.from_text((out / "report.txt").read_text())
+        assert report.k0 == (-0.5, 0.2, 0.0)
+        assert report.m0 == (-1, 0, 0)
+        assert report.verdict == "GapPredicted"
+
 
 class TestBands:
     def test_stdout_single_sample(self, capsys):

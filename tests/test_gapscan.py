@@ -74,3 +74,45 @@ def test_requires_order_two_and_params():
         measure_gap_numeric(
             "unknown", (0, 0, 0.5), (0, 0, 1), dirichlet_params=p
         )
+
+
+def test_warm_started_ray_matches_cold_solves(monkeypatch):
+    # nu = 0.16, n = 24: each point after the first starts from the Ritz
+    # block of the previous one, and the bands equal those of cold solves
+    from bandscan.oracle import fd, gapscan
+
+    starts = []
+    solve = gapscan.fd_dirichlet_eigenvalues
+
+    def recording(k, *args, **kwargs):
+        starts.append(kwargs.get("v0") is not None)
+        return solve(k, *args, **kwargs)
+
+    monkeypatch.setattr(gapscan, "fd_dirichlet_eigenvalues", recording)
+    k0, a = np.array([0.5, 0.2, 0.0]), 0.3
+    got = measure_gap_numeric(
+        "dirichlet", k0, (1, 0, 0), dirichlet_params=dirichlet.DirichletParams(a=a),
+        n=24, n_deltas=5, count=3,
+    )
+    assert starts == [False, True, True, True, True]
+    for i, d in enumerate(got.deltas):
+        cold = fd.fd_dirichlet_eigenvalues((1.0 + d) * k0, a, 24, 3)
+        omegas = np.sqrt(cold.eigenvalues)
+        assert got.lower_band[i] == pytest.approx(omegas[0], rel=1e-10, abs=0.0)
+        assert got.upper_band[i] == pytest.approx(omegas[1], rel=1e-10, abs=0.0)
+
+
+def test_window_follows_predicted_pair_centre():
+    # a mean shift of several splittings: a window centred on c|k0| lost the
+    # lower band here ("found 1"); centred on the predicted pair centre
+    # |k0| (1 + (alpha + beta) f / 2) it holds both
+    mats = MaterialSpec(
+        0.6113107428044207, 1.036763700143883, 0.6396129353284337, 1.4858520721376596
+    )
+    params = TransmissionParams(materials=mats, a=0.6271676470847247)
+    k0, m0 = (0.0, -0.2, 0.5), (0, 0, 1)
+    got = measure_gap_numeric("transmission", k0, m0, transmission_params=params, g_max=3)
+    pred = transmission.local_gap_transmission(k0, m0, params)
+    assert got is not None
+    centre = 0.5 * (got.lo_over_c + got.hi_over_c)
+    assert abs(centre - 0.5 * (pred.lo_over_c + pred.hi_over_c)) < pred.width_over_c

@@ -193,3 +193,41 @@ class TestDiscreteCapacitance:
     def test_empty_pattern_rejected(self):
         with pytest.raises(DomainError):
             fd.discrete_inclusion_capacitance(np.zeros((0, 3), dtype=int), 0.1)
+
+
+class TestIterativeSolver:
+    def test_y_axis_image_converges(self):
+        # the 27-node mask at n = 32 once stalled on a ghost Ritz value along
+        # y; by cube symmetry its eigenvalues equal those of the z-axis image
+        ry = fd.fd_dirichlet_eigenvalues((0.0, 0.5, 0.0), 0.36, 32, 3)
+        rz = fd.fd_dirichlet_eigenvalues((0.0, 0.0, 0.5), 0.36, 32, 3)
+        assert ry.residual_norm <= 1e-8
+        assert np.allclose(ry.eigenvalues, rz.eigenvalues, rtol=1e-8, atol=0.0)
+
+    def test_csr_operator_matches_stencil(self):
+        grid = fd.FDGrid(n=16, a=0.5)
+        op = fd._GridOperator(grid, K)
+        rng = np.random.default_rng(1)
+        V = rng.standard_normal((op.nfree, 3)) + 1j * rng.standard_normal((op.nfree, 3))
+        G = np.zeros((16**3, 3), dtype=complex)
+        G[op.idx] = V
+        G = G.reshape(16, 16, 16, 3)
+        h = grid.h
+        out = (6.0 / h**2 + K2) * G
+        for ax, kj in enumerate(K):
+            up, dn = np.roll(G, -1, axis=ax), np.roll(G, 1, axis=ax)
+            out += -(up + dn) / h**2 + (1j * kj / h) * (up - dn)
+        ref = out.reshape(-1, 3)[op.idx]
+        assert np.allclose(op.matmat(V), ref, rtol=0.0, atol=1e-10)
+        lo, hi = op.spectrum
+        assert lo >= 0.0 and hi == pytest.approx(float(fd.fourier_symbol(16, K).max()))
+
+    def test_warm_start_matches_cold(self):
+        k1 = np.array([0.5, 0.2, 0.0])
+        cold = fd.fd_dirichlet_eigenvalues(1.01 * k1, 0.3, 24, 3)
+        prev = fd.fd_dirichlet_eigenvalues(k1, 0.3, 24, 3)
+        warm = fd.fd_dirichlet_eigenvalues(1.01 * k1, 0.3, 24, 3, v0=prev.vectors)
+        assert warm.vectors.shape[1] >= 3
+        assert np.allclose(warm.eigenvalues, cold.eigenvalues, rtol=1e-10, atol=0.0)
+        with pytest.raises(DomainError):
+            fd.fd_dirichlet_eigenvalues(k1, 0.3, 24, 3, v0=prev.vectors[:-1])
