@@ -36,7 +36,7 @@ def main():
     rows = []
     for a in args.scales:
         p = dirichlet.DirichletParams(a=a, q=args.q)
-        gap = dirichlet.local_gap(k0, m0, p)
+        _, gap = dirichlet.pair_model(k0, m0, p).gap()
         row = {
             "a": a,
             "predicted_lo": gap.lo_over_c if gap else "",

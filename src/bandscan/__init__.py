@@ -5,8 +5,8 @@ the independent eigensolver oracles that validate them."""
 __version__ = "0.1.0"
 
 from . import capacitance, config, dirichlet, globalscan, lattice, meshes, oracle
-from . import transmission
-from .dirichlet import BranchCurve, DirichletParams, GapInterval, GapStatus
+from . import transmission, twomode
+from .dirichlet import DirichletParams
 from .errors import (
     BandscanError,
     ConfigError,
@@ -28,6 +28,7 @@ from .lattice import (
     nu,
 )
 from .transmission import MaterialSpec, TransmissionParams
+from .twomode import BranchCurve, GapInterval, GapStatus, TwoModeModel
 
 __all__ = [
     "BandscanError",
@@ -45,6 +46,7 @@ __all__ = [
     "ResolutionError",
     "TrackingError",
     "TransmissionParams",
+    "TwoModeModel",
     "Verdict",
     "capacitance",
     "classify_wavevector",
@@ -60,4 +62,5 @@ __all__ = [
     "nu",
     "oracle",
     "transmission",
+    "twomode",
 ]

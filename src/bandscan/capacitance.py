@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .errors import DomainError, NumericalError
@@ -58,6 +57,7 @@ def capacitance_ellipsoid(a1: float, a2: float, a3: float) -> CapacitanceResult:
     """
     if not (a1 >= a2 >= a3 > 0.0):
         raise DomainError(f"semiaxes must satisfy a1 >= a2 >= a3 > 0, got {(a1, a2, a3)}")
+    from scipy.integrate import quad  # lazily: costs about 0.2 s of import time
 
     def integrand(s):
         return 1.0 / math.sqrt((s + a1 * a1) * (s + a2 * a2) * (s + a3 * a3))

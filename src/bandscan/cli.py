@@ -5,7 +5,7 @@ capacitance.  Exit codes: 0 success, 2 usage/config error, 3 numerical or
 oracle failure.  All frequencies are emitted as omega/c; the --c flag only
 rescales the console summary.  BANDSCAN_THREADS caps FFT worker threads
 (pair it with OPENBLAS_NUM_THREADS / OMP_NUM_THREADS for bit-reproducible
-runs); --seed fixes any randomized solver fallback.
+runs).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import math
 import os
 import re
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import __version__, dirichlet, lattice, transmission
 from .compare import dirichlet_comparison_rows, transmission_comparison_rows
@@ -110,7 +109,6 @@ def _add_config_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--g-max", dest="g_max", type=int, help="PWE truncation")
     sub.add_argument("--count", type=int, help="eigenvalues per solve")
     sub.add_argument("--out", dest="out_dir", help="output directory")
-    sub.add_argument("--seed", type=int)
     sub.add_argument("--exclusion-band", dest="exclusion_band", type=float)
     sub.add_argument("--tol", type=float)
     sub.add_argument("--c", type=float, help="wave speed scale for console output")
@@ -124,7 +122,7 @@ def _config_from_args(args) -> ScanConfig:
             "problem", "k0", "m0", "a", "q", "shape", "semiaxes", "mesh",
             "gamma_plus", "gamma_minus", "rho_plus", "rho_minus",
             "delta_tilde_min", "delta_tilde_max", "samples", "verify",
-            "n", "g_max", "count", "out_dir", "seed", "exclusion_band",
+            "n", "g_max", "count", "out_dir", "exclusion_band",
             "tol", "c",
         )
     }
@@ -159,42 +157,30 @@ def cmd_classify(args) -> int:
 
 
 def _predict(cfg: ScanConfig):
-    """Shared gap prediction for cmd_gap/cmd_bands: (report, curve)."""
-    adm = lattice.gap_admissible(cfg.k0, cfg.m0, cfg.exclusion_band, cfg.tol)
-    extra = {}
+    """Shared gap prediction for cmd_gap/cmd_bands: (report, curve, interval)."""
     if cfg.problem == "dirichlet":
         q = cfg.shape_factor()
         p = dirichlet.DirichletParams(a=cfg.a, q=q)
-        status, interval = dirichlet.gap_with_status(
-            cfg.k0, cfg.m0, p, cfg.exclusion_band, cfg.tol
-        )
-        curve = dirichlet.dispersion_scan(
-            cfg.k0, cfg.m0, p,
-            (cfg.delta_tilde_min, cfg.delta_tilde_max), cfg.samples,
-        )
-        extra.update(q=q, a_tilde=p.a_tilde)
-        if adm.nu <= 1.0:
-            s = math.sqrt(1.0 - adm.nu**2)
-            extra.update(nu_minus=1.0 - s, nu_plus=1.0 + s)
+        model = dirichlet.pair_model(cfg.k0, cfg.m0, p, cfg.exclusion_band, cfg.tol)
+        extra = dict(q=q, a_tilde=model.s)
+        if model.nu <= 1.0:
+            root = math.sqrt(1.0 - model.nu**2)
+            extra.update(nu_minus=1.0 - root, nu_plus=1.0 + root)
     else:
         mats = _materials(cfg)
         params = transmission.TransmissionParams(materials=mats, a=cfg.a)
-        status, interval = transmission.gap_with_status_transmission(
-            cfg.k0, cfg.m0, params, cfg.exclusion_band, cfg.tol
-        )
-        curve = transmission.dispersion_scan_transmission(
-            cfg.k0, cfg.m0, params,
-            (cfg.delta_tilde_min, cfg.delta_tilde_max), cfg.samples,
-        )
-        knorm = float(np.linalg.norm(cfg.k0))
-        extra.update(
+        model = transmission.pair_model(cfg.k0, cfg.m0, params, cfg.exclusion_band, cfg.tol)
+        extra = dict(
             gamma_plus=mats.gamma_plus,
             gamma_minus=mats.gamma_minus,
             rho_plus=mats.rho_plus,
             rho_minus=mats.rho_minus,
-            mu=transmission.coupling_mu(cfg.k0, cfg.m0, params, cfg.tol),
-            k0_tilde_norm=knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * params.f),
+            mu=model.s,
+            k0_tilde_norm=model.centre,
         )
+    status, interval = model.gap()
+    curve = model.scan((cfg.delta_tilde_min, cfg.delta_tilde_max), cfg.samples)
+    adm = model.admissibility
     report = report_from_prediction(
         cfg.problem, cfg.k0, cfg.m0, cfg.a, adm.verdict, status.value,
         adm.nu, adm.ratio, interval, **extra,
@@ -229,7 +215,6 @@ def cmd_gap(args) -> int:
     report_path = os.path.join(cfg.out_dir, "report.txt")
     write_branch_csv(curve, csv_path)
 
-    exit_code = EXIT_OK
     if cfg.verify:
         try:
             measured = _measure(cfg)
@@ -239,31 +224,23 @@ def cmd_gap(args) -> int:
             _summarize(report, cfg)
             print(f"oracle failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        if measured is not None and interval is not None:
-            from dataclasses import replace
-
-            rel = abs(
-                (measured.hi_over_c - measured.lo_over_c) - interval.width_over_c
-            ) / interval.width_over_c
+        if measured is not None:
+            rel = None
+            if interval is not None:
+                rel = abs(
+                    (measured.hi_over_c - measured.lo_over_c) - interval.width_over_c
+                ) / interval.width_over_c
             report = replace(
                 report,
                 measured_lo_over_c=measured.lo_over_c,
                 measured_hi_over_c=measured.hi_over_c,
                 rel_discrepancy=rel,
             )
-        elif measured is not None:
-            from dataclasses import replace
-
-            report = replace(
-                report,
-                measured_lo_over_c=measured.lo_over_c,
-                measured_hi_over_c=measured.hi_over_c,
-            )
     with open(report_path, "w", encoding="ascii") as fh:
         fh.write(report.to_text())
     _summarize(report, cfg)
     print(f"wrote {report_path} and {csv_path}")
-    return exit_code
+    return EXIT_OK
 
 
 def _measure(cfg: ScanConfig):

@@ -14,16 +14,12 @@ import math
 
 import numpy as np
 
-from . import lattice
+from . import dirichlet, lattice, transmission
 from .dirichlet import DirichletParams, epsilon_nonexceptional
 from .errors import DomainError
 from .oracle.fd import fd_dirichlet_eigenvalues
 from .oracle.pwe import pwe_transmission_eigenvalues
-from .transmission import (
-    TransmissionParams,
-    coupling_mu,
-    epsilon_nonexceptional_transmission,
-)
+from .transmission import TransmissionParams, epsilon_nonexceptional_transmission
 
 Row = tuple[str, float, float, float]
 
@@ -53,16 +49,17 @@ def dirichlet_comparison_rows(
         shift_asym = epsilon_nonexceptional(k0, p, tol) * knorm
         rows.append(_row("nonexceptional_shift", shift_asym, shift_num))
     elif cls.order == 2:
+        s = dirichlet.pair_model(k0, cls.shifts[0], p, tol=tol).s
         res = fd_dirichlet_eigenvalues(k0, p.a, n, max(count, 2))
         omega_upper = math.sqrt(res.eigenvalues[1])
         eps_num = omega_upper / knorm - 1.0
-        eps_full = p.a_tilde / (knorm * knorm)
+        eps_full = s / (knorm * knorm)
         rows.append(_row("eps1_vs_matrix_eigenvalue_4pi", eps_full, eps_num))
         rows.append(_row("eps1_vs_two_root_display_2pi", eps_full / 2.0, eps_num))
         rows.append(
             _row(
                 "exceptional_splitting_over_c",
-                p.a_tilde / knorm,
+                s / knorm,
                 omega_upper - math.sqrt(res.eigenvalues[0]),
             )
         )
@@ -100,7 +97,7 @@ def transmission_comparison_rows(
     if cls.order == 2:
         res = pwe_transmission_eigenvalues(k0, params, g_max, 2)
         omegas = np.sqrt(res.eigenvalues) / c_host
-        mu = coupling_mu(k0, cls.shifts[0], params, tol)
+        mu = transmission.pair_model(k0, cls.shifts[0], params, tol=tol).s
         rows.append(
             _row("band_splitting_over_c", mu / knorm, float(omegas[1] - omegas[0]))
         )

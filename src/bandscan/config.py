@@ -14,33 +14,6 @@ from .capacitance import capacitance_bem, capacitance_ellipsoid
 from .errors import ConfigError
 from .meshes import read_off
 
-KNOWN_KEYS = {
-    "problem",
-    "k0",
-    "m0",
-    "a",
-    "q",
-    "shape",
-    "semiaxes",
-    "mesh",
-    "gamma_plus",
-    "gamma_minus",
-    "rho_plus",
-    "rho_minus",
-    "delta_tilde_min",
-    "delta_tilde_max",
-    "samples",
-    "verify",
-    "n",
-    "g_max",
-    "count",
-    "out_dir",
-    "seed",
-    "exclusion_band",
-    "tol",
-    "c",
-}
-
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -64,7 +37,6 @@ class ScanConfig:
     g_max: int = 3
     count: int | None = None
     out_dir: str = "bandscan_out"
-    seed: int = 0
     exclusion_band: float = 1e-6
     tol: float = 1e-9
     c: float = 1.0
@@ -173,11 +145,13 @@ _COERCERS = {
     "g_max": int,
     "count": int,
     "out_dir": str,
-    "seed": int,
     "exclusion_band": float,
     "tol": float,
     "c": float,
 }
+
+#: The config keys: the ScanConfig fields, named like the CLI flags.
+KNOWN_KEYS = frozenset(_COERCERS)
 
 
 def parse_config_file(path) -> dict:

@@ -2,10 +2,11 @@
 
 For every frequency omega on a grid, a propagating non-exceptional Bloch
 wave is exhibited by solving (1 + eps(a, t d)) t = omega / c for t along a
-generic ray direction d (bracketed 1D root find).  Directions that land on
-an exceptional vector are perturbed automatically.  A bracketing failure
-raises, since with small a the dispersion sheet covers the window and
-failure indicates a bug rather than physics.
+generic ray direction d; with eps = A / t^2 this is the quadratic
+t^2 - omega t + A = 0, whose upper root is taken in closed form.
+Directions that land on an exceptional vector are perturbed automatically.
+A window with no real root raises, since with small a the dispersion sheet
+covers the window and failure indicates a bug rather than physics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import lattice
 from .dirichlet import DirichletParams
@@ -33,20 +33,13 @@ class CoverageRow:
 
 
 def _root_along_ray(omega: float, A: float) -> float:
-    """Solve t + A/t = omega for the upper root (A = 2 pi q a / |Pi|)."""
-    if A == 0.0:
-        return omega
+    """Upper root of t + A/t = omega (A = 2 pi q a / |Pi|)."""
     disc = omega * omega - 4.0 * A
     if disc <= 0.0:
         raise NumericalError(
             f"no propagating branch at omega/c={omega}: a too large for the window"
         )
-    f = lambda t: t + A / t - omega
-    lo = math.sqrt(A)
-    hi = omega + 1.0
-    if f(lo) >= 0.0:
-        raise NumericalError(f"bracketing failed at omega/c={omega}")
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    return 0.5 * (omega + math.sqrt(disc))
 
 
 def cover_frequency(

@@ -74,8 +74,9 @@ def as_wavevector(k) -> np.ndarray:
     return k
 
 
-def _require_nonzero(k: np.ndarray) -> float:
-    norm = float(np.linalg.norm(k))
+def wavevector_norm(k) -> float:
+    """|k| of a finite, nonzero wave vector."""
+    norm = float(np.linalg.norm(as_wavevector(k)))
     if norm == 0.0:
         raise DomainError("zero wave vector is not classifiable")
     return norm
@@ -106,16 +107,16 @@ def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, i
     plus Cauchy-Schwarz forces |m|^2 = 2 k.m <= 2|k||m|, and the +1 guard
     absorbs the tolerance.
     """
-    k = as_wavevector(k)
-    _require_nonzero(k)
+    knorm = wavevector_norm(k)
     if tol < 0:
         raise DomainError("tolerance must be nonnegative")
-    bound = math.ceil(2.0 * float(np.linalg.norm(k))) + 1
-    M, m2 = _candidate_box(bound)
-    resid = np.abs(2.0 * (M @ k) - m2)
-    hits = [tuple(int(c) for c in m) for m in M[resid <= tol * np.maximum(1.0, m2)]]
-    hits.sort()
-    return hits
+    M, m2 = _candidate_box(math.ceil(2.0 * knorm) + 1)
+    resid = np.abs(2.0 * (M @ as_wavevector(k)) - m2)
+    return _shifts(M[resid <= tol * np.maximum(1.0, m2)])
+
+
+def _shifts(M: np.ndarray) -> list[tuple[int, int, int]]:
+    return sorted(tuple(int(c) for c in m) for m in M)
 
 
 def classify_wavevector(k, tol: float = DEFAULT_TOL) -> ExceptionalClass:
@@ -128,31 +129,22 @@ def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
     """Exact-arithmetic classification for rational k.
 
     Components may be Fractions, ints, or (numerator, denominator) pairs.
-    The plane condition 2 k.m = |m|^2 is evaluated in exact integer
-    arithmetic, so the result is a deterministic knife-edge predicate.
+    With D the common denominator and p = D k, the plane condition is
+    2 p.m = D |m|^2, evaluated on Python integers (object arrays), so the
+    result is a deterministic knife-edge predicate for any input size.
     """
-    comps = []
-    for c in k_rational:
-        if isinstance(c, tuple):
-            comps.append(Fraction(c[0], c[1]))
-        else:
-            comps.append(Fraction(c))
+    comps = [Fraction(*c) if isinstance(c, tuple) else Fraction(c) for c in k_rational]
     if len(comps) != 3:
         raise DomainError("wave vector must have 3 components")
     if all(c == 0 for c in comps):
         raise DomainError("zero wave vector is not classifiable")
+    D = math.lcm(*(c.denominator for c in comps))
+    p = np.array([int(c * D) for c in comps], dtype=object)
     norm2 = sum(c * c for c in comps)
-    bound = math.ceil(2.0 * math.sqrt(float(norm2))) + 1
-    hits = []
-    rng = range(-bound, bound + 1)
-    for m in product(rng, rng, rng):
-        if m == (0, 0, 0):
-            continue
-        m2 = m[0] * m[0] + m[1] * m[1] + m[2] * m[2]
-        if 2 * (comps[0] * m[0] + comps[1] * m[1] + comps[2] * m[2]) == m2:
-            hits.append(m)
-    hits.sort()
-    return ExceptionalClass(order=1 + len(hits), shifts=tuple(hits), tolerance_used=0.0)
+    M, m2 = _candidate_box(math.ceil(2.0 * math.sqrt(float(norm2))) + 1)
+    hits = 2 * (M.astype(object) @ p) == D * m2.astype(object)
+    shifts = tuple(_shifts(M[hits]))
+    return ExceptionalClass(order=1 + len(shifts), shifts=shifts, tolerance_used=0.0)
 
 
 def is_ewald_pair(k0, m0, tol: float = DEFAULT_TOL) -> bool:
@@ -203,9 +195,8 @@ def gap_admissible(
     NoGap above the band, BoundaryExcluded inside it, and
     HigherOrderExcluded when k0 lies on three or more cones.
     """
-    k0 = as_wavevector(k0)
+    knorm = wavevector_norm(k0)
     m0 = as_shift(m0)
-    knorm = _require_nonzero(k0)
     if not is_ewald_pair(k0, m0, tol):
         raise DomainError(f"(k0, m0={m0}) violates the plane condition")
     mnorm = math.sqrt(m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2)
@@ -292,14 +283,7 @@ def face_gap_region(
     Kf = K.reshape(-1, 3)
 
     kmax = float(np.max(np.linalg.norm(Kf, axis=1)))
-    bound = math.ceil(2.0 * kmax) + 1
-    rng = range(-bound, bound + 1)
-    ms = np.array(
-        [mm for mm in product(rng, rng, rng)
-         if mm != (0, 0, 0) and mm[0] ** 2 + mm[1] ** 2 + mm[2] ** 2 <= bound * bound],
-        dtype=float,
-    )
-    msq = np.sum(ms * ms, axis=1)
+    ms, msq = _candidate_box(math.ceil(2.0 * kmax) + 1)
     # residual of the plane condition for every (pixel, candidate) pair
     resid = np.abs(2.0 * (Kf @ ms.T) - msq[None, :])
     hits = resid <= tol * np.maximum(1.0, msq)[None, :]

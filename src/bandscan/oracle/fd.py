@@ -46,7 +46,6 @@ from itertools import product
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
-from scipy.integrate import quad
 from scipy.sparse.linalg import LinearOperator
 from scipy.special import ive
 
@@ -326,6 +325,8 @@ def lattice_green(m1: int, m2: int, m3: int) -> float:
     exponentially scaled Bessel functions; g(0) is the Watson constant
     0.2527310098..., and g(m) ~ 1/(4 pi |m|) at large |m|.
     """
+    from scipy.integrate import quad  # lazily: costs about 0.2 s of import time
+
     m1, m2, m3 = sorted((abs(int(m1)), abs(int(m2)), abs(int(m3))))
 
     def integrand(t):

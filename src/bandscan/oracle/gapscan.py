@@ -5,9 +5,8 @@ nearest the pair centre that the two-mode model predicts are picked inside
 a tracking window around it (default five predicted splittings wide), and
 the reported gap is the interval between the maximum of the lower band and
 the minimum of the upper band, or None when the band ranges overlap.  The
-pair centre is |k0| + a_tilde / (2 |k0|) for the Dirichlet problem and
-|k0| (1 + (alpha + beta) f / 2) for the transmission problem; the bands
-shift by that much from c |k0| before they split.  Frequencies are
+pair centre and the splitting come from the problem's `pair_model`; the
+bands shift by centre - c |k0| before they split.  Frequencies are
 omega / c with c the host speed.
 
 Along the ray each FD solve starts from the Ritz block of the previous
@@ -23,8 +22,8 @@ import numpy as np
 
 from .. import dirichlet as dmod
 from .. import lattice
+from .. import transmission as tmod
 from ..errors import DomainError, TrackingError
-from ..transmission import TransmissionParams, coupling_mu
 from .fd import fd_dirichlet_eigenvalues, fourier_symbol
 from .pwe import PWEBasis, pwe_transmission_eigenvalues
 
@@ -75,7 +74,7 @@ def measure_gap_numeric(
     m0,
     *,
     dirichlet_params: dmod.DirichletParams | None = None,
-    transmission_params: TransmissionParams | None = None,
+    transmission_params: tmod.TransmissionParams | None = None,
     n: int = 32,
     g_max: int = 3,
     deltas=None,
@@ -89,29 +88,25 @@ def measure_gap_numeric(
     `deltas` is the grid of relative ray offsets; by default it spans twice
     the predicted extremizer range, which brackets both branch extrema.
     """
-    lattice.require_order_two_pair(k0, m0, tol)
-    k0 = np.asarray(k0, dtype=float)
-    knorm = float(np.linalg.norm(k0))
-
     if problem == "dirichlet":
         if dirichlet_params is None:
             raise DomainError("dirichlet_params required")
-        split = dirichlet_params.a_tilde / knorm
-        center = knorm + 0.5 * split
+        model = dmod.pair_model(k0, m0, dirichlet_params, tol=tol)
         c_host = 1.0
     elif problem == "transmission":
         if transmission_params is None:
             raise DomainError("transmission_params required")
-        split = coupling_mu(k0, m0, transmission_params, tol) / knorm
-        mats = transmission_params.materials
-        center = knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * transmission_params.f)
-        c_host = mats.c_plus
+        model = tmod.pair_model(k0, m0, transmission_params, tol=tol)
+        c_host = transmission_params.materials.c_plus
     else:
         raise DomainError(f"unknown problem kind {problem!r}")
+    k0 = np.asarray(k0, dtype=float)
+    knorm = model.knorm
+    split = model.s / knorm
+    center = model.centre
 
     if deltas is None:
-        m0t = lattice.as_shift(m0)
-        m2 = m0t[0] ** 2 + m0t[1] ** 2 + m0t[2] ** 2
+        m2 = sum(c * c for c in model.m0)
         # delta_tilde spans +-2 splittings; convert to relative ray offset
         dt_half = 2.0 * max(split * knorm, 1e-4)
         deltas = np.linspace(-2.0 * dt_half / m2, 2.0 * dt_half / m2, n_deltas)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .dirichlet import BranchCurve, GapInterval
 from .errors import ConfigError
+from .twomode import BranchCurve, GapInterval
 
 SCHEMA_VERSION = 1
 

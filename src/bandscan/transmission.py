@@ -6,7 +6,8 @@ Material contrast enters through
     beta  = 3 (sigma - 1) / (sigma + 2),    sigma = rho_plus/rho_minus,
 
 (+ outside / - inside), and the geometry through f, the inclusion volume
-fraction of the (2 pi)^3 cell.  Branches over the ray k = (1 + delta) k0:
+fraction of the (2 pi)^3 cell.  An order-two pair is the two-mode model of
+`twomode` with these branches over the ray k = (1 + delta) k0:
 
     omega_pm / c = |k0| (1 + (alpha+beta) f / 2)
                    + (nu*dt +- sqrt(mu^2 + dt^2)) / (2 |k0|),
@@ -25,14 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .dirichlet import (
-    CELL_VOLUME,
-    DEFAULT_DELTA0,
-    BranchCurve,
-    GapInterval,
-    GapStatus,
-)
+from .dirichlet import CELL_VOLUME
 from .errors import DomainError
+from .twomode import TwoModeModel
 
 
 def material_coefficients(
@@ -121,7 +117,7 @@ def khat_dot(k0, m0, tol: float = lattice.DEFAULT_TOL) -> float:
     k0 = lattice.as_wavevector(k0)
     m0 = lattice.as_shift(m0)
     if not lattice.is_ewald_pair(k0, m0, tol):
-        raise DomainError("(k0, m0) violates the plane condition")
+        raise DomainError(f"(k0, m0={m0}) violates the plane condition")
     k1 = k0 - np.asarray(m0, dtype=float)
     return float(np.dot(k0, k1) / (np.linalg.norm(k0) * np.linalg.norm(k1)))
 
@@ -160,111 +156,20 @@ def matrix_M_transmission(
     return M
 
 
-def branch_pair_transmission(
-    k0,
-    m0,
-    params: TransmissionParams,
-    delta_tilde: float,
-    delta0: float = DEFAULT_DELTA0,
-    tol: float = lattice.DEFAULT_TOL,
-) -> tuple[float, float]:
-    """(omega_minus/c, omega_plus/c) at one delta_tilde; c is the host speed."""
-    lattice.require_order_two_pair(k0, m0, tol)
-    if abs(delta_tilde) > delta0:
-        raise DomainError(
-            f"|delta_tilde|={abs(delta_tilde)} exceeds the ray half-width {delta0}"
-        )
-    k0 = np.asarray(k0, dtype=float)
-    knorm = float(np.linalg.norm(k0))
-    nu_val = lattice.nu(k0, m0, tol)
-    mats = params.materials
-    mu = coupling_mu(k0, m0, params, tol)
-    center = knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * params.f)
-    root = math.hypot(mu, delta_tilde)
-    base = center + nu_val * delta_tilde / (2.0 * knorm)
-    return (base - root / (2.0 * knorm), base + root / (2.0 * knorm))
-
-
-def dispersion_scan_transmission(
-    k0,
-    m0,
-    params: TransmissionParams,
-    delta_range: tuple[float, float] = (-DEFAULT_DELTA0, DEFAULT_DELTA0),
-    n_samples: int = 101,
-    delta0: float | None = None,
-    tol: float = lattice.DEFAULT_TOL,
-) -> BranchCurve:
-    lo, hi = float(delta_range[0]), float(delta_range[1])
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    if hi < lo:
-        raise DomainError("delta_range must be increasing")
-    if delta0 is None:
-        delta0 = max(abs(lo), abs(hi), DEFAULT_DELTA0)
-    dts = np.linspace(lo, hi, n_samples) if n_samples > 1 else np.array([lo])
-    lower = np.empty(n_samples)
-    upper = np.empty(n_samples)
-    for i, dt in enumerate(dts):
-        lower[i], upper[i] = branch_pair_transmission(k0, m0, params, float(dt), delta0, tol)
-    m0 = lattice.as_shift(m0)
-    k0 = tuple(float(x) for x in np.asarray(k0, dtype=float))
-    return BranchCurve(k0, m0, dts, lower, upper)
-
-
-def gap_with_status_transmission(
+def pair_model(
     k0,
     m0,
     params: TransmissionParams,
     exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
     tol: float = lattice.DEFAULT_TOL,
-) -> tuple[GapStatus, GapInterval | None]:
-    """Local gap for the transmission problem, with a status flag.
-
-    Accidental zero splitting (alpha + beta kh0.kh1 = 0, e.g. identical
-    materials) is reported as DEGENERATE_SPLITTING rather than as a gap of
-    width zero: the leading order predicts touching bands there.
-    """
-    adm = lattice.gap_admissible(k0, m0, exclusion_band, tol)
-    if adm.verdict is lattice.Verdict.HIGHER_ORDER_EXCLUDED:
-        raise DomainError(
-            "k0 is a higher-order exceptional point (three or more plane waves "
-            "degenerate); no gap theory here"
-        )
-    if adm.verdict is lattice.Verdict.BOUNDARY_EXCLUDED:
-        raise DomainError(
-            f"|k0|/|m0|={adm.ratio} inside the exclusion band around sqrt(2)/2"
-        )
-    if adm.verdict is lattice.Verdict.NO_GAP:
-        return GapStatus.NO_GAP_NU, None
-
-    k0v = np.asarray(k0, dtype=float)
-    knorm = float(np.linalg.norm(k0v))
-    mu = coupling_mu(k0, m0, params, tol)
-    if mu == 0.0:
-        return GapStatus.DEGENERATE_SPLITTING, None
+) -> TwoModeModel:
+    """Two-mode model of (k0, m0): centre |k0|(1 + (alpha+beta)f/2), splitting mu."""
+    knorm = lattice.wavevector_norm(k0)
     mats = params.materials
-    center = knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * params.f)
-    half = mu * math.sqrt(1.0 - adm.nu * adm.nu) / (2.0 * knorm)
-    interval = GapInterval(
-        lo_over_c=center - half,
-        hi_over_c=center + half,
-        k0=tuple(float(x) for x in k0v),
-        m0=lattice.as_shift(m0),
-        problem="transmission",
-        a=params.a,
+    return TwoModeModel(
+        k0, m0, knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * params.f),
+        coupling_mu(k0, m0, params, tol), "transmission", params.a, exclusion_band, tol,
     )
-    return GapStatus.PREDICTED, interval
-
-
-def local_gap_transmission(
-    k0,
-    m0,
-    params: TransmissionParams,
-    exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
-    tol: float = lattice.DEFAULT_TOL,
-) -> GapInterval | None:
-    _, interval = gap_with_status_transmission(k0, m0, params, exclusion_band, tol)
-    return interval
 
 
 def epsilon_nonexceptional_transmission(
@@ -278,8 +183,7 @@ def epsilon_nonexceptional_transmission(
     cls = lattice.classify_wavevector(k, tol)
     if cls.order != 1:
         raise DomainError(
-            f"k={tuple(k)} is exceptional of order {cls.order}; "
-            "use branch_pair_transmission"
+            f"k={tuple(k)} is exceptional of order {cls.order}; use pair_model"
         )
     mats = params.materials
     return 0.5 * (mats.alpha + mats.beta) * params.f

@@ -1,0 +1,173 @@
+"""The two-mode splitting model shared by the Dirichlet and transmission problems.
+
+At an order-two pair (k0, m0) two plane waves share the frequency c|k0|.
+At leading order the dispersion sheet over the ray k = (1 + delta) k0
+splits into the two branches
+
+    omega_pm / c = centre + (nu*dt +- sqrt(s^2 + dt^2)) / (2 |k0|),
+
+with dt = delta |m0|^2 / 2 and nu = 4 |k0|^2 / |m0|^2 - 1.  A problem only
+supplies the pair centre and the splitting s:
+
+    Dirichlet      centre = |k0| + a_tilde / (2 |k0|),       s = a_tilde
+    transmission   centre = |k0| (1 + (alpha + beta) f / 2),  s = mu
+
+For nu < 1 the lower branch peaks at dt* = s nu / sqrt(1 - nu^2) and the
+upper branch dips at -dt*, which leaves the local gap
+
+    centre -+ s sqrt(1 - nu^2) / (2 |k0|).
+
+For nu > 1 the branch ranges overlap and there is no gap.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+
+import numpy as np
+
+from . import lattice
+from .errors import DomainError
+
+#: Default half-width of the scan ray in delta_tilde.
+DEFAULT_DELTA0 = 0.1
+
+
+class GapStatus(Enum):
+    PREDICTED = "predicted"
+    NO_GAP_NU = "no gap: nu >= 1"
+    DEGENERATE_SPLITTING = "no gap: zero splitting"
+
+
+@dataclass(frozen=True)
+class GapInterval:
+    lo_over_c: float
+    hi_over_c: float
+    k0: tuple[float, float, float]
+    m0: tuple[int, int, int]
+    problem: str  # "dirichlet" | "transmission"
+    a: float
+
+    def __post_init__(self):
+        if not self.lo_over_c < self.hi_over_c:
+            raise ValueError("gap interval must have lo < hi")
+
+    @property
+    def width_over_c(self) -> float:
+        return self.hi_over_c - self.lo_over_c
+
+
+@dataclass(frozen=True, eq=False)
+class BranchCurve:
+    """Two-branch dispersion samples along the ray k = (1 + delta) k0."""
+
+    k0: tuple[float, float, float]
+    m0: tuple[int, int, int]
+    delta_tilde: np.ndarray = field(repr=False)
+    omega_minus_over_c: np.ndarray = field(repr=False)
+    omega_plus_over_c: np.ndarray = field(repr=False)
+
+    def __len__(self):
+        return len(self.delta_tilde)
+
+    def samples(self):
+        return list(
+            zip(
+                self.delta_tilde.tolist(),
+                self.omega_minus_over_c.tolist(),
+                self.omega_plus_over_c.tolist(),
+            )
+        )
+
+
+class TwoModeModel:
+    """Branches, scans and the local gap of one order-two pair.
+
+    The pair is classified once, here; a higher-order point is rejected.
+    `problem` and `a` only label the gap interval.
+    """
+
+    def __init__(
+        self,
+        k0,
+        m0,
+        centre: float,
+        s: float,
+        problem: str,
+        a: float,
+        exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
+        tol: float = lattice.DEFAULT_TOL,
+    ):
+        self.admissibility = lattice.gap_admissible(k0, m0, exclusion_band, tol)
+        if self.admissibility.verdict is lattice.Verdict.HIGHER_ORDER_EXCLUDED:
+            raise DomainError(
+                "k0 is a higher-order exceptional point (three or more plane waves "
+                "degenerate); no gap theory here"
+            )
+        self.k0 = tuple(float(x) for x in np.asarray(k0, dtype=float))
+        self.m0 = lattice.as_shift(m0)
+        self.knorm = float(np.linalg.norm(self.k0))
+        self.nu = self.admissibility.nu
+        self.centre = float(centre)
+        self.s = float(s)
+        self.problem = problem
+        self.a = float(a)
+
+    def branches(self, delta_tilde, delta0: float = DEFAULT_DELTA0):
+        """(omega_minus/c, omega_plus/c) at a scalar or an array of delta_tilde."""
+        dt = np.asarray(delta_tilde, dtype=float)
+        if np.any(np.abs(dt) > delta0):
+            raise DomainError(
+                f"|delta_tilde|={float(np.max(np.abs(dt)))} exceeds the ray half-width {delta0}"
+            )
+        half = np.hypot(self.s, dt) / (2.0 * self.knorm)
+        base = self.centre + self.nu * dt / (2.0 * self.knorm)
+        return base - half, base + half
+
+    def scan(
+        self,
+        delta_range: tuple[float, float] = (-DEFAULT_DELTA0, DEFAULT_DELTA0),
+        n_samples: int = 101,
+        delta0: float | None = None,
+    ) -> BranchCurve:
+        """Both branches at n_samples uniform delta_tilde over delta_range."""
+        lo, hi = float(delta_range[0]), float(delta_range[1])
+        if n_samples < 1:
+            raise DomainError("n_samples must be >= 1")
+        if hi < lo:
+            raise DomainError("delta_range must be increasing")
+        if delta0 is None:
+            delta0 = max(abs(lo), abs(hi), DEFAULT_DELTA0)
+        dts = np.linspace(lo, hi, n_samples)
+        lower, upper = self.branches(dts, delta0)
+        return BranchCurve(self.k0, self.m0, dts, lower, upper)
+
+    def gap(self) -> tuple[GapStatus, GapInterval | None]:
+        """Local gap from the branch extrema, with its status.
+
+        A zero splitting (a = 0, or alpha + beta kh0.kh1 = 0) is reported as
+        DEGENERATE_SPLITTING, not as a gap of width zero: the leading order
+        predicts touching bands there.
+        """
+        adm = self.admissibility
+        if adm.verdict is lattice.Verdict.BOUNDARY_EXCLUDED:
+            raise DomainError(
+                f"|k0|/|m0|={adm.ratio} inside the exclusion band around sqrt(2)/2"
+            )
+        if adm.verdict is lattice.Verdict.NO_GAP:
+            return GapStatus.NO_GAP_NU, None
+        if self.s == 0.0:
+            return GapStatus.DEGENERATE_SPLITTING, None
+        half = self.s * math.sqrt(1.0 - self.nu * self.nu) / (2.0 * self.knorm)
+        interval = GapInterval(
+            self.centre - half, self.centre + half, self.k0, self.m0, self.problem, self.a
+        )
+        return GapStatus.PREDICTED, interval
+
+    def extremizer(self) -> float:
+        """delta_tilde* where omega_minus peaks; omega_plus dips at -delta_tilde*."""
+        if self.nu >= 1.0:
+            raise DomainError("branch extrema exist only for nu < 1")
+        return self.s * self.nu / math.sqrt(1.0 - self.nu * self.nu)

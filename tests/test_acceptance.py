@@ -31,7 +31,7 @@ def _report(num, desc, ok, elapsed=None):
 
 
 def test_criterion_1_gap_condition_property():
-    """local_gap nonempty iff |k0|/|m0| < sqrt(2)/2 over 500+ random pairs."""
+    """The predicted gap is nonempty iff |k0|/|m0| < sqrt(2)/2 over 500+ random pairs."""
     t0 = time.time()
     rng = np.random.default_rng(20260811)
     pairs = random_order_two_pairs(rng, 500, ratio_band=1e-3)
@@ -43,8 +43,8 @@ def test_criterion_1_gap_condition_property():
         want = ratio < SQ2
         below += want
         above += not want
-        gd = dirichlet.local_gap(k0, m0, p_dir, exclusion_band=1e-3)
-        gt = transmission.local_gap_transmission(k0, m0, p_tr, exclusion_band=1e-3)
+        _, gd = dirichlet.pair_model(k0, m0, p_dir, exclusion_band=1e-3).gap()
+        _, gt = transmission.pair_model(k0, m0, p_tr, exclusion_band=1e-3).gap()
         ok &= (gd is not None) == want
         ok &= (gt is not None) == want
     elapsed = time.time() - t0
@@ -67,7 +67,7 @@ def test_criterion_2_splitting_consistency():
     for k0, m0, a, q in cases:
         p = dirichlet.DirichletParams(a=a, q=q)
         knorm = float(np.linalg.norm(k0))
-        lo, hi = dirichlet.branch_pair(k0, m0, p, 0.0)
+        lo, hi = dirichlet.pair_model(k0, m0, p).branches(0.0)
         split = hi - lo
         ok &= abs(split - p.a_tilde / knorm) <= 1e-12 * (p.a_tilde / knorm)
         e1, e2 = dirichlet.exceptional_splitting_check(k0, m0, p)
@@ -226,6 +226,7 @@ def test_criterion_8_cone_recovery():
     ok = True
     worst = 0.0
     for k0, m0 in cases:
+        models = (dirichlet.pair_model(k0, m0, p0), transmission.pair_model(k0, m0, pt0))
         k0v = np.asarray(k0)
         m0v = np.asarray(m0, dtype=float)
         m2 = float(m0v @ m0v)
@@ -237,10 +238,7 @@ def test_criterion_8_cone_recovery():
                     float(np.linalg.norm((1 + delta) * k0v - m0v)),
                 )
             )
-            for lo, hi in (
-                dirichlet.branch_pair(k0, m0, p0, dt),
-                transmission.branch_pair_transmission(k0, m0, pt0, dt),
-            ):
+            for lo, hi in (model.branches(dt) for model in models):
                 err = max(abs(lo - cones[0]), abs(hi - cones[1]))
                 worst = max(worst, err - 10.0 * delta * delta)
                 ok &= err <= 10.0 * delta * delta + 1e-14

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +98,12 @@ class TestGap:
         cfgf = tmp_path / "scan.cfg"
         cfgf.write_text("problem = heat\n")
         assert run(["gap", "--config", str(cfgf)]) == 2
+
+    def test_removed_seed_key_exits_2_and_is_named(self, tmp_path, capsys):
+        cfgf = tmp_path / "scan.cfg"
+        cfgf.write_text("a = 0.1\nseed = 0\n")
+        assert run(["gap", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_verify_failure_exits_3_with_partial_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -243,3 +252,14 @@ class TestOracleCompare:
         table = {l.split(",")[0]: float(l.split(",")[3]) for l in lines[1:]}
         assert table["zero_inclusion_omega"] <= 1e-3
         assert table["nonexceptional_shift"] <= 0.25
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # scipy.integrate is imported by the two functions that call quad
+    code = ("import sys, bandscan.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

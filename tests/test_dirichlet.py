@@ -6,8 +6,8 @@ from conftest import random_order_two_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandscan import dirichlet, lattice
-from bandscan.dirichlet import DirichletParams, GapStatus
+from bandscan import GapStatus, dirichlet, lattice
+from bandscan.dirichlet import DirichletParams
 from bandscan.errors import DomainError
 
 PI3 = (2.0 * math.pi) ** 3
@@ -53,14 +53,14 @@ class TestEpsilonNonexceptional:
         assert e2 == pytest.approx(2.0 * e1, rel=1e-15)
 
     def test_exceptional_rejected(self):
-        with pytest.raises(DomainError, match="branch_pair"):
+        with pytest.raises(DomainError, match="pair_model"):
             dirichlet.epsilon_nonexceptional(K_EX, DirichletParams(a=0.1))
 
 
 class TestBranchPair:
     def test_splitting_at_zero_offset(self):
         p = DirichletParams(a=0.1, q=1.0)
-        lo, hi = dirichlet.branch_pair(K_EX, M_EX, p, 0.0)
+        lo, hi = dirichlet.pair_model(K_EX, M_EX, p).branches(0.0)
         assert lo == pytest.approx(0.5, abs=1e-15)
         assert hi == pytest.approx(0.5 + p.a_tilde / 0.5, rel=1e-14)
         assert hi == pytest.approx(0.5101321183642338, rel=1e-12)
@@ -69,7 +69,7 @@ class TestBranchPair:
         p = DirichletParams(a=0.01)
         nu = 0.0
         dt = 0.09
-        _, hi = dirichlet.branch_pair(K_EX, M_EX, p, dt)
+        _, hi = dirichlet.pair_model(K_EX, M_EX, p).branches(dt)
         asym = 0.5 + (p.a_tilde + (nu + 1.0) * dt) / (2.0 * 0.5)
         # sqrt(at^2 + dt^2) -> dt with an O(at^2/dt) defect
         assert hi == pytest.approx(asym, abs=p.a_tilde**2 / dt)
@@ -78,28 +78,28 @@ class TestBranchPair:
         p = DirichletParams(a=0.0)
         nu = lattice.nu(K_EX, M_EX)
         for dt in (-0.08, -0.01, 0.0, 0.02, 0.09):
-            lo, hi = dirichlet.branch_pair(K_EX, M_EX, p, dt)
+            lo, hi = dirichlet.pair_model(K_EX, M_EX, p).branches(dt)
             assert lo == pytest.approx(0.5 + (nu * dt - abs(dt)) / 1.0, abs=1e-15)
             assert hi == pytest.approx(0.5 + (nu * dt + abs(dt)) / 1.0, abs=1e-15)
 
     def test_ray_width_enforced(self):
         p = DirichletParams(a=0.1)
         with pytest.raises(DomainError):
-            dirichlet.branch_pair(K_EX, M_EX, p, 0.2)
-        dirichlet.branch_pair(K_EX, M_EX, p, 0.2, delta0=0.25)
+            dirichlet.pair_model(K_EX, M_EX, p).branches(0.2)
+        dirichlet.pair_model(K_EX, M_EX, p).branches(0.2, delta0=0.25)
 
     def test_non_order_two_rejected(self):
         p = DirichletParams(a=0.1)
         with pytest.raises(DomainError):
-            dirichlet.branch_pair((0.3, 0.1, 0.2), (1, 0, 0), p, 0.0)
+            dirichlet.pair_model((0.3, 0.1, 0.2), (1, 0, 0), p).branches(0.0)
         with pytest.raises(DomainError):
-            dirichlet.branch_pair((0.5, 0.5, 0), (1, 0, 0), p, 0.0)
+            dirichlet.pair_model((0.5, 0.5, 0), (1, 0, 0), p).branches(0.0)
 
 
 class TestLocalGap:
     def test_face_center_gap(self):
         p = DirichletParams(a=0.1, q=1.0)
-        gap = dirichlet.local_gap(K_EX, M_EX, p)
+        gap = dirichlet.pair_model(K_EX, M_EX, p).gap()[1]
         assert gap is not None
         assert gap.lo_over_c == pytest.approx(0.5, abs=1e-15)
         assert gap.hi_over_c == pytest.approx(0.5101321183642338, rel=1e-12)
@@ -107,17 +107,17 @@ class TestLocalGap:
 
     def test_no_gap_above_threshold(self):
         p = DirichletParams(a=0.1)
-        status, gap = dirichlet.gap_with_status((0.5, 0.6, 0.3), (1, 0, 0), p)
+        status, gap = dirichlet.pair_model((0.5, 0.6, 0.3), (1, 0, 0), p).gap()
         assert gap is None and status is GapStatus.NO_GAP_NU
 
     def test_zero_scale_degenerate(self):
         p = DirichletParams(a=0.0)
-        status, gap = dirichlet.gap_with_status(K_EX, M_EX, p)
+        status, gap = dirichlet.pair_model(K_EX, M_EX, p).gap()
         assert gap is None and status is GapStatus.DEGENERATE_SPLITTING
 
     def test_width_shrinks_with_a(self):
         w = [
-            dirichlet.local_gap(K_EX, M_EX, DirichletParams(a=a)).width_over_c
+            dirichlet.pair_model(K_EX, M_EX, DirichletParams(a=a)).gap()[1].width_over_c
             for a in (0.2, 0.1, 0.05)
         ]
         assert w[0] > w[1] > w[2]
@@ -126,7 +126,7 @@ class TestLocalGap:
     def test_boundary_band_rejected(self):
         p = DirichletParams(a=0.1)
         with pytest.raises(DomainError):
-            dirichlet.local_gap((0.5, 0.3, 0.4), (1, 0, 0), p)
+            dirichlet.pair_model((0.5, 0.3, 0.4), (1, 0, 0), p).gap()[1]
 
     def test_edges_are_branch_extrema(self):
         # edges at (a_tilde/(2|k0|)) * (1 -+ sqrt(1-nu^2)), attained at
@@ -134,14 +134,15 @@ class TestLocalGap:
         k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
         p = DirichletParams(a=0.15)
         nu = lattice.nu(k0, m0)
-        gap = dirichlet.local_gap(k0, m0, p)
+        model = dirichlet.pair_model(k0, m0, p)
+        gap = model.gap()[1]
         knorm = math.sqrt(0.29)
         s = math.sqrt(1.0 - nu * nu)
         assert gap.lo_over_c == pytest.approx(knorm + p.a_tilde * (1 - s) / (2 * knorm), rel=1e-13)
         assert gap.hi_over_c == pytest.approx(knorm + p.a_tilde * (1 + s) / (2 * knorm), rel=1e-13)
-        dt_star = dirichlet.gap_extremizer_delta_tilde(k0, m0, p)
-        lo_at_star, _ = dirichlet.branch_pair(k0, m0, p, dt_star)
-        _, hi_at_star = dirichlet.branch_pair(k0, m0, p, -dt_star)
+        dt_star = model.extremizer()
+        lo_at_star, _ = model.branches(dt_star)
+        _, hi_at_star = model.branches(-dt_star)
         assert lo_at_star == pytest.approx(gap.lo_over_c, rel=1e-13)
         assert hi_at_star == pytest.approx(gap.hi_over_c, rel=1e-13)
 
@@ -149,28 +150,30 @@ class TestLocalGap:
 class TestDispersionScan:
     def test_single_sample_matches_branch_pair(self):
         p = DirichletParams(a=0.1)
-        curve = dirichlet.dispersion_scan(K_EX, M_EX, p, (0.03, 0.03), 1)
-        lo, hi = dirichlet.branch_pair(K_EX, M_EX, p, 0.03)
+        model = dirichlet.pair_model(K_EX, M_EX, p)
+        curve = model.scan((0.03, 0.03), 1)
+        lo, hi = model.branches(0.03)
         assert curve.omega_minus_over_c[0] == lo
         assert curve.omega_plus_over_c[0] == hi
 
     def test_symmetric_for_nu_zero(self):
         p = DirichletParams(a=0.1)
-        curve = dirichlet.dispersion_scan(K_EX, M_EX, p, (-0.05, 0.05), 21)
+        curve = dirichlet.pair_model(K_EX, M_EX, p).scan((-0.05, 0.05), 21)
         assert np.allclose(curve.omega_plus_over_c, curve.omega_plus_over_c[::-1])
         assert np.allclose(curve.omega_minus_over_c, curve.omega_minus_over_c[::-1])
 
     def test_samples_respect_gap(self):
         k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
         p = DirichletParams(a=0.15)
-        gap = dirichlet.local_gap(k0, m0, p)
-        curve = dirichlet.dispersion_scan(k0, m0, p, (-0.05, 0.05), 301)
+        model = dirichlet.pair_model(k0, m0, p)
+        gap = model.gap()[1]
+        curve = model.scan((-0.05, 0.05), 301)
         assert curve.omega_minus_over_c.max() <= gap.lo_over_c + 1e-12
         assert curve.omega_plus_over_c.min() >= gap.hi_over_c - 1e-12
 
     def test_sorted_and_sized(self):
         p = DirichletParams(a=0.1)
-        curve = dirichlet.dispersion_scan(K_EX, M_EX, p, (-0.02, 0.02), 9)
+        curve = dirichlet.pair_model(K_EX, M_EX, p).scan((-0.02, 0.02), 9)
         assert len(curve) == 9
         assert np.all(np.diff(curve.delta_tilde) > 0)
 
@@ -185,7 +188,7 @@ class TestSplittingCheck:
     def test_consistent_with_branch(self):
         p = DirichletParams(a=0.17, q=1.3)
         e1, _ = dirichlet.exceptional_splitting_check(K_EX, M_EX, p)
-        _, hi = dirichlet.branch_pair(K_EX, M_EX, p, 0.0)
+        _, hi = dirichlet.pair_model(K_EX, M_EX, p).branches(0.0)
         assert (1.0 + e1) * 0.5 == pytest.approx(hi, rel=1e-13)
 
     def test_zero_scale(self):
@@ -214,20 +217,20 @@ class TestProperties:
         for k0, m0, _ in random_order_two_pairs(pair_rng, 60):
             p = DirichletParams(a=float(pair_rng.uniform(0.0, 0.4)))
             for dt in np.linspace(-0.1, 0.1, 11):
-                lo, hi = dirichlet.branch_pair(k0, m0, p, float(dt))
+                lo, hi = dirichlet.pair_model(k0, m0, p).branches(float(dt))
                 assert hi >= lo
 
     def test_gap_exists_iff_nu_below_one(self, pair_rng):
         p = DirichletParams(a=0.1)
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 1000):
-            gap = dirichlet.local_gap(k0, m0, p, exclusion_band=1e-3)
+            gap = dirichlet.pair_model(k0, m0, p, exclusion_band=1e-3).gap()[1]
             assert (gap is not None) == (lattice.nu(k0, m0) < 1.0)
 
     def test_gap_scales_linearly_in_a_and_q(self):
         k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
-        w = dirichlet.local_gap(k0, m0, DirichletParams(a=0.1, q=1.0)).width_over_c
-        w2a = dirichlet.local_gap(k0, m0, DirichletParams(a=0.2, q=1.0)).width_over_c
-        w2q = dirichlet.local_gap(k0, m0, DirichletParams(a=0.1, q=2.0)).width_over_c
+        w = dirichlet.pair_model(k0, m0, DirichletParams(a=0.1, q=1.0)).gap()[1].width_over_c
+        w2a = dirichlet.pair_model(k0, m0, DirichletParams(a=0.2, q=1.0)).gap()[1].width_over_c
+        w2q = dirichlet.pair_model(k0, m0, DirichletParams(a=0.1, q=2.0)).gap()[1].width_over_c
         assert w2a == pytest.approx(2.0 * w, rel=1e-12)
         assert w2q == pytest.approx(2.0 * w, rel=1e-12)
 
@@ -242,7 +245,7 @@ class TestProperties:
                 dt = delta * m2 / 2.0
                 if abs(dt) > 0.1:
                     continue
-                lo, hi = dirichlet.branch_pair(k0, m0, p, float(dt))
+                lo, hi = dirichlet.pair_model(k0, m0, p).branches(float(dt))
                 c0 = float(np.linalg.norm((1 + delta) * k0v))
                 c1 = float(np.linalg.norm((1 + delta) * k0v - m0v))
                 assert abs(lo - min(c0, c1)) <= 10.0 * delta * delta + 1e-14

@@ -24,7 +24,7 @@ def test_transmission_gap_matches_prediction():
         "transmission", (0, 0, 0.5), (0, 0, 1), transmission_params=params,
         g_max=3, n_deltas=7,
     )
-    pred = transmission.local_gap_transmission((0, 0, 0.5), (0, 0, 1), params)
+    _, pred = transmission.pair_model((0, 0, 0.5), (0, 0, 1), params).gap()
     assert got is not None
     width = got.hi_over_c - got.lo_over_c
     assert width == pytest.approx(pred.width_over_c, rel=0.25)
@@ -35,7 +35,7 @@ def test_dirichlet_gap_brackets_from_above():
     got = measure_gap_numeric(
         "dirichlet", (0, 0, 0.5), (0, 0, 1), dirichlet_params=p, n=24, n_deltas=7
     )
-    pred = dirichlet.local_gap((0, 0, 0.5), (0, 0, 1), p)
+    _, pred = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p).gap()
     assert got is not None
     width = got.hi_over_c - got.lo_over_c
     assert 0.5 * pred.width_over_c <= width <= 2.0 * pred.width_over_c
@@ -112,7 +112,7 @@ def test_window_follows_predicted_pair_centre():
     params = TransmissionParams(materials=mats, a=0.6271676470847247)
     k0, m0 = (0.0, -0.2, 0.5), (0, 0, 1)
     got = measure_gap_numeric("transmission", k0, m0, transmission_params=params, g_max=3)
-    pred = transmission.local_gap_transmission(k0, m0, params)
+    _, pred = transmission.pair_model(k0, m0, params).gap()
     assert got is not None
     centre = 0.5 * (got.lo_over_c + got.hi_over_c)
     assert abs(centre - 0.5 * (pred.lo_over_c + pred.hi_over_c)) < pred.width_over_c

@@ -5,7 +5,7 @@ import pytest
 
 from bandscan import globalscan
 from bandscan.dirichlet import DirichletParams
-from bandscan.errors import DomainError
+from bandscan.errors import DomainError, NumericalError
 
 
 def test_zero_inclusion_is_exact_cone():
@@ -45,3 +45,13 @@ def test_window_validation():
         globalscan.global_scan(0.4, 1.2, 0, p)
     with pytest.raises(DomainError):
         globalscan.cover_frequency(0.5, p, direction=(0, 0, 0))
+
+
+def test_closed_form_root_along_ray():
+    # upper root of t + A/t = omega; no real root once omega^2 <= 4A
+    for omega, A in ((0.4, 0.0), (0.7, 1e-3), (1.2, 0.05), (0.45, 0.05)):
+        t = globalscan._root_along_ray(omega, A)
+        assert t >= math.sqrt(A)
+        assert abs(t + A / t - omega) <= 1e-12 * omega
+    with pytest.raises(NumericalError):
+        globalscan._root_along_ray(0.3, 0.04)

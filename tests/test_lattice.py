@@ -75,6 +75,22 @@ class TestClassification:
             assert exact.order == approx.order
             assert exact.shifts == approx.shifts
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                    min_size=3, max_size=3).filter(any))
+    def test_exact_matches_float_on_random_small_rationals(self, comps):
+        exact = lattice.classify_wavevector_exact(comps)
+        approx = lattice.classify_wavevector([float(c) for c in comps])
+        assert exact.shifts == approx.shifts
+
+    def test_exact_mode_has_no_integer_overflow(self):
+        # denominators far beyond int64 still give the exact predicate
+        big = 10**30
+        cls = lattice.classify_wavevector_exact((Fraction(1, 2), Fraction(7, big), 0))
+        assert cls.shifts == ((1, 0, 0),)
+        cls = lattice.classify_wavevector_exact((Fraction(1, 2) + Fraction(1, big), 0, 0))
+        assert cls.order == 1
+
 
 class TestNu:
     def test_face_center(self):

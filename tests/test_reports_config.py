@@ -65,7 +65,7 @@ class TestGapReport:
 class TestCsvWriters:
     def test_branch_csv_deterministic(self, tmp_path):
         p = dirichlet.DirichletParams(a=0.1)
-        curve = dirichlet.dispersion_scan((0, 0, 0.5), (0, 0, 1), p, (-0.02, 0.02), 11)
+        curve = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p).scan((-0.02, 0.02), 11)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_branch_csv(curve, p1)
         write_branch_csv(curve, p2)
@@ -108,7 +108,7 @@ class TestConfig:
             "verify = false\n"
         )
         vals = parse_config_file(path)
-        cfg = build_config(vals, {"samples": 21, "seed": None})
+        cfg = build_config(vals, {"samples": 21, "verify": None})
         assert cfg.problem == "transmission"
         assert cfg.samples == 21  # override wins
         assert cfg.gamma_minus == 1.2

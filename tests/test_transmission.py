@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_order_two_pairs
 
-from bandscan import lattice, transmission
-from bandscan.dirichlet import GapStatus
+from bandscan import GapStatus, lattice, transmission
 from bandscan.errors import DomainError
 from bandscan.transmission import MaterialSpec, TransmissionParams
 
@@ -93,32 +92,33 @@ class TestBranches:
         p = TransmissionParams(materials=MaterialSpec(1, 1, 1, 1), a=0.5)
         nu = lattice.nu(K_EX, M_EX)
         for dt in (-0.05, 0.0, 0.03):
-            lo, hi = transmission.branch_pair_transmission(K_EX, M_EX, p, dt)
+            lo, hi = transmission.pair_model(K_EX, M_EX, p).branches(dt)
             assert lo == pytest.approx(0.5 + (nu * dt - abs(dt)), abs=1e-15)
             assert hi == pytest.approx(0.5 + (nu * dt + abs(dt)), abs=1e-15)
 
     def test_weak_contrast_splitting(self):
         p = weak_params(0.01)
-        lo, hi = transmission.branch_pair_transmission(K_EX, M_EX, p, 0.0)
+        lo, hi = transmission.pair_model(K_EX, M_EX, p).branches(0.0)
         assert hi - lo == pytest.approx(1.9375e-3, rel=1e-9)
 
     def test_splitting_collapses_with_f(self):
         p = weak_params(1e-7)
-        lo, hi = transmission.branch_pair_transmission(K_EX, M_EX, p, 0.0)
+        lo, hi = transmission.pair_model(K_EX, M_EX, p).branches(0.0)
         assert hi - lo == pytest.approx(0.0, abs=1e-7)
 
     def test_scan_matches_pointwise(self):
         p = weak_params(0.01)
-        curve = transmission.dispersion_scan_transmission(K_EX, M_EX, p, (-0.02, 0.02), 5)
+        model = transmission.pair_model(K_EX, M_EX, p)
+        curve = model.scan((-0.02, 0.02), 5)
         for dt, lo, hi in curve.samples():
-            wlo, whi = transmission.branch_pair_transmission(K_EX, M_EX, p, dt)
+            wlo, whi = model.branches(dt)
             assert (lo, hi) == (wlo, whi)
 
 
 class TestLocalGap:
     def test_worked_example(self):
         p = weak_params(0.01)
-        gap = transmission.local_gap_transmission(K_EX, M_EX, p)
+        gap = transmission.pair_model(K_EX, M_EX, p).gap()[1]
         assert gap is not None
         center = 0.5 * (1.0 + 0.5 * (p.materials.alpha + p.materials.beta) * p.f)
         assert center == pytest.approx(0.49996875, rel=1e-9)
@@ -128,32 +128,31 @@ class TestLocalGap:
 
     def test_identical_materials_degenerate(self):
         p = TransmissionParams(materials=MaterialSpec(1, 1, 1, 1), a=0.5)
-        status, gap = transmission.gap_with_status_transmission(K_EX, M_EX, p)
+        status, gap = transmission.pair_model(K_EX, M_EX, p).gap()
         assert gap is None and status is GapStatus.DEGENERATE_SPLITTING
 
     def test_nu_above_one_empty(self):
         p = weak_params(0.01)
-        status, gap = transmission.gap_with_status_transmission(
-            (0.5, 0.6, 0.3), (1, 0, 0), p
-        )
+        status, gap = transmission.pair_model((0.5, 0.6, 0.3), (1, 0, 0), p).gap()
         assert gap is None and status is GapStatus.NO_GAP_NU
 
     def test_width_linear_in_f(self):
-        w1 = transmission.local_gap_transmission(K_EX, M_EX, weak_params(0.005)).width_over_c
-        w2 = transmission.local_gap_transmission(K_EX, M_EX, weak_params(0.01)).width_over_c
+        w1 = transmission.pair_model(K_EX, M_EX, weak_params(0.005)).gap()[1].width_over_c
+        w2 = transmission.pair_model(K_EX, M_EX, weak_params(0.01)).gap()[1].width_over_c
         assert w2 == pytest.approx(2.0 * w1, rel=1e-9)
 
     def test_gap_iff_nu_below_one(self, pair_rng):
         p = weak_params(0.01)
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 300):
-            gap = transmission.local_gap_transmission(k0, m0, p, exclusion_band=1e-3)
+            gap = transmission.pair_model(k0, m0, p, exclusion_band=1e-3).gap()[1]
             assert (gap is not None) == (lattice.nu(k0, m0) < 1.0)
 
     def test_samples_respect_gap(self):
         p = weak_params(0.01)
         k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
-        gap = transmission.local_gap_transmission(k0, m0, p)
-        curve = transmission.dispersion_scan_transmission(k0, m0, p, (-0.01, 0.01), 401)
+        model = transmission.pair_model(k0, m0, p)
+        gap = model.gap()[1]
+        curve = model.scan((-0.01, 0.01), 401)
         assert curve.omega_minus_over_c.max() <= gap.lo_over_c + 1e-14
         assert curve.omega_plus_over_c.min() >= gap.hi_over_c - 1e-14
 
