@@ -144,9 +144,10 @@ def cmd_classify(args) -> int:
     print(f"k = ({k[0]}, {k[1]}, {k[2]})")
     print(f"order = {cls.order}" + ("  (non-exceptional)" if cls.order == 1 else ""))
     shifts_out = []
+    knorm = lattice.wavevector_norm(k)
     for m in cls.shifts:
         nu_val = lattice.nu(k, m, args.tol)
-        adm = lattice.gap_admissible(k, m, args.exclusion_band, args.tol)
+        adm = lattice.shift_admissibility(knorm, m, cls.order, args.exclusion_band)
         print(f"  shift m = {m}: nu = {nu_val:.12g}, ratio = {adm.ratio:.12g}, "
               f"{adm.verdict.value}")
         shifts_out.append(
@@ -217,7 +218,7 @@ def cmd_gap(args) -> int:
 
     if cfg.verify:
         try:
-            measured = _measure(cfg)
+            measured = _measure(cfg, report.q)
         except NumericalError as exc:
             with open(report_path, "w", encoding="ascii") as fh:
                 fh.write(report.to_text())
@@ -243,9 +244,10 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def _measure(cfg: ScanConfig):
+def _measure(cfg: ScanConfig, q: float | None):
+    """The oracle's gap; `q` is the shape factor `_predict` put in the report."""
     if cfg.problem == "dirichlet":
-        p = dirichlet.DirichletParams(a=cfg.a, q=cfg.shape_factor())
+        p = dirichlet.DirichletParams(a=cfg.a, q=q)
         return measure_gap_numeric(
             "dirichlet", cfg.k0, cfg.m0, dirichlet_params=p, n=cfg.n,
             count=cfg.count, tol=cfg.tol,

@@ -199,14 +199,22 @@ def gap_admissible(
     m0 = as_shift(m0)
     if not is_ewald_pair(k0, m0, tol):
         raise DomainError(f"(k0, m0={m0}) violates the plane condition")
-    mnorm = math.sqrt(m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2)
-    ratio = knorm / mnorm
-    nu_val = 4.0 * ratio * ratio - 1.0
-
     cls = classify_wavevector(k0, tol)
     if cls.order == 1:
         raise DomainError(f"k0={tuple(k0)} is non-exceptional")
-    if cls.order > 2:
+    return shift_admissibility(knorm, m0, cls.order, exclusion_band)
+
+
+def shift_admissibility(knorm: float, m0, order: int, exclusion_band: float) -> GapAdmissibility:
+    """`gap_admissible` for a shift m0 of a k0 already classified.
+
+    `knorm` is |k0| and `order` the order of its classification, so the
+    shifts of one classification are judged without classifying k0 again.
+    """
+    mnorm = math.sqrt(m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2)
+    ratio = knorm / mnorm
+    nu_val = 4.0 * ratio * ratio - 1.0
+    if order > 2:
         return GapAdmissibility(Verdict.HIGHER_ORDER_EXCLUDED, ratio, nu_val)
     if abs(ratio - SQRT_HALF) <= exclusion_band:
         return GapAdmissibility(Verdict.BOUNDARY_EXCLUDED, ratio, nu_val)

@@ -2,7 +2,7 @@
 eigenfrequencies from first principles, used to validate the asymptotic
 formulas and to adjudicate their internal factor ambiguities."""
 
-from .eig import EigResult, export_triplets, hermitian_eigensolve, read_triplets
+from .eig import EigResult, hermitian_eigensolve
 from .fd import (
     FDGrid,
     discrete_inclusion_capacitance,
@@ -18,13 +18,11 @@ __all__ = [
     "FDGrid",
     "PWEBasis",
     "discrete_inclusion_capacitance",
-    "export_triplets",
     "fd_dirichlet_eigenvalues",
     "hermitian_eigensolve",
     "lattice_green",
     "mask_pattern",
     "measure_gap_numeric",
     "pwe_transmission_eigenvalues",
-    "read_triplets",
     "sphere_indicator_fourier",
 ]

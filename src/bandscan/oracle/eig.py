@@ -1,10 +1,12 @@
-"""Hermitian eigensolver front end and the ASCII matrix exchange format.
+"""Preconditioned block LOBPCG for the lowest eigenpairs of a Hermitian operator.
 
-Dense problems go through LAPACK; large sparse/operator problems go through
-preconditioned block LOBPCG with a deterministic (or warm) starting block.
-Returned eigenpairs are residual-checked: ||A x - lambda (M) x|| <= tol *
-scale with scale = max(|lambda|) over the block, and a NumericalError
-carries the residual report when the iteration cap is hit.
+The FD oracle's one solver path.  The operator is applied as A @ V to tall
+blocks and the preconditioner as precond(R); the iteration starts from a
+caller-supplied block (plane waves, or the Ritz block of a nearby problem),
+so fixed inputs give bit-identical output.  Returned eigenpairs are
+residual-checked: ||A x - lambda x|| <= tol * scale with scale =
+max(|lambda|) over the block, and a NumericalError carries the residual
+report when the iteration cap is hit.
 
 The iteration keeps its search basis orthonormal: X^H Y products are single
 zgemm calls, blocks are orthonormalized by Cholesky-QR run twice (Householder
@@ -12,12 +14,6 @@ QR when the Gram matrix is not safely positive definite), and the
 Rayleigh-Ritz step drops directions whose Gram eigenvalues are negligible
 and any Ritz value outside a known spectral interval, so an ill-conditioned
 basis cannot produce a ghost eigenvalue.
-
-Triplet export format (ASCII, documented for debugging):
-
-    # bandscan hermitian triplets v1
-    <nrows> <ncols> <nnz>
-    <i> <j> <re> <im>        (0-based, one line per stored entry)
 """
 
 from __future__ import annotations
@@ -26,15 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg.blas import zgemm
-from scipy.sparse.linalg import LinearOperator
 
 from ..errors import DomainError, NumericalError
-
-#: Contract caps: beyond these the caller is out of the supported envelope.
-MAX_DENSE = 12_000
-MAX_SPARSE = 120_000
 
 
 @dataclass(frozen=True)
@@ -56,19 +46,6 @@ class EigResult:
         if np.any(np.diff(ev) < 0):
             raise NumericalError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", ev)
-
-
-def _as_dense(A):
-    if sp.issparse(A):
-        return A.toarray()
-    return np.asarray(A)
-
-
-def _residuals(A, M, vals, vecs):
-    AV = A @ vecs
-    MV = vecs if M is None else M @ vecs
-    R = AV - MV * vals[None, :]
-    return np.linalg.norm(R, axis=0) / np.maximum(np.linalg.norm(MV, axis=0), 1e-300)
 
 
 #: Gram eigenvalues below this fraction of the largest mark directions of a
@@ -155,7 +132,7 @@ def _residuals_rel(X, AX, theta):
     return R, np.linalg.norm(R, axis=0) / max(float(np.max(np.abs(theta))), 1e-8)
 
 
-def _block_preconditioned_eigensolve(A_mul, T_mul, X0, count, tol, maxiter, spectrum=None):
+def _block_preconditioned_eigensolve(A, precond, X0, count, tol, maxiter, spectrum=None):
     """Locally optimal block preconditioned solver for the lowest eigenpairs.
 
     LOBPCG in the orthonormal-basis form of Duersch, Shao, Yang and Gu (SISC
@@ -174,7 +151,7 @@ def _block_preconditioned_eigensolve(A_mul, T_mul, X0, count, tol, maxiter, spec
     X = _orthonormalize(np.asarray(X0, dtype=complex))
     if X.shape[1] < count:
         raise NumericalError("starting block is rank deficient")
-    AX = A_mul(X)
+    AX = A @ X
     theta, C = _rayleigh_ritz(X, AX, spectrum)
     # XP = [X, P] and AXP = [AX, AP] are each one contiguous block
     XP, AXP = X @ C, AX @ C
@@ -186,14 +163,14 @@ def _block_preconditioned_eigensolve(A_mul, T_mul, X0, count, tol, maxiter, spec
         R, rel = _residuals_rel(X, AX, theta)
         if np.all(rel[:count] <= tol):
             X = np.ascontiguousarray(X)
-            AX = A_mul(X)
+            AX = A @ X
             theta, C = _rayleigh_ritz(X, AX, spectrum)
             X, AX = X @ C, AX @ C
             R, rel = _residuals_rel(X, AX, theta)
             if np.all(rel[:count] <= tol):
                 return theta, X, rel, it
             XP, AXP, PAP, mx = X, AX, None, X.shape[1]
-        W = T_mul(R[:, rel > tol])
+        W = precond(R[:, rel > tol])
         norms = np.linalg.norm(W, axis=0)
         # one projection pass: the Gram matrix below is exact, so what it
         # leaves of [X, P] in W is accounted for in the Rayleigh-Ritz step
@@ -202,7 +179,7 @@ def _block_preconditioned_eigensolve(A_mul, T_mul, X0, count, tol, maxiter, spec
         if W.shape[1] == 0:
             return theta, np.ascontiguousarray(X), rel, it
         W = _orthonormalize(W)
-        AW = A_mul(W)
+        AW = A @ W
         S = np.concatenate([XP, W], axis=1)
         AS = np.concatenate([AXP, AW], axis=1)
         nb, nw = XP.shape[1], W.shape[1]
@@ -233,131 +210,41 @@ def _block_preconditioned_eigensolve(A_mul, T_mul, X0, count, tol, maxiter, spec
 def hermitian_eigensolve(
     A,
     count: int,
-    M=None,
     *,
-    precond=None,
-    v0=None,
+    precond,
+    v0,
     spectrum=None,
     tol: float = 1e-8,
     maxiter: int = 400,
-    seed: int = 0,
-    allow_large: bool = False,
-    return_residual: bool = False,
-    return_vectors: bool = False,
 ):
-    """Lowest `count` eigenvalues of a Hermitian (pencil) problem.
+    """Lowest `count` eigenvalues of a Hermitian operator, by block LOBPCG.
 
-    A and optional M may be ndarrays, sparse matrices, or LinearOperators.
-    Dense inputs (or anything of dimension <= 4000) are solved directly;
-    otherwise LOBPCG runs with the supplied preconditioner and starting
-    block.  v0 defaults to a seeded random block, so fixed inputs and seed
-    give bit-identical output; a warm start passes the Ritz block of a
-    nearby problem.  `spectrum` is an interval known to contain every
-    eigenvalue of A: Ritz values outside it are rejected.  allow_large lifts
-    the sparse-dimension cap for matrix-free grid operators that manage
-    their own memory.
+    A has a square `shape` and applies the operator to an (N, p) block as
+    A @ V; precond(R) applies the preconditioner to a residual block.  v0
+    is the (N, >= count) starting block: plane waves, or the Ritz block of
+    a nearby problem for a warm start.  `spectrum` is an interval known to
+    contain every eigenvalue of A: Ritz values outside it are rejected.
 
-    Returns the eigenvalues, followed by the maximum relative residual when
-    return_residual is set and by the eigenvector (Ritz) block, which has
-    at least `count` columns, when return_vectors is set.
+    Returns (eigenvalues, maximum relative residual, Ritz block); the Ritz
+    block has at least `count` columns.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise DomainError("matrix must be square")
     if count < 1 or count > n:
         raise DomainError(f"count must be in [1, {n}]")
-
-    dense_like = isinstance(A, np.ndarray) or sp.issparse(A)
-    if isinstance(A, np.ndarray) and n > MAX_DENSE:
-        raise DomainError(f"dense dimension {n} exceeds cap {MAX_DENSE}")
-    if sp.issparse(A) and n > MAX_SPARSE and not allow_large:
-        raise DomainError(f"sparse dimension {n} exceeds cap {MAX_SPARSE}")
-    if not dense_like and n > MAX_SPARSE and not allow_large:
-        raise DomainError(f"operator dimension {n} exceeds cap {MAX_SPARSE}")
-
-    def result(vals, res, vecs):
-        extra = ((res,) if return_residual else ()) + ((vecs,) if return_vectors else ())
-        return (vals, *extra) if extra else vals
-
-    if dense_like and (n <= 4000 or isinstance(A, np.ndarray)):
-        Ad = _as_dense(A)
-        Md = None if M is None else _as_dense(M)
-        herm_gap = np.linalg.norm(Ad - Ad.conj().T)
-        if herm_gap > 1e-10 * max(np.linalg.norm(Ad), 1e-300):
-            raise NumericalError(f"matrix not Hermitian (defect {herm_gap:.2e})")
-        try:
-            vals, vecs = scipy.linalg.eigh(Ad, Md, subset_by_index=(0, count - 1))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-        vals = np.asarray(vals, dtype=float)
-        res = None
-        if return_residual:
-            res = _residuals(Ad, Md, vals, vecs)
-            res = float(np.max(res) / max(np.max(np.abs(vals)), 1e-300))
-        return result(vals, res, vecs)
-
-    # iterative path
-    if M is not None:
-        raise DomainError("generalized problems are dense-only in this solver")
-    if v0 is None:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
     X = np.asarray(v0, dtype=complex)
     if X.ndim != 2 or X.shape[0] != n or X.shape[1] < count:
         raise DomainError("starting block shape mismatch")
 
-    A_mul = (lambda V: A @ V)
-    if precond is None:
-        T_mul = lambda V: V
-    elif isinstance(precond, LinearOperator):
-        T_mul = lambda V: precond @ V
-    else:
-        T_mul = precond
-
     vals, vecs, rel, iters = _block_preconditioned_eigensolve(
-        A_mul, T_mul, X, count, tol, maxiter, spectrum
+        A, precond, X, count, tol, maxiter, spectrum
     )
     if np.all(rel[:count] <= tol):
         out = np.asarray(vals[:count].real, dtype=float)
-        return result(out, float(np.max(rel[:count])), vecs)
+        return out, float(np.max(rel[:count])), vecs
     raise NumericalError(
         f"eigensolver did not converge: relative residuals "
         f"{np.array2string(rel[:count], precision=3)} exceed tol {tol} "
         f"after {iters} iterations"
     )
-
-
-def export_triplets(A, path) -> None:
-    """Write a matrix in the ASCII triplet exchange format."""
-    if sp.issparse(A):
-        C = A.tocoo()
-        rows, cols, vals = C.row, C.col, C.data
-        shape = A.shape
-    else:
-        A = np.asarray(A)
-        rows, cols = np.nonzero(np.ones_like(A, dtype=bool))
-        vals = A[rows, cols]
-        shape = A.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# bandscan hermitian triplets v1\n")
-        fh.write(f"{shape[0]} {shape[1]} {len(vals)}\n")
-        for i, j, v in zip(rows, cols, vals):
-            v = complex(v)
-            fh.write(f"{i} {j} {v.real!r} {v.imag!r}\n")
-
-
-def read_triplets(path) -> sp.coo_matrix:
-    """Read a matrix written by export_triplets."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise DomainError("missing triplet header line")
-        nr, nc, nnz = (int(t) for t in fh.readline().split())
-        rows = np.empty(nnz, dtype=int)
-        cols = np.empty(nnz, dtype=int)
-        vals = np.empty(nnz, dtype=complex)
-        for idx in range(nnz):
-            i, j, re, im = fh.readline().split()
-            rows[idx], cols[idx] = int(i), int(j)
-            vals[idx] = float(re) + 1j * float(im)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nr, nc))

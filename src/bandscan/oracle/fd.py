@@ -23,8 +23,9 @@ range of the symbol; the eigensolver uses that interval to reject spurious
 Ritz values.
 
 Each solve assembles the restricted 7-point stencil once per k as a CSR
-matrix (`assemble_sparse`), which the block eigensolver applies; small free
-dimensions go to dense LAPACK instead.  The iterative solve starts from
+matrix (`assemble_sparse`), which the block eigensolver applies at every
+grid size; n >= 16 and a < pi/2 leave at least 3,845 free nodes, where
+the iteration is far cheaper than a dense eigensolve.  It starts from
 plane waves of the lowest symbol modes or, along a ray of nearby k, from
 the Ritz block of the previous solve (`v0`).
 
@@ -46,16 +47,12 @@ from itertools import product
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 from scipy.special import ive
 
 from ..errors import DomainError, ResolutionError
 from .eig import EigResult, hermitian_eigensolve
 
 TWO_PI = 2.0 * math.pi
-
-#: Grid sizes whose free dimension is at/below this go through dense LAPACK.
-DENSE_LIMIT = 4000
 
 
 def axis_coords(n: int) -> np.ndarray:
@@ -128,7 +125,11 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 class _GridOperator:
-    """The restricted stencil operator as a CSR matrix, and its FFT preconditioner."""
+    """The restricted stencil operator as a CSR matrix, and its FFT preconditioner.
+
+    `op @ V` applies the stencil through `matmat`, so the eigensolver takes
+    the operator itself.
+    """
 
     def __init__(self, grid: FDGrid, k, workers: int | None = None):
         self.grid = grid
@@ -136,6 +137,7 @@ class _GridOperator:
         self.workers = _resolve_workers(workers)
         self.idx = grid.free_indices()
         self.nfree = self.idx.size
+        self.shape = (self.nfree, self.nfree)
         n = grid.n
         self.shape3 = (n, n, n)
         self.matrix = assemble_sparse(n, self.k, grid.inclusion_mask)
@@ -143,18 +145,21 @@ class _GridOperator:
         # the masked operator is a principal submatrix of the periodic one,
         # so its eigenvalues lie within the range of the symbol
         self.spectrum = (float(sym.min()), float(sym.max()))
-        # shift keeps the preconditioner positive definite near the low modes
-        tau = max(float(self.k @ self.k), 1e-6)
+        # shift keeps the preconditioner positive definite near the low modes;
+        # the floor keeps it from blowing up the g = 0 mode at small |k|, which
+        # stalled the iteration (floors from 0.01 to 0.2 all converge).  An
+        # exceptional k0 has |k0| >= 1/2, so on a `gap --verify` ray tau = |k|^2.
+        tau = max(float(self.k @ self.k), 0.1)
         self.pre_sym = 1.0 / (sym + tau)
 
     def matmat(self, V):
         return self.matrix @ np.asarray(V, dtype=complex)
 
+    def __matmul__(self, V):
+        return self.matmat(V)
+
     def precmat(self, V):
         V = np.asarray(V, dtype=complex)
-        squeeze = V.ndim == 1
-        if squeeze:
-            V = V[:, None]
         # one grid per column, columns first, so each transform is contiguous
         G = np.zeros((V.shape[1], self.grid.n**3), dtype=complex)
         G[:, self.idx] = V.T
@@ -162,19 +167,7 @@ class _GridOperator:
         G = scipy.fft.fftn(G, axes=(1, 2, 3), workers=self.workers, overwrite_x=True)
         G *= self.pre_sym[None]
         G = scipy.fft.ifftn(G, axes=(1, 2, 3), workers=self.workers, overwrite_x=True)
-        R = G.reshape(V.shape[1], -1)[:, self.idx].T
-        return R[:, 0] if squeeze else R
-
-    def as_linear_operators(self):
-        A = LinearOperator(
-            (self.nfree, self.nfree), matvec=self.matmat, matmat=self.matmat,
-            dtype=complex,
-        )
-        T = LinearOperator(
-            (self.nfree, self.nfree), matvec=self.precmat, matmat=self.precmat,
-            dtype=complex,
-        )
-        return A, T
+        return G.reshape(V.shape[1], -1)[:, self.idx].T
 
     def plane_wave_block(self, gs) -> np.ndarray:
         x = axis_coords(self.grid.n)
@@ -257,7 +250,7 @@ def fd_dirichlet_eigenvalues(
     diameter (a hard floor below which the staircase sphere degenerates);
     below four cells a resolution warning is issued instead.
 
-    The iterative solve starts from plane waves of the lowest symbol modes,
+    The block eigensolver starts from plane waves of the lowest symbol modes,
     or from `v0`, the `vectors` block of a solve at a nearby k on the same
     grid and mask (plane waves fill any missing columns).  The result
     carries the Ritz block in `vectors` for that purpose.
@@ -286,13 +279,6 @@ def fd_dirichlet_eigenvalues(
     op = _GridOperator(grid, k, workers=workers)
     nmask = int(grid.inclusion_mask.sum())
     resolution = f"fd n={n} h={grid.h:.6g} masked={nmask}"
-
-    if op.nfree <= DENSE_LIMIT:
-        vals, res, vecs = hermitian_eigensolve(
-            op.matrix.toarray(), count, return_residual=True, return_vectors=True
-        )
-        return EigResult(vals, tuple(map(float, k)), resolution, res, vecs)
-
     modes = _block_modes(n, k, count)
     if v0 is None:
         X = op.plane_wave_block(modes)
@@ -304,10 +290,9 @@ def fd_dirichlet_eigenvalues(
             X = np.hstack([X, op.plane_wave_block(modes[X.shape[1]:])])
         else:
             X = X[:, : len(modes)]
-    A, T = op.as_linear_operators()
     vals, res, vecs = hermitian_eigensolve(
-        A, count, precond=T, v0=X, spectrum=op.spectrum, tol=tol, maxiter=maxiter,
-        allow_large=True, return_residual=True, return_vectors=True,
+        op, count, precond=op.precmat, v0=X, spectrum=op.spectrum, tol=tol,
+        maxiter=maxiter,
     )
     return EigResult(vals, tuple(map(float, k)), resolution, res, vecs)
 

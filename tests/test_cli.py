@@ -33,6 +33,17 @@ class TestClassify:
         assert run(["classify", "0", "0", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_order_eight_point_is_classified_once(self, monkeypatch, capsys):
+        from bandscan import lattice
+
+        calls = []
+        classify = lattice.classify_wavevector
+        monkeypatch.setattr(lattice, "classify_wavevector",
+                            lambda *a: calls.append(a) or classify(*a))
+        assert run(["classify", "0.5", "0.5", "0.5"]) == 0
+        assert "order = 8" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_malformed_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["classify", "0", "0"])
@@ -107,13 +118,32 @@ class TestGap:
 
     def test_verify_failure_exits_3_with_partial_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "_measure", lambda cfg: (_ for _ in ()).throw(NumericalError("boom"))
+            cli, "_measure", lambda cfg, q: (_ for _ in ()).throw(NumericalError("boom"))
         )
         out = tmp_path / "run5"
         rc = run(["gap", "--a", "0.1", "--verify", "--out", str(out)])
         assert rc == 3
         assert (out / "report.txt").exists()
         assert "boom" in capsys.readouterr().err
+
+    def test_verify_mesh_shape_solves_bem_once(self, tmp_path, monkeypatch):
+        from bandscan import config, meshes
+
+        path = tmp_path / "s.off"
+        meshes.write_off(meshes.icosphere(1), path)
+        calls = []
+        bem = config.capacitance_bem
+        monkeypatch.setattr(config, "capacitance_bem", lambda mesh: calls.append(1) or bem(mesh))
+        oracle_kwargs = {}
+        monkeypatch.setattr(cli, "measure_gap_numeric",
+                            lambda *a, **kw: oracle_kwargs.update(kw))
+        out = tmp_path / "run7"
+        rc = run(["gap", "--shape", "mesh", "--mesh", str(path), "--a", "0.1",
+                  "--verify", "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == 1
+        report = GapReport.from_text((out / "report.txt").read_text())
+        assert oracle_kwargs["dirichlet_params"].q == report.q
 
     def test_verify_transmission_fast(self, tmp_path, capsys):
         out = tmp_path / "run6"
