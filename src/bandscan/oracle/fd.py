@@ -117,10 +117,8 @@ class FDGrid:
         return np.flatnonzero(~self.inclusion_mask.ravel())
 
 
-def _resolve_workers(workers: int | None) -> int:
+def _resolve_workers() -> int:
     # BANDSCAN_THREADS caps FFT worker threads; -1 means all cores
-    if workers is not None:
-        return workers
     return int(os.environ.get("BANDSCAN_THREADS", "-1") or "-1")
 
 
@@ -131,10 +129,10 @@ class _GridOperator:
     the operator itself.
     """
 
-    def __init__(self, grid: FDGrid, k, workers: int | None = None):
+    def __init__(self, grid: FDGrid, k):
         self.grid = grid
         self.k = np.asarray(k, dtype=float)
-        self.workers = _resolve_workers(workers)
+        self.workers = _resolve_workers()
         self.idx = grid.free_indices()
         self.nfree = self.idx.size
         self.shape = (self.nfree, self.nfree)
@@ -239,9 +237,6 @@ def fd_dirichlet_eigenvalues(
     count: int,
     *,
     center=(0.0, 0.0, 0.0),
-    tol: float = 1e-8,
-    maxiter: int = 400,
-    workers: int | None = None,
     v0=None,
 ) -> EigResult:
     """Lowest `count` values of lambda = (omega/c)^2 for the masked problem.
@@ -276,7 +271,7 @@ def fd_dirichlet_eigenvalues(
                 stacklevel=2,
             )
 
-    op = _GridOperator(grid, k, workers=workers)
+    op = _GridOperator(grid, k)
     nmask = int(grid.inclusion_mask.sum())
     resolution = f"fd n={n} h={grid.h:.6g} masked={nmask}"
     modes = _block_modes(n, k, count)
@@ -291,8 +286,7 @@ def fd_dirichlet_eigenvalues(
         else:
             X = X[:, : len(modes)]
     vals, res, vecs = hermitian_eigensolve(
-        op, count, precond=op.precmat, v0=X, spectrum=op.spectrum, tol=tol,
-        maxiter=maxiter,
+        op, count, precond=op.precmat, v0=X, spectrum=op.spectrum
     )
     return EigResult(vals, tuple(map(float, k)), resolution, res, vecs)
 

@@ -25,7 +25,7 @@ from .. import lattice
 from .. import transmission as tmod
 from ..errors import DomainError, TrackingError
 from .fd import fd_dirichlet_eigenvalues, fourier_symbol
-from .pwe import PWEBasis, pwe_transmission_eigenvalues
+from .pwe import _float_basis, pwe_transmission_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def _auto_count(problem: str, kv, center: float, window: float, n: int, g_max: i
     if problem == "dirichlet":
         vals = np.sort(fourier_symbol(n, np.asarray(kv, dtype=float)).ravel())
     else:
-        basis = PWEBasis(g_max).basis.astype(float)
+        basis = _float_basis(g_max)
         vals = np.sort(np.sum((np.asarray(kv, dtype=float)[None, :] + basis) ** 2, axis=1))
     below = int(np.searchsorted(vals, top))
     if below > 12:

@@ -10,6 +10,13 @@ sphere at the origin, so their Fourier coefficients come from the analytic
 ball-indicator transform (never from FFT sampling).  The pencil (A, B) is
 real symmetric with B positive definite; a uniform medium gives
 omega^2 = c^2 |k+g|^2 exactly.
+
+eta and gamma depend on g - g' only, which lies on the (4 g_max + 1)^3
+difference lattice, so the transform is evaluated there and gathered into
+the two matrices by the integer code of g - g' (the Toeplitz structure of
+Ho, Chan & Soukoulis, PRL 65, 3152, 1990).  eta and gamma are built once
+per (params, g_max), the basis once per g_max, and kept for the next call,
+so along a ray each Bloch vector costs one product (k+g).(k+g') * eta.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -79,21 +87,44 @@ def sphere_indicator_fourier(g, a: float):
     return out
 
 
-def assemble_pwe(k, params: TransmissionParams, g_max: int):
-    """(A, B) pencil matrices for one Bloch vector."""
-    k = np.asarray(k, dtype=float)
+@lru_cache(maxsize=1)
+def _float_basis(g_max: int) -> np.ndarray:
+    """The PWEBasis(g_max) modes as a read-only float array."""
     basis = PWEBasis(g_max).basis.astype(float)
-    kg = k[None, :] + basis
-    dots = kg @ kg.T
-    dG = np.linalg.norm(basis[:, None, :] - basis[None, :, :], axis=2)
-    chi = sphere_indicator_fourier(dG, params.a)
+    basis.flags.writeable = False
+    return basis
+
+
+@lru_cache(maxsize=1)
+def _coefficient_matrices(params: TransmissionParams, g_max: int):
+    """Read-only (eta, gamma) matrices, gathered from the difference lattice."""
+    basis = _float_basis(g_max).astype(int)
+    side = 4 * g_max + 1
+    rng = np.arange(-2 * g_max, 2 * g_max + 1)
+    diffs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
+    dnorm = np.linalg.norm(diffs.astype(float), axis=1)
+    chi = sphere_indicator_fourier(dnorm, params.a)
     mats = params.materials
     eta_p = 1.0 / mats.rho_plus
     eta_m = 1.0 / mats.rho_minus
-    diag = dG < 0.5
+    diag = dnorm < 0.5
     eta = np.where(diag, eta_p, 0.0) + (eta_m - eta_p) * chi
     gam = np.where(diag, mats.gamma_plus, 0.0) + (mats.gamma_minus - mats.gamma_plus) * chi
-    return dots * eta, gam
+    # index of g - g' in `diffs`: the mixed-radix code is linear in the mode
+    code = (basis[:, 0] * side + basis[:, 1]) * side + basis[:, 2]
+    idx = code[:, None] - code[None, :] + 2 * g_max * (side * side + side + 1)
+    eta, gam = eta[idx], gam[idx]
+    eta.flags.writeable = False
+    gam.flags.writeable = False
+    return eta, gam
+
+
+def assemble_pwe(k, params: TransmissionParams, g_max: int):
+    """(A, B) pencil matrices for one Bloch vector; B is shared and read-only."""
+    k = np.asarray(k, dtype=float)
+    eta, gam = _coefficient_matrices(params, g_max)
+    kg = k[None, :] + _float_basis(g_max)
+    return (kg @ kg.T) * eta, gam
 
 
 def pwe_transmission_eigenvalues(

@@ -5,12 +5,14 @@ import pytest
 
 from bandscan.errors import DomainError, NumericalError
 from bandscan.oracle import pwe
+from bandscan.oracle.gapscan import measure_gap_numeric
 from bandscan.transmission import MaterialSpec, TransmissionParams
 
 PI3 = (2.0 * math.pi) ** 3
 
 WEAK = MaterialSpec(gamma_plus=1.0, gamma_minus=1.2, rho_plus=1.2, rho_minus=1.0)
 UNIFORM = MaterialSpec(1.0, 1.0, 1.0, 1.0)
+STRONG = MaterialSpec(gamma_plus=1.0, gamma_minus=3.0, rho_plus=1.0, rho_minus=0.4)
 
 
 def weak_params(f=0.01):
@@ -121,3 +123,71 @@ class TestEigenvalues:
         tiny = TransmissionParams(materials=WEAK, a=0.3)
         with pytest.warns(UserWarning, match="truncation"):
             pwe.pwe_transmission_eigenvalues((0, 0, 0.5), tiny, 2, 1)
+
+
+def broadcast_pencil(k, params, g_max):
+    """(A, B) from the N x N x 3 array of mode differences, entry by entry."""
+    basis = pwe.PWEBasis(g_max).basis.astype(float)
+    kg = np.asarray(k, dtype=float)[None, :] + basis
+    dG = np.linalg.norm(basis[:, None, :] - basis[None, :, :], axis=2)
+    chi = pwe.sphere_indicator_fourier(dG, params.a)
+    m = params.materials
+    diag = dG < 0.5
+    eta = np.where(diag, 1.0 / m.rho_plus, 0.0) + (1.0 / m.rho_minus - 1.0 / m.rho_plus) * chi
+    gam = np.where(diag, m.gamma_plus, 0.0) + (m.gamma_minus - m.gamma_plus) * chi
+    return (kg @ kg.T) * eta, gam
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("g_max", [2, 3])
+    @pytest.mark.parametrize("k", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
+    @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
+    def test_matches_broadcast_formula(self, g_max, k, mats, f):
+        params = TransmissionParams.from_volume_fraction(mats, f)
+        A, B = pwe.assemble_pwe(k, params, g_max)
+        A_ref, B_ref = broadcast_pencil(k, params, g_max)
+        assert np.array_equal(A, A_ref)
+        assert np.array_equal(B, B_ref)
+
+    def test_ray_transforms_the_indicator_once(self, monkeypatch):
+        calls = []
+        original = pwe.sphere_indicator_fourier
+
+        def counted(g, a):
+            calls.append(a)
+            return original(g, a)
+
+        monkeypatch.setattr(pwe, "sphere_indicator_fourier", counted)
+        pwe._coefficient_matrices.cache_clear()
+        params = weak_params(0.01)
+        got = measure_gap_numeric(
+            "transmission", (0, 0, 0.5), (0, 0, 1), transmission_params=params,
+            g_max=3, n_deltas=7,
+        )
+        pwe._coefficient_matrices.cache_clear()
+        assert got is not None and len(got.deltas) == 7
+        assert calls == [params.a]
+
+    def test_new_parameters_give_fresh_matrices(self):
+        k = (0.2, -0.1, 0.3)
+        base = weak_params(0.02)
+        cases = [
+            (base, 3),
+            (TransmissionParams(materials=WEAK, a=1.1 * base.a), 3),
+            (TransmissionParams(materials=STRONG, a=base.a), 3),
+            (base, 2),
+            (base, 3),
+        ]
+        for params, g_max in cases:
+            A, B = pwe.assemble_pwe(k, params, g_max)
+            A_ref, B_ref = broadcast_pencil(k, params, g_max)
+            assert np.array_equal(A, A_ref)
+            assert np.array_equal(B, B_ref)
+
+    def test_shared_mass_matrix_is_read_only(self):
+        params = weak_params(0.02)
+        _, B = pwe.assemble_pwe((0.2, -0.1, 0.3), params, 2)
+        with pytest.raises(ValueError):
+            B[0, 0] = 0.0
+        _, B_again = pwe.assemble_pwe((0.0, 0.0, 0.5), params, 2)
+        assert np.array_equal(B_again, broadcast_pencil((0, 0, 0), params, 2)[1])
