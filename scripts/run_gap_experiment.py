@@ -36,7 +36,8 @@ def main():
     rows = []
     for a in args.scales:
         p = dirichlet.DirichletParams(a=a, q=args.q)
-        _, gap = dirichlet.pair_model(k0, m0, p).gap()
+        model = dirichlet.pair_model(k0, m0, p)
+        _, gap = model.gap()
         row = {
             "a": a,
             "predicted_lo": gap.lo_over_c if gap else "",
@@ -47,9 +48,7 @@ def main():
         }
         if args.verify and gap is not None:
             t0 = time.time()
-            got = measure_gap_numeric(
-                "dirichlet", k0, m0, dirichlet_params=p, n=args.n
-            )
+            got = measure_gap_numeric(model, p, n=args.n)
             row["seconds"] = f"{time.time() - t0:.1f}"
             if got is not None:
                 row["measured_lo"] = got.lo_over_c

@@ -22,6 +22,9 @@ from .meshes import TriangleMesh, validate_mesh
 #: Dense-solve cap on the number of panels.
 MAX_PANELS = 10_000
 
+#: Rows of the collocation matrix assembled per vectorised block.
+_ROW_BLOCK = 512
+
 #: Reciprocal-condition threshold below which the system is rejected.
 RCOND_MIN = 1e-12
 
@@ -114,15 +117,15 @@ def triangle_self_potential(tri: np.ndarray, point: np.ndarray) -> float:
     return total
 
 
-def _assemble(mesh: TriangleMesh, row_block: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     areas, _ = mesh.areas_and_normals()
     cents = mesh.centroids()
     tv = mesh.triangle_vertices()
     n = mesh.n_triangles
     A = np.empty((n, n))
     inv4pi = 1.0 / (4.0 * math.pi)
-    for lo in range(0, n, row_block):
-        hi = min(lo + row_block, n)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
         diff = cents[lo:hi, None, :] - cents[None, :, :]
         r = np.linalg.norm(diff, axis=2)
         np.fill_diagonal(r[:, lo:hi], 1.0)  # placeholder, replaced below

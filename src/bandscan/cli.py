@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from . import __version__, dirichlet, lattice, transmission
 from .compare import dirichlet_comparison_rows, transmission_comparison_rows
-from .config import ScanConfig, build_config, parse_config_file
+from .config import KNOWN_KEYS, ScanConfig, build_config, coerce, parse_config_file
 from .errors import (
     BandscanError,
     ConfigError,
@@ -42,20 +42,6 @@ from .reports import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-def _vec3f(s: str) -> tuple[float, float, float]:
-    parts = [p for p in s.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 3 components, got {s!r}")
-    return tuple(float(p) for p in parts)
-
-
-def _vec3i(s: str) -> tuple[int, int, int]:
-    parts = [p for p in s.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 3 integers, got {s!r}")
-    return tuple(int(float(p)) for p in parts)
 
 
 #: Options whose value is a comma-separated vector.
@@ -87,44 +73,39 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
 
 
 def _add_config_options(sub: argparse.ArgumentParser) -> None:
+    """One flag per config key; `_config_from_args` parses its text like the file's."""
     sub.add_argument("--config", help="key = value config file; flags override it")
     sub.add_argument("--problem", choices=("dirichlet", "transmission"))
-    sub.add_argument("--k0", type=_vec3f, metavar="X,Y,Z")
-    sub.add_argument("--m0", type=_vec3i, metavar="I,J,K")
-    sub.add_argument("--a", type=float, help="inclusion scale")
-    sub.add_argument("--q", type=float, help="shape factor (sphere default 1)")
+    sub.add_argument("--k0", metavar="X,Y,Z")
+    sub.add_argument("--m0", metavar="I,J,K")
+    sub.add_argument("--a", help="inclusion scale")
+    sub.add_argument("--q", help="shape factor (sphere default 1)")
     sub.add_argument("--shape", choices=("sphere", "ellipsoid", "mesh"))
-    sub.add_argument("--semiaxes", type=_vec3f, metavar="A1,A2,A3")
+    sub.add_argument("--semiaxes", metavar="A1,A2,A3")
     sub.add_argument("--mesh", help="OFF mesh path for shape=mesh")
-    sub.add_argument("--gamma-plus", dest="gamma_plus", type=float)
-    sub.add_argument("--gamma-minus", dest="gamma_minus", type=float)
-    sub.add_argument("--rho-plus", dest="rho_plus", type=float)
-    sub.add_argument("--rho-minus", dest="rho_minus", type=float)
-    sub.add_argument("--delta-tilde-min", dest="delta_tilde_min", type=float)
-    sub.add_argument("--delta-tilde-max", dest="delta_tilde_max", type=float)
-    sub.add_argument("--samples", type=int)
-    sub.add_argument("--verify", action="store_const", const=True, default=None,
+    sub.add_argument("--gamma-plus", dest="gamma_plus")
+    sub.add_argument("--gamma-minus", dest="gamma_minus")
+    sub.add_argument("--rho-plus", dest="rho_plus")
+    sub.add_argument("--rho-minus", dest="rho_minus")
+    sub.add_argument("--delta-tilde-min", dest="delta_tilde_min")
+    sub.add_argument("--delta-tilde-max", dest="delta_tilde_max")
+    sub.add_argument("--samples")
+    sub.add_argument("--verify", action="store_const", const="true",
                      help="measure the gap with the numerical oracle too")
-    sub.add_argument("--n", type=int, help="FD grid points per axis")
-    sub.add_argument("--g-max", dest="g_max", type=int, help="PWE truncation")
-    sub.add_argument("--count", type=int, help="eigenvalues per solve")
+    sub.add_argument("--n", help="FD grid points per axis")
+    sub.add_argument("--g-max", dest="g_max", help="PWE truncation")
     sub.add_argument("--out", dest="out_dir", help="output directory")
-    sub.add_argument("--exclusion-band", dest="exclusion_band", type=float)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--c", type=float, help="wave speed scale for console output")
+    sub.add_argument("--exclusion-band", dest="exclusion_band")
+    sub.add_argument("--tol")
+    sub.add_argument("--c", help="wave speed scale for console output")
 
 
 def _config_from_args(args) -> ScanConfig:
     file_values = parse_config_file(args.config) if args.config else None
     overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "problem", "k0", "m0", "a", "q", "shape", "semiaxes", "mesh",
-            "gamma_plus", "gamma_minus", "rho_plus", "rho_minus",
-            "delta_tilde_min", "delta_tilde_max", "samples", "verify",
-            "n", "g_max", "count", "out_dir", "exclusion_band",
-            "tol", "c",
-        )
+        key: coerce(key, getattr(args, key))
+        for key in sorted(KNOWN_KEYS)
+        if getattr(args, key) is not None
     }
     return build_config(file_values, overrides)
 
@@ -158,11 +139,11 @@ def cmd_classify(args) -> int:
 
 
 def _predict(cfg: ScanConfig):
-    """Shared gap prediction for cmd_gap/cmd_bands: (report, curve, interval)."""
+    """Shared gap prediction: (report, curve, interval, model, model's params)."""
     if cfg.problem == "dirichlet":
         q = cfg.shape_factor()
-        p = dirichlet.DirichletParams(a=cfg.a, q=q)
-        model = dirichlet.pair_model(cfg.k0, cfg.m0, p, cfg.exclusion_band, cfg.tol)
+        params = dirichlet.DirichletParams(a=cfg.a, q=q)
+        model = dirichlet.pair_model(cfg.k0, cfg.m0, params, cfg.exclusion_band, cfg.tol)
         extra = dict(q=q, a_tilde=model.s)
         if model.nu <= 1.0:
             root = math.sqrt(1.0 - model.nu**2)
@@ -186,7 +167,7 @@ def _predict(cfg: ScanConfig):
         cfg.problem, cfg.k0, cfg.m0, cfg.a, adm.verdict, status.value,
         adm.nu, adm.ratio, interval, **extra,
     )
-    return report, curve, interval
+    return report, curve, interval, model, params
 
 
 def _summarize(report, cfg: ScanConfig) -> None:
@@ -210,7 +191,7 @@ def _summarize(report, cfg: ScanConfig) -> None:
 
 def cmd_gap(args) -> int:
     cfg = _config_from_args(args)
-    report, curve, interval = _predict(cfg)
+    report, curve, interval, model, params = _predict(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "branches.csv")
     report_path = os.path.join(cfg.out_dir, "report.txt")
@@ -218,7 +199,7 @@ def cmd_gap(args) -> int:
 
     if cfg.verify:
         try:
-            measured = _measure(cfg, report.q)
+            measured = measure_gap_numeric(model, params, n=cfg.n, g_max=cfg.g_max)
         except NumericalError as exc:
             with open(report_path, "w", encoding="ascii") as fh:
                 fh.write(report.to_text())
@@ -244,24 +225,9 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def _measure(cfg: ScanConfig, q: float | None):
-    """The oracle's gap; `q` is the shape factor `_predict` put in the report."""
-    if cfg.problem == "dirichlet":
-        p = dirichlet.DirichletParams(a=cfg.a, q=q)
-        return measure_gap_numeric(
-            "dirichlet", cfg.k0, cfg.m0, dirichlet_params=p, n=cfg.n,
-            count=cfg.count, tol=cfg.tol,
-        )
-    params = transmission.TransmissionParams(materials=_materials(cfg), a=cfg.a)
-    return measure_gap_numeric(
-        "transmission", cfg.k0, cfg.m0, transmission_params=params,
-        g_max=cfg.g_max, count=cfg.count, tol=cfg.tol,
-    )
-
-
 def cmd_bands(args) -> int:
     cfg = _config_from_args(args)
-    _, curve, _ = _predict(cfg)
+    curve = _predict(cfg)[1]
     if args.out_file:
         write_branch_csv(curve, args.out_file)
         print(f"wrote {args.out_file}")
@@ -274,7 +240,7 @@ def cmd_bands(args) -> int:
 
 def cmd_face_map(args) -> int:
     fmap = lattice.face_gap_region(
-        args.m0, samples=args.resolution, half_width=args.half_width,
+        coerce("m0", args.m0), samples=args.resolution, half_width=args.half_width,
         exclusion_band=args.exclusion_band, tol=args.tol,
     )
     write_face_map_csv(fmap, args.out)
@@ -327,7 +293,7 @@ def cmd_capacitance(args) -> int:
     if args.sphere:
         result = capacitance_sphere()
     elif args.ellipsoid is not None:
-        a1, a2, a3 = args.ellipsoid
+        a1, a2, a3 = coerce("semiaxes", args.ellipsoid)
         result = capacitance_ellipsoid(a1, a2, a3)
     elif args.mesh_path:
         result = capacitance_bem(read_off(args.mesh_path), refine_check=args.refine_check)
@@ -369,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("face-map", help="raster the gap region on a BZ face")
-    p.add_argument("--m0", type=_vec3i, default=(0, 0, 1), metavar="I,J,K")
+    p.add_argument("--m0", default="0,0,1", metavar="I,J,K")
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--half-width", dest="half_width", type=float, default=1.0)
     p.add_argument("--out", default="face_map.csv")
@@ -393,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacitance", help="shape factor q of an inclusion")
     p.add_argument("--sphere", action="store_true")
-    p.add_argument("--ellipsoid", type=_vec3f, metavar="A1,A2,A3")
+    p.add_argument("--ellipsoid", metavar="A1,A2,A3", help="semiaxes of an ellipsoid")
     p.add_argument("--mesh", dest="mesh_path")
     p.add_argument("--refine-check", dest="refine_check", action="store_true")
     p.set_defaults(func=cmd_capacitance)

@@ -32,7 +32,6 @@ def dirichlet_comparison_rows(
     k0,
     p: DirichletParams,
     n: int = 48,
-    count: int = 2,
     tol: float = lattice.DEFAULT_TOL,
 ) -> list[Row]:
     k0 = np.asarray(k0, dtype=float)
@@ -50,7 +49,7 @@ def dirichlet_comparison_rows(
         rows.append(_row("nonexceptional_shift", shift_asym, shift_num))
     elif cls.order == 2:
         s = dirichlet.pair_model(k0, cls.shifts[0], p, tol=tol).s
-        res = fd_dirichlet_eigenvalues(k0, p.a, n, max(count, 2))
+        res = fd_dirichlet_eigenvalues(k0, p.a, n, 2)
         omega_upper = math.sqrt(res.eigenvalues[1])
         eps_num = omega_upper / knorm - 1.0
         eps_full = s / (knorm * knorm)

@@ -1,14 +1,16 @@
 """Scan configuration: file ingestion, CLI overrides, validation.
 
 Config files are flat `key = value` lines; '#' starts a comment, blank
-lines are skipped, keys match the CLI flag names with underscores.  CLI
-flags override file values.  Validation failures raise ConfigError naming
+lines are skipped, keys match the CLI flag names with underscores.  A
+flag's text is parsed like the file value of its key, and CLI flags
+override file values.  Validation failures raise ConfigError naming
 the offending field.  A canonical example ships in configs/example_gap.cfg.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .capacitance import capacitance_bem, capacitance_ellipsoid
 from .errors import ConfigError
@@ -35,13 +37,17 @@ class ScanConfig:
     verify: bool = False
     n: int = 32
     g_max: int = 3
-    count: int | None = None
     out_dir: str = "bandscan_out"
     exclusion_band: float = 1e-6
     tol: float = 1e-9
     c: float = 1.0
 
     def validated(self) -> "ScanConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in parts):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.problem not in ("dirichlet", "transmission"):
             raise ConfigError(f"problem: must be dirichlet or transmission, got {self.problem!r}")
         if len(self.k0) != 3:
@@ -71,8 +77,6 @@ class ScanConfig:
             raise ConfigError("n: must be >= 16")
         if self.g_max < 2:
             raise ConfigError("g_max: must be >= 2")
-        if self.count is not None and self.count < 1:
-            raise ConfigError("count: must be >= 1")
         if not self.c > 0.0:
             raise ConfigError("c: must be > 0")
         if not self.exclusion_band >= 0.0:
@@ -109,7 +113,7 @@ def _parse_vec3_int(s: str) -> tuple[int, int, int]:
     out = []
     for p in parts:
         v = float(p)
-        if v != int(v):
+        if not (math.isfinite(v) and v == int(v)):
             raise ConfigError(f"component {p!r} is not an integer")
         out.append(int(v))
     return tuple(out)
@@ -143,7 +147,6 @@ _COERCERS = {
     "verify": _parse_bool,
     "n": int,
     "g_max": int,
-    "count": int,
     "out_dir": str,
     "exclusion_band": float,
     "tol": float,
@@ -152,6 +155,14 @@ _COERCERS = {
 
 #: The config keys: the ScanConfig fields, named like the CLI flags.
 KNOWN_KEYS = frozenset(_COERCERS)
+
+
+def coerce(key: str, text: str):
+    """The value of config key `key` written as `text`, in a file or a flag."""
+    try:
+        return _COERCERS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def parse_config_file(path) -> dict:
@@ -168,9 +179,9 @@ def parse_config_file(path) -> dict:
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _COERCERS[key](val)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
+                values[key] = coerce(key, val)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 

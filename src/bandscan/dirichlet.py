@@ -35,7 +35,7 @@ CELL_VOLUME = (2.0 * math.pi) ** 3
 
 @dataclass(frozen=True)
 class DirichletParams:
-    """Inclusion scale a, shape factor q, host speed c.
+    """Inclusion scale a and shape factor q; the cell is [-pi, pi]^3.
 
     a = 0 is the inclusionless limit and is accepted.  The asymptotics
     requires a small against the cell half-width pi: a >= 0.5*pi is
@@ -44,8 +44,6 @@ class DirichletParams:
 
     a: float
     q: float = 1.0
-    c: float = 1.0
-    cell_volume: float = CELL_VOLUME
 
     def __post_init__(self):
         if not (self.a >= 0.0 and math.isfinite(self.a)):
@@ -59,14 +57,10 @@ class DirichletParams:
             )
         if not (self.q > 0.0):
             raise DomainError("shape factor q must be positive")
-        if not (self.c > 0.0):
-            raise DomainError("wave speed c must be positive")
-        if self.cell_volume != CELL_VOLUME:
-            raise DomainError("cell_volume is fixed to (2*pi)^3 for the unit cell")
 
     @property
     def a_tilde(self) -> float:
-        return 4.0 * math.pi * self.a * self.q / self.cell_volume
+        return 4.0 * math.pi * self.a * self.q / CELL_VOLUME
 
 
 def delta_tilde_from_delta(delta: float, m0) -> float:
@@ -92,7 +86,7 @@ def epsilon_nonexceptional(k, p: DirichletParams, tol: float = lattice.DEFAULT_T
             f"k={tuple(k)} is exceptional of order {cls.order}; use pair_model"
         )
     k2 = float(np.dot(k, k))
-    return 2.0 * math.pi * p.q * p.a / (k2 * p.cell_volume)
+    return 2.0 * math.pi * p.q * p.a / (k2 * CELL_VOLUME)
 
 
 def pair_model(
@@ -105,8 +99,7 @@ def pair_model(
     """Two-mode model of (k0, m0): centre |k0| + a_tilde/(2|k0|), splitting a_tilde."""
     knorm = lattice.wavevector_norm(k0)
     return TwoModeModel(
-        k0, m0, knorm + p.a_tilde / (2.0 * knorm), p.a_tilde, "dirichlet", p.a,
-        exclusion_band, tol,
+        k0, m0, knorm + p.a_tilde / (2.0 * knorm), p.a_tilde, exclusion_band, tol
     )
 
 
@@ -124,6 +117,6 @@ def exceptional_splitting_check(
     k2 = float(np.dot(k0, k0))
     J = np.ones((2, 2))
     lam = np.linalg.eigvalsh(J)
-    eps = 4.0 * math.pi * p.q * p.a * lam / (2.0 * k2 * p.cell_volume)
+    eps = 4.0 * math.pi * p.q * p.a * lam / (2.0 * k2 * CELL_VOLUME)
     eps = np.sort(eps)
     return float(eps[1]), float(eps[0])

@@ -17,11 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .dirichlet import DirichletParams
+from .dirichlet import CELL_VOLUME, DirichletParams
 from .errors import DomainError, NumericalError
 
 #: Generic default ray: rationally independent components.
 DEFAULT_DIRECTION = (1.0, math.sqrt(2.0), math.sqrt(3.0))
+
+#: Perturbations of the ray tried before a frequency counts as uncovered.
+MAX_PERTURBATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ def cover_frequency(
     p: DirichletParams,
     direction=DEFAULT_DIRECTION,
     tol: float = lattice.DEFAULT_TOL,
-    max_perturbations: int = 8,
 ) -> CoverageRow:
     """A non-exceptional k with (1 + eps(a, k)) |k| = omega/c on a ray."""
     if omega_over_c <= 0:
@@ -55,8 +57,8 @@ def cover_frequency(
     d = np.asarray(direction, dtype=float)
     if np.linalg.norm(d) == 0:
         raise DomainError("ray direction must be nonzero")
-    A = 2.0 * math.pi * p.q * p.a / p.cell_volume
-    for attempt in range(max_perturbations + 1):
+    A = 2.0 * math.pi * p.q * p.a / CELL_VOLUME
+    for attempt in range(MAX_PERTURBATIONS + 1):
         dhat = d / np.linalg.norm(d)
         t = _root_along_ray(omega_over_c, A)
         k = t * dhat

@@ -51,7 +51,6 @@ class ExceptionalClass:
 
     order: int
     shifts: tuple[tuple[int, int, int], ...]
-    tolerance_used: float
 
     def __post_init__(self):
         if self.order != 1 + len(self.shifts):
@@ -122,7 +121,7 @@ def _shifts(M: np.ndarray) -> list[tuple[int, int, int]]:
 def classify_wavevector(k, tol: float = DEFAULT_TOL) -> ExceptionalClass:
     """Order and shift set of a Bloch vector (order 1 = non-exceptional)."""
     shifts = tuple(enumerate_candidate_shifts(k, tol))
-    return ExceptionalClass(order=1 + len(shifts), shifts=shifts, tolerance_used=tol)
+    return ExceptionalClass(order=1 + len(shifts), shifts=shifts)
 
 
 def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
@@ -144,7 +143,7 @@ def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
     M, m2 = _candidate_box(math.ceil(2.0 * math.sqrt(float(norm2))) + 1)
     hits = 2 * (M.astype(object) @ p) == D * m2.astype(object)
     shifts = tuple(_shifts(M[hits]))
-    return ExceptionalClass(order=1 + len(shifts), shifts=shifts, tolerance_used=0.0)
+    return ExceptionalClass(order=1 + len(shifts), shifts=shifts)
 
 
 def is_ewald_pair(k0, m0, tol: float = DEFAULT_TOL) -> bool:

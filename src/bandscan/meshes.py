@@ -127,7 +127,6 @@ def write_off(mesh: TriangleMesh, path) -> None:
 def subdivide(mesh: TriangleMesh, project_unit_sphere: bool = False) -> TriangleMesh:
     """Midpoint 4-to-1 refinement; optionally reproject onto the unit sphere."""
     verts = [tuple(v) for v in mesh.vertices]
-    index = {v: i for i, v in enumerate(verts)}
     cache: dict[tuple[int, int], int] = {}
 
     def midpoint(i, j):
@@ -146,7 +145,6 @@ def subdivide(mesh: TriangleMesh, project_unit_sphere: bool = False) -> Triangle
     for a, b, c in mesh.triangles:
         ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
         tris.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    del index
     return TriangleMesh(np.array(verts, dtype=float), np.array(tris, dtype=int))
 
 

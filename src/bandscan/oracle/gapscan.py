@@ -1,13 +1,15 @@
 """Numeric measurement of a local gap along the ray k = (1 + delta) k0.
 
-For each delta on the grid the relevant eigensolver runs, the two bands
-nearest the pair centre that the two-mode model predicts are picked inside
-a tracking window around it (default five predicted splittings wide), and
-the reported gap is the interval between the maximum of the lower band and
-the minimum of the upper band, or None when the band ranges overlap.  The
-pair centre and the splitting come from the problem's `pair_model`; the
-bands shift by centre - c |k0| before they split.  Frequencies are
-omega / c with c the host speed.
+`measure_gap_numeric(model, params)` measures the pair of a two-mode model
+with the oracle that the type of `params` names: DirichletParams runs the
+finite-difference oracle on an n^3 grid, TransmissionParams the plane-wave
+oracle with |g_i| <= g_max.  At each delta the oracle computes every band of
+the spectrum without the inclusion below the top of the tracking window,
+plus one; the count is not a parameter.  The two bands nearest the model's
+pair centre are picked inside the window (default five predicted splittings
+wide).  The reported gap is the interval between the maximum of the lower
+band and the minimum of the upper band, or None when the band ranges
+overlap.  Frequencies are omega / c with c the host speed.
 
 Along the ray each FD solve starts from the Ritz block of the previous
 point, which saves iterations and leaves the eigenvalues unchanged within
@@ -20,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import dirichlet as dmod
-from .. import lattice
-from .. import transmission as tmod
-from ..errors import DomainError, TrackingError
+from ..dirichlet import DirichletParams
+from ..errors import TrackingError
+from ..twomode import TwoModeModel
 from .fd import fd_dirichlet_eigenvalues, fourier_symbol
 from .pwe import _float_basis, pwe_transmission_eigenvalues
 
@@ -37,19 +38,35 @@ class MeasuredGap:
     deltas: np.ndarray
 
 
-def _auto_count(problem: str, kv, center: float, window: float, n: int, g_max: int) -> int:
+def _oracle(params, n: int, g_max: int):
+    """(unperturbed, solve, host speed) of the problem that `params` names.
+
+    `unperturbed(kv)` is the spectrum without the inclusion at kv, and
+    `solve(kv, count, v0)` the oracle's EigResult; the FD solve starts from
+    the Ritz block v0.
+    """
+    if isinstance(params, DirichletParams):
+        return (
+            lambda kv: fourier_symbol(n, kv),
+            lambda kv, count, v0: fd_dirichlet_eigenvalues(kv, params.a, n, count, v0=v0),
+            1.0,
+        )
+    basis = _float_basis(g_max)
+    return (
+        lambda kv: np.sum((kv + basis) ** 2, axis=1),
+        lambda kv, count, v0: pwe_transmission_eigenvalues(kv, params, g_max, count),
+        params.materials.c_plus,
+    )
+
+
+def _auto_count(unperturbed: np.ndarray, kv, center: float, window: float) -> int:
     """Eigenvalues needed so everything up to the window top is computed.
 
     Counted from the unperturbed spectrum at the scan point (the inclusion
     only moves bands by a fraction of the window), plus a safety margin.
     """
     top = (center + 1.5 * window) ** 2
-    if problem == "dirichlet":
-        vals = np.sort(fourier_symbol(n, np.asarray(kv, dtype=float)).ravel())
-    else:
-        basis = _float_basis(g_max)
-        vals = np.sort(np.sum((np.asarray(kv, dtype=float)[None, :] + basis) ** 2, axis=1))
-    below = int(np.searchsorted(vals, top))
+    below = int(np.searchsorted(np.sort(unperturbed, axis=None), top))
     if below > 12:
         raise TrackingError(
             f"{below} unperturbed bands below the tracking window top at "
@@ -69,38 +86,23 @@ def _pick_two_bands(omegas: np.ndarray, center: float, window: float) -> tuple[f
 
 
 def measure_gap_numeric(
-    problem: str,
-    k0,
-    m0,
+    model: TwoModeModel,
+    params,
     *,
-    dirichlet_params: dmod.DirichletParams | None = None,
-    transmission_params: tmod.TransmissionParams | None = None,
     n: int = 32,
     g_max: int = 3,
     deltas=None,
     n_deltas: int = 7,
     window_factor: float = 5.0,
-    count: int | None = None,
-    tol: float = lattice.DEFAULT_TOL,
 ) -> MeasuredGap | None:
-    """Measure the local gap of an order-two pair with the relevant oracle.
+    """Measure the local gap of `model`'s pair with the oracle `params` names.
 
-    `deltas` is the grid of relative ray offsets; by default it spans twice
-    the predicted extremizer range, which brackets both branch extrema.
+    `params` is the DirichletParams or TransmissionParams `model` was built
+    from.  `deltas` is the grid of relative ray offsets; by default it spans
+    twice the predicted extremizer range, which brackets both branch extrema.
     """
-    if problem == "dirichlet":
-        if dirichlet_params is None:
-            raise DomainError("dirichlet_params required")
-        model = dmod.pair_model(k0, m0, dirichlet_params, tol=tol)
-        c_host = 1.0
-    elif problem == "transmission":
-        if transmission_params is None:
-            raise DomainError("transmission_params required")
-        model = tmod.pair_model(k0, m0, transmission_params, tol=tol)
-        c_host = transmission_params.materials.c_plus
-    else:
-        raise DomainError(f"unknown problem kind {problem!r}")
-    k0 = np.asarray(k0, dtype=float)
+    unperturbed, solve, c_host = _oracle(params, n, g_max)
+    k0 = np.asarray(model.k0)
     knorm = model.knorm
     split = model.s / knorm
     center = model.centre
@@ -118,14 +120,9 @@ def measure_gap_numeric(
     ritz = None
     for i, d in enumerate(deltas):
         kv = (1.0 + d) * k0
-        cnt = count if count is not None else _auto_count(problem, kv, center, window, n, g_max)
-        if problem == "dirichlet":
-            res = fd_dirichlet_eigenvalues(kv, dirichlet_params.a, n, cnt, v0=ritz)
-            ritz = res.vectors
-            omegas = np.sqrt(np.maximum(res.eigenvalues, 0.0))
-        else:
-            res = pwe_transmission_eigenvalues(kv, transmission_params, g_max, cnt)
-            omegas = np.sqrt(np.maximum(res.eigenvalues, 0.0)) / c_host
+        res = solve(kv, _auto_count(unperturbed(kv), kv, center, window), ritz)
+        ritz = res.vectors
+        omegas = np.sqrt(np.maximum(res.eigenvalues, 0.0)) / c_host
         lower[i], upper[i] = _pick_two_bands(omegas, center, window)
 
     lo = float(lower.max())

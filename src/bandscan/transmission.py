@@ -83,8 +83,8 @@ class MaterialSpec:
         return 1.0 / math.sqrt(self.gamma_minus * self.rho_minus)
 
 
-def volume_fraction(a: float, cell_volume: float = CELL_VOLUME) -> float:
-    return (4.0 / 3.0) * math.pi * a**3 / cell_volume
+def volume_fraction(a: float) -> float:
+    return (4.0 / 3.0) * math.pi * a**3 / CELL_VOLUME
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def pair_model(
     mats = params.materials
     return TwoModeModel(
         k0, m0, knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * params.f),
-        coupling_mu(k0, m0, params, tol), "transmission", params.a, exclusion_band, tol,
+        coupling_mu(k0, m0, params, tol), exclusion_band, tol,
     )
 
 

@@ -45,10 +45,6 @@ class GapStatus(Enum):
 class GapInterval:
     lo_over_c: float
     hi_over_c: float
-    k0: tuple[float, float, float]
-    m0: tuple[int, int, int]
-    problem: str  # "dirichlet" | "transmission"
-    a: float
 
     def __post_init__(self):
         if not self.lo_over_c < self.hi_over_c:
@@ -86,7 +82,6 @@ class TwoModeModel:
     """Branches, scans and the local gap of one order-two pair.
 
     The pair is classified once, here; a higher-order point is rejected.
-    `problem` and `a` only label the gap interval.
     """
 
     def __init__(
@@ -95,8 +90,6 @@ class TwoModeModel:
         m0,
         centre: float,
         s: float,
-        problem: str,
-        a: float,
         exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
         tol: float = lattice.DEFAULT_TOL,
     ):
@@ -112,8 +105,6 @@ class TwoModeModel:
         self.nu = self.admissibility.nu
         self.centre = float(centre)
         self.s = float(s)
-        self.problem = problem
-        self.a = float(a)
 
     def branches(self, delta_tilde, delta0: float = DEFAULT_DELTA0):
         """(omega_minus/c, omega_plus/c) at a scalar or an array of delta_tilde."""
@@ -161,10 +152,7 @@ class TwoModeModel:
         if self.s == 0.0:
             return GapStatus.DEGENERATE_SPLITTING, None
         half = self.s * math.sqrt(1.0 - self.nu * self.nu) / (2.0 * self.knorm)
-        interval = GapInterval(
-            self.centre - half, self.centre + half, self.k0, self.m0, self.problem, self.a
-        )
-        return GapStatus.PREDICTED, interval
+        return GapStatus.PREDICTED, GapInterval(self.centre - half, self.centre + half)
 
     def extremizer(self) -> float:
         """delta_tilde* where omega_minus peaks; omega_plus dips at -delta_tilde*."""

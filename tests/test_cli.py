@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bandscan import cli
+from bandscan.config import KNOWN_KEYS, ScanConfig
 from bandscan.errors import NumericalError
 from bandscan.reports import GapReport
 
@@ -116,9 +119,59 @@ class TestGap:
         assert run(["gap", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_removed_count_key_and_flag_exit_2(self, tmp_path, capsys):
+        cfgf = tmp_path / "scan.cfg"
+        cfgf.write_text("a = 0.1\ncount = 3\n")
+        assert run(["gap", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+        assert "count" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["gap", "--count", "3", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", [
+        "--a", "--q", "--gamma-plus", "--gamma-minus", "--rho-plus", "--rho-minus",
+        "--delta-tilde-min", "--delta-tilde-max", "--exclusion-band", "--tol", "--c",
+        "--k0", "--semiaxes",
+    ])
+    def test_non_finite_value_exits_2_and_is_named(self, tmp_path, capsys, flag, value):
+        field = flag[2:].replace("-", "_")
+        text = f"0,{value},0.5" if flag in ("--k0", "--semiaxes") else value
+        assert run(["gap", flag, text, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: must be finite")
+
+    @pytest.mark.parametrize("command", ["gap", "face-map"])
+    def test_fractional_m0_exits_2_and_is_named(self, tmp_path, capsys, command):
+        # the flag parses like the config key: 1.5 is refused, not truncated to 1
+        assert run([command, "--m0", "1.5,0,1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: m0: component '1.5' is not an integer")
+
+    def test_verify_classifies_k0_once(self, tmp_path, monkeypatch):
+        # the oracle measures the model the prediction built; a stub FD solve
+        # returns the unperturbed pair c|k0| = 0.5 and one band just above it
+        from bandscan import lattice
+        from bandscan.oracle import gapscan
+
+        calls = []
+        classify = lattice.classify_wavevector
+        monkeypatch.setattr(lattice, "classify_wavevector",
+                            lambda *a: calls.append(a) or classify(*a))
+        monkeypatch.setattr(
+            gapscan, "fd_dirichlet_eigenvalues",
+            lambda k, a, n, count, v0=None: SimpleNamespace(
+                eigenvalues=np.array([0.25, 0.26]), vectors=None),
+        )
+        out = tmp_path / "once"
+        assert run(["gap", "--a", "0.1", "--verify", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        report = GapReport.from_text((out / "report.txt").read_text())
+        assert (report.measured_lo_over_c, report.measured_hi_over_c) == (0.5, math.sqrt(0.26))
+
     def test_verify_failure_exits_3_with_partial_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "_measure", lambda cfg, q: (_ for _ in ()).throw(NumericalError("boom"))
+            cli, "measure_gap_numeric",
+            lambda model, params, **kw: (_ for _ in ()).throw(NumericalError("boom")),
         )
         out = tmp_path / "run5"
         rc = run(["gap", "--a", "0.1", "--verify", "--out", str(out)])
@@ -134,16 +187,16 @@ class TestGap:
         calls = []
         bem = config.capacitance_bem
         monkeypatch.setattr(config, "capacitance_bem", lambda mesh: calls.append(1) or bem(mesh))
-        oracle_kwargs = {}
+        oracle_params = []
         monkeypatch.setattr(cli, "measure_gap_numeric",
-                            lambda *a, **kw: oracle_kwargs.update(kw))
+                            lambda model, params, **kw: oracle_params.append(params))
         out = tmp_path / "run7"
         rc = run(["gap", "--shape", "mesh", "--mesh", str(path), "--a", "0.1",
                   "--verify", "--out", str(out)])
         assert rc == 0
         assert len(calls) == 1
         report = GapReport.from_text((out / "report.txt").read_text())
-        assert oracle_kwargs["dirichlet_params"].q == report.q
+        assert oracle_params[0].q == report.q
 
     def test_verify_transmission_fast(self, tmp_path, capsys):
         out = tmp_path / "run6"
@@ -282,6 +335,11 @@ class TestOracleCompare:
         table = {l.split(",")[0]: float(l.split(",")[3]) for l in lines[1:]}
         assert table["zero_inclusion_omega"] <= 1e-3
         assert table["nonexceptional_shift"] <= 0.25
+
+
+def test_every_config_field_is_a_key_and_a_gap_flag():
+    assert {f.name for f in dataclasses.fields(ScanConfig)} == KNOWN_KEYS
+    assert KNOWN_KEYS <= set(vars(cli.build_parser().parse_args(["gap"])))
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():

@@ -22,8 +22,6 @@ def test_params_validation():
         DirichletParams(a=0.5 * math.pi)
     with pytest.raises(DomainError):
         DirichletParams(a=0.1, q=0.0)
-    with pytest.raises(DomainError):
-        DirichletParams(a=0.1, cell_volume=1.0)
     with pytest.warns(UserWarning):
         DirichletParams(a=0.21 * math.pi)
     assert DirichletParams(a=0.0).a_tilde == 0.0
@@ -103,7 +101,6 @@ class TestLocalGap:
         assert gap is not None
         assert gap.lo_over_c == pytest.approx(0.5, abs=1e-15)
         assert gap.hi_over_c == pytest.approx(0.5101321183642338, rel=1e-12)
-        assert gap.problem == "dirichlet"
 
     def test_no_gap_above_threshold(self):
         p = DirichletParams(a=0.1)

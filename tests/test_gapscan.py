@@ -11,20 +11,16 @@ WEAK = MaterialSpec(1.0, 1.2, 1.2, 1.0)
 
 def test_zero_contrast_has_no_gap():
     params = TransmissionParams.from_volume_fraction(MaterialSpec(1, 1, 1, 1), 0.01)
-    got = measure_gap_numeric(
-        "transmission", (0, 0, 0.5), (0, 0, 1), transmission_params=params,
-        g_max=3, n_deltas=5,
-    )
+    model = transmission.pair_model((0, 0, 0.5), (0, 0, 1), params)
+    got = measure_gap_numeric(model, params, g_max=3, n_deltas=5)
     assert got is None
 
 
 def test_transmission_gap_matches_prediction():
     params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
-    got = measure_gap_numeric(
-        "transmission", (0, 0, 0.5), (0, 0, 1), transmission_params=params,
-        g_max=3, n_deltas=7,
-    )
-    _, pred = transmission.pair_model((0, 0, 0.5), (0, 0, 1), params).gap()
+    model = transmission.pair_model((0, 0, 0.5), (0, 0, 1), params)
+    got = measure_gap_numeric(model, params, g_max=3, n_deltas=7)
+    _, pred = model.gap()
     assert got is not None
     width = got.hi_over_c - got.lo_over_c
     assert width == pytest.approx(pred.width_over_c, rel=0.25)
@@ -32,10 +28,9 @@ def test_transmission_gap_matches_prediction():
 
 def test_dirichlet_gap_brackets_from_above():
     p = dirichlet.DirichletParams(a=0.4)
-    got = measure_gap_numeric(
-        "dirichlet", (0, 0, 0.5), (0, 0, 1), dirichlet_params=p, n=24, n_deltas=7
-    )
-    _, pred = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p).gap()
+    model = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p)
+    got = measure_gap_numeric(model, p, n=24, n_deltas=7)
+    _, pred = model.gap()
     assert got is not None
     width = got.hi_over_c - got.lo_over_c
     assert 0.5 * pred.width_over_c <= width <= 2.0 * pred.width_over_c
@@ -47,9 +42,9 @@ def test_nu_above_one_leaves_no_robust_gap():
     p = dirichlet.DirichletParams(a=0.3)
     at = p.a_tilde
     knorm = float(np.linalg.norm([0.5, 0.6, 0.3]))
+    model = dirichlet.pair_model((0.5, 0.6, 0.3), (1, 0, 0), p)
     got = measure_gap_numeric(
-        "dirichlet", (0.5, 0.6, 0.3), (1, 0, 0), dirichlet_params=p, n=24,
-        deltas=np.linspace(-at, at, 7), window_factor=2.5,
+        model, p, n=24, deltas=np.linspace(-at, at, 7), window_factor=2.5
     )
     ref_split = at / knorm
     assert got is None or (got.hi_over_c - got.lo_over_c) <= ref_split / 8.0
@@ -57,44 +52,41 @@ def test_nu_above_one_leaves_no_robust_gap():
 
 def test_tracking_error_reports_diagnostics():
     p = dirichlet.DirichletParams(a=0.4)
+    model = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p)
     with pytest.raises(TrackingError, match="bands"):
-        measure_gap_numeric(
-            "dirichlet", (0, 0, 0.5), (0, 0, 1), dirichlet_params=p, n=16,
-            deltas=np.array([0.0]), window_factor=1e-6, count=3,
-        )
+        measure_gap_numeric(model, p, n=16, deltas=np.array([0.0]), window_factor=1e-6)
 
 
 def test_requires_order_two_and_params():
+    # the oracle measures a pair model, and only an order-two k0 has one
     p = dirichlet.DirichletParams(a=0.2)
     with pytest.raises(DomainError):
-        measure_gap_numeric("dirichlet", (0.3, 0.1, 0.2), (1, 0, 0), dirichlet_params=p)
+        dirichlet.pair_model((0.3, 0.1, 0.2), (1, 0, 0), p)
+    params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
     with pytest.raises(DomainError):
-        measure_gap_numeric("dirichlet", (0, 0, 0.5), (0, 0, 1))
-    with pytest.raises(DomainError):
-        measure_gap_numeric(
-            "unknown", (0, 0, 0.5), (0, 0, 1), dirichlet_params=p
-        )
+        transmission.pair_model((0.3, 0.1, 0.2), (1, 0, 0), params)
 
 
 def test_warm_started_ray_matches_cold_solves(monkeypatch):
     # nu = 0.16, n = 24: each point after the first starts from the Ritz
-    # block of the previous one, and the bands equal those of cold solves
+    # block of the previous one, and the bands equal those of cold solves of
+    # the same (automatic) count
     from bandscan.oracle import fd, gapscan
 
-    starts = []
+    starts, counts = [], []
     solve = gapscan.fd_dirichlet_eigenvalues
 
-    def recording(k, *args, **kwargs):
+    def recording(k, a, n, count, **kwargs):
         starts.append(kwargs.get("v0") is not None)
-        return solve(k, *args, **kwargs)
+        counts.append(count)
+        return solve(k, a, n, count, **kwargs)
 
     monkeypatch.setattr(gapscan, "fd_dirichlet_eigenvalues", recording)
     k0, a = np.array([0.5, 0.2, 0.0]), 0.3
-    got = measure_gap_numeric(
-        "dirichlet", k0, (1, 0, 0), dirichlet_params=dirichlet.DirichletParams(a=a),
-        n=24, n_deltas=5, count=3,
-    )
+    p = dirichlet.DirichletParams(a=a)
+    got = measure_gap_numeric(dirichlet.pair_model(k0, (1, 0, 0), p), p, n=24, n_deltas=5)
     assert starts == [False, True, True, True, True]
+    assert counts == [3] * 5
     for i, d in enumerate(got.deltas):
         cold = fd.fd_dirichlet_eigenvalues((1.0 + d) * k0, a, 24, 3)
         omegas = np.sqrt(cold.eigenvalues)
@@ -110,9 +102,9 @@ def test_window_follows_predicted_pair_centre():
         0.6113107428044207, 1.036763700143883, 0.6396129353284337, 1.4858520721376596
     )
     params = TransmissionParams(materials=mats, a=0.6271676470847247)
-    k0, m0 = (0.0, -0.2, 0.5), (0, 0, 1)
-    got = measure_gap_numeric("transmission", k0, m0, transmission_params=params, g_max=3)
-    _, pred = transmission.pair_model(k0, m0, params).gap()
+    model = transmission.pair_model((0.0, -0.2, 0.5), (0, 0, 1), params)
+    got = measure_gap_numeric(model, params, g_max=3)
+    _, pred = model.gap()
     assert got is not None
     centre = 0.5 * (got.lo_over_c + got.hi_over_c)
     assert abs(centre - 0.5 * (pred.lo_over_c + pred.hi_over_c)) < pred.width_over_c

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandscan import globalscan
-from bandscan.dirichlet import DirichletParams
+from bandscan.dirichlet import CELL_VOLUME, DirichletParams
 from bandscan.errors import DomainError, NumericalError
 
 
@@ -28,7 +28,7 @@ def test_exceptional_direction_gets_perturbed():
     # the ray (0,0,1) hits the exceptional point k = (0,0,0.5) exactly at
     # omega = 0.5 + A/0.5; the scan must sidestep it and still cover
     p = DirichletParams(a=0.1)
-    A = 2.0 * math.pi * p.q * p.a / p.cell_volume
+    A = 2.0 * math.pi * p.q * p.a / CELL_VOLUME
     omega_star = 0.5 + A / 0.5
     row = globalscan.cover_frequency(omega_star, p, direction=(0.0, 0.0, 1.0))
     assert row.order == 1

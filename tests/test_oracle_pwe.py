@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bandscan import transmission
 from bandscan.errors import DomainError, NumericalError
 from bandscan.oracle import pwe
 from bandscan.oracle.gapscan import measure_gap_numeric
@@ -160,10 +161,8 @@ class TestAssembly:
         monkeypatch.setattr(pwe, "sphere_indicator_fourier", counted)
         pwe._coefficient_matrices.cache_clear()
         params = weak_params(0.01)
-        got = measure_gap_numeric(
-            "transmission", (0, 0, 0.5), (0, 0, 1), transmission_params=params,
-            g_max=3, n_deltas=7,
-        )
+        model = transmission.pair_model((0, 0, 0.5), (0, 0, 1), params)
+        got = measure_gap_numeric(model, params, g_max=3, n_deltas=7)
         pwe._coefficient_matrices.cache_clear()
         assert got is not None and len(got.deltas) == 7
         assert calls == [params.a]

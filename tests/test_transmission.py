@@ -124,7 +124,6 @@ class TestLocalGap:
         assert center == pytest.approx(0.49996875, rel=1e-9)
         assert gap.lo_over_c == pytest.approx(0.499, rel=1e-8)
         assert gap.hi_over_c == pytest.approx(0.5009375, rel=1e-8)
-        assert gap.problem == "transmission"
 
     def test_identical_materials_degenerate(self):
         p = TransmissionParams(materials=MaterialSpec(1, 1, 1, 1), a=0.5)

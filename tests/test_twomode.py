@@ -80,7 +80,7 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     # The extrema sit where the splitting terms do, whatever the centre. Near
     # them the branches bend by ~1e-6 s per step, which rounding at the pair
     # frequency hides when s is small, so locate them on the centre-free model.
-    shape = twomode.TwoModeModel(k0, m0, 0.0, model.s, model.problem, model.a)
+    shape = twomode.TwoModeModel(k0, m0, 0.0, model.s)
     offsets = shape.scan((-2.0 * d, 2.0 * d), 2001)
     step = 4.0 * d / 2000
     assert abs(offsets.delta_tilde[np.argmax(offsets.omega_minus_over_c)] - d) <= step
