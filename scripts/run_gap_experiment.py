@@ -13,9 +13,9 @@ import csv
 import sys
 import time
 
-import numpy as np
-
 from bandscan import dirichlet
+from bandscan.config import coerce
+from bandscan.errors import ConfigError
 from bandscan.oracle.gapscan import measure_gap_numeric
 
 
@@ -30,8 +30,10 @@ def main():
     ap.add_argument("--out", default="gap_sweep.csv")
     args = ap.parse_args()
 
-    k0 = tuple(float(t) for t in args.k0.split(","))
-    m0 = tuple(int(t) for t in args.m0.split(","))
+    try:
+        k0, m0 = coerce("k0", args.k0), coerce("m0", args.m0)
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     rows = []
     for a in args.scales:

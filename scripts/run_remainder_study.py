@@ -16,6 +16,8 @@ import sys
 
 import numpy as np
 
+from bandscan.config import coerce
+from bandscan.errors import ConfigError
 from bandscan.oracle import fd
 
 PI3 = (2.0 * math.pi) ** 3
@@ -39,7 +41,10 @@ def main():
     ap.add_argument("--n", type=int, default=48)
     args = ap.parse_args()
 
-    k = np.array([float(t) for t in args.k.split(",")])
+    try:
+        k = np.array(coerce("k0", args.k))
+    except ConfigError as exc:
+        ap.error(f"--k: {exc}")
     print("a      n    cap_d     remainder      ratio_vs_half")
     for a in args.scales:
         rem_a, cap_a = remainder(k, a, args.n)

@@ -58,8 +58,10 @@ def capacitance_ellipsoid(a1: float, a2: float, a3: float) -> CapacitanceResult:
     a1 >= a2 >= a3 > 0.  Reduces to the sphere, prolate and oblate closed
     forms (cross-checked in the test suite).
     """
-    if not (a1 >= a2 >= a3 > 0.0):
-        raise DomainError(f"semiaxes must satisfy a1 >= a2 >= a3 > 0, got {(a1, a2, a3)}")
+    if not (math.isfinite(a1) and a1 >= a2 >= a3 > 0.0):
+        raise DomainError(
+            f"semiaxes must be finite and satisfy a1 >= a2 >= a3 > 0, got {(a1, a2, a3)}"
+        )
     from scipy.integrate import quad  # lazily: costs about 0.2 s of import time
 
     def integrand(s):

@@ -32,7 +32,7 @@ from .globalscan import global_scan
 from .meshes import read_off
 from .oracle.gapscan import measure_gap_numeric
 from .reports import (
-    report_from_prediction,
+    GapReport,
     write_branch_csv,
     write_comparison_csv,
     write_face_map_csv,
@@ -161,11 +161,14 @@ def _predict(cfg: ScanConfig):
             k0_tilde_norm=model.centre,
         )
     status, interval = model.gap()
+    if interval is not None:
+        extra.update(predicted_lo_over_c=interval.lo_over_c,
+                     predicted_hi_over_c=interval.hi_over_c)
     curve = model.scan((cfg.delta_tilde_min, cfg.delta_tilde_max), cfg.samples)
     adm = model.admissibility
-    report = report_from_prediction(
-        cfg.problem, cfg.k0, cfg.m0, cfg.a, adm.verdict, status.value,
-        adm.nu, adm.ratio, interval, **extra,
+    report = GapReport(
+        problem=cfg.problem, k0=cfg.k0, m0=cfg.m0, a=cfg.a, verdict=adm.verdict.value,
+        status=status.value, nu=adm.nu, ratio=adm.ratio, **extra,
     )
     return report, curve, interval, model, params
 

@@ -1,10 +1,13 @@
-"""Scan configuration: file ingestion, CLI overrides, validation.
+"""Scan configuration and the `key = value` text format of configs and reports.
 
-Config files are flat `key = value` lines; '#' starts a comment, blank
-lines are skipped, keys match the CLI flag names with underscores.  A
-flag's text is parsed like the file value of its key, and CLI flags
-override file values.  Validation failures raise ConfigError naming
-the offending field.  A canonical example ships in configs/example_gap.cfg.
+Config files and gap reports are flat `key = value` lines, one field of a
+dataclass each; '#' starts a comment and blank lines are skipped.  A value
+is parsed by the type of its field: vectors are comma-separated
+components, and `none` is None for an optional field.  Config keys match
+the CLI flag names with underscores; a flag's text is parsed like the file
+value of its key, and CLI flags override file values.  Validation failures
+raise ConfigError naming the offending field.  A canonical example ships
+in configs/example_gap.cfg.
 """
 
 from __future__ import annotations
@@ -128,61 +131,77 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
-_COERCERS = {
-    "problem": str,
-    "k0": _parse_vec3_float,
-    "m0": _parse_vec3_int,
-    "a": float,
-    "q": float,
-    "shape": str,
-    "semiaxes": _parse_vec3_float,
-    "mesh": str,
-    "gamma_plus": float,
-    "gamma_minus": float,
-    "rho_plus": float,
-    "rho_minus": float,
-    "delta_tilde_min": float,
-    "delta_tilde_max": float,
-    "samples": int,
-    "verify": _parse_bool,
-    "n": int,
-    "g_max": int,
-    "out_dir": str,
-    "exclusion_band": float,
-    "tol": float,
-    "c": float,
+#: Parser of each field annotation; a trailing " | None" also accepts `none`.
+_DECODERS = {
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[float, float, float]": _parse_vec3_float,
+    "tuple[int, int, int]": _parse_vec3_int,
 }
 
-#: The config keys: the ScanConfig fields, named like the CLI flags.
-KNOWN_KEYS = frozenset(_COERCERS)
 
-
-def coerce(key: str, text: str):
-    """The value of config key `key` written as `text`, in a file or a flag."""
+def _decode(key: str, ftype: str, text: str):
+    """The value of field `key`, annotated `ftype`, written as `text`."""
+    base = ftype.removesuffix(" | None")
+    if text == "none" and base != ftype:
+        return None
     try:
-        return _COERCERS[key](text)
+        return _DECODERS[base](text)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def encode(value) -> str:
+    """The text of a field value; `_decode` reads it back exactly."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(repr(float(x)) if isinstance(x, float) else repr(int(x)) for x in value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+_CONFIG_TYPES = {f.name: f.type for f in fields(ScanConfig)}
+
+#: The config keys: the ScanConfig fields, named like the CLI flags.
+KNOWN_KEYS = frozenset(_CONFIG_TYPES)
+
+
+def coerce(key: str, text: str):
+    """The value of config key `key` written as `text`, in a file or a flag."""
+    return _decode(key, _CONFIG_TYPES[key], text)
+
+
+def read_fields(cls, lines, where) -> dict:
+    """Typed values of the `key = value` lines that set fields of dataclass `cls`.
+
+    Errors name `where` and the line number.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where}:{lineno}: expected key = value, got {line!r}")
+        key, text = (s.strip() for s in line.split("=", 1))
+        if key not in types:
+            raise ConfigError(f"{where}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _decode(key, types[key], text)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}:{lineno}: {exc}") from exc
+    return values
+
+
 def parse_config_file(path) -> dict:
     """Read a key = value config file into a typed dict."""
-    values = {}
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = coerce(key, val)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return values
+        return read_fields(ScanConfig, fh, path)
 
 
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> ScanConfig:

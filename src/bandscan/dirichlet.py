@@ -55,22 +55,12 @@ class DirichletParams:
                 f"a={self.a} above 0.2*pi; asymptotic accuracy degrades",
                 stacklevel=2,
             )
-        if not (self.q > 0.0):
-            raise DomainError("shape factor q must be positive")
+        if not (self.q > 0.0 and math.isfinite(self.q)):
+            raise DomainError(f"shape factor q must be finite and positive, got {self.q}")
 
     @property
     def a_tilde(self) -> float:
         return 4.0 * math.pi * self.a * self.q / CELL_VOLUME
-
-
-def delta_tilde_from_delta(delta: float, m0) -> float:
-    m0 = lattice.as_shift(m0)
-    return delta * (m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2) / 2.0
-
-
-def delta_from_delta_tilde(delta_tilde: float, m0) -> float:
-    m0 = lattice.as_shift(m0)
-    return 2.0 * delta_tilde / (m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2)
 
 
 def epsilon_nonexceptional(k, p: DirichletParams, tol: float = lattice.DEFAULT_TOL) -> float:

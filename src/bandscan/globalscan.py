@@ -85,6 +85,8 @@ def global_scan(
     tol: float = lattice.DEFAULT_TOL,
 ) -> list[CoverageRow]:
     """Cover every omega in [omega_lo, omega_hi] by a propagating wave."""
+    if not math.isfinite(omega_hi):
+        raise DomainError(f"omega_hi must be finite, got {omega_hi}")
     if not (0.0 < omega_lo < omega_hi):
         raise DomainError("need 0 < omega_lo < omega_hi")
     if samples < 1:

@@ -91,9 +91,18 @@ def as_shift(m) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=64)
-def _candidate_box(bound: int) -> tuple[np.ndarray, np.ndarray]:
+def integer_cube(bound: int) -> np.ndarray:
+    """Read-only (N, 3) array of the integer points with |m|_inf <= bound, in
+    lexicographic order."""
     rng = np.arange(-bound, bound + 1)
-    M = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
+    cube = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
+    cube.flags.writeable = False
+    return cube
+
+
+@lru_cache(maxsize=64)
+def _candidate_box(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    M = integer_cube(bound)
     m2 = np.sum(M * M, axis=1)
     keep = (m2 > 0) & (m2 <= bound * bound)
     return M[keep], m2[keep]
@@ -278,6 +287,8 @@ def face_gap_region(
     m0 = as_shift(m0)
     if samples < 2:
         raise DomainError("samples must be >= 2")
+    if not (half_width > 0.0 and math.isfinite(half_width)):
+        raise DomainError(f"half_width must be finite and positive, got {half_width}")
     m = np.asarray(m0, dtype=float)
     m2 = float(m @ m)
     e1, e2 = _face_basis(m0)

@@ -36,8 +36,6 @@ class EigResult:
     """
 
     eigenvalues: np.ndarray = field(repr=False)
-    k: tuple[float, float, float]
-    resolution: str
     residual_norm: float
     vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 

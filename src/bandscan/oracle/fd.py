@@ -42,7 +42,6 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import scipy.fft
@@ -50,6 +49,7 @@ import scipy.sparse as sp
 from scipy.special import ive
 
 from ..errors import DomainError, ResolutionError
+from ..lattice import integer_cube
 from .eig import EigResult, hermitian_eigensolve
 
 TWO_PI = 2.0 * math.pi
@@ -272,8 +272,6 @@ def fd_dirichlet_eigenvalues(
             )
 
     op = _GridOperator(grid, k)
-    nmask = int(grid.inclusion_mask.sum())
-    resolution = f"fd n={n} h={grid.h:.6g} masked={nmask}"
     modes = _block_modes(n, k, count)
     if v0 is None:
         X = op.plane_wave_block(modes)
@@ -288,7 +286,7 @@ def fd_dirichlet_eigenvalues(
     vals, res, vecs = hermitian_eigensolve(
         op, count, precond=op.precmat, v0=X, spectrum=op.spectrum
     )
-    return EigResult(vals, tuple(map(float, k)), resolution, res, vecs)
+    return EigResult(vals, res, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +318,8 @@ def mask_pattern(radius_cells: float) -> np.ndarray:
     """Integer nodes with |m| < radius_cells (the staircase ball pattern)."""
     if radius_cells <= 0:
         return np.zeros((0, 3), dtype=int)
-    r = math.ceil(radius_cells)
-    pts = [
-        m
-        for m in product(range(-r, r + 1), repeat=3)
-        if m[0] ** 2 + m[1] ** 2 + m[2] ** 2 < radius_cells**2
-    ]
-    return np.array(sorted(pts), dtype=int)
+    cube = integer_cube(math.ceil(radius_cells))
+    return cube[np.sum(cube * cube, axis=1) < radius_cells**2]
 
 
 def discrete_inclusion_capacitance(pattern: np.ndarray, h: float) -> float:

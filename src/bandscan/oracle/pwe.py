@@ -21,23 +21,20 @@ so along a ray each Bloch vector costs one product (k+g).(k+g') * eta.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import scipy.linalg
 
 from ..errors import DomainError, NumericalError
-from ..transmission import TransmissionParams
+from ..lattice import integer_cube
+from ..transmission import TransmissionParams, volume_fraction
 from .eig import EigResult
 
 #: Cap on the plane-wave basis size (2*g_max+1)^3.
 MAX_BASIS = 12_000
-
-CELL_VOLUME = (2.0 * math.pi) ** 3
 
 
 @dataclass(frozen=True)
@@ -53,9 +50,7 @@ class PWEBasis:
         size = (2 * self.g_max + 1) ** 3
         if size > MAX_BASIS:
             raise DomainError(f"basis size {size} exceeds cap {MAX_BASIS}")
-        rng = range(-self.g_max, self.g_max + 1)
-        arr = np.array(list(product(rng, rng, rng)), dtype=int)
-        object.__setattr__(self, "basis", arr)
+        object.__setattr__(self, "basis", integer_cube(self.g_max))
 
     def __len__(self):
         return len(self.basis)
@@ -73,7 +68,7 @@ def sphere_indicator_fourier(g, a: float):
         raise DomainError("sphere radius must be positive")
     g = np.asarray(g, dtype=float)
     gnorm = np.linalg.norm(g) if g.shape == (3,) else g
-    f = (4.0 / 3.0) * math.pi * a**3 / CELL_VOLUME
+    f = volume_fraction(a)
     t = np.asarray(gnorm, dtype=float) * a
     out = np.full(t.shape, f)
     small = t < 1e-4
@@ -98,10 +93,9 @@ def _float_basis(g_max: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _coefficient_matrices(params: TransmissionParams, g_max: int):
     """Read-only (eta, gamma) matrices, gathered from the difference lattice."""
-    basis = _float_basis(g_max).astype(int)
+    basis = PWEBasis(g_max).basis
     side = 4 * g_max + 1
-    rng = np.arange(-2 * g_max, 2 * g_max + 1)
-    diffs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
+    diffs = integer_cube(2 * g_max)
     dnorm = np.linalg.norm(diffs.astype(float), axis=1)
     chi = sphere_indicator_fourier(dnorm, params.a)
     mats = params.materials
@@ -153,10 +147,4 @@ def pwe_transmission_eigenvalues(
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
     res = np.linalg.norm(A @ vecs - (B @ vecs) * vals[None, :], axis=0)
     scale = max(np.max(np.abs(vals)), 1e-300)
-    resolution = f"pwe g_max={g_max} basis={len(A)}"
-    return EigResult(
-        np.asarray(vals, dtype=float),
-        tuple(float(x) for x in np.asarray(k, dtype=float)),
-        resolution,
-        float(np.max(res) / scale),
-    )
+    return EigResult(np.asarray(vals, dtype=float), float(np.max(res) / scale))

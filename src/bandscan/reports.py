@@ -1,19 +1,20 @@
 """Gap reports and CSV emission.
 
-Report files are flat `key = value` text with one field per line, '#'
-comments allowed.  Floats serialize via repr and parse back bit-exactly,
-vectors are comma-joined components, missing optionals are the literal
-`none`; `schema_version` is present in every report and bumps whenever a
-field is added or changed.  CSV files always carry a header line and rows
-in deterministic order.
+Report files use the `key = value` format of config files (see `config`),
+one line per field in field order.  Floats serialize via repr and parse
+back bit-exactly, vectors are comma-joined components, missing optionals
+are the literal `none`; `schema_version` is present in every report and
+bumps whenever a field is added or changed.  CSV files always carry a
+header line and rows in deterministic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .config import encode, read_fields
 from .errors import ConfigError
-from .twomode import BranchCurve, GapInterval
+from .twomode import BranchCurve
 
 SCHEMA_VERSION = 1
 
@@ -47,81 +48,16 @@ class GapReport:
 
     def to_text(self) -> str:
         lines = ["# bandscan gap report"]
-        for f in fields(self):
-            v = getattr(self, f.name)
-            lines.append(f"{f.name} = {_encode(v)}")
+        lines += [f"{f.name} = {encode(getattr(self, f.name))}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "GapReport":
-        raw: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed report line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            raw[key] = val
-        kwargs = {}
+        values = read_fields(cls, text.splitlines(), "report")
         for f in fields(cls):
-            if f.name not in raw:
+            if f.name not in values:
                 raise ConfigError(f"report missing field {f.name!r}")
-            kwargs[f.name] = _decode(raw[f.name], f.type)
-        return cls(**kwargs)
-
-
-def _encode(v) -> str:
-    if v is None:
-        return "none"
-    if isinstance(v, tuple):
-        return ",".join(repr(float(x)) if isinstance(x, float) else repr(int(x)) for x in v)
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def _decode(s: str, ftype: str):
-    if s == "none":
-        return None
-    if "tuple[int" in ftype:
-        return tuple(int(t) for t in s.split(","))
-    if "tuple[float" in ftype:
-        return tuple(float(t) for t in s.split(","))
-    if ftype.startswith("int"):
-        return int(s)
-    if ftype.startswith("float"):
-        return float(s)
-    return s
-
-
-def report_from_prediction(
-    problem: str,
-    k0,
-    m0,
-    a: float,
-    verdict,
-    status,
-    nu: float,
-    ratio: float,
-    interval: GapInterval | None,
-    **extra,
-) -> GapReport:
-    pred_lo = interval.lo_over_c if interval is not None else None
-    pred_hi = interval.hi_over_c if interval is not None else None
-    return GapReport(
-        problem=problem,
-        k0=tuple(float(x) for x in k0),
-        m0=tuple(int(x) for x in m0),
-        a=float(a),
-        verdict=str(getattr(verdict, "value", verdict)),
-        status=str(getattr(status, "value", status)),
-        nu=float(nu),
-        ratio=float(ratio),
-        predicted_lo_over_c=pred_lo,
-        predicted_hi_over_c=pred_hi,
-        **extra,
-    )
+        return cls(**values)
 
 
 def write_branch_csv(curve: BranchCurve, path) -> None:

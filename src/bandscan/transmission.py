@@ -21,7 +21,7 @@ gap is the interval of half-width mu*sqrt(1-nu^2)/(2|k0|) centered at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,24 +29,6 @@ from . import lattice
 from .dirichlet import CELL_VOLUME
 from .errors import DomainError
 from .twomode import TwoModeModel
-
-
-def material_coefficients(
-    gamma_plus: float, gamma_minus: float, rho_plus: float, rho_minus: float
-) -> tuple[float, float, float]:
-    """(alpha, beta, sigma) from the raw material constants."""
-    for name, v in (
-        ("gamma_plus", gamma_plus),
-        ("gamma_minus", gamma_minus),
-        ("rho_plus", rho_plus),
-        ("rho_minus", rho_minus),
-    ):
-        if not (v > 0.0 and math.isfinite(v)):
-            raise DomainError(f"{name} must be finite and positive, got {v}")
-    sigma = rho_plus / rho_minus
-    alpha = 1.0 - gamma_minus / gamma_plus
-    beta = 3.0 * (sigma - 1.0) / (sigma + 2.0)
-    return alpha, beta, sigma
 
 
 @dataclass(frozen=True)
@@ -57,9 +39,10 @@ class MaterialSpec:
     rho_minus: float
 
     def __post_init__(self):
-        material_coefficients(
-            self.gamma_plus, self.gamma_minus, self.rho_plus, self.rho_minus
-        )
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise DomainError(f"{f.name} must be finite and positive, got {v}")
 
     @property
     def sigma(self) -> float:

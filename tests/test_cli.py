@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -335,6 +336,22 @@ class TestOracleCompare:
         table = {l.split(",")[0]: float(l.split(",")[3]) for l in lines[1:]}
         assert table["zero_inclusion_omega"] <= 1e-3
         assert table["nonexceptional_shift"] <= 0.25
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("argv, field", [
+    pytest.param("face-map --half-width {}", "half_width", id="face-map-half-width"),
+    pytest.param("capacitance --ellipsoid {},1,1", "semiaxes", id="capacitance-ellipsoid"),
+    pytest.param("global-scan --omega-lo 0.4 --omega-hi 1 --q {}", "q", id="global-scan-q"),
+    pytest.param("global-scan --omega-lo 0.4 --omega-hi {}", "omega_hi", id="global-scan-omega-hi"),
+])
+def test_non_finite_flag_outside_gap_exits_2_and_is_named(
+    tmp_path, monkeypatch, capsys, argv, field, value
+):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.format(value).split()) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: .*\b{field}\b.*\n", err)
 
 
 def test_every_config_field_is_a_key_and_a_gap_flag():

@@ -30,8 +30,6 @@ def test_params_validation():
 def test_scaled_variables():
     p = DirichletParams(a=0.1, q=1.0)
     assert p.a_tilde == pytest.approx(4.0 * math.pi * 0.1 / PI3, rel=1e-15)
-    assert dirichlet.delta_tilde_from_delta(0.02, (1, 1, 1)) == pytest.approx(0.03)
-    assert dirichlet.delta_from_delta_tilde(0.03, (1, 1, 1)) == pytest.approx(0.02)
 
 
 class TestEpsilonNonexceptional:

@@ -1,10 +1,18 @@
 import math
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bandscan import dirichlet
-from bandscan.config import ScanConfig, build_config, parse_config_file
+from bandscan.config import (
+    KNOWN_KEYS,
+    ScanConfig,
+    build_config,
+    encode,
+    parse_config_file,
+)
 from bandscan.errors import ConfigError
 from bandscan.reports import (
     GapReport,
@@ -61,6 +69,11 @@ class TestGapReport:
         with pytest.raises(ConfigError):
             GapReport.from_text("just words\n")
 
+    def test_unknown_key_rejected_and_named(self):
+        text = sample_report().to_text() + "bogus_field = 1.0\n"
+        with pytest.raises(ConfigError, match="bogus_field"):
+            GapReport.from_text(text)
+
 
 class TestCsvWriters:
     def test_branch_csv_deterministic(self, tmp_path):
@@ -113,6 +126,34 @@ class TestConfig:
         assert cfg.samples == 21  # override wins
         assert cfg.gamma_minus == 1.2
         assert cfg.k0 == (0.0, 0.0, 0.5)
+
+    def test_none_unsets_an_optional_key(self, tmp_path):
+        path = tmp_path / "scan.cfg"
+        path.write_text("semiaxes = none\nmesh = none\n")
+        assert parse_config_file(path) == {"semiaxes": None, "mesh": None}
+
+    def test_none_is_not_a_value_of_a_required_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("k0 = none\n")
+        with pytest.raises(ConfigError, match="k0"):
+            parse_config_file(path)
+
+    def test_encoded_fields_read_back(self, tmp_path):
+        cfg = ScanConfig(
+            problem="transmission", k0=(0.1 + 0.2, -0.25, 0.5), m0=(-1, 0, 2), a=1.0 / 3.0,
+            shape="ellipsoid", semiaxes=(2.0, 1.5, 1e-3), mesh="in clusion.off",
+            samples=7, verify=True, exclusion_band=1e-300, c=2.5,
+        )
+        path = tmp_path / "scan.cfg"
+        path.write_text("".join(f"{f.name} = {encode(getattr(cfg, f.name))}\n"
+                                for f in fields(cfg)))
+        assert ScanConfig(**parse_config_file(path)) == cfg
+
+    def test_example_file_lists_every_key_at_its_default(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "example_gap.cfg")
+        values = parse_config_file(path)
+        assert set(values) == KNOWN_KEYS
+        assert ScanConfig(**values) == ScanConfig()
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -21,23 +21,25 @@ def weak_params(f=0.01):
 
 class TestMaterials:
     def test_identical(self):
-        assert transmission.material_coefficients(1, 1, 1, 1) == (0.0, 0.0, 1.0)
+        m = MaterialSpec(1, 1, 1, 1)
+        assert (m.alpha, m.beta, m.sigma) == (0.0, 0.0, 1.0)
 
     def test_hand_values(self):
-        alpha, beta, sigma = transmission.material_coefficients(1.0, 1.2, 1.2, 1.0)
+        m = MaterialSpec(1.0, 1.2, 1.2, 1.0)
+        alpha, beta, sigma = m.alpha, m.beta, m.sigma
         assert alpha == pytest.approx(-0.2, rel=1e-12)
         assert beta == pytest.approx(0.1875, rel=1e-12)
         assert sigma == pytest.approx(1.2, rel=1e-15)
 
     def test_sigma_limits(self):
-        _, beta_hi, _ = transmission.material_coefficients(1, 1, 1e12, 1)
-        _, beta_lo, _ = transmission.material_coefficients(1, 1, 1e-12, 1)
+        beta_hi = MaterialSpec(1, 1, 1e12, 1).beta
+        beta_lo = MaterialSpec(1, 1, 1e-12, 1).beta
         assert beta_hi == pytest.approx(3.0, rel=1e-10)
         assert beta_lo == pytest.approx(-1.5, rel=1e-10)
 
     def test_positive_inputs_required(self):
-        with pytest.raises(DomainError):
-            transmission.material_coefficients(0.0, 1, 1, 1)
+        with pytest.raises(DomainError, match="gamma_plus"):
+            MaterialSpec(0.0, 1, 1, 1)
         with pytest.raises(DomainError):
             MaterialSpec(1, 1, 1, -2)
 
