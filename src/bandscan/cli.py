@@ -122,18 +122,17 @@ def _materials(cfg: ScanConfig) -> transmission.MaterialSpec:
 def cmd_classify(args) -> int:
     k = args.k
     cls = lattice.classify_wavevector(k, args.tol)
+    knorm = lattice.wavevector_norm(k)
+    shifts_out = []
+    for m in cls.shifts:  # all judged before anything is printed
+        adm = lattice.shift_admissibility(knorm, m, cls.order, args.exclusion_band)
+        shifts_out.append({"m": list(m), "nu": lattice.nu(k, m, args.tol), "ratio": adm.ratio,
+                           "verdict": adm.verdict.value})
     print(f"k = ({k[0]}, {k[1]}, {k[2]})")
     print(f"order = {cls.order}" + ("  (non-exceptional)" if cls.order == 1 else ""))
-    shifts_out = []
-    knorm = lattice.wavevector_norm(k)
-    for m in cls.shifts:
-        nu_val = lattice.nu(k, m, args.tol)
-        adm = lattice.shift_admissibility(knorm, m, cls.order, args.exclusion_band)
-        print(f"  shift m = {m}: nu = {nu_val:.12g}, ratio = {adm.ratio:.12g}, "
-              f"{adm.verdict.value}")
-        shifts_out.append(
-            {"m": list(m), "nu": nu_val, "ratio": adm.ratio, "verdict": adm.verdict.value}
-        )
+    for s in shifts_out:
+        print(f"  shift m = {tuple(s['m'])}: nu = {s['nu']:.12g}, ratio = {s['ratio']:.12g}, "
+              f"{s['verdict']}")
     print(json.dumps({"k": list(k), "order": cls.order, "shifts": shifts_out}))
     return EXIT_OK
 
@@ -374,6 +373,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_attach_vector_values(argv))
     try:
+        for key, value in vars(args).items():
+            if value == []:  # argparse before Python 3.12 drops the value of `--flag=--`
+                raise ConfigError(f"{key}: expected a value, got '--'")
         return args.func(args)
     except (ConfigError, DomainError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)

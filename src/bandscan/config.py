@@ -102,19 +102,20 @@ class ScanConfig:
         return capacitance_bem(mesh).q
 
 
+def _components(s: str, kind: str) -> list[str]:
+    parts = [p.strip() for p in s.split(",")] if "," in s else s.split()
+    if len(parts) != 3 or not all(parts):
+        raise ConfigError(f"expected 3 {kind}components, got {s!r}")
+    return parts
+
+
 def _parse_vec3_float(s: str) -> tuple[float, float, float]:
-    parts = [p for p in s.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ConfigError(f"expected 3 components, got {s!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(float(p) for p in _components(s, ""))
 
 
 def _parse_vec3_int(s: str) -> tuple[int, int, int]:
-    parts = [p for p in s.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ConfigError(f"expected 3 integer components, got {s!r}")
     out = []
-    for p in parts:
+    for p in _components(s, "integer "):
         v = float(p)
         if not (math.isfinite(v) and v == int(v)):
             raise ConfigError(f"component {p!r} is not an integer")

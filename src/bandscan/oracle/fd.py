@@ -22,10 +22,10 @@ is a principal submatrix of the unmasked one, so its eigenvalues lie in the
 range of the symbol; the eigensolver uses that interval to reject spurious
 Ritz values.
 
-Each solve assembles the restricted 7-point stencil once per k as a CSR
-matrix (`assemble_sparse`), which the block eigensolver applies at every
-grid size; n >= 16 and a < pi/2 leave at least 3,845 free nodes, where
-the iteration is far cheaper than a dense eigensolve.  It starts from
+The 7-point stencil is a CSR matrix, its pattern built once per ray and its
+values per k (`assemble_sparse`); the block eigensolver applies it at every
+grid size, as n >= 16 and a < pi/2 leave at least 3,845 free nodes, where it
+is far cheaper than a dense eigensolve.  It starts from
 plane waves of the lowest symbol modes or, along a ray of nearby k, from
 the Ritz block of the previous solve (`v0`).
 
@@ -113,9 +113,6 @@ class FDGrid:
     def cells_across(self) -> float:
         return 2.0 * self.a / self.h
 
-    def free_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.inclusion_mask.ravel())
-
 
 def _resolve_workers() -> int:
     # BANDSCAN_THREADS caps FFT worker threads; -1 means all cores
@@ -130,15 +127,13 @@ class _GridOperator:
     """
 
     def __init__(self, grid: FDGrid, k):
-        self.grid = grid
+        self.n = n = grid.n
         self.k = np.asarray(k, dtype=float)
         self.workers = _resolve_workers()
-        self.idx = grid.free_indices()
+        self.matrix = assemble_sparse(n, self.k, grid.a, grid.center)
+        self.idx = _stencil_pattern(n, grid.a, grid.center)[1]
         self.nfree = self.idx.size
         self.shape = (self.nfree, self.nfree)
-        n = grid.n
-        self.shape3 = (n, n, n)
-        self.matrix = assemble_sparse(n, self.k, grid.inclusion_mask)
         sym = fourier_symbol(n, self.k)
         # the masked operator is a principal submatrix of the periodic one,
         # so its eigenvalues lie within the range of the symbol
@@ -159,16 +154,16 @@ class _GridOperator:
     def precmat(self, V):
         V = np.asarray(V, dtype=complex)
         # one grid per column, columns first, so each transform is contiguous
-        G = np.zeros((V.shape[1], self.grid.n**3), dtype=complex)
+        G = np.zeros((V.shape[1], self.n**3), dtype=complex)
         G[:, self.idx] = V.T
-        G = G.reshape(V.shape[1], *self.shape3)
+        G = G.reshape(V.shape[1], self.n, self.n, self.n)
         G = scipy.fft.fftn(G, axes=(1, 2, 3), workers=self.workers, overwrite_x=True)
         G *= self.pre_sym[None]
         G = scipy.fft.ifftn(G, axes=(1, 2, 3), workers=self.workers, overwrite_x=True)
         return G.reshape(V.shape[1], -1)[:, self.idx].T
 
     def plane_wave_block(self, gs) -> np.ndarray:
-        x = axis_coords(self.grid.n)
+        x = axis_coords(self.n)
         X = x[:, None, None]
         Y = x[None, :, None]
         Z = x[None, None, :]
@@ -193,41 +188,50 @@ def _block_modes(n: int, k, count: int, max_extra: int = 8):
             break
     else:
         size = min(count + max_extra, len(vals))
-    modes = []
-    nn = n
-    for flat_idx in order[:size]:
-        i, j, l = np.unravel_index(flat_idx, (nn, nn, nn))
-        modes.append((int(g[i]), int(g[j]), int(g[l])))
-    return modes
+    i, j, l = np.unravel_index(order[:size], (n, n, n))
+    return [(int(g[p]), int(g[q]), int(g[r])) for p, q, r in zip(i, j, l)]
 
 
-def assemble_sparse(n: int, k, mask: np.ndarray | None = None) -> sp.csr_matrix:
-    """Sparse matrix of the grid operator, restricted to the nodes outside `mask`.
+@lru_cache(maxsize=1)
+def _stencil_pattern(n: int, a: float, center: tuple):
+    """(grid, free nodes, CSR indices, indptr, stencil slot per entry), read-only.
 
-    Row r holds the 7-point stencil of free node r; couplings to masked
-    nodes are left out.  This is the operator every FD solve applies, and
-    its spectrum is checked against the Fourier symbol in the test suite.
+    Independent of k, so built once per geometry.  Slot 0 is the centre, slots
+    1 + 2j and 2 + 2j the +1 and -1 neighbours along axis j (np.roll by -1, +1).
+    """
+    grid = FDGrid(n=n, a=a, center=center)
+    free = np.flatnonzero(~grid.inclusion_mask.ravel())
+    pos = np.full(n**3, free.size)  # masked nodes sort after every free one
+    pos[free] = np.arange(free.size)
+    node = np.arange(n**3).reshape(n, n, n)
+    cols = [free] + [np.roll(node, step, axis=axis).ravel()[free]
+                     for axis in range(3) for step in (-1, 1)]
+    C = pos[np.stack(cols, axis=1)]
+    slot = np.argsort(C, axis=1, kind="stable")
+    C = np.take_along_axis(C, slot, axis=1)
+    inside = C < free.size
+    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1)))).astype(np.int32)
+    out = grid, free, C[inside].astype(np.int32), indptr, slot[inside]
+    for arr in out[1:]:
+        arr.setflags(write=False)
+    return out
+
+
+def assemble_sparse(n: int, k, a: float = 0.0, center=(0.0, 0.0, 0.0)) -> sp.csr_matrix:
+    """Sparse matrix of the grid operator, restricted to the nodes outside the sphere.
+
+    Row r holds the 7-point stencil of free node r in sorted columns, without
+    couplings to masked nodes; each k only gathers its 7 values into the
+    cached pattern.  This is the operator every FD solve applies.
     """
     k = np.asarray(k, dtype=float)
     h = TWO_PI / n
-    node = np.arange(n**3).reshape(n, n, n)
-    free = node.ravel() if mask is None else np.flatnonzero(~np.asarray(mask).ravel())
-    pos = np.full(n**3, -1)
-    pos[free] = np.arange(free.size)
-    cols = [free]
+    _, free, indices, indptr, slot = _stencil_pattern(n, a, tuple(center))
     vals = [6.0 / h**2 + float(k @ k)]
     for axis in range(3):
-        # np.roll by -1 gives the +1 neighbour along the axis
-        for step, sign in ((-1, 1.0), (1, -1.0)):
-            cols.append(np.roll(node, step, axis=axis).ravel()[free])
-            vals.append(-1.0 / h**2 + sign * 1j * k[axis] / h)
-    C = pos[np.stack(cols, axis=1)]
-    V = np.broadcast_to(np.array(vals, dtype=complex), C.shape)
-    inside = C >= 0
-    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
-    A = sp.csr_matrix((V[inside], C[inside], indptr), shape=(free.size, free.size))
-    A.sum_duplicates()
-    return A
+        vals += [-1.0 / h**2 + sign * 1j * k[axis] / h for sign in (1.0, -1.0)]
+    data = np.array(vals, dtype=complex)[slot]
+    return sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size))
 
 
 def fd_dirichlet_eigenvalues(
@@ -257,7 +261,7 @@ def fd_dirichlet_eigenvalues(
         raise DomainError("fd_dirichlet_eigenvalues requires n >= 16")
     if count < 1:
         raise DomainError("count must be >= 1")
-    grid = FDGrid(n=n, a=a, center=tuple(center))
+    grid = _stencil_pattern(n, a, tuple(center))[0]
     if a > 0.0:
         if grid.cells_across < 2.0:
             raise ResolutionError(
@@ -334,10 +338,11 @@ def discrete_inclusion_capacitance(pattern: np.ndarray, h: float) -> float:
     if pattern.ndim != 2 or pattern.shape[1] != 3 or len(pattern) == 0:
         raise DomainError("pattern must be a nonempty (n, 3) integer array")
     npts = len(pattern)
-    G = np.empty((npts, npts))
-    for i in range(npts):
-        d = np.abs(pattern - pattern[i])
-        for j in range(npts):
-            G[i, j] = lattice_green(int(d[j, 0]), int(d[j, 1]), int(d[j, 2]))
+    # g depends on the sorted |offset| only: one quadrature per distinct triple
+    b = int(np.ptp(pattern, axis=0).max()) + 1
+    codes = np.sort(np.abs(pattern[:, None, :] - pattern[None, :, :]), axis=2) @ [b * b, b, 1]
+    keys, inverse = np.unique(codes, return_inverse=True)
+    g = [lattice_green(c // (b * b), c // b % b, c % b) for c in keys.tolist()]
+    G = np.asarray(g)[inverse].reshape(npts, npts)
     c = np.linalg.solve(G, np.ones(npts))
     return h * float(c.sum()) / (4.0 * math.pi)

@@ -4,12 +4,12 @@
 with the oracle that the type of `params` names: DirichletParams runs the
 finite-difference oracle on an n^3 grid, TransmissionParams the plane-wave
 oracle with |g_i| <= g_max.  At each delta the oracle computes every band of
-the spectrum without the inclusion below the top of the tracking window,
-plus one; the count is not a parameter.  The two bands nearest the model's
-pair centre are picked inside the window (default five predicted splittings
-wide).  The reported gap is the interval between the maximum of the lower
-band and the minimum of the upper band, or None when the band ranges
-overlap.  Frequencies are omega / c with c the host speed.
+the spectrum without the inclusion below the tracking window top, plus one
+for PWE only (`_auto_count`); the count is not a parameter.  The two bands
+nearest the model's pair centre are picked inside the window (default five
+predicted splittings wide).  The reported gap is the interval between the
+maximum of the lower band and the minimum of the upper band, or None when
+the band ranges overlap.  Frequencies are omega / c with c the host speed.
 
 Along the ray each FD solve starts from the Ritz block of the previous
 point, which saves iterations and leaves the eigenvalues unchanged within
@@ -39,31 +39,36 @@ class MeasuredGap:
 
 
 def _oracle(params, n: int, g_max: int):
-    """(unperturbed, solve, host speed) of the problem that `params` names.
+    """(unperturbed, solve, host speed, count margin) of the problem `params` names.
 
     `unperturbed(kv)` is the spectrum without the inclusion at kv, and
     `solve(kv, count, v0)` the oracle's EigResult; the FD solve starts from
-    the Ritz block v0.
+    the Ritz block v0.  The margin is `_auto_count`'s.
     """
     if isinstance(params, DirichletParams):
         return (
             lambda kv: fourier_symbol(n, kv),
             lambda kv, count, v0: fd_dirichlet_eigenvalues(kv, params.a, n, count, v0=v0),
             1.0,
+            0,
         )
     basis = _float_basis(g_max)
     return (
         lambda kv: np.sum((kv + basis) ** 2, axis=1),
         lambda kv, count, v0: pwe_transmission_eigenvalues(kv, params, g_max, count),
         params.materials.c_plus,
+        1,
     )
 
 
-def _auto_count(unperturbed: np.ndarray, kv, center: float, window: float) -> int:
+def _auto_count(unperturbed: np.ndarray, kv, center: float, window: float, margin: int) -> int:
     """Eigenvalues needed so everything up to the window top is computed.
 
-    Counted from the unperturbed spectrum at the scan point (the inclusion
-    only moves bands by a fraction of the window), plus a safety margin.
+    `below` counts the unperturbed values under the top.  The masked FD operator
+    is a principal submatrix of the periodic one, so by Cauchy interlacing (Horn
+    & Johnson, Matrix Analysis, 2nd ed., Thm 4.3.28) its j-th eigenvalue is >=
+    sigma_j, the j-th symbol value: none past `below` lies under the top (margin
+    0).  Contrast moves PWE eigenvalues both ways, so the PWE margin is 1.
     """
     top = (center + 1.5 * window) ** 2
     below = int(np.searchsorted(np.sort(unperturbed, axis=None), top))
@@ -72,7 +77,7 @@ def _auto_count(unperturbed: np.ndarray, kv, center: float, window: float) -> in
             f"{below} unperturbed bands below the tracking window top at "
             f"k={tuple(np.round(kv, 6))}; narrow the window or the ray"
         )
-    return max(2, below + 1)
+    return max(2, below + margin)
 
 
 def _pick_two_bands(omegas: np.ndarray, center: float, window: float) -> tuple[float, float]:
@@ -101,7 +106,7 @@ def measure_gap_numeric(
     from.  `deltas` is the grid of relative ray offsets; by default it spans
     twice the predicted extremizer range, which brackets both branch extrema.
     """
-    unperturbed, solve, c_host = _oracle(params, n, g_max)
+    unperturbed, solve, c_host, margin = _oracle(params, n, g_max)
     k0 = np.asarray(model.k0)
     knorm = model.knorm
     split = model.s / knorm
@@ -120,7 +125,7 @@ def measure_gap_numeric(
     ritz = None
     for i, d in enumerate(deltas):
         kv = (1.0 + d) * k0
-        res = solve(kv, _auto_count(unperturbed(kv), kv, center, window), ritz)
+        res = solve(kv, _auto_count(unperturbed(kv), kv, center, window, margin), ritz)
         ritz = res.vectors
         omegas = np.sqrt(np.maximum(res.eigenvalues, 0.0)) / c_host
         lower[i], upper[i] = _pick_two_bands(omegas, center, window)

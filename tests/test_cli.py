@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandscan import cli
 from bandscan.config import KNOWN_KEYS, ScanConfig
@@ -352,6 +356,61 @@ def test_non_finite_flag_outside_gap_exits_2_and_is_named(
     assert run(argv.format(value).split()) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: .*\b{field}\b.*\n", err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv, field", [
+    pytest.param("classify 0 0 0.5 --tol={}", "tol", id="classify-tol"),
+    pytest.param("classify 0 0 0.5 --exclusion-band={}", "exclusion_band",
+                 id="classify-exclusion-band"),
+    pytest.param("face-map --tol={}", "tol", id="face-map-tol"),
+    pytest.param("face-map --exclusion-band={}", "exclusion_band", id="face-map-exclusion-band"),
+])
+def test_bad_lattice_tolerance_exits_2_and_is_named(tmp_path, monkeypatch, capsys, argv, field,
+                                                    value):
+    # a NaN tolerance once classified an order-two point as order 1, and an
+    # infinite band flagged no face pixel, both with exit 0
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.format(value).split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {field}: must be finite and >= 0")
+
+
+_NUMBERS = ("0", "1", "-1", "0.5", "2e-3", " 1 ")
+_NOT_NUMBERS = ("", " ", "x", "1e", "--", "0x1", "1.2.3", "+-1", "1;2")
+#: Vector text that is not 3 numbers: an empty component, a non-numeric
+#: token, or a count other than 3 (the empty value included).
+malformed_vectors = st.lists(st.sampled_from(_NUMBERS + _NOT_NUMBERS), max_size=5).filter(
+    lambda parts: len(parts) != 3 or any(p in _NOT_NUMBERS for p in parts)
+).map(",".join)
+
+
+@pytest.mark.parametrize("command, flag, field", [
+    ("gap", "--k0", "k0"),
+    ("gap", "--m0", "m0"),
+    ("gap", "--semiaxes", "semiaxes"),
+    # the value parses as the semiaxes key; an empty `--ellipsoid=--` names the flag
+    ("capacitance", "--ellipsoid", "semiaxes|ellipsoid"),
+])
+@settings(max_examples=60, deadline=None)
+@given(text=malformed_vectors)
+def test_malformed_vector_text_exits_2_and_is_named(command, flag, field, text):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert run([command, f"{flag}={text}"]) == 2
+    assert re.match(rf"error: ({field}): ", err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv, field", [
+    ("gap --a=--", "a"), ("face-map --m0=--", "m0"), ("gap --k0=--", "k0"),
+])
+def test_double_dash_value_exits_2_and_is_named(capsys, argv, field):
+    # argparse before Python 3.12 passes `--flag=--` on as [], which once
+    # ended in an AttributeError or TypeError traceback
+    assert run(argv.split()) == 2
+    assert re.match(rf"error: {field}: ", capsys.readouterr().err)
 
 
 def test_every_config_field_is_a_key_and_a_gap_flag():

@@ -86,9 +86,9 @@ def test_warm_started_ray_matches_cold_solves(monkeypatch):
     p = dirichlet.DirichletParams(a=a)
     got = measure_gap_numeric(dirichlet.pair_model(k0, (1, 0, 0), p), p, n=24, n_deltas=5)
     assert starts == [False, True, True, True, True]
-    assert counts == [3] * 5
+    assert counts == [2] * 5
     for i, d in enumerate(got.deltas):
-        cold = fd.fd_dirichlet_eigenvalues((1.0 + d) * k0, a, 24, 3)
+        cold = fd.fd_dirichlet_eigenvalues((1.0 + d) * k0, a, 24, counts[i])
         omegas = np.sqrt(cold.eigenvalues)
         assert got.lower_band[i] == pytest.approx(omegas[0], rel=1e-10, abs=0.0)
         assert got.upper_band[i] == pytest.approx(omegas[1], rel=1e-10, abs=0.0)
@@ -108,3 +108,18 @@ def test_window_follows_predicted_pair_centre():
     assert got is not None
     centre = 0.5 * (got.lo_over_c + got.hi_over_c)
     assert abs(centre - 0.5 * (pred.lo_over_c + pred.hi_over_c)) < pred.width_over_c
+
+
+def test_dirichlet_guard_eigenvalue_changes_no_band(monkeypatch):
+    # by Cauchy interlacing no FD eigenvalue past the symbol count `below`
+    # lies under the window top, so asking for one more changes nothing
+    from bandscan.oracle import gapscan
+
+    k0, p = (0.5, 0.2, 0.0), dirichlet.DirichletParams(a=0.33)
+    model = dirichlet.pair_model(k0, (1, 0, 0), p)
+    got = measure_gap_numeric(model, p, n=24, n_deltas=5)
+    count = gapscan._auto_count
+    monkeypatch.setattr(gapscan, "_auto_count", lambda *args: count(*args) + 1)
+    guarded = measure_gap_numeric(model, p, n=24, n_deltas=5)
+    for band in ("lower_band", "upper_band"):
+        assert np.allclose(getattr(got, band), getattr(guarded, band), rtol=1e-12, atol=0.0)

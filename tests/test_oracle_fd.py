@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bandscan.errors import DomainError, ResolutionError
 from bandscan.oracle import fd
@@ -91,8 +92,7 @@ class TestMaskedProblem:
         import scipy.sparse.linalg
 
         n, a = 16, 0.5
-        grid = fd.FDGrid(n=n, a=a)
-        A = fd.assemble_sparse(n, K, grid.inclusion_mask)
+        A = fd.assemble_sparse(n, K, a)
         # the operator is positive, so the values nearest 0 are the lowest
         ref = np.sort(scipy.sparse.linalg.eigsh(
             A.tocsc(), k=3, sigma=0.0, return_eigenvectors=False
@@ -106,7 +106,7 @@ class TestMaskedProblem:
         assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
 
     def test_hermiticity_of_assembly(self):
-        A = fd.assemble_sparse(16, K, fd.FDGrid(n=16, a=0.5).inclusion_mask)
+        A = fd.assemble_sparse(16, K, 0.5)
         defect = abs(A - A.getH()).max()
         assert defect <= 1e-12 * abs(A).max()
 
@@ -121,10 +121,9 @@ class TestMaskedProblem:
         # has (3,845); at k = 0 only a dense solve once got there.  The k = 0
         # matrix is real, so its reference eigvalsh runs in real arithmetic.
         a = math.pi / 2 - 1e-6
-        grid = fd.FDGrid(n=16, a=a)
         for k in (K, np.zeros(3)):
             res = fd.fd_dirichlet_eigenvalues(k, a, 16, 2)
-            dense = fd.assemble_sparse(16, k, grid.inclusion_mask).toarray()
+            dense = fd.assemble_sparse(16, k, a).toarray()
             if not k.any():
                 assert not dense.imag.any()
                 dense = dense.real
@@ -199,6 +198,15 @@ class TestDiscreteCapacitance:
         c = fd.discrete_inclusion_capacitance(fd.mask_pattern(6.0), 1.0)
         assert c == pytest.approx(6.0, rel=0.08)
 
+    def test_green_matrix_matches_the_pairwise_loop(self, monkeypatch):
+        pat = fd.mask_pattern(2.2)
+        loop = np.array([[fd.lattice_green(*np.abs(p - q)) for q in pat] for p in pat])
+        seen = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda G, b: seen.append(G) or solve(G, b))
+        fd.discrete_inclusion_capacitance(pat, 0.1)
+        assert len(seen) == 1 and np.array_equal(seen[0], loop)
+
     def test_empty_pattern_rejected(self):
         with pytest.raises(DomainError):
             fd.discrete_inclusion_capacitance(np.zeros((0, 3), dtype=int), 0.1)
@@ -248,3 +256,81 @@ class TestIterativeSolver:
         assert np.allclose(warm.eigenvalues, cold.eigenvalues, rtol=1e-10, atol=0.0)
         with pytest.raises(DomainError):
             fd.fd_dirichlet_eigenvalues(k1, 0.3, 24, 3, v0=prev.vectors[:-1])
+
+
+def reference_csr(n, k, mask):
+    """The restricted stencil built from scratch at one k: the reference for the cached pattern."""
+    h = 2.0 * math.pi / n
+    node = np.arange(n**3).reshape(n, n, n)
+    free = np.flatnonzero(~mask.ravel())
+    pos = np.full(n**3, -1)
+    pos[free] = np.arange(free.size)
+    cols = [free]
+    vals = [6.0 / h**2 + float(k @ k)]
+    for axis in range(3):
+        for step, sign in ((-1, 1.0), (1, -1.0)):
+            cols.append(np.roll(node, step, axis=axis).ravel()[free])
+            vals.append(-1.0 / h**2 + sign * 1j * k[axis] / h)
+    C = pos[np.stack(cols, axis=1)]
+    V = np.broadcast_to(np.array(vals, dtype=complex), C.shape)
+    inside = C >= 0
+    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
+    A = sp.csr_matrix((V[inside], C[inside], indptr), shape=(free.size, free.size))
+    A.sum_duplicates()
+    return A
+
+
+class TestStencilPattern:
+    def test_ray_builds_the_pattern_once_and_matches_fresh_assembly(self, monkeypatch):
+        n, a, k0 = 24, 0.33, np.array([0.5, 0.2, 0.0])
+        calls = []
+        original = fd.sphere_mask
+        monkeypatch.setattr(fd, "sphere_mask", lambda *args: calls.append(args) or original(*args))
+        fd._stencil_pattern.cache_clear()
+        mask = original(n, a)
+        for d in (-0.01, 0.0, 0.01):
+            k = (1.0 + d) * k0
+            got = fd._GridOperator(fd._stencil_pattern(n, a, (0.0, 0.0, 0.0))[0], k).matrix
+            ref = reference_csr(n, k, mask)
+            assert got.has_sorted_indices
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+        fd._stencil_pattern.cache_clear()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, a, center", [
+        (16, 0.5, (0.0, 0.0, 0.0)),
+        (16, 0.6, (0.0, 0.0, 0.0)),
+        (24, 0.5, (0.0, 0.0, 0.0)),
+        (24, 0.5, (0.1, -0.05, 0.2)),
+        (16, 0.0, (0.0, 0.0, 0.0)),
+        (16, 0.5, (0.0, 0.0, 0.0)),
+    ])
+    def test_new_geometry_gets_a_fresh_pattern(self, n, a, center):
+        mask = fd.sphere_mask(n, a, center)
+        ref = reference_csr(n, K, mask)
+        got = fd.assemble_sparse(n, K, a, center)
+        assert np.array_equal(fd._stencil_pattern(n, a, center)[1], np.flatnonzero(~mask.ravel()))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+    def test_shared_pattern_is_read_only(self):
+        _, free, indices, indptr, slot = fd._stencil_pattern(16, 0.5, (0.0, 0.0, 0.0))
+        for arr in (free, indices, indptr, slot):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+@pytest.mark.parametrize("k, a, n", [
+    ((0.5, 0.2, 0.0), 0.33, 24),
+    ((0.2, 0.1, 0.15), 0.5, 24),
+    ((0.0, 0.0, 0.5), 1.2, 16),
+])
+def test_masked_eigenvalues_interlace_the_symbol(k, a, n):
+    # the masked operator is a principal submatrix of the periodic one, so by
+    # Cauchy interlacing its j-th eigenvalue is at least the j-th symbol value
+    res = fd.fd_dirichlet_eigenvalues(k, a, n, 6)
+    sym = np.sort(fd.fourier_symbol(n, k), axis=None)[:6]
+    scale = float(np.max(np.abs(res.eigenvalues)))
+    assert np.all(res.eigenvalues >= sym - 1e-8 * scale)
