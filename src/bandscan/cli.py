@@ -121,6 +121,7 @@ def _materials(cfg: ScanConfig) -> transmission.MaterialSpec:
 
 def cmd_classify(args) -> int:
     k = args.k
+    lattice.require_nonnegative("exclusion_band", args.exclusion_band)  # even with no shifts
     cls = lattice.classify_wavevector(k, args.tol)
     knorm = lattice.wavevector_norm(k)
     shifts_out = []

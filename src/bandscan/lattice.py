@@ -116,13 +116,13 @@ def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, i
     absorbs the tolerance.
     """
     knorm = wavevector_norm(k)
-    _require_nonnegative("tol", tol)
+    require_nonnegative("tol", tol)
     M, m2 = _candidate_box(math.ceil(2.0 * knorm) + 1)
     resid = np.abs(2.0 * (M @ as_wavevector(k)) - m2)
     return _shifts(M[resid <= tol * np.maximum(1.0, m2)])
 
 
-def _require_nonnegative(name: str, value: float) -> None:
+def require_nonnegative(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0.0):
         raise DomainError(f"{name}: must be finite and >= 0, got {value}")
 
@@ -223,7 +223,7 @@ def shift_admissibility(knorm: float, m0, order: int, exclusion_band: float) -> 
     `knorm` is |k0| and `order` the order of its classification, so the
     shifts of one classification are judged without classifying k0 again.
     """
-    _require_nonnegative("exclusion_band", exclusion_band)
+    require_nonnegative("exclusion_band", exclusion_band)
     mnorm = math.sqrt(m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2)
     ratio = knorm / mnorm
     nu_val = 4.0 * ratio * ratio - 1.0
@@ -294,8 +294,8 @@ def face_gap_region(
         raise DomainError("samples must be >= 2")
     if not (half_width > 0.0 and math.isfinite(half_width)):
         raise DomainError(f"half_width must be finite and positive, got {half_width}")
-    _require_nonnegative("tol", tol)
-    _require_nonnegative("exclusion_band", exclusion_band)
+    require_nonnegative("tol", tol)
+    require_nonnegative("exclusion_band", exclusion_band)
     m = np.asarray(m0, dtype=float)
     m2 = float(m @ m)
     e1, e2 = _face_basis(m0)

@@ -26,7 +26,7 @@ from ..dirichlet import DirichletParams
 from ..errors import TrackingError
 from ..twomode import TwoModeModel
 from .fd import fd_dirichlet_eigenvalues, fourier_symbol
-from .pwe import _float_basis, pwe_transmission_eigenvalues
+from .pwe import PWEBasis, pwe_transmission_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _oracle(params, n: int, g_max: int):
             1.0,
             0,
         )
-    basis = _float_basis(g_max)
+    basis = PWEBasis(g_max).basis
     return (
         lambda kv: np.sum((kv + basis) ** 2, axis=1),
         lambda kv, count, v0: pwe_transmission_eigenvalues(kv, params, g_max, count),

@@ -12,18 +12,24 @@ real symmetric with B positive definite; a uniform medium gives
 omega^2 = c^2 |k+g|^2 exactly.
 
 eta and gamma depend on g - g' only, which lies on the (4 g_max + 1)^3
-difference lattice, so the transform is evaluated there and gathered into
-the two matrices by the integer code of g - g' (the Toeplitz structure of
-Ho, Chan & Soukoulis, PRL 65, 3152, 1990).  eta and gamma are built once
-per (params, g_max), the basis once per g_max, and kept for the next call,
-so along a ray each Bloch vector costs one product (k+g).(k+g') * eta.
+difference lattice, so the transform is evaluated there and gathered by the
+integer code of g - g' (the Toeplitz structure of Ho, Chan & Soukoulis,
+PRL 65, 3152, 1990).  The sphere is centred and isotropic, so each mirror
+x_i -> -x_i with k_i = 0 commutes with (A, B) and fixes the ray
+k = (1 + delta) k0.  The solve runs one smaller pencil per sign sector of
+those mirrors, gathered straight into the orthonormal symmetrised basis
+(Sakoda, Optical Properties of Photonic Crystals, 2005, ch. 3), so the
+sectors' eigenvalues together are the full pencil's.  A k with no zero
+component has one sector, the full pencil.  The blocks are built once per
+(params, g_max, mirrors), so a Bloch vector costs (k+g).(k+g') * eta.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 import scipy.linalg
@@ -83,42 +89,83 @@ def sphere_indicator_fourier(g, a: float):
 
 
 @lru_cache(maxsize=1)
-def _float_basis(g_max: int) -> np.ndarray:
-    """The PWEBasis(g_max) modes as a read-only float array."""
-    basis = PWEBasis(g_max).basis.astype(float)
-    basis.flags.writeable = False
-    return basis
+def _sector_maps(g_max: int, axes: tuple[int, ...]):
+    """(signs, perm, sectors) of the group H of mirrors g_i -> -g_i on `axes`.
+
+    Element h puts `signs[h]` on the axes and maps mode j to mode `perm[h, j]`.
+    A sector (chars, rows) is a character chi(h) and the orbit representatives
+    it keeps: g_i >= 0 on `axes`, and g_i != 0 where chi is odd.
+    """
+    basis, ax = PWEBasis(g_max).basis, list(axes)
+    signs = np.ones((2 ** len(ax), 3), dtype=int)
+    signs[:, ax] = list(product((1, -1), repeat=len(ax)))
+    side, flipped = 2 * g_max + 1, basis * signs[:, None, :] + g_max
+    perm = (flipped[..., 0] * side + flipped[..., 1]) * side + flipped[..., 2]
+    sectors = []
+    for odd in product((0, 1), repeat=len(ax)):
+        chars = np.prod(signs[:, ax] ** np.array(odd, dtype=int), axis=1)
+        sectors.append((chars, np.flatnonzero(np.all(basis[:, ax] >= odd, axis=1))))
+    return signs, perm, tuple(sectors)
 
 
 @lru_cache(maxsize=1)
-def _coefficient_matrices(params: TransmissionParams, g_max: int):
-    """Read-only (eta, gamma) matrices, gathered from the difference lattice."""
+def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
+    """Read-only (modes, eta blocks, B) of each mirror sector of `axes`.
+
+    A block of f is sqrt(|O_r| |O_s|) / |H| sum_h psi(h) f(r - h s); B is
+    gamma's with psi = chi.  As k_i = 0 on `axes`, (k+r).(k+h s) is
+    sum_i sign_i(h) (k+r)_i (k+s)_i, so A takes one eta block per distinct
+    psi = chi sign_i, kept with its axes i.  No axes: B = gamma, one block eta.
+    """
     basis = PWEBasis(g_max).basis
     side = 4 * g_max + 1
     diffs = integer_cube(2 * g_max)
     dnorm = np.linalg.norm(diffs.astype(float), axis=1)
     chi = sphere_indicator_fourier(dnorm, params.a)
     mats = params.materials
-    eta_p = 1.0 / mats.rho_plus
-    eta_m = 1.0 / mats.rho_minus
+    eta_p, eta_m = 1.0 / mats.rho_plus, 1.0 / mats.rho_minus
     diag = dnorm < 0.5
     eta = np.where(diag, eta_p, 0.0) + (eta_m - eta_p) * chi
     gam = np.where(diag, mats.gamma_plus, 0.0) + (mats.gamma_minus - mats.gamma_plus) * chi
-    # index of g - g' in `diffs`: the mixed-radix code is linear in the mode
+    # index of r - h s in `diffs`: the mixed-radix code is linear in the mode
     code = (basis[:, 0] * side + basis[:, 1]) * side + basis[:, 2]
-    idx = code[:, None] - code[None, :] + 2 * g_max * (side * side + side + 1)
-    eta, gam = eta[idx], gam[idx]
-    eta.flags.writeable = False
-    gam.flags.writeable = False
-    return eta, gam
+    signs, perm, sectors = _sector_maps(g_max, axes)
+    out = []
+    for chars, rows in sectors:
+        origin = code[rows, None] + 2 * g_max * (side * side + side + 1)
+        idx = [origin - code[p[rows]] for p in perm]
+        orbit = 2.0 ** np.count_nonzero(basis[rows][:, list(axes)], axis=1)
+        weight = np.sqrt(np.outer(orbit, orbit)) / len(perm)
+        def block(f, psi):
+            b = reduce(np.add, (c * f[i] for c, i in zip(psi, idx))) * weight
+            b.flags.writeable = False
+            return b
+        groups: dict[tuple, list[int]] = {}
+        for i in range(3):
+            groups.setdefault(tuple(chars * signs[:, i]), []).append(i)
+        blocks = tuple((ax, block(eta, psi)) for psi, ax in groups.items())
+        out.append((basis[rows].astype(float), blocks, block(gam, chars)))
+    return tuple(out)
+
+
+def _pencils(k, params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
+    """(A, B) of each mirror sector of `axes` at the Bloch vector k."""
+    k, pencils = np.asarray(k, dtype=float), []
+    for modes, blocks, B in _coefficient_matrices(params, g_max, axes):
+        kg = k[None, :] + modes
+        xs = [kg[:, ax] for ax, _ in blocks]
+        pencils.append((reduce(np.add, [(x @ x.T) * eta for x, (_, eta) in zip(xs, blocks)]), B))
+    return pencils
 
 
 def assemble_pwe(k, params: TransmissionParams, g_max: int):
     """(A, B) pencil matrices for one Bloch vector; B is shared and read-only."""
-    k = np.asarray(k, dtype=float)
-    eta, gam = _coefficient_matrices(params, g_max)
-    kg = k[None, :] + _float_basis(g_max)
-    return (kg @ kg.T) * eta, gam
+    return _pencils(k, params, g_max, ())[0]
+
+
+def assemble_pwe_sectors(k, params: TransmissionParams, g_max: int):
+    """One (A, B) per sign sector of the mirrors x_i -> -x_i with k_i = 0."""
+    return _pencils(k, params, g_max, tuple(np.flatnonzero(np.asarray(k) == 0).tolist()))
 
 
 def pwe_transmission_eigenvalues(
@@ -130,21 +177,23 @@ def pwe_transmission_eigenvalues(
     if count < 1:
         raise DomainError("count must be >= 1")
     if g_max * params.a < 1.0:
-        warnings.warn(
-            f"g_max*a = {g_max * params.a:.2f} < 1: truncation barely "
-            "resolves the sphere",
-            stacklevel=2,
-        )
-    A, B = assemble_pwe(k, params, g_max)
-    herm = np.linalg.norm(A - A.T) / max(np.linalg.norm(A), 1e-300)
-    if herm > 1e-12:
-        raise NumericalError(f"PWE assembly not symmetric (defect {herm:.2e})")
-    if count > len(A):
-        raise DomainError(f"count {count} exceeds basis size {len(A)}")
-    try:
-        vals, vecs = scipy.linalg.eigh(A, B, subset_by_index=(0, count - 1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
-    res = np.linalg.norm(A @ vecs - (B @ vecs) * vals[None, :], axis=0)
-    scale = max(np.max(np.abs(vals)), 1e-300)
-    return EigResult(np.asarray(vals, dtype=float), float(np.max(res) / scale))
+        msg = f"g_max*a = {g_max * params.a:.2f} < 1: truncation barely resolves the sphere"
+        warnings.warn(msg, stacklevel=2)
+    if count > (2 * g_max + 1) ** 3:
+        raise DomainError(f"count {count} exceeds basis size {(2 * g_max + 1) ** 3}")
+    vals, res = [], []
+    for A, B in assemble_pwe_sectors(k, params, g_max):
+        herm = np.linalg.norm(A - A.T) / max(np.linalg.norm(A), 1e-300)
+        if herm > 1e-12:
+            raise NumericalError(f"PWE assembly not symmetric (defect {herm:.2e})")
+        try:
+            w, vecs = scipy.linalg.eigh(A, B, subset_by_index=(0, min(count, len(A)) - 1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
+        vals.append(w)
+        res.append(np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0))
+    # the sector bases are orthonormal, so a sector residual is the full one
+    vals, res = np.concatenate(vals), np.concatenate(res)
+    keep = np.argsort(vals, kind="stable")[:count]
+    scale = max(np.max(np.abs(vals[keep])), 1e-300)
+    return EigResult(vals[keep], float(np.max(res[keep]) / scale))

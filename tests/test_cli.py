@@ -363,6 +363,9 @@ def test_non_finite_flag_outside_gap_exits_2_and_is_named(
     pytest.param("classify 0 0 0.5 --tol={}", "tol", id="classify-tol"),
     pytest.param("classify 0 0 0.5 --exclusion-band={}", "exclusion_band",
                  id="classify-exclusion-band"),
+    # a non-exceptional k has no shift to judge, and once left the band unchecked
+    pytest.param("classify 0.3 0.1 0.2 --exclusion-band={}", "exclusion_band",
+                 id="classify-non-exceptional-exclusion-band"),
     pytest.param("face-map --tol={}", "tol", id="face-map-tol"),
     pytest.param("face-map --exclusion-band={}", "exclusion_band", id="face-map-exclusion-band"),
 ])

@@ -123,3 +123,25 @@ def test_dirichlet_guard_eigenvalue_changes_no_band(monkeypatch):
     guarded = measure_gap_numeric(model, p, n=24, n_deltas=5)
     for band in ("lower_band", "upper_band"):
         assert np.allclose(getattr(got, band), getattr(guarded, band), rtol=1e-12, atol=0.0)
+
+
+def test_transmission_ray_matches_full_pencil():
+    # nu = 0.16 and k0_y = 0: every ray point is solved in the two sectors of
+    # the mirror y -> -y; the bands equal those of the full pencil at each point
+    import scipy.linalg
+
+    from bandscan.oracle import gapscan, pwe
+
+    k0 = np.array([0.2, 0.0, 0.5])
+    params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
+    model = transmission.pair_model(k0, (0, 0, 1), params)
+    got = measure_gap_numeric(model, params, g_max=3, n_deltas=7)
+    assert got is not None
+    window = max(5.0 * model.s / model.knorm, 1e-3)
+    for i, d in enumerate(got.deltas):
+        A, B = pwe.assemble_pwe((1.0 + d) * k0, params, 3)
+        vals = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 11))
+        omegas = np.sqrt(np.maximum(vals, 0.0)) / params.materials.c_plus
+        lo, hi = gapscan._pick_two_bands(omegas, model.centre, window)
+        assert got.lower_band[i] == pytest.approx(lo, rel=1e-12, abs=0.0)
+        assert got.upper_band[i] == pytest.approx(hi, rel=1e-12, abs=0.0)

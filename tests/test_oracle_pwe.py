@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bandscan import transmission
 from bandscan.errors import DomainError, NumericalError
@@ -190,3 +191,92 @@ class TestAssembly:
             B[0, 0] = 0.0
         _, B_again = pwe.assemble_pwe((0.0, 0.0, 0.5), params, 2)
         assert np.array_equal(B_again, broadcast_pencil((0, 0, 0), params, 2)[1])
+
+
+#: Zero components of k -> the mirrored axes; the sizes are those at g_max = 5.
+SECTOR_SIZES = {(0, 1): [396, 330, 330, 275], (1,): [726, 605]}
+
+
+class TestSectorMaps:
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1), (1, 2), (0, 1, 2)])
+    def test_sectors_partition_the_basis(self, axes):
+        basis = pwe.PWEBasis(3).basis
+        _, perm, sectors = pwe._sector_maps(3, axes)
+        rows = np.concatenate([r for _, r in sectors])
+        assert len(rows) == len(basis)
+        # each representative sits in as many sectors as its orbit has modes,
+        # and the orbits of the representatives tile the basis
+        reps, times = np.unique(rows, return_counts=True)
+        orbits = [np.unique(perm[:, r]) for r in reps]
+        assert [len(o) for o in orbits] == times.tolist()
+        assert np.array_equal(np.sort(np.concatenate(orbits)), np.arange(len(basis)))
+
+    @pytest.mark.parametrize("axes", SECTOR_SIZES)
+    def test_sector_sizes(self, axes):
+        _, _, sectors = pwe._sector_maps(5, axes)
+        assert [len(rows) for _, rows in sectors] == SECTOR_SIZES[axes]
+
+    @pytest.mark.parametrize("axes", [(), (2,), (0, 2), (0, 1, 2)])
+    def test_every_element_maps_the_basis_onto_itself(self, axes):
+        basis = pwe.PWEBasis(3).basis
+        signs, perm, _ = pwe._sector_maps(3, axes)
+        assert len(perm) == 2 ** len(axes)
+        for h, p in enumerate(perm):
+            assert np.array_equal(np.sort(p), np.arange(len(basis)))
+            assert np.array_equal(basis[p], basis * signs[h])
+
+    @pytest.mark.parametrize("axes", [(0,), (0, 1), (0, 1, 2)])
+    def test_zero_component_only_in_even_sectors(self, axes):
+        basis = pwe.PWEBasis(3).basis
+        signs, _, sectors = pwe._sector_maps(3, axes)
+        for i in axes:
+            flip_i = [h for h, s in enumerate(signs) if s[i] == -1 and sum(s) == 1][0]
+            for chars, rows in sectors:
+                on_plane = np.any(basis[rows, i] == 0)
+                assert on_plane == (chars[flip_i] == 1)
+
+
+def full_pencil_values(k, params, g_max, count):
+    A, B = pwe.assemble_pwe(k, params, g_max)
+    return scipy.linalg.eigh(A, B, subset_by_index=(0, count - 1))[0]
+
+
+class TestSectorSolve:
+    @pytest.mark.parametrize("g_max", [2, 3, 4])
+    @pytest.mark.parametrize("k", [(0.2, 0.0, 0.5), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
+    def test_matches_full_pencil(self, g_max, k, mats, f):
+        params = TransmissionParams.from_volume_fraction(mats, f)
+        ref = full_pencil_values(k, params, g_max, 12)
+        # at k = 0 the lowest value is 0, so it is held to an absolute bound
+        atol = 1e-12 * ref[-1] if not any(k) else 0.0
+        for count in range(1, 13):
+            got = pwe.pwe_transmission_eigenvalues(k, params, g_max, count)
+            np.testing.assert_allclose(got.eigenvalues, ref[:count], rtol=1e-12, atol=atol)
+            assert got.residual_norm < 1e-10
+
+    def test_uniform_degenerate_values_across_sectors(self):
+        params = TransmissionParams(materials=UNIFORM, a=0.5)
+        k = np.array([0.0, 0.0, 0.5])
+        got = pwe.pwe_transmission_eigenvalues(k, params, 3, 12)
+        basis = pwe.PWEBasis(3).basis
+        exact = np.sort(np.sum((k + basis) ** 2, axis=1))[:12]
+        np.testing.assert_allclose(got.eigenvalues, exact, rtol=1e-12)
+        # |k+g|^2 = 1.25 at g = (+-1, 0, 0), (0, +-1, 0), (+-1, 0, -1), (0, +-1, -1):
+        # the eight-fold value splits 4/2/2/0 over the sectors (even/odd in x, y)
+        pencils = pwe.assemble_pwe_sectors(k, params, 3)
+        # the sector bases are orthonormal: B = gamma_plus I = I in each sector
+        assert all(np.array_equal(B, np.eye(len(B))) for _, B in pencils)
+        per_sector = [scipy.linalg.eigh(A, B, eigvals_only=True) for A, B in pencils]
+        assert [np.count_nonzero(np.isclose(v, 1.25, rtol=1e-12)) for v in per_sector] == [
+            4, 2, 2, 0]
+
+    @pytest.mark.parametrize("g_max", [2, 3])
+    @pytest.mark.parametrize("k", [(0.1, 0.2, 0.3), (0.2, -0.1, 0.3)])
+    def test_no_zero_component_is_the_full_pencil(self, g_max, k):
+        params = weak_params(0.02)
+        (A, B), = pwe.assemble_pwe_sectors(k, params, g_max)
+        A_ref, B_ref = pwe.assemble_pwe(k, params, g_max)
+        assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
+        got = pwe.pwe_transmission_eigenvalues(k, params, g_max, 5)
+        assert np.array_equal(got.eigenvalues, full_pencil_values(k, params, g_max, 5))
