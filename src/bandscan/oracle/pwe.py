@@ -16,12 +16,12 @@ difference lattice, so the transform is evaluated there and gathered by the
 integer code of g - g' (the Toeplitz structure of Ho, Chan & Soukoulis,
 PRL 65, 3152, 1990).  The sphere is centred and isotropic, so each mirror
 x_i -> -x_i with k_i = 0 commutes with (A, B) and fixes the ray
-k = (1 + delta) k0.  The solve runs one smaller pencil per sign sector of
-those mirrors, gathered straight into the orthonormal symmetrised basis
-(Sakoda, Optical Properties of Photonic Crystals, 2005, ch. 3), so the
-sectors' eigenvalues together are the full pencil's.  A k with no zero
-component has one sector, the full pencil.  The blocks are built once per
-(params, g_max, mirrors), so a Bloch vector costs (k+g).(k+g') * eta.
+k = (1 + delta) k0.  The solve takes the mirror of the first such axis, so
+every k with a zero component costs the same, and solves each sector, even
+and odd, gathered straight into the orthonormal symmetrised basis (Sakoda,
+Optical Properties of Photonic Crystals, 2005, ch. 3): together they have
+the full pencil's eigenvalues.  A k with no zero component has one sector,
+the full pencil.  Blocks are built once per (params, g_max, mirror).
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def assemble_pwe(k, params: TransmissionParams, g_max: int):
 
 
 def assemble_pwe_sectors(k, params: TransmissionParams, g_max: int):
-    """One (A, B) per sign sector of the mirrors x_i -> -x_i with k_i = 0."""
-    return _pencils(k, params, g_max, tuple(np.flatnonzero(np.asarray(k) == 0).tolist()))
+    """One (A, B) per sign sector of the mirror x_i -> -x_i, i the first axis with k_i = 0."""
+    return _pencils(k, params, g_max, tuple(np.flatnonzero(np.asarray(k) == 0)[:1].tolist()))
 
 
 def pwe_transmission_eigenvalues(
@@ -195,5 +195,5 @@ def pwe_transmission_eigenvalues(
     # the sector bases are orthonormal, so a sector residual is the full one
     vals, res = np.concatenate(vals), np.concatenate(res)
     keep = np.argsort(vals, kind="stable")[:count]
-    scale = max(np.max(np.abs(vals[keep])), 1e-300)
+    scale = max(np.max(np.abs(vals)), 1e-300)  # all values: the one kept at k = 0 is 0
     return EigResult(vals[keep], float(np.max(res[keep]) / scale))

@@ -263,13 +263,19 @@ class TestSectorSolve:
         exact = np.sort(np.sum((k + basis) ** 2, axis=1))[:12]
         np.testing.assert_allclose(got.eigenvalues, exact, rtol=1e-12)
         # |k+g|^2 = 1.25 at g = (+-1, 0, 0), (0, +-1, 0), (+-1, 0, -1), (0, +-1, -1):
-        # the eight-fold value splits 4/2/2/0 over the sectors (even/odd in x, y)
+        # the eight-fold value splits 6/2 over the sectors (even/odd in x)
         pencils = pwe.assemble_pwe_sectors(k, params, 3)
         # the sector bases are orthonormal: B = gamma_plus I = I in each sector
         assert all(np.array_equal(B, np.eye(len(B))) for _, B in pencils)
         per_sector = [scipy.linalg.eigh(A, B, eigvals_only=True) for A, B in pencils]
-        assert [np.count_nonzero(np.isclose(v, 1.25, rtol=1e-12)) for v in per_sector] == [
-            4, 2, 2, 0]
+        assert [np.count_nonzero(np.isclose(v, 1.25, rtol=1e-12)) for v in per_sector] == [6, 2]
+
+    @pytest.mark.parametrize("k", [(0.2, 0.0, 0.5), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
+    def test_one_mirror_whatever_the_zero_count(self, k):
+        # one, two or three zero components: the same two sectors of 4 * 7^2 and
+        # 3 * 7^2 modes, so a ray costs the same along an axis or off it
+        pencils = pwe.assemble_pwe_sectors(k, weak_params(0.02), 3)
+        assert [len(A) for A, _ in pencils] == [196, 147]
 
     @pytest.mark.parametrize("g_max", [2, 3])
     @pytest.mark.parametrize("k", [(0.1, 0.2, 0.3), (0.2, -0.1, 0.3)])
