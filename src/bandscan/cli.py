@@ -198,7 +198,8 @@ def cmd_gap(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "branches.csv")
     report_path = os.path.join(cfg.out_dir, "report.txt")
-    write_branch_csv(curve, csv_path)
+    with open(csv_path, "w", encoding="ascii") as fh:
+        write_branch_csv(curve, fh)
 
     if cfg.verify:
         try:
@@ -232,12 +233,11 @@ def cmd_bands(args) -> int:
     cfg = _config_from_args(args)
     curve = _predict(cfg)[1]
     if args.out_file:
-        write_branch_csv(curve, args.out_file)
+        with open(args.out_file, "w", encoding="ascii") as fh:
+            write_branch_csv(curve, fh)
         print(f"wrote {args.out_file}")
     else:
-        sys.stdout.write("delta_tilde,omega_minus_over_c,omega_plus_over_c\n")
-        for dt, lo, hi in curve.samples():
-            sys.stdout.write(f"{dt!r},{lo!r},{hi!r}\n")
+        write_branch_csv(curve, sys.stdout)
     return EXIT_OK
 
 
@@ -246,7 +246,8 @@ def cmd_face_map(args) -> int:
         coerce("m0", args.m0), samples=args.resolution, half_width=args.half_width,
         exclusion_band=args.exclusion_band, tol=args.tol,
     )
-    write_face_map_csv(fmap, args.out)
+    with open(args.out, "w", encoding="ascii") as fh:
+        write_face_map_csv(fmap, fh)
     frac = fmap.flagged_fraction()
     print(f"face normal m0 = {fmap.m0}, window half-width {fmap.half_width}")
     print(f"flagged pixels: {int(fmap.flagged.sum())} of {fmap.flagged.size}")
@@ -263,9 +264,8 @@ def cmd_global_scan(args) -> int:
     rows = global_scan(args.omega_lo, args.omega_hi, args.samples, p)
     worst = max(r.residual for r in rows)
     if args.out:
-        write_global_scan_csv(
-            [(r.omega_over_c, r.k, r.order, r.residual) for r in rows], args.out
-        )
+        with open(args.out, "w", encoding="ascii") as fh:
+            write_global_scan_csv([(r.omega_over_c, r.k, r.order, r.residual) for r in rows], fh)
         print(f"wrote {args.out}")
     print(f"covered {len(rows)} frequencies in [{args.omega_lo}, {args.omega_hi}]")
     print(f"max residual = {worst:.3e}; all wave vectors non-exceptional")
@@ -282,10 +282,9 @@ def cmd_oracle_compare(args) -> int:
         rows = transmission_comparison_rows(cfg.k0, params, g_max=cfg.g_max, tol=cfg.tol)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "oracle_compare.csv")
-    write_comparison_csv(rows, path)
-    print("quantity,asymptotic,numeric,rel_diff")
-    for name, asym, num, rel in rows:
-        print(f"{name},{asym!r},{num!r},{rel!r}")
+    with open(path, "w", encoding="ascii") as fh:
+        write_comparison_csv(rows, fh)
+    write_comparison_csv(rows, sys.stdout)
     print(f"wrote {path}")
     return EXIT_OK
 

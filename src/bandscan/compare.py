@@ -1,8 +1,9 @@
 """Side-by-side comparison of the asymptotic formulas against the oracles.
 
 Each row is (quantity, asymptotic, numeric, rel_diff) with
-rel_diff = |numeric - asymptotic| / |asymptotic|.  For the Dirichlet
-problem at an order-two point the table carries both candidate values of
+rel_diff = |numeric - asymptotic| / |asymptotic|, 0 when both are 0 and inf
+when only the asymptotic value is.  For the Dirichlet problem at an
+order-two point the table carries both candidate values of
 the upper-branch splitting coefficient (the interaction-matrix eigenvalue
 analysis gives twice the two-root display of the background theory); the
 measured row discriminates them empirically.
@@ -25,6 +26,8 @@ Row = tuple[str, float, float, float]
 
 
 def _row(name: str, asym: float, num: float) -> Row:
+    if asym == 0.0:
+        return (name, asym, num, 0.0 if num == 0.0 else math.inf)
     return (name, asym, num, abs(num - asym) / abs(asym))
 
 

@@ -81,8 +81,6 @@ def global_scan(
     omega_hi: float,
     samples: int,
     p: DirichletParams,
-    direction=DEFAULT_DIRECTION,
-    tol: float = lattice.DEFAULT_TOL,
 ) -> list[CoverageRow]:
     """Cover every omega in [omega_lo, omega_hi] by a propagating wave."""
     if not math.isfinite(omega_hi):
@@ -92,4 +90,4 @@ def global_scan(
     if samples < 1:
         raise DomainError("samples must be >= 1")
     omegas = np.linspace(omega_lo, omega_hi, samples)
-    return [cover_frequency(float(om), p, direction, tol) for om in omegas]
+    return [cover_frequency(float(om), p) for om in omegas]

@@ -19,8 +19,8 @@ with symbol
 
 which is also what the FFT preconditioner inverts.  The restricted operator
 is a principal submatrix of the unmasked one, so its eigenvalues lie in the
-range of the symbol; the eigensolver uses that interval to reject spurious
-Ritz values.
+range of the symbol; the eigensolver fails a solve that returns a value
+outside that interval.
 
 The 7-point stencil is a CSR matrix, its pattern built once per ray and its
 values per k (`assemble_sparse`); the block eigensolver applies it at every

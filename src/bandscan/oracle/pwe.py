@@ -183,7 +183,8 @@ def pwe_transmission_eigenvalues(
         raise DomainError(f"count {count} exceeds basis size {(2 * g_max + 1) ** 3}")
     vals, res = [], []
     for A, B in assemble_pwe_sectors(k, params, g_max):
-        herm = np.linalg.norm(A - A.T) / max(np.linalg.norm(A), 1e-300)
+        norm = max(np.linalg.norm(A), 1e-300)
+        herm = np.linalg.norm(A - A.T) / norm
         if herm > 1e-12:
             raise NumericalError(f"PWE assembly not symmetric (defect {herm:.2e})")
         try:
@@ -191,9 +192,9 @@ def pwe_transmission_eigenvalues(
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
         vals.append(w)
-        res.append(np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0))
+        # relative to ||A||_F, which, unlike the eigenvalues, cannot be near 0
+        res.append(np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0) / norm)
     # the sector bases are orthonormal, so a sector residual is the full one
     vals, res = np.concatenate(vals), np.concatenate(res)
     keep = np.argsort(vals, kind="stable")[:count]
-    scale = max(np.max(np.abs(vals)), 1e-300)  # all values: the one kept at k = 0 is 0
-    return EigResult(vals[keep], float(np.max(res[keep]) / scale))
+    return EigResult(vals[keep], float(np.max(res[keep])))

@@ -5,7 +5,8 @@ one line per field in field order.  Floats serialize via repr and parse
 back bit-exactly, vectors are comma-joined components, missing optionals
 are the literal `none`; `schema_version` is present in every report and
 bumps whenever a field is added or changed.  CSV files always carry a
-header line and rows in deterministic order.
+header line and rows in deterministic order; the CSV writers take an open
+text stream, a file or stdout.
 """
 
 from __future__ import annotations
@@ -60,35 +61,29 @@ class GapReport:
         return cls(**values)
 
 
-def write_branch_csv(curve: BranchCurve, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("delta_tilde,omega_minus_over_c,omega_plus_over_c\n")
-        for dt, lo, hi in zip(
-            curve.delta_tilde, curve.omega_minus_over_c, curve.omega_plus_over_c
-        ):
-            fh.write(f"{float(dt)!r},{float(lo)!r},{float(hi)!r}\n")
+def write_branch_csv(curve: BranchCurve, fh) -> None:
+    fh.write("delta_tilde,omega_minus_over_c,omega_plus_over_c\n")
+    for dt, lo, hi in curve.samples():
+        fh.write(f"{dt!r},{lo!r},{hi!r}\n")
 
 
-def write_face_map_csv(face_map, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k1,k2,gap_flag\n")
-        for i, t1 in enumerate(face_map.t1):
-            for j, t2 in enumerate(face_map.t2):
-                fh.write(f"{float(t1)!r},{float(t2)!r},{int(face_map.flagged[i, j])}\n")
+def write_face_map_csv(face_map, fh) -> None:
+    fh.write("k1,k2,gap_flag\n")
+    for i, t1 in enumerate(face_map.t1):
+        for j, t2 in enumerate(face_map.t2):
+            fh.write(f"{float(t1)!r},{float(t2)!r},{int(face_map.flagged[i, j])}\n")
 
 
-def write_comparison_csv(rows, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("quantity,asymptotic,numeric,rel_diff\n")
-        for name, asym, num, rel in rows:
-            fh.write(f"{name},{float(asym)!r},{float(num)!r},{float(rel)!r}\n")
+def write_comparison_csv(rows, fh) -> None:
+    fh.write("quantity,asymptotic,numeric,rel_diff\n")
+    for name, asym, num, rel in rows:
+        fh.write(f"{name},{float(asym)!r},{float(num)!r},{float(rel)!r}\n")
 
 
-def write_global_scan_csv(rows, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("omega_over_c,k1,k2,k3,order,residual\n")
-        for om, k, order, resid in rows:
-            fh.write(
-                f"{float(om)!r},{float(k[0])!r},{float(k[1])!r},{float(k[2])!r},"
-                f"{int(order)},{float(resid)!r}\n"
-            )
+def write_global_scan_csv(rows, fh) -> None:
+    fh.write("omega_over_c,k1,k2,k3,order,residual\n")
+    for om, k, order, resid in rows:
+        fh.write(
+            f"{float(om)!r},{float(k[0])!r},{float(k[1])!r},{float(k[2])!r},"
+            f"{int(order)},{float(resid)!r}\n"
+        )

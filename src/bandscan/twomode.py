@@ -121,7 +121,6 @@ class TwoModeModel:
         self,
         delta_range: tuple[float, float] = (-DEFAULT_DELTA0, DEFAULT_DELTA0),
         n_samples: int = 101,
-        delta0: float | None = None,
     ) -> BranchCurve:
         """Both branches at n_samples uniform delta_tilde over delta_range."""
         lo, hi = float(delta_range[0]), float(delta_range[1])
@@ -129,10 +128,8 @@ class TwoModeModel:
             raise DomainError("n_samples must be >= 1")
         if hi < lo:
             raise DomainError("delta_range must be increasing")
-        if delta0 is None:
-            delta0 = max(abs(lo), abs(hi), DEFAULT_DELTA0)
         dts = np.linspace(lo, hi, n_samples)
-        lower, upper = self.branches(dts, delta0)
+        lower, upper = self.branches(dts, max(abs(lo), abs(hi), DEFAULT_DELTA0))
         return BranchCurve(self.k0, self.m0, dts, lower, upper)
 
     def gap(self) -> tuple[GapStatus, GapInterval | None]:

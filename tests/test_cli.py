@@ -215,6 +215,13 @@ class TestGap:
         assert report.measured_lo_over_c is not None
         assert report.rel_discrepancy == pytest.approx(0.0, abs=0.25)
 
+    def test_verify_prints_staircase_warning_once(self, tmp_path):
+        # 2.52 grid cells across the sphere: every FD solve of the ray warns
+        out = _python("-m", "bandscan.cli", "gap", "--verify", "--k0", "0,0,0.5", "--m0", "0,0,1",
+                      "--a", "0.33", "--n", "24", "--out", str(tmp_path))
+        assert out.returncode == 0
+        assert out.stderr.count("staircase error is large") == 1
+
     @pytest.mark.parametrize("problem", ["dirichlet", "transmission"])
     def test_higher_order_rejection_names_k0(self, tmp_path, capsys, problem):
         rc = run([
@@ -256,6 +263,14 @@ class TestBands:
         rc = run(["bands", "--a", "0.1", "--out-file", str(path)])
         assert rc == 0
         assert path.read_text().startswith("delta_tilde,")
+
+    def test_stdout_equals_file_output(self, tmp_path, capsys):
+        argv = ["bands", "--a", "0.1", "--k0", "0.5,0.2,0", "--m0", "1,0,0", "--samples", "21"]
+        path = tmp_path / "bands.csv"
+        assert run(argv + ["--out-file", str(path)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == path.read_text()
 
 
 class TestFaceMap:
@@ -328,6 +343,20 @@ class TestOracleCompare:
         table = {l.split(",")[0]: float(l.split(",")[3]) for l in lines[1:]}
         assert table["zero_contrast_omega_over_c"] <= 1e-3
         assert table["band_splitting_over_c"] <= 0.25
+
+    def test_zero_contrast_transmission_table(self, tmp_path, monkeypatch, capsys):
+        # default materials: the predicted splitting is 0, so is the asymptotic value
+        monkeypatch.chdir(tmp_path)
+        rc = run(["oracle-compare", "--problem", "transmission", "--k0", "0,0,0.5",
+                  "--a", "0.5", "--g-max", "3"])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert "Traceback" not in err
+        lines = (tmp_path / "bandscan_out" / "oracle_compare.csv").read_text().splitlines()
+        assert out.startswith("\n".join(lines) + "\n")
+        name, asym, num, rel = lines[2].split(",")
+        assert (name, float(asym)) == ("band_splitting_over_c", 0.0)
+        assert float(rel) == (math.inf if float(num) != 0.0 else 0.0)
 
     def test_dirichlet_table_small_grid(self, tmp_path):
         out = tmp_path / "cmpd"
@@ -421,12 +450,17 @@ def test_every_config_field_is_a_key_and_a_gap_flag():
     assert KNOWN_KEYS <= set(vars(cli.build_parser().parse_args(["gap"])))
 
 
-def test_import_leaves_integrate_and_optimize_unloaded():
-    # scipy.integrate is imported by the two functions that call quad
-    code = ("import sys, bandscan.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+def _python(*args):
+    """Run the interpreter on `args` with this checkout's bandscan first on the path."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # scipy.integrate is imported by the two functions that call quad, and
+    # scipy.sparse.linalg by the FD eigensolver
+    modules = ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
+    out = _python("-c", f"import sys, bandscan.cli; print([m for m in {modules} if m in sys.modules])")
+    assert out.returncode == 0
     assert out.stdout.strip() == "[]"

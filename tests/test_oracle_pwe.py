@@ -101,6 +101,15 @@ class TestEigenvalues:
         split = float(omegas[1] - omegas[0])
         assert split == pytest.approx(1.9375e-3, rel=0.25)
 
+    @pytest.mark.parametrize("mats", [WEAK, STRONG])
+    def test_residual_is_small_when_the_lowest_value_is_zero(self, mats):
+        # k on the reciprocal lattice: the kept value is 0, and so is the
+        # largest one solved for in its sector
+        params = TransmissionParams(materials=mats, a=0.5)
+        got = pwe.pwe_transmission_eigenvalues((1.0, 1.0, 1.0), params, 3, 1)
+        assert got.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
+        assert got.residual_norm <= 1e-12
+
     def test_assembly_symmetric(self):
         A, B = pwe.assemble_pwe((0.2, -0.1, 0.3), weak_params(0.02), 3)
         assert np.linalg.norm(A - A.T) <= 1e-12 * np.linalg.norm(A)

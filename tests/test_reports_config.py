@@ -1,3 +1,4 @@
+import io
 import math
 import os
 from dataclasses import fields
@@ -76,14 +77,14 @@ class TestGapReport:
 
 
 class TestCsvWriters:
-    def test_branch_csv_deterministic(self, tmp_path):
+    def test_branch_csv_deterministic(self):
         p = dirichlet.DirichletParams(a=0.1)
         curve = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p).scan((-0.02, 0.02), 11)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_branch_csv(curve, p1)
-        write_branch_csv(curve, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().splitlines()
+        s1, s2 = io.StringIO(), io.StringIO()
+        write_branch_csv(curve, s1)
+        write_branch_csv(curve, s2)
+        assert s1.getvalue() == s2.getvalue()
+        lines = s1.getvalue().splitlines()
         assert lines[0] == "delta_tilde,omega_minus_over_c,omega_plus_over_c"
         assert len(lines) == 12
         # values parse back exactly
@@ -91,11 +92,11 @@ class TestCsvWriters:
         assert dt == curve.delta_tilde[0]
         assert (lo, hi) == (curve.omega_minus_over_c[0], curve.omega_plus_over_c[0])
 
-    def test_face_map_csv(self, tmp_path):
+    def test_face_map_csv(self):
         fmap = lattice.face_gap_region((0, 0, 1), samples=11)
-        path = tmp_path / "face.csv"
-        write_face_map_csv(fmap, path)
-        lines = path.read_text().splitlines()
+        out = io.StringIO()
+        write_face_map_csv(fmap, out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "k1,k2,gap_flag"
         assert len(lines) == 1 + 11 * 11
         flags = {int(l.split(",")[2]) for l in lines[1:]}
