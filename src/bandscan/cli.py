@@ -138,6 +138,15 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _require_fd_sphere(cfg: ScanConfig) -> None:
+    """The FD oracle masks a sphere of radius a, whatever `shape` the prediction uses."""
+    if cfg.problem == "dirichlet" and cfg.shape != "sphere":
+        raise ConfigError(
+            f"shape: the finite-difference oracle masks a sphere, so it cannot "
+            f"check shape = {cfg.shape}; use shape = sphere"
+        )
+
+
 def _predict(cfg: ScanConfig):
     """Shared gap prediction: (report, curve, interval, model, model's params)."""
     if cfg.problem == "dirichlet":
@@ -194,6 +203,8 @@ def _summarize(report, cfg: ScanConfig) -> None:
 
 def cmd_gap(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.verify:
+        _require_fd_sphere(cfg)
     report, curve, interval, model, params = _predict(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "branches.csv")
@@ -274,6 +285,7 @@ def cmd_global_scan(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     cfg = _config_from_args(args)
+    _require_fd_sphere(cfg)
     if cfg.problem == "dirichlet":
         p = dirichlet.DirichletParams(a=cfg.a, q=cfg.shape_factor())
         rows = dirichlet_comparison_rows(cfg.k0, p, n=cfg.n, tol=cfg.tol)

@@ -1,13 +1,16 @@
-"""Preconditioned block LOBPCG for the lowest eigenpairs of a Hermitian operator.
+"""Preconditioned block LOBPCG for the lowest eigenpairs of a real symmetric operator.
 
 The FD oracle's one solver path: `scipy.sparse.linalg.lobpcg` (Knyazev, SISC
-23(2), 2001).  The operator is applied as A @ V to tall blocks and the
-preconditioner as precond(R); the iteration starts from a caller-supplied
-block (plane waves, or the Ritz block of a nearby problem), so fixed inputs
-give bit-identical output.  Returned eigenpairs are residual-checked:
+23(2), 2001), in real arithmetic.  The operator is applied as A @ V to tall
+blocks and the preconditioner as precond(R); the iteration starts from a
+caller-supplied block (plane waves, or the Ritz block of a nearby problem),
+so fixed inputs give bit-identical output.  Returned eigenpairs are
+residual-checked:
 ||A x - lambda x|| <= tol * scale with scale = max(|lambda|) over the block,
 and a NumericalError carries the residual report when the iteration cap is
-hit.
+hit.  The cap is spent in short calls, each restarted from the block the
+last one returned, and only the `count` wanted columns decide when to stop:
+a stalled extra column of the block then costs one short call.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ import numpy as np
 from ..errors import DomainError, NumericalError
 
 #: Iteration cap of one lobpcg call, and the number of calls before a solve fails.
-MAXITER = 400
-CALLS = 3
+MAXITER = 40
+CALLS = 30
 
 # lobpcg warns when it stops short of its tolerance; the residual check below
 # turns that into a NumericalError.  A module-level filter, because
 # warnings.catch_warnings() per solve would reset the once-per-location
 # registry of every other warning.
-warnings.filterwarnings("ignore", r"Exited (at iteration|postprocessing)", UserWarning)
+warnings.filterwarnings("ignore", r"(Exited|Failed) (at iteration|postprocessing)", UserWarning)
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,9 @@ class EigResult:
 
 
 def hermitian_eigensolve(A, count: int, *, precond, v0, spectrum=None, tol: float = 1e-8):
-    """Lowest `count` eigenvalues of a Hermitian operator, by block LOBPCG.
+    """Lowest `count` eigenvalues of a real symmetric operator, by block LOBPCG.
 
-    A has a square `shape` and applies the operator to an (N, p) block as
+    A has a square `shape` and applies the operator to a real (N, p) block as
     A @ V; precond(R) applies the preconditioner to a residual block.  v0
     is the (N, >= count) starting block: plane waves, or the Ritz block of
     a nearby problem for a warm start; it is not modified.  `spectrum` is an
@@ -69,26 +72,37 @@ def hermitian_eigensolve(A, count: int, *, precond, v0, spectrum=None, tol: floa
         raise DomainError("matrix must be square")
     if count < 1 or count > n:
         raise DomainError(f"count must be in [1, {n}]")
-    X = np.array(v0, dtype=complex)  # a copy: lobpcg overwrites its start block
+    if np.iscomplexobj(v0):
+        raise DomainError("starting block must be real")
+    X = np.array(v0, dtype=float)  # a copy: lobpcg overwrites its start block
     if X.ndim != 2 or X.shape[0] != n or X.shape[1] < count:
         raise DomainError("starting block shape mismatch")
 
     # lobpcg's tol is an absolute residual norm: scale it by the largest
     # Rayleigh quotient of the start block and, on a restart from the block
     # returned, by the values returned.  A call that ends on a stray Ritz
-    # value loosens the next call's tolerance, so a third call may be needed.
-    quotients = np.einsum("ij,ij->j", X.conj(), A @ X) / np.einsum("ij,ij->j", X.conj(), X)
+    # value loosens the next call's tolerance, so another call may be needed.
+    quotients = np.einsum("ij,ij->j", X, A @ X) / np.einsum("ij,ij->j", X, X)
     scale = max(float(np.max(np.abs(quotients))), 1e-8)
+    applied = []
     for _ in range(CALLS):
+        applied.clear()
         try:
-            vals, X = lobpcg(lambda V: A @ V, X, M=precond, tol=tol * scale,
-                             maxiter=MAXITER, largest=False)
+            vals, X = lobpcg(lambda V: applied.append(1) or A @ V, X, M=precond,
+                             tol=tol * scale, maxiter=MAXITER, largest=False)
         except (ValueError, np.linalg.LinAlgError) as exc:  # a rank-deficient block
             raise NumericalError(f"eigensolver failed: {exc}") from exc
         scale = max(float(np.max(np.abs(vals))), 1e-8)
-        rel = np.linalg.norm(A @ X - X * vals, axis=0) / scale
+        R = A @ X - X * vals
+        rel = np.linalg.norm(R, axis=0) / scale
         if np.all(rel[:count] <= tol):
             break
+        if len(applied) <= 2:
+            # lobpcg stopped before its first step: its preconditioned residuals
+            # were linearly dependent.  Plane-wave start blocks do that around a
+            # small mask, where a combination such as (e^ix - 1)(e^iy - 1)
+            # vanishes on all 7 masked nodes; one preconditioned step breaks it.
+            X = X - precond(R)
     else:
         raise NumericalError(
             f"eigensolver did not converge: relative residuals "

@@ -7,10 +7,10 @@ Helmholtz cell problem into the Hermitian eigenproblem
 
 discretized on a uniform n^3 grid over [-pi, pi)^3 with the 7-point
 Laplacian and centered first differences under periodic wraparound.  The
-inclusion enters by node masking (|x - center| < a): masked rows/columns
-are removed, which is the deflated form of replacing them by identity.
-The staircase boundary carries an O(h) geometry error; tolerances of the
-consumers are set accordingly.
+inclusion enters by node masking (|x| < a): masked rows/columns are removed,
+which is the deflated form of replacing them by identity.  The staircase
+boundary carries an O(h) geometry error; tolerances of the consumers are set
+accordingly.
 
 Without a mask the discrete operator is diagonal in the plane-wave basis
 with symbol
@@ -22,12 +22,20 @@ is a principal submatrix of the unmasked one, so its eigenvalues lie in the
 range of the symbol; the eigensolver fails a solve that returns a value
 outside that interval.
 
-The 7-point stencil is a CSR matrix, its pattern built once per ray and its
-values per k (`assemble_sparse`); the block eigensolver applies it at every
-grid size, as n >= 16 and a < pi/2 leave at least 3,845 free nodes, where it
-is far cheaper than a dense eigensolve.  It starts from
-plane waves of the lowest symbol modes or, along a ray of nearby k, from
-the Ritz block of the previous solve (`v0`).
+The centred sphere keeps two symmetries, and every solve uses both
+(`_Sector`).  Each mirror x_i -> -x_i with k_i = 0 commutes with H(k), so a
+solve can keep only the sector even under a chosen set of such mirrors: a
+`gap --verify` ray keeps the mirrors that fix both plane waves of its pair,
+which drops every band the tracker must not pick.  The inversion x -> -x
+composed with complex conjugation leaves H(k) invariant, so in a basis of
+orbit sums paired under the inversion H(k) is real symmetric (the symmetry
+MPB runs in real arithmetic with: Johnson & Joannopoulos, Opt. Express 8,
+173, 2001).  The real sector matrix is combined per k from five arrays
+cached per (n, a, mirrors); the preconditioner applies the symbol's inverse
+through a DCT-I along the mirrored axes and an FFT along the others.  The
+block eigensolver (`hermitian_eigensolve`) starts from the sector's plane
+waves of the lowest symbol modes or, along a ray of nearby k, from the Ritz
+block of the previous solve (`v0`).
 
 The module ships the free-lattice Green function (Bessel-integral form) and
 the exact discrete capacitance of a masked node pattern; together they give
@@ -53,47 +61,44 @@ from ..lattice import integer_cube
 from .eig import EigResult, hermitian_eigensolve
 
 TWO_PI = 2.0 * math.pi
+SQRT_HALF = math.sqrt(0.5)
 
 
 def axis_coords(n: int) -> np.ndarray:
-    return -math.pi + (TWO_PI / n) * np.arange(n)
+    # h (j - n/2) rather than -pi + h j: the mirror j -> -j mod n then negates
+    # every coordinate bit for bit, so it maps the sphere mask to itself
+    return (TWO_PI / n) * (np.arange(n) - n / 2)
 
 
-def sphere_mask(n: int, a: float, center=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Boolean (n,n,n) array, True at nodes with |x - center| < a.
+def sphere_mask(n: int, a: float) -> np.ndarray:
+    """Boolean (n,n,n) array, True at nodes with |x| < a."""
+    x2 = axis_coords(n) ** 2
+    return x2[:, None, None] + x2[None, :, None] + x2[None, None, :] < a * a
 
-    Distances use the minimum image, so off-center spheres stay whole.
+
+def fourier_symbol(n: int, k, even=()) -> np.ndarray:
+    """Exact eigenvalues of the unmasked discrete operator per FFT mode.
+
+    Along each axis i in `even` (where k_i = 0, so the symbol is even in g_i)
+    only the indices 0..n//2 are kept, one mode g_i >= 0 per mirror orbit: the
+    eigenvalues of the unmasked operator's even sector (`_Sector`).
     """
-    x = axis_coords(n)
-
-    def centered(c):
-        t = x - c
-        return (t + math.pi) % TWO_PI - math.pi
-
-    dx = centered(center[0])[:, None, None]
-    dy = centered(center[1])[None, :, None]
-    dz = centered(center[2])[None, None, :]
-    return dx * dx + dy * dy + dz * dz < a * a
-
-
-def fourier_symbol(n: int, k) -> np.ndarray:
-    """Exact eigenvalues of the unmasked discrete operator per FFT mode."""
     h = TWO_PI / n
     g = np.fft.fftfreq(n, d=1.0 / n)
     th = g * h
     axes = []
-    for kj in k:
-        axes.append(4.0 * np.sin(th / 2) ** 2 / h**2 - 2.0 * kj * np.sin(th) / h + kj**2)
+    for i, ki in enumerate(k):
+        sym = 4.0 * np.sin(th / 2) ** 2 / h**2 - 2.0 * ki * np.sin(th) / h + ki**2
+        axes.append(sym[: n // 2 + 1] if i in even else sym)
     return axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :]
 
 
 @dataclass(frozen=True)
 class FDGrid:
-    """Uniform grid plus inclusion mask for one (n, a, center) geometry."""
+    """Uniform grid plus inclusion mask for one (n, a) geometry."""
 
     n: int
     a: float
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     inclusion_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -101,9 +106,7 @@ class FDGrid:
             raise DomainError("grid must have n >= 8 points per axis")
         if not (0.0 <= self.a < math.pi / 2):
             raise DomainError("inclusion radius must satisfy 0 <= a < pi/2")
-        object.__setattr__(
-            self, "inclusion_mask", sphere_mask(self.n, self.a, self.center)
-        )
+        object.__setattr__(self, "inclusion_mask", sphere_mask(self.n, self.a))
 
     @property
     def h(self) -> float:
@@ -119,24 +122,131 @@ def _resolve_workers() -> int:
     return int(os.environ.get("BANDSCAN_THREADS", "-1") or "-1")
 
 
-class _GridOperator:
-    """The restricted stencil operator as a CSR matrix, and its FFT preconditioner.
+class _Sector:
+    """Real orthonormal basis of the free nodes' even sector under the mirrors on `even`.
 
-    `op @ V` applies the stencil through `matmat`, so the eigensolver takes
-    the operator itself.
+    The free nodes fall into orbits O of the mirrors x_i -> -x_i, i in `even`;
+    the sector is spanned by the orbit sums s_O (1/sqrt|O| on each node of O).
+    The inversion P composed with conjugation leaves H(k) invariant, and it maps
+    s_O to s_PO, so the basis u_O = (s_O + s_PO)/sqrt2, u_PO = i(s_O - s_PO)/sqrt2
+    for O < PO and u_O = s_O for O = PO turns H(k) into a real symmetric matrix.
+    Orbit O is numbered by its representative node, the one with index <= n//2
+    along each mirrored axis, in row-major order; the representatives fill the
+    reduced grid `shape`, at the codes `rep`.
+
+    H(k) = L + sum_j k_j D_j + |k|^2 I, so U^H H(k) U is combined per k from
+    five data arrays on one cached CSR pattern (`matrix`).  On the reduced
+    grid, `scatter` maps sector coefficients to the values of the mirror-even
+    grid function they stand for (U restricted to the representatives), and
+    `gather` maps the values of a mirror-even, P-invariant grid function back
+    to its sector coefficients (U^H, with each representative counting for its
+    orbit); take the real part of its product.
     """
 
-    def __init__(self, grid: FDGrid, k):
-        self.n = n = grid.n
+    def __init__(self, n: int, a: float, even: tuple[int, ...]):
+        self.n, self.even = n, even
+        self.grid, free, indices, indptr, slot = _stencil_pattern(n, a)
+        node = np.stack(np.unravel_index(free, (n, n, n)))
+        self.shape = tuple(n // 2 + 1 if i in even else n for i in range(3))
+        # the free nodes with index <= n//2 on every mirrored axis, one per
+        # orbit; `number` maps a reduced-grid code to its orbit
+        first = np.flatnonzero(np.all(node[list(even)] <= n // 2, axis=0))
+        self.rep = np.ravel_multi_index(node[:, first], self.shape)
+        m = first.size
+        number = np.full(math.prod(self.shape), -1)
+        number[self.rep] = np.arange(m)
+        # P negates every index; along a mirrored axis it keeps the orbit
+        flip = np.where(np.isin(np.arange(3), even)[:, None], node, -node % n)
+        for i in even:
+            node[i] = np.minimum(node[i], -node[i] % n)
+        o = number[np.ravel_multi_index(node, self.shape)]
+        po = o[np.searchsorted(free, np.ravel_multi_index(flip, (n, n, n)))]
+        size = np.bincount(o, minlength=m)
+
+        # U = Re U + i Im U.  A free node of orbit O has one entry in each: in
+        # column min(O, PO) of Re U (the sum or the fixed orbit's column), and,
+        # unless O = PO, in column max(O, PO) of Im U, with sign + for O < PO
+        pair = o != po
+        re_u = sp.csr_matrix((np.where(pair, SQRT_HALF, 1.0) / np.sqrt(size[o]),
+                              np.minimum(o, po), np.arange(free.size + 1)), shape=(free.size, m))
+        im_u = sp.csr_matrix(((np.where(o < po, SQRT_HALF, -SQRT_HALF) / np.sqrt(size[o]))[pair],
+                              np.maximum(o, po)[pair], np.concatenate(([0], np.cumsum(pair)))),
+                             shape=(free.size, m))
+        u = (re_u[first] + 1j * im_u[first]).tocoo()
+        at = self.rep[u.row]
+        self.scatter = sp.csr_matrix((u.data, (at, u.col)), shape=(math.prod(self.shape), m))
+        self.gather = sp.csr_matrix((u.data.conj() * size[u.row], (u.col, at)),
+                                    shape=(m, math.prod(self.shape)))
+        re_ut, im_ut = re_u.T.tocsr(), im_u.T.tocsr()
+        h = TWO_PI / n
+
+        def stencil(vals):
+            return sp.csr_matrix((np.asarray(vals)[slot], indices, indptr), shape=(free.size,) * 2)
+
+        # Re(U^H L U) for the real Laplacian L
+        lap = stencil([6.0 / h**2] + [-1.0 / h**2] * 6)
+        blocks = [re_ut @ (lap @ re_u) + im_ut @ (lap @ im_u)]
+        # Re(U^H i D' U) = -(X + X^T), X = Re(U)^T D' Im(U), for D_j = i D'_j with
+        # D'_j the real antisymmetric centred difference.  D_j maps the even
+        # sector of mirror j to its odd one: nothing for a mirrored axis
+        for j in range(3):
+            if j in even:
+                blocks.append(sp.csr_matrix((m, m)))
+                continue
+            d = np.zeros(7)
+            d[1 + 2 * j], d[2 + 2 * j] = 1.0 / h, -1.0 / h
+            X = re_ut @ (stencil(d) @ im_u)
+            blocks.append((-(X + X.T)).tocsr())
+        blocks.append(sp.identity(m, format="csr"))
+        # one pattern for all five: their sum, with no cancellation as |M| >= 0
+        pattern = sum(abs(M) for M in blocks).tocsr()
+        pattern.sort_indices()
+        keys = np.repeat(np.arange(m), np.diff(pattern.indptr)) * m + pattern.indices
+        self.data = np.zeros((5, keys.size))
+        for row, M in zip(self.data, blocks):
+            M.sort_indices()
+            own_keys = np.repeat(np.arange(m), np.diff(M.indptr)) * m + M.indices
+            row[np.searchsorted(keys, own_keys)] = M.data
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        for arr in (self.rep, self.data, self.indices, self.indptr):
+            arr.setflags(write=False)
+        for M in (self.scatter, self.gather):
+            for arr in (M.data, M.indices, M.indptr):
+                arr.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return self.rep.size
+
+    def matrix(self, k) -> sp.csr_matrix:
+        """U^H H(k) U, real symmetric; k_i must be 0 on the mirrored axes."""
+        coef = np.array([1.0, k[0], k[1], k[2], float(k @ k)])
+        return sp.csr_matrix((coef @ self.data, self.indices, self.indptr),
+                             shape=(self.size, self.size))
+
+
+@lru_cache(maxsize=1)
+def _sector(n: int, a: float, even: tuple[int, ...]) -> _Sector:
+    return _Sector(n, a, even)
+
+
+class _GridOperator:
+    """H(k) in the real basis of a `_Sector`, and its FFT preconditioner.
+
+    `op @ V` applies the real CSR matrix through `matmat`, so the eigensolver
+    takes the operator itself.
+    """
+
+    def __init__(self, sector: _Sector, k):
+        self.sector = sector
+        self.n = sector.n
         self.k = np.asarray(k, dtype=float)
         self.workers = _resolve_workers()
-        self.matrix = assemble_sparse(n, self.k, grid.a, grid.center)
-        self.idx = _stencil_pattern(n, grid.a, grid.center)[1]
-        self.nfree = self.idx.size
-        self.shape = (self.nfree, self.nfree)
-        sym = fourier_symbol(n, self.k)
-        # the masked operator is a principal submatrix of the periodic one,
-        # so its eigenvalues lie within the range of the symbol
+        self.matrix = sector.matrix(self.k)
+        self.shape = self.matrix.shape
+        sym = fourier_symbol(self.n, self.k, sector.even)
+        # the masked sector operator is a principal submatrix of the periodic
+        # one in the orbit basis, so its eigenvalues lie within the symbol's range
         self.spectrum = (float(sym.min()), float(sym.max()))
         # shift keeps the preconditioner positive definite near the low modes;
         # the floor keeps it from blowing up the g = 0 mode at small |k|, which
@@ -146,37 +256,47 @@ class _GridOperator:
         self.pre_sym = 1.0 / (sym + tau)
 
     def matmat(self, V):
-        return self.matrix @ np.asarray(V, dtype=complex)
+        return self.matrix @ V
 
     def __matmul__(self, V):
         return self.matmat(V)
 
     def precmat(self, V):
-        V = np.asarray(V, dtype=complex)
-        # one grid per column, columns first, so each transform is contiguous
-        G = np.zeros((V.shape[1], self.n**3), dtype=complex)
-        G[:, self.idx] = V.T
-        G = G.reshape(V.shape[1], self.n, self.n, self.n)
-        G = scipy.fft.fftn(G, axes=(1, 2, 3), workers=self.workers, overwrite_x=True)
-        G *= self.pre_sym[None]
-        G = scipy.fft.ifftn(G, axes=(1, 2, 3), workers=self.workers, overwrite_x=True)
-        return G.reshape(V.shape[1], -1)[:, self.idx].T
+        # the symbol's inverse on the periodic grid, restricted to the sector.
+        # Sector data is even along a mirrored axis, where its DFT is a DCT-I
+        # of the reduced grid, and P-invariant, so its DFT along the other
+        # axes is real
+        s, p, workers = self.sector, V.shape[1], self.workers
+        dct_axes = list(s.even)
+        fft_axes = [i for i in range(3) if i not in s.even]
+        G = (s.scatter @ V).reshape(*s.shape, p)
+        if fft_axes:
+            G = scipy.fft.fftn(G, axes=fft_axes, workers=workers, overwrite_x=True)
+        G = np.ascontiguousarray(G.real)
+        if dct_axes:
+            G = scipy.fft.dctn(G, type=1, axes=dct_axes, workers=workers, overwrite_x=True)
+        G *= self.pre_sym[..., None]
+        if dct_axes:
+            G = scipy.fft.idctn(G, type=1, axes=dct_axes, workers=workers, overwrite_x=True)
+        if fft_axes:
+            G = scipy.fft.ifftn(G, axes=fft_axes, workers=workers, overwrite_x=True)
+        return (s.gather @ G.reshape(-1, p)).real
 
     def plane_wave_block(self, gs) -> np.ndarray:
+        """Sector coefficients of the even plane waves: cos(g_i x_i) on mirrored axes."""
+        s = self.sector
         x = axis_coords(self.n)
-        X = x[:, None, None]
-        Y = x[None, :, None]
-        Z = x[None, None, :]
         cols = []
         for g in gs:
-            w = np.exp(1j * (g[0] * X + g[1] * Y + g[2] * Z))
-            cols.append(w.ravel()[self.idx])
-        return np.stack(cols, axis=1)
+            f = [np.cos(g[i] * x[: s.shape[i]]) if i in s.even else np.exp(1j * g[i] * x)
+                 for i in range(3)]
+            cols.append((f[0][:, None, None] * f[1][None, :, None] * f[2][None, None, :]).ravel())
+        return (s.gather @ np.stack(cols, axis=1)).real
 
 
-def _block_modes(n: int, k, count: int, max_extra: int = 8):
-    """Plane-wave start modes; block boundary avoids degenerate shells."""
-    sym = fourier_symbol(n, k)
+def _block_modes(n: int, k, count: int, even=(), max_extra: int = 8):
+    """Sector start modes; block boundary avoids degenerate shells."""
+    sym = fourier_symbol(n, k, even)
     g = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     flat = sym.ravel()
     order = np.argsort(flat)
@@ -188,18 +308,18 @@ def _block_modes(n: int, k, count: int, max_extra: int = 8):
             break
     else:
         size = min(count + max_extra, len(vals))
-    i, j, l = np.unravel_index(order[:size], (n, n, n))
+    i, j, l = np.unravel_index(order[:size], sym.shape)
     return [(int(g[p]), int(g[q]), int(g[r])) for p, q, r in zip(i, j, l)]
 
 
 @lru_cache(maxsize=1)
-def _stencil_pattern(n: int, a: float, center: tuple):
+def _stencil_pattern(n: int, a: float):
     """(grid, free nodes, CSR indices, indptr, stencil slot per entry), read-only.
 
     Independent of k, so built once per geometry.  Slot 0 is the centre, slots
     1 + 2j and 2 + 2j the +1 and -1 neighbours along axis j (np.roll by -1, +1).
     """
-    grid = FDGrid(n=n, a=a, center=center)
+    grid = FDGrid(n=n, a=a)
     free = np.flatnonzero(~grid.inclusion_mask.ravel())
     pos = np.full(n**3, free.size)  # masked nodes sort after every free one
     pos[free] = np.arange(free.size)
@@ -217,16 +337,17 @@ def _stencil_pattern(n: int, a: float, center: tuple):
     return out
 
 
-def assemble_sparse(n: int, k, a: float = 0.0, center=(0.0, 0.0, 0.0)) -> sp.csr_matrix:
+def assemble_sparse(n: int, k, a: float = 0.0) -> sp.csr_matrix:
     """Sparse matrix of the grid operator, restricted to the nodes outside the sphere.
 
     Row r holds the 7-point stencil of free node r in sorted columns, without
     couplings to masked nodes; each k only gathers its 7 values into the
-    cached pattern.  This is the operator every FD solve applies.
+    cached pattern.  This is the complex node-basis form of the operator
+    that `_Sector` rewrites as a real matrix.
     """
     k = np.asarray(k, dtype=float)
     h = TWO_PI / n
-    _, free, indices, indptr, slot = _stencil_pattern(n, a, tuple(center))
+    _, free, indices, indptr, slot = _stencil_pattern(n, a)
     vals = [6.0 / h**2 + float(k @ k)]
     for axis in range(3):
         vals += [-1.0 / h**2 + sign * 1j * k[axis] / h for sign in (1.0, -1.0)]
@@ -240,19 +361,23 @@ def fd_dirichlet_eigenvalues(
     n: int,
     count: int,
     *,
-    center=(0.0, 0.0, 0.0),
     v0=None,
+    even=(),
 ) -> EigResult:
     """Lowest `count` values of lambda = (omega/c)^2 for the masked problem.
+
+    `even` names mirror axes i (k_i = 0 on each, and n even): the solve then
+    keeps only the eigenvalues whose eigenvectors are even under x_i -> -x_i
+    on every one of them.  The default () gives the whole spectrum.
 
     Requires n >= 16 and at least two grid cells across the inclusion
     diameter (a hard floor below which the staircase sphere degenerates);
     below four cells a resolution warning is issued instead.
 
-    The block eigensolver starts from plane waves of the lowest symbol modes,
-    or from `v0`, the `vectors` block of a solve at a nearby k on the same
-    grid and mask (plane waves fill any missing columns).  The result
-    carries the Ritz block in `vectors` for that purpose.
+    The block eigensolver starts from the sector's plane waves of the lowest
+    symbol modes, or from `v0`, the real `vectors` block of a solve at a
+    nearby k on the same grid, mask and sector (plane waves fill any missing
+    columns).  The result carries that Ritz block in `vectors`.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
@@ -261,7 +386,13 @@ def fd_dirichlet_eigenvalues(
         raise DomainError("fd_dirichlet_eigenvalues requires n >= 16")
     if count < 1:
         raise DomainError("count must be >= 1")
-    grid = _stencil_pattern(n, a, tuple(center))[0]
+    even = tuple(sorted(set(int(i) for i in even)))
+    if any(i not in (0, 1, 2) or k[i] != 0.0 for i in even):
+        raise DomainError(f"even: mirror axes {even} need k_i = 0 on each, got k = {tuple(k)}")
+    if even and n % 2:
+        # the DCT-I of the preconditioner is the DFT of even data for even n only
+        raise DomainError(f"even: mirror sectors need an even n, got n = {n}")
+    grid = _stencil_pattern(n, a)[0]
     if a > 0.0:
         if grid.cells_across < 2.0:
             raise ResolutionError(
@@ -275,14 +406,14 @@ def fd_dirichlet_eigenvalues(
                 stacklevel=2,
             )
 
-    op = _GridOperator(grid, k)
-    modes = _block_modes(n, k, count)
+    op = _GridOperator(_sector(n, a, even), k)
+    modes = _block_modes(n, k, count, even)
     if v0 is None:
         X = op.plane_wave_block(modes)
     else:
-        X = np.asarray(v0, dtype=complex)
-        if X.ndim != 2 or X.shape[0] != op.nfree:
-            raise DomainError(f"v0 must have {op.nfree} rows, one per free node")
+        X = np.asarray(v0)
+        if X.ndim != 2 or X.shape[0] != op.shape[0] or np.iscomplexobj(X):
+            raise DomainError(f"v0 must be real with {op.shape[0]} rows, one per basis vector")
         if X.shape[1] < len(modes):
             X = np.hstack([X, op.plane_wave_block(modes[X.shape[1]:])])
         else:

@@ -5,7 +5,9 @@ with the oracle that the type of `params` names: DirichletParams runs the
 finite-difference oracle on an n^3 grid, TransmissionParams the plane-wave
 oracle with |g_i| <= g_max.  At each delta the oracle computes every band of
 the spectrum without the inclusion below the tracking window top, plus one
-for PWE only (`_auto_count`); the count is not a parameter.  The two bands
+for PWE only (`_auto_count`); the count is not a parameter.  The FD oracle
+solves only the mirror sector that holds the pair, so both the count and the
+bands come from that sector.  The two bands
 nearest the model's pair centre are picked inside the window (default five
 predicted splittings wide).  The reported gap is the interval between the
 maximum of the lower band and the minimum of the upper band, or None when
@@ -38,17 +40,26 @@ class MeasuredGap:
     deltas: np.ndarray
 
 
-def _oracle(params, n: int, g_max: int):
+def _oracle(model: TwoModeModel, params, n: int, g_max: int):
     """(unperturbed, solve, host speed, count margin) of the problem `params` names.
 
     `unperturbed(kv)` is the spectrum without the inclusion at kv, and
     `solve(kv, count, v0)` the oracle's EigResult; the FD solve starts from
     the Ritz block v0.  The margin is `_auto_count`'s.
+
+    The FD oracle solves only the sector even under every mirror x_i -> -x_i
+    with k0_i = m0_i = 0, which fixes the ray and both plane waves of the
+    pair; `unperturbed` is that sector's symbol.  An order-two k0 has
+    m0_i = 0 wherever k0_i = 0 (else flipping m0_i gives a third mode).  An
+    odd n has no mirror sectors, so it solves the whole spectrum.
     """
     if isinstance(params, DirichletParams):
+        even = tuple(i for i in range(3)
+                     if model.k0[i] == 0.0 and model.m0[i] == 0 and n % 2 == 0)
         return (
-            lambda kv: fourier_symbol(n, kv),
-            lambda kv, count, v0: fd_dirichlet_eigenvalues(kv, params.a, n, count, v0=v0),
+            lambda kv: fourier_symbol(n, kv, even),
+            lambda kv, count, v0: fd_dirichlet_eigenvalues(kv, params.a, n, count,
+                                                           v0=v0, even=even),
             1.0,
             0,
         )
@@ -106,7 +117,7 @@ def measure_gap_numeric(
     from.  `deltas` is the grid of relative ray offsets; by default it spans
     twice the predicted extremizer range, which brackets both branch extrema.
     """
-    unperturbed, solve, c_host, margin = _oracle(params, n, g_max)
+    unperturbed, solve, c_host, margin = _oracle(model, params, n, g_max)
     k0 = np.asarray(model.k0)
     knorm = model.knorm
     split = model.s / knorm

@@ -164,7 +164,7 @@ class TestGap:
                             lambda *a: calls.append(a) or classify(*a))
         monkeypatch.setattr(
             gapscan, "fd_dirichlet_eigenvalues",
-            lambda k, a, n, count, v0=None: SimpleNamespace(
+            lambda k, a, n, count, v0=None, even=(): SimpleNamespace(
                 eigenvalues=np.array([0.25, 0.26]), vectors=None),
         )
         out = tmp_path / "once"
@@ -184,24 +184,40 @@ class TestGap:
         assert (out / "report.txt").exists()
         assert "boom" in capsys.readouterr().err
 
-    def test_verify_mesh_shape_solves_bem_once(self, tmp_path, monkeypatch):
+    def test_verify_mesh_shape_solves_bem_once(self, tmp_path, monkeypatch, capsys):
+        # the FD oracle masks a sphere, so --verify refuses a mesh before any
+        # BEM solve; without --verify the prediction solves BEM once
         from bandscan import config, meshes
 
         path = tmp_path / "s.off"
         meshes.write_off(meshes.icosphere(1), path)
         calls = []
         bem = config.capacitance_bem
-        monkeypatch.setattr(config, "capacitance_bem", lambda mesh: calls.append(1) or bem(mesh))
+        monkeypatch.setattr(config, "capacitance_bem",
+                            lambda mesh: calls.append(bem(mesh)) or calls[-1])
         oracle_params = []
         monkeypatch.setattr(cli, "measure_gap_numeric",
                             lambda model, params, **kw: oracle_params.append(params))
         out = tmp_path / "run7"
-        rc = run(["gap", "--shape", "mesh", "--mesh", str(path), "--a", "0.1",
-                  "--verify", "--out", str(out)])
-        assert rc == 0
-        assert len(calls) == 1
+        argv = ["gap", "--shape", "mesh", "--mesh", str(path), "--a", "0.1", "--out", str(out)]
+        assert run(argv + ["--verify"]) == 2
+        assert capsys.readouterr().err.startswith("error: shape: ")
+        assert calls == [] and oracle_params == []
+        assert run(argv) == 0
+        assert len(calls) == 1 and oracle_params == []
         report = GapReport.from_text((out / "report.txt").read_text())
-        assert oracle_params[0].q == report.q
+        assert report.q == calls[0].q
+
+    @pytest.mark.parametrize("command", [["gap", "--verify"], ["oracle-compare"]])
+    def test_fd_oracle_refuses_a_shape_it_does_not_mask(self, tmp_path, capsys, command):
+        # the FD oracle masks a sphere; measuring the ellipsoid's prediction
+        # against it once gave rel_discrepancy 0.335 and exit 0
+        rc = run(command + ["--problem", "dirichlet", "--k0", "0,0,0.5", "--m0", "0,0,1",
+                            "--a", "0.4", "--n", "24", "--shape", "ellipsoid",
+                            "--semiaxes", "3,1,0.5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: shape: ")
+        assert not (tmp_path / "o").exists()
 
     def test_verify_transmission_fast(self, tmp_path, capsys):
         out = tmp_path / "run6"

@@ -94,6 +94,22 @@ def test_warm_started_ray_matches_cold_solves(monkeypatch):
         assert got.upper_band[i] == pytest.approx(omegas[1], rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("n, even", [(16, (0, 1)), (17, ())])
+def test_ray_solves_the_mirror_sector_of_the_pair(monkeypatch, n, even):
+    # k0_i = m0_i = 0 on x and y: both plane waves of the pair are even
+    # there; an odd grid has no mirror sector and solves the whole spectrum
+    from bandscan.oracle import gapscan
+
+    seen = []
+    solve = gapscan.fd_dirichlet_eigenvalues
+    monkeypatch.setattr(gapscan, "fd_dirichlet_eigenvalues",
+                        lambda *args, **kw: seen.append(kw["even"]) or solve(*args, **kw))
+    p = dirichlet.DirichletParams(a=0.5)
+    got = measure_gap_numeric(dirichlet.pair_model((0.0, 0.0, 0.5), (0, 0, 1), p), p,
+                              n=n, n_deltas=3)
+    assert got is not None and set(seen) == {even}
+
+
 def test_window_follows_predicted_pair_centre():
     # a mean shift of several splittings: a window centred on c|k0| lost the
     # lower band here ("found 1"); centred on the predicted pair centre
