@@ -80,6 +80,9 @@ class ScanConfig:
             raise ConfigError("n: must be >= 16")
         if self.g_max < 2:
             raise ConfigError("g_max: must be >= 2")
+        if self.g_max > 10:
+            # the PWE basis cap, (2 g_max + 1)^3 <= oracle.pwe.MAX_BASIS
+            raise ConfigError("g_max: must be <= 10")
         if not self.c > 0.0:
             raise ConfigError("c: must be > 0")
         if not self.exclusion_band >= 0.0:

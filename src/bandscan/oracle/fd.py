@@ -30,8 +30,8 @@ which drops every band the tracker must not pick.  The inversion x -> -x
 composed with complex conjugation leaves H(k) invariant, so in a basis of
 orbit sums paired under the inversion H(k) is real symmetric (the symmetry
 MPB runs in real arithmetic with: Johnson & Joannopoulos, Opt. Express 8,
-173, 2001).  The real sector matrix is combined per k from five arrays
-cached per (n, a, mirrors); the preconditioner applies the symbol's inverse
+173, 2001).  The real sector matrix is combined per k from arrays cached
+per (n, a, mirrors); the preconditioner applies the symbol's inverse
 through a DCT-I along the mirrored axes and an FFT along the others.  The
 block eigensolver (`hermitian_eigensolve`) starts from the sector's plane
 waves of the lowest symbol modes or, along a ray of nearby k, from the Ritz
@@ -134,8 +134,10 @@ class _Sector:
     along each mirrored axis, in row-major order; the representatives fill the
     reduced grid `shape`, at the codes `rep`.
 
-    H(k) = L + sum_j k_j D_j + |k|^2 I, so U^H H(k) U is combined per k from
-    five data arrays on one cached CSR pattern (`matrix`).  On the reduced
+    H(k) = L + sum_j k_j D_j + |k|^2 I, so U^H H(k) U is combined per k on one
+    cached CSR pattern (`matrix`): `data` holds U^H L U on the whole pattern,
+    `d` each (j, positions, values) of U^H D_j U on its own positions, and
+    `diag` the positions of the diagonal.  On the reduced
     grid, `scatter` maps sector coefficients to the values of the mirror-even
     grid function they stand for (U restricted to the representatives), and
     `gather` maps the values of a mirror-even, P-invariant grid function back
@@ -177,38 +179,51 @@ class _Sector:
         self.scatter = sp.csr_matrix((u.data, (at, u.col)), shape=(math.prod(self.shape), m))
         self.gather = sp.csr_matrix((u.data.conj() * size[u.row], (u.col, at)),
                                     shape=(m, math.prod(self.shape)))
+        # the products below set the peak memory at n = 96: free what they do not use
+        del node, flip, number, o, po, size, pair, u, at, first
         re_ut, im_ut = re_u.T.tocsr(), im_u.T.tocsr()
         h = TWO_PI / n
 
         def stencil(vals):
-            return sp.csr_matrix((np.asarray(vals)[slot], indices, indptr), shape=(free.size,) * 2)
+            # only the entries of the nonzero slots, so a difference costs 2 of 7
+            data = np.asarray(vals)[slot]
+            keep = data != 0.0
+            if keep.all():
+                return sp.csr_matrix((data, indices, indptr), shape=(free.size,) * 2)
+            ptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            return sp.csr_matrix((data[keep], indices[keep], ptr), shape=(free.size,) * 2)
 
         # Re(U^H L U) for the real Laplacian L
         lap = stencil([6.0 / h**2] + [-1.0 / h**2] * 6)
-        blocks = [re_ut @ (lap @ re_u) + im_ut @ (lap @ im_u)]
+        parts = [re_ut @ (lap @ re_u) + im_ut @ (lap @ im_u)]
         # Re(U^H i D' U) = -(X + X^T), X = Re(U)^T D' Im(U), for D_j = i D'_j with
         # D'_j the real antisymmetric centred difference.  D_j maps the even
         # sector of mirror j to its odd one: nothing for a mirrored axis
-        for j in range(3):
-            if j in even:
-                blocks.append(sp.csr_matrix((m, m)))
-                continue
+        axes = [j for j in range(3) if j not in even]
+        for j in axes:
             d = np.zeros(7)
             d[1 + 2 * j], d[2 + 2 * j] = 1.0 / h, -1.0 / h
             X = re_ut @ (stencil(d) @ im_u)
-            blocks.append((-(X + X.T)).tocsr())
-        blocks.append(sp.identity(m, format="csr"))
-        # one pattern for all five: their sum, with no cancellation as |M| >= 0
-        pattern = sum(abs(M) for M in blocks).tocsr()
-        pattern.sort_indices()
-        keys = np.repeat(np.arange(m), np.diff(pattern.indptr)) * m + pattern.indices
-        self.data = np.zeros((5, keys.size))
-        for row, M in zip(self.data, blocks):
+            parts.append(-(X + X.T))
+        parts.append(sp.identity(m, format="csr"))
+        del lap
+        # one pattern for all: the sum of their patterns, each entry coded
+        # with bit b of part b, so part b sits at the entries with that bit
+        # set, in its own row-major order
+        for M in parts:
             M.sort_indices()
-            own_keys = np.repeat(np.arange(m), np.diff(M.indptr)) * m + M.indices
-            row[np.searchsorted(keys, own_keys)] = M.data
+        pattern = sum(sp.csr_matrix((np.full(M.nnz, 1 << b, dtype=np.int8), M.indices, M.indptr),
+                                    shape=(m, m)) for b, M in enumerate(parts))
+        pattern.sort_indices()
+        code = pattern.data
+        self.data = np.zeros(code.size)
+        self.data[code & 1 != 0] = parts[0].data
+        self.diag = np.flatnonzero(code & (1 << (len(axes) + 1)))
+        self.d = [(j, np.flatnonzero(code & (2 << b)), M.data)
+                  for b, (j, M) in enumerate(zip(axes, parts[1:]))]
         self.indices, self.indptr = pattern.indices, pattern.indptr
-        for arr in (self.rep, self.data, self.indices, self.indptr):
+        for arr in (self.rep, self.data, self.diag, self.indices, self.indptr,
+                    *(a for _, pos, vals in self.d for a in (pos, vals))):
             arr.setflags(write=False)
         for M in (self.scatter, self.gather):
             for arr in (M.data, M.indices, M.indptr):
@@ -220,9 +235,11 @@ class _Sector:
 
     def matrix(self, k) -> sp.csr_matrix:
         """U^H H(k) U, real symmetric; k_i must be 0 on the mirrored axes."""
-        coef = np.array([1.0, k[0], k[1], k[2], float(k @ k)])
-        return sp.csr_matrix((coef @ self.data, self.indices, self.indptr),
-                             shape=(self.size, self.size))
+        data = self.data.copy()
+        data[self.diag] += float(k @ k)
+        for j, pos, vals in self.d:
+            data[pos] += k[j] * vals
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
 
 
 @lru_cache(maxsize=1)

@@ -5,13 +5,12 @@ with the oracle that the type of `params` names: DirichletParams runs the
 finite-difference oracle on an n^3 grid, TransmissionParams the plane-wave
 oracle with |g_i| <= g_max.  At each delta the oracle computes every band of
 the spectrum without the inclusion below the tracking window top, plus one
-for PWE only (`_auto_count`); the count is not a parameter.  The FD oracle
-solves only the mirror sector that holds the pair, so both the count and the
-bands come from that sector.  The two bands
-nearest the model's pair centre are picked inside the window (default five
-predicted splittings wide).  The reported gap is the interval between the
-maximum of the lower band and the minimum of the upper band, or None when
-the band ranges overlap.  Frequencies are omega / c with c the host speed.
+for PWE only (`_auto_count`); the count is not a parameter.  Both oracles
+solve only a mirror sector that holds the pair, so both the count and the
+bands come from that sector.  The two bands nearest the model's pair centre
+are picked inside the window (default five predicted splittings wide).  The
+reported gap is the interval between the maximum of the lower band and the
+minimum of the upper band, or None when the band ranges overlap.  Frequencies are omega / c with c the host speed.
 
 Along the ray each FD solve starts from the Ritz block of the previous
 point, which saves iterations and leaves the eigenvalues unchanged within
@@ -47,15 +46,18 @@ def _oracle(model: TwoModeModel, params, n: int, g_max: int):
     `solve(kv, count, v0)` the oracle's EigResult; the FD solve starts from
     the Ritz block v0.  The margin is `_auto_count`'s.
 
-    The FD oracle solves only the sector even under every mirror x_i -> -x_i
-    with k0_i = m0_i = 0, which fixes the ray and both plane waves of the
-    pair; `unperturbed` is that sector's symbol.  An order-two k0 has
-    m0_i = 0 wherever k0_i = 0 (else flipping m0_i gives a third mode).  An
-    odd n has no mirror sectors, so it solves the whole spectrum.
+    A mirror x_i -> -x_i with k0_i = m0_i = 0 fixes the ray and both plane
+    waves of the pair, so each oracle solves only a sector even under such
+    mirrors, and `unperturbed` is that sector's symbol.  An order-two k0 has
+    m0_i = 0 wherever k0_i = 0 (else flipping m0_i gives a third mode).  The
+    FD oracle takes every such mirror; an odd n has no mirror sectors, so it
+    solves the whole spectrum.  The PWE oracle takes the first one, so a ray
+    costs the same on an axis and off it; its sector keeps the modes with
+    g_i >= 0.
     """
+    mirrors = [i for i in range(3) if model.k0[i] == 0.0 and model.m0[i] == 0]
     if isinstance(params, DirichletParams):
-        even = tuple(i for i in range(3)
-                     if model.k0[i] == 0.0 and model.m0[i] == 0 and n % 2 == 0)
+        even = tuple(mirrors) if n % 2 == 0 else ()
         return (
             lambda kv: fourier_symbol(n, kv, even),
             lambda kv, count, v0: fd_dirichlet_eigenvalues(kv, params.a, n, count,
@@ -63,10 +65,12 @@ def _oracle(model: TwoModeModel, params, n: int, g_max: int):
             1.0,
             0,
         )
+    even = tuple(mirrors[:1])
     basis = PWEBasis(g_max).basis
+    modes = basis[np.all(basis[:, list(even)] >= 0, axis=1)]
     return (
-        lambda kv: np.sum((kv + basis) ** 2, axis=1),
-        lambda kv, count, v0: pwe_transmission_eigenvalues(kv, params, g_max, count),
+        lambda kv: np.sum((kv + modes) ** 2, axis=1),
+        lambda kv, count, v0: pwe_transmission_eigenvalues(kv, params, g_max, count, even=even),
         params.materials.c_plus,
         1,
     )

@@ -16,12 +16,21 @@ difference lattice, so the transform is evaluated there and gathered by the
 integer code of g - g' (the Toeplitz structure of Ho, Chan & Soukoulis,
 PRL 65, 3152, 1990).  The sphere is centred and isotropic, so each mirror
 x_i -> -x_i with k_i = 0 commutes with (A, B) and fixes the ray
-k = (1 + delta) k0.  The solve takes the mirror of the first such axis, so
-every k with a zero component costs the same, and solves each sector, even
-and odd, gathered straight into the orthonormal symmetrised basis (Sakoda,
-Optical Properties of Photonic Crystals, 2005, ch. 3): together they have
-the full pencil's eigenvalues.  A k with no zero component has one sector,
-the full pencil.  Blocks are built once per (params, g_max, mirror).
+k = (1 + delta) k0.  Each sector of such mirrors is gathered straight into
+the orthonormal symmetrised basis (Sakoda, Optical Properties of Photonic
+Crystals, 2005, ch. 3).  With `even` the solve keeps only the sector even
+under the mirrors it names: a `gap --verify` ray names the first mirror that
+fixes both plane waves of its pair, so every k with a zero component costs
+the same.  Without it the solve takes the mirror of the first axis with
+k_i = 0 and solves both sectors, even and odd, which together have the full
+pencil's eigenvalues; a k with no zero component has one sector, the full
+pencil.
+
+Blocks and the Cholesky factor L of each sector's B are built once per
+(params, g_max, mirrors).  Each k then runs the steps of LAPACK's xSYGVX
+past its Cholesky step, sygst, syevx and a triangular back-substitution
+(Anderson et al., LAPACK Users' Guide, 3rd ed., 2.3.5.1), so its numbers
+are those of `scipy.linalg.eigh(A, B, subset_by_index=...)` bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from ..errors import DomainError, NumericalError
 from ..lattice import integer_cube
@@ -109,13 +118,15 @@ def _sector_maps(g_max: int, axes: tuple[int, ...]):
 
 
 @lru_cache(maxsize=1)
-def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
-    """Read-only (modes, eta blocks, B) of each mirror sector of `axes`.
+def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[int, ...],
+                          even_only: bool):
+    """Read-only (modes, eta blocks, B, L) of each mirror sector of `axes`, or of the even one.
 
     A block of f is sqrt(|O_r| |O_s|) / |H| sum_h psi(h) f(r - h s); B is
-    gamma's with psi = chi.  As k_i = 0 on `axes`, (k+r).(k+h s) is
-    sum_i sign_i(h) (k+r)_i (k+s)_i, so A takes one eta block per distinct
-    psi = chi sign_i, kept with its axes i.  No axes: B = gamma, one block eta.
+    gamma's with psi = chi, and L its lower Cholesky factor.  As k_i = 0 on
+    `axes`, (k+r).(k+h s) is sum_i sign_i(h) (k+r)_i (k+s)_i, so A takes one
+    eta block per distinct psi = chi sign_i, kept with its axes i.  No axes:
+    B = gamma, one block eta.
     """
     basis = PWEBasis(g_max).basis
     side = 4 * g_max + 1
@@ -131,7 +142,8 @@ def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[in
     code = (basis[:, 0] * side + basis[:, 1]) * side + basis[:, 2]
     signs, perm, sectors = _sector_maps(g_max, axes)
     out = []
-    for chars, rows in sectors:
+    # the first sector is the one even under every mirror
+    for chars, rows in sectors[:1] if even_only else sectors:
         origin = code[rows, None] + 2 * g_max * (side * side + side + 1)
         idx = [origin - code[p[rows]] for p in perm]
         orbit = 2.0 ** np.count_nonzero(basis[rows][:, list(axes)], axis=1)
@@ -144,14 +156,30 @@ def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[in
         for i in range(3):
             groups.setdefault(tuple(chars * signs[:, i]), []).append(i)
         blocks = tuple((ax, block(eta, psi)) for psi, ax in groups.items())
-        out.append((basis[rows].astype(float), blocks, block(gam, chars)))
+        B = block(gam, chars)
+        L, info = lapack.dpotrf(B, lower=1)
+        if info != 0:
+            raise NumericalError(f"PWE mass matrix not positive definite (LAPACK info {info})")
+        L.flags.writeable = False
+        out.append((basis[rows].astype(float), blocks, B, L))
     return tuple(out)
 
 
-def _pencils(k, params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
-    """(A, B) of each mirror sector of `axes` at the Bloch vector k."""
+def _mirrors(k, even) -> tuple[tuple[int, ...], bool]:
+    """(mirror axes, even sector only) of a solve at k: `even`, else the first axis with k_i = 0."""
+    k = np.asarray(k, dtype=float)
+    if not even:
+        return tuple(np.flatnonzero(k == 0)[:1].tolist()), False
+    even = tuple(sorted(set(int(i) for i in even)))
+    if any(i not in (0, 1, 2) or k[i] != 0.0 for i in even):
+        raise DomainError(f"even: mirror axes {even} need k_i = 0 on each, got k = {tuple(k)}")
+    return even, True
+
+
+def _pencils(k, params: TransmissionParams, g_max: int, axes: tuple[int, ...], even_only: bool):
+    """(A, B) of each mirror sector of `axes`, or of the even one, at the Bloch vector k."""
     k, pencils = np.asarray(k, dtype=float), []
-    for modes, blocks, B in _coefficient_matrices(params, g_max, axes):
+    for modes, blocks, B, _ in _coefficient_matrices(params, g_max, axes, even_only):
         kg = k[None, :] + modes
         xs = [kg[:, ax] for ax, _ in blocks]
         pencils.append((reduce(np.add, [(x @ x.T) * eta for x, (_, eta) in zip(xs, blocks)]), B))
@@ -160,37 +188,67 @@ def _pencils(k, params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
 
 def assemble_pwe(k, params: TransmissionParams, g_max: int):
     """(A, B) pencil matrices for one Bloch vector; B is shared and read-only."""
-    return _pencils(k, params, g_max, ())[0]
+    return _pencils(k, params, g_max, (), False)[0]
 
 
-def assemble_pwe_sectors(k, params: TransmissionParams, g_max: int):
-    """One (A, B) per sign sector of the mirror x_i -> -x_i, i the first axis with k_i = 0."""
-    return _pencils(k, params, g_max, tuple(np.flatnonzero(np.asarray(k) == 0)[:1].tolist()))
+def assemble_pwe_sectors(k, params: TransmissionParams, g_max: int, *, even=()):
+    """One (A, B) per sign sector of the mirror x_i -> -x_i, i the first axis with k_i = 0.
+
+    With `even`, the one (A, B) of the sector even under the mirrors on those axes.
+    """
+    return _pencils(k, params, g_max, *_mirrors(k, even))
+
+
+def _lowest(A, L, count: int):
+    """Lowest `count` (values, vectors) of A x = w L L^T x: xSYGVX past its Cholesky step.
+
+    syevx gets sygvx's workspace, which sets the blocking of its
+    tridiagonalisation: with its default one the values differed from
+    eigh's by up to 6e-14 relative at g_max = 3 to 5.
+    """
+    C, info = lapack.dsygst(A, L, lower=1)
+    if info == 0:
+        lwork = int(lapack.dsygvx_lwork(len(A), uplo="L")[0])
+        w, z, _, _, info = lapack.dsyevx(C, range="I", lower=1, iu=count, lwork=lwork,
+                                         overwrite_a=1)
+    if info == 0:
+        z, info = lapack.dtrtrs(L, z, lower=1, trans=1, overwrite_b=1)
+    if info != 0:
+        raise NumericalError(f"generalized eigensolve failed (LAPACK info {info})")
+    return w[:count], z
 
 
 def pwe_transmission_eigenvalues(
-    k, params: TransmissionParams, g_max: int, count: int
+    k, params: TransmissionParams, g_max: int, count: int, *, even=()
 ) -> EigResult:
-    """Lowest `count` omega^2 values of the transmission cell problem."""
+    """Lowest `count` omega^2 values of the transmission cell problem.
+
+    `even` names mirror axes i (k_i = 0 on each): the solve then keeps only
+    the eigenvalues whose eigenvectors are even under x_i -> -x_i on every
+    one of them.  The default () gives the whole spectrum.
+    """
     if g_max < 2:
         raise DomainError("g_max must be >= 2")
     if count < 1:
         raise DomainError("count must be >= 1")
+    axes, even_only = _mirrors(k, even)
     if g_max * params.a < 1.0:
         msg = f"g_max*a = {g_max * params.a:.2f} < 1: truncation barely resolves the sphere"
         warnings.warn(msg, stacklevel=2)
-    if count > (2 * g_max + 1) ** 3:
-        raise DomainError(f"count {count} exceeds basis size {(2 * g_max + 1) ** 3}")
+    # the even sector keeps the modes with g_i >= 0 on the mirrored axes
+    halved = len(axes) if even_only else 0
+    size = (g_max + 1) ** halved * (2 * g_max + 1) ** (3 - halved)
+    if count > size:
+        raise DomainError(f"count {count} exceeds the {size} modes solved")
+    pencils = assemble_pwe_sectors(k, params, g_max, even=even)
+    factors = [L for *_, L in _coefficient_matrices(params, g_max, axes, even_only)]
     vals, res = [], []
-    for A, B in assemble_pwe_sectors(k, params, g_max):
+    for (A, B), L in zip(pencils, factors):
         norm = max(np.linalg.norm(A), 1e-300)
         herm = np.linalg.norm(A - A.T) / norm
-        if herm > 1e-12:
+        if not herm <= 1e-12:
             raise NumericalError(f"PWE assembly not symmetric (defect {herm:.2e})")
-        try:
-            w, vecs = scipy.linalg.eigh(A, B, subset_by_index=(0, min(count, len(A)) - 1))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
+        w, vecs = _lowest(A, L, min(count, len(A)))
         vals.append(w)
         # relative to ||A||_F, which, unlike the eigenvalues, cannot be near 0
         res.append(np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0) / norm)

@@ -387,6 +387,20 @@ class TestOracleCompare:
         assert table["nonexceptional_shift"] <= 0.25
 
 
+@pytest.mark.parametrize("command", [["gap", "--verify"], ["oracle-compare"]])
+def test_g_max_above_the_basis_cap_exits_2_and_is_named(tmp_path, capsys, command):
+    # g_max = 11 once reached the PWE basis and failed there with "basis size
+    # 12167 exceeds cap 12000", which names no field
+    from bandscan.oracle import pwe
+
+    assert (2 * 10 + 1) ** 3 <= pwe.MAX_BASIS < (2 * 11 + 1) ** 3
+    rc = run(command + ["--problem", "transmission", "--k0", "0,0,0.5", "--m0", "0,0,1",
+                        "--a", "0.5", "--g-max", "11", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: g_max: must be <= 10\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("argv, field", [
     pytest.param("face-map --half-width {}", "half_width", id="face-map-half-width"),

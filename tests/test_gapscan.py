@@ -142,7 +142,7 @@ def test_dirichlet_guard_eigenvalue_changes_no_band(monkeypatch):
 
 
 def test_transmission_ray_matches_full_pencil():
-    # nu = 0.16 and k0_y = 0: every ray point is solved in the two sectors of
+    # nu = 0.16 and k0_y = 0: every ray point is solved in the even sector of
     # the mirror y -> -y; the bands equal those of the full pencil at each point
     import scipy.linalg
 
@@ -161,3 +161,32 @@ def test_transmission_ray_matches_full_pencil():
         lo, hi = gapscan._pick_two_bands(omegas, model.centre, window)
         assert got.lower_band[i] == pytest.approx(lo, rel=1e-12, abs=0.0)
         assert got.upper_band[i] == pytest.approx(hi, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k0, even", [((0.2, 0.0, 0.5), (1,)), ((0.0, 0.0, 0.5), (0,))])
+def test_transmission_ray_solves_one_even_sector(monkeypatch, k0, even):
+    # k0_i = m0_i = 0 on y, or on x and y: the ray solves the even sector of
+    # the first such mirror only, and measures the edges of the whole spectrum
+    from bandscan.oracle import gapscan, pwe
+
+    params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
+    model = transmission.pair_model(k0, (0, 0, 1), params)
+    oracle = gapscan._oracle
+
+    def whole(model, params, n, g_max):
+        basis = pwe.PWEBasis(g_max).basis
+        return (lambda kv: np.sum((kv + basis) ** 2, axis=1),
+                lambda kv, count, v0: pwe.pwe_transmission_eigenvalues(kv, params, g_max, count),
+                *oracle(model, params, n, g_max)[2:])
+
+    monkeypatch.setattr(gapscan, "_oracle", whole)
+    ref = measure_gap_numeric(model, params, g_max=3, n_deltas=5)
+    monkeypatch.setattr(gapscan, "_oracle", oracle)
+    seen = []
+    solve = gapscan.pwe_transmission_eigenvalues
+    monkeypatch.setattr(gapscan, "pwe_transmission_eigenvalues",
+                        lambda *args, **kw: seen.append(kw["even"]) or solve(*args, **kw))
+    got = measure_gap_numeric(model, params, g_max=3, n_deltas=5)
+    assert seen == [even] * 5
+    assert got.lo_over_c == pytest.approx(ref.lo_over_c, rel=1e-12, abs=0.0)
+    assert got.hi_over_c == pytest.approx(ref.hi_over_c, rel=1e-12, abs=0.0)

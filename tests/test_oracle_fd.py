@@ -311,7 +311,8 @@ class TestStencilPattern:
         _, free, indices, indptr, slot = fd._stencil_pattern(16, 0.5)
         sector = fd._sector(16, 0.5, (2,))
         for arr in (free, indices, indptr, slot, sector.data, sector.indices, sector.rep,
-                    sector.scatter.data, sector.gather.indices):
+                    sector.scatter.data, sector.gather.indices, sector.diag,
+                    *(a for _, pos, vals in sector.d for a in (pos, vals))):
             with pytest.raises(ValueError):
                 arr[0] = 1
 

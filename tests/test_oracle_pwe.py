@@ -200,6 +200,12 @@ class TestAssembly:
             B[0, 0] = 0.0
         _, B_again = pwe.assemble_pwe((0.0, 0.0, 0.5), params, 2)
         assert np.array_equal(B_again, broadcast_pencil((0, 0, 0), params, 2)[1])
+        # the Cholesky factor of each sector's B, which every k of a ray reuses
+        for axes, even_only in [((), False), ((1,), False), ((1,), True), ((0, 1), True)]:
+            for _, _, B, L in pwe._coefficient_matrices(params, 2, axes, even_only):
+                with pytest.raises(ValueError):
+                    L[0, 0] = 0.0
+                assert np.allclose(L @ L.T, B, rtol=0.0, atol=1e-14)
 
 
 #: Zero components of k -> the mirrored axes; the sizes are those at g_max = 5.
@@ -295,3 +301,48 @@ class TestSectorSolve:
         assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
         got = pwe.pwe_transmission_eigenvalues(k, params, g_max, 5)
         assert np.array_equal(got.eigenvalues, full_pencil_values(k, params, g_max, 5))
+
+
+class TestEvenSector:
+    @pytest.mark.parametrize("g_max", [2, 3, 4])
+    @pytest.mark.parametrize("k", [(0.2, 0.0, 0.5), (0.0, 0.0, 0.5)])
+    @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
+    def test_values_are_the_even_ones_of_the_whole_spectrum(self, g_max, k, mats, f):
+        params = TransmissionParams.from_volume_fraction(mats, f)
+        axis = 1 if k[0] else 0
+        whole = pwe.pwe_transmission_eigenvalues(k, params, g_max, 12).eigenvalues
+        # the whole spectrum splits by the same mirror into the even and odd values
+        even, odd = (scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 11))
+                     for A, B in pwe.assemble_pwe_sectors(k, params, g_max))
+        np.testing.assert_allclose(np.sort(np.concatenate([even, odd]))[:12], whole,
+                                   rtol=1e-12, atol=0.0)
+        for count in (1, 2, 5, 12):
+            got = pwe.pwe_transmission_eigenvalues(k, params, g_max, count, even=(axis,))
+            np.testing.assert_allclose(got.eigenvalues, even[:count], rtol=1e-12, atol=0.0)
+            assert got.residual_norm < 1e-10
+
+    def test_odd_bands_are_left_out(self):
+        # uniform medium at k = (0, 0, 0.5): |k+g|^2 = 1.25 has six even and
+        # two odd modes under x -> -x, and the sector keeps the even six
+        params = TransmissionParams(materials=UNIFORM, a=0.5)
+        k = np.array([0.0, 0.0, 0.5])
+        got = pwe.pwe_transmission_eigenvalues(k, params, 3, 12, even=(0,))
+        basis = pwe.PWEBasis(3).basis
+        exact = np.sort(np.sum((k + basis[basis[:, 0] >= 0]) ** 2, axis=1))[:12]
+        np.testing.assert_allclose(got.eigenvalues, exact, rtol=1e-12)
+        assert np.count_nonzero(np.isclose(got.eigenvalues, 1.25, rtol=1e-12)) == 6
+
+    @pytest.mark.parametrize("axes, size", [((1,), 405), ((0, 1), 225)])
+    def test_sector_size_bounds_the_count(self, axes, size):
+        params = weak_params(0.02)
+        assert len(pwe.assemble_pwe_sectors((0.0, 0.0, 0.5), params, 4, even=axes)[0][0]) == size
+        pwe.pwe_transmission_eigenvalues((0.0, 0.0, 0.5), params, 4, size, even=axes)
+        with pytest.raises(DomainError, match="count"):
+            pwe.pwe_transmission_eigenvalues((0.0, 0.0, 0.5), params, 4, size + 1, even=axes)
+
+    @pytest.mark.parametrize("even", [(2,), (0, 2), (3,)])
+    def test_mirror_axis_needs_a_zero_component(self, even):
+        with pytest.raises(DomainError, match="even"):
+            pwe.pwe_transmission_eigenvalues((0.0, 0.0, 0.5), weak_params(0.02), 3, 2, even=even)
+        with pytest.raises(DomainError, match="even"):
+            pwe.assemble_pwe_sectors((0.0, 0.0, 0.5), weak_params(0.02), 3, even=even)
