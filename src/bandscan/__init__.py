@@ -4,8 +4,7 @@ the independent eigensolver oracles that validate them."""
 
 __version__ = "0.1.0"
 
-from . import capacitance, config, dirichlet, globalscan, lattice, meshes, oracle
-from . import transmission, twomode
+from . import config, dirichlet, globalscan, lattice, meshes, transmission, twomode
 from .dirichlet import DirichletParams
 from .errors import (
     BandscanError,
@@ -64,3 +63,12 @@ __all__ = [
     "transmission",
     "twomode",
 ]
+
+
+def __getattr__(name):
+    """Import `oracle` and `capacitance`, which load scipy, on first use."""
+    if name in ("capacitance", "oracle"):
+        from importlib import import_module
+
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

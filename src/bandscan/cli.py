@@ -17,9 +17,9 @@ import os
 import re
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from . import __version__, dirichlet, lattice, transmission
-from .compare import dirichlet_comparison_rows, transmission_comparison_rows
 from .config import KNOWN_KEYS, ScanConfig, build_config, coerce, parse_config_file
 from .errors import (
     BandscanError,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .globalscan import global_scan
 from .meshes import read_off
-from .oracle.gapscan import measure_gap_numeric
 from .reports import (
     GapReport,
     write_branch_csv,
@@ -213,6 +212,8 @@ def cmd_gap(args) -> int:
         write_branch_csv(curve, fh)
 
     if cfg.verify:
+        from .oracle.gapscan import measure_gap_numeric  # loads scipy
+
         try:
             measured = measure_gap_numeric(model, params, n=cfg.n, g_max=cfg.g_max)
         except NumericalError as exc:
@@ -284,6 +285,8 @@ def cmd_global_scan(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    from .compare import dirichlet_comparison_rows, transmission_comparison_rows
+
     cfg = _config_from_args(args)
     _require_fd_sphere(cfg)
     if cfg.problem == "dirichlet":
@@ -323,7 +326,9 @@ def cmd_capacitance(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared: parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="bandscan",
         description="Dispersion asymptotics and local band gaps for cubic "
@@ -337,16 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=lattice.DEFAULT_TOL)
     p.add_argument("--exclusion-band", dest="exclusion_band", type=float,
                    default=lattice.DEFAULT_EXCLUSION_BAND)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gap", help="predict (and optionally measure) a local gap")
     _add_config_options(p)
-    p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("bands", help="emit the two-branch dispersion CSV")
     _add_config_options(p)
     p.add_argument("--out-file", help="CSV destination (default: stdout)")
-    p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("face-map", help="raster the gap region on a BZ face")
     p.add_argument("--m0", default="0,0,1", metavar="I,J,K")
@@ -356,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=lattice.DEFAULT_TOL)
     p.add_argument("--exclusion-band", dest="exclusion_band", type=float,
                    default=lattice.DEFAULT_EXCLUSION_BAND)
-    p.set_defaults(func=cmd_face_map)
 
     p = sub.add_parser("global-scan", help="show every omega is covered by a wave")
     p.add_argument("--omega-lo", dest="omega_lo", type=float, required=True)
@@ -365,18 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--out", help="CSV destination")
-    p.set_defaults(func=cmd_global_scan)
 
     p = sub.add_parser("oracle-compare", help="asymptotics vs numerics table")
     _add_config_options(p)
-    p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("capacitance", help="shape factor q of an inclusion")
     p.add_argument("--sphere", action="store_true")
     p.add_argument("--ellipsoid", metavar="A1,A2,A3", help="semiaxes of an ellipsoid")
     p.add_argument("--mesh", dest="mesh_path")
     p.add_argument("--refine-check", dest="refine_check", action="store_true")
-    p.set_defaults(func=cmd_capacitance)
 
     return ap
 
@@ -388,7 +386,8 @@ def main(argv=None) -> int:
         for key, value in vars(args).items():
             if value == []:  # argparse before Python 3.12 drops the value of `--flag=--`
                 raise ConfigError(f"{key}: expected a value, got '--'")
-        return args.func(args)
+        # looked up at call time, so a replaced `cmd_*` function is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, DomainError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

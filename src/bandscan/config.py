@@ -15,9 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .capacitance import capacitance_bem, capacitance_ellipsoid
 from .errors import ConfigError
 from .meshes import read_off
+
+
+#: Cap of `samples`: at about 210 bytes a sample, a scan stays within about 256 MB.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class ScanConfig:
                 raise ConfigError(f"{name}: must be > 0")
         if not self.delta_tilde_min <= self.delta_tilde_max:
             raise ConfigError("delta_tilde_min: must not exceed delta_tilde_max")
-        if self.samples < 1:
-            raise ConfigError("samples: must be >= 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples: must be >= 1 and <= {MAX_SAMPLES}")
         if self.n < 16:
             raise ConfigError("n: must be >= 16")
         if self.g_max < 2:
@@ -95,14 +98,16 @@ class ScanConfig:
         """The capacitance factor q implied by the inclusion shape."""
         if self.shape == "sphere":
             return self.q
+        from . import capacitance  # loads scipy, which a sphere does not need
+
         if self.shape == "ellipsoid":
             ax = self.semiaxes
-            return capacitance_ellipsoid(ax[0], ax[1], ax[2]).q
+            return capacitance.capacitance_ellipsoid(ax[0], ax[1], ax[2]).q
         try:
             mesh = read_off(self.mesh)
         except OSError as exc:
             raise ConfigError(f"mesh: cannot read {self.mesh!r}: {exc}") from exc
-        return capacitance_bem(mesh).q
+        return capacitance.capacitance_bem(mesh).q
 
 
 def _components(s: str, kind: str) -> list[str]:

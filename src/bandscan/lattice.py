@@ -275,6 +275,11 @@ def _face_basis(m0: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+#: Caps within about 256 MB: 86 bytes a pixel, and a candidate box growing as (4 half_width)^3.
+MAX_FACE_SAMPLES = 1601
+MAX_FACE_HALF_WIDTH = 8.0
+
+
 def face_gap_region(
     m0,
     samples: int = 101,
@@ -287,13 +292,14 @@ def face_gap_region(
     Every face point satisfies the plane condition for m0 by construction;
     a pixel is flagged when the classification there is exactly order two
     and |k|/|m0| < sqrt(2)/2 - band.  For m0 = (0,0,1) the flagged set is
-    the disk k1^2 + k2^2 < 1/4.  Vectorized over the whole raster.
+    the disk k1^2 + k2^2 < 1/4.  Vectorized over blocks of pixels.
     """
     m0 = as_shift(m0)
-    if samples < 2:
-        raise DomainError("samples must be >= 2")
-    if not (half_width > 0.0 and math.isfinite(half_width)):
-        raise DomainError(f"half_width must be finite and positive, got {half_width}")
+    if not 2 <= samples <= MAX_FACE_SAMPLES:
+        raise DomainError(f"samples: must be between 2 and {MAX_FACE_SAMPLES}, got {samples}")
+    if not 0.0 < half_width <= MAX_FACE_HALF_WIDTH:  # NaN fails too
+        raise DomainError(f"half_width: must be > 0 and <= {MAX_FACE_HALF_WIDTH}, "
+                          f"got {half_width}")
     require_nonnegative("tol", tol)
     require_nonnegative("exclusion_band", exclusion_band)
     m = np.asarray(m0, dtype=float)
@@ -301,21 +307,31 @@ def face_gap_region(
     e1, e2 = _face_basis(m0)
     center = m / 2.0
 
-    t1 = np.linspace(-half_width, half_width, samples)
-    t2 = np.linspace(-half_width, half_width, samples)
+    t1 = t2 = np.linspace(-half_width, half_width, samples)
     T1, T2 = np.meshgrid(t1, t2, indexing="ij")
     K = center[None, None, :] + T1[..., None] * e1 + T2[..., None] * e2
     Kf = K.reshape(-1, 3)
 
     kmax = float(np.max(np.linalg.norm(Kf, axis=1)))
     ms, msq = _candidate_box(math.ceil(2.0 * kmax) + 1)
-    # residual of the plane condition for every (pixel, candidate) pair
-    resid = np.abs(2.0 * (Kf @ ms.T) - msq[None, :])
-    hits = resid <= tol * np.maximum(1.0, msq)[None, :]
-    counts = hits.sum(axis=1)
-
+    limit = tol * np.maximum(1.0, msq)
+    # The residual 2 k.m - |m|^2 is affine in (t1, t2), so a candidate whose
+    # plane stays beyond its limit over the whole window never hits; the slack
+    # covers rounding, far below the terms 2|k||m| and |m|^2 of the residual.
+    nearest = np.abs(2.0 * (ms @ center) - msq) - 2.0 * half_width * (
+        np.abs(ms @ e1) + np.abs(ms @ e2))
+    near = nearest <= limit + 1e-9 * (msq + 2.0 * kmax * np.sqrt(msq))
+    ms, msq, limit = ms[near], msq[near], limit[near]
+    # residual of the plane condition for every (pixel, candidate) pair, a
+    # block of pixels at a time, at the pixels whose ratio admits a gap
     ratio = np.linalg.norm(Kf, axis=1) / math.sqrt(m2)
-    flagged = (counts == 1) & (ratio < SQRT_HALF - exclusion_band)
+    inside = np.flatnonzero(ratio < SQRT_HALF - exclusion_band)
+    flagged = np.zeros(len(Kf), dtype=bool)
+    step = max(1, 2**16 // len(ms))  # pixels per block of 2^16 residuals; m0 is always kept
+    for lo in range(0, len(inside), step):
+        pixels = inside[lo:lo + step]
+        resid = np.abs(2.0 * (Kf[pixels] @ ms.T) - msq[None, :])
+        flagged[pixels] = (resid <= limit[None, :]).sum(axis=1) == 1
     return FaceGapMap(
         m0=m0,
         t1=t1,

@@ -69,9 +69,11 @@ def write_branch_csv(curve: BranchCurve, fh) -> None:
 
 def write_face_map_csv(face_map, fh) -> None:
     fh.write("k1,k2,gap_flag\n")
-    for i, t1 in enumerate(face_map.t1):
-        for j, t2 in enumerate(face_map.t2):
-            fh.write(f"{float(t1)!r},{float(t2)!r},{int(face_map.flagged[i, j])}\n")
+    # each t is formatted once per axis, not once per pixel; a flag indexes its tail
+    tails = [(f",{float(t2)!r},0\n", f",{float(t2)!r},1\n") for t2 in face_map.t2]
+    for t1, row in zip(face_map.t1, face_map.flagged.tolist()):
+        head = repr(float(t1))
+        fh.write("".join([head + tail[flag] for tail, flag in zip(tails, row)]))
 
 
 def write_comparison_csv(rows, fh) -> None:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,8 +175,10 @@ class TestGap:
         assert (report.measured_lo_over_c, report.measured_hi_over_c) == (0.5, math.sqrt(0.26))
 
     def test_verify_failure_exits_3_with_partial_report(self, tmp_path, monkeypatch, capsys):
+        from bandscan.oracle import gapscan
+
         monkeypatch.setattr(
-            cli, "measure_gap_numeric",
+            gapscan, "measure_gap_numeric",
             lambda model, params, **kw: (_ for _ in ()).throw(NumericalError("boom")),
         )
         out = tmp_path / "run5"
@@ -187,16 +190,17 @@ class TestGap:
     def test_verify_mesh_shape_solves_bem_once(self, tmp_path, monkeypatch, capsys):
         # the FD oracle masks a sphere, so --verify refuses a mesh before any
         # BEM solve; without --verify the prediction solves BEM once
-        from bandscan import config, meshes
+        from bandscan import capacitance, meshes
+        from bandscan.oracle import gapscan
 
         path = tmp_path / "s.off"
         meshes.write_off(meshes.icosphere(1), path)
         calls = []
-        bem = config.capacitance_bem
-        monkeypatch.setattr(config, "capacitance_bem",
+        bem = capacitance.capacitance_bem
+        monkeypatch.setattr(capacitance, "capacitance_bem",
                             lambda mesh: calls.append(bem(mesh)) or calls[-1])
         oracle_params = []
-        monkeypatch.setattr(cli, "measure_gap_numeric",
+        monkeypatch.setattr(gapscan, "measure_gap_numeric",
                             lambda model, params, **kw: oracle_params.append(params))
         out = tmp_path / "run7"
         argv = ["gap", "--shape", "mesh", "--mesh", str(path), "--a", "0.1", "--out", str(out)]
@@ -487,10 +491,82 @@ def _python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-def test_import_leaves_integrate_and_optimize_unloaded():
-    # scipy.integrate is imported by the two functions that call quad, and
-    # scipy.sparse.linalg by the FD eigensolver
-    modules = ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
-    out = _python("-c", f"import sys, bandscan.cli; print([m for m in {modules} if m in sys.modules])")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "[]"
+def test_import_leaves_integrate_and_optimize_unloaded(tmp_path):
+    # scipy is loaded by the oracles and the BEM only, so no command that
+    # predicts in closed form loads it, from the import on
+    script = f"""
+import contextlib, io, os, sys
+import bandscan.cli as cli
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+os.chdir({str(tmp_path)!r})
+for argv in (["classify", "0", "0", "0.5"], ["gap", "--a", "0.1"],
+             ["bands", "--a", "0.1", "--samples", "11"], ["face-map", "--resolution", "11"],
+             ["global-scan", "--omega-lo", "0.4", "--omega-hi", "0.6", "--samples", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    out = _python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]"]
+    # the package root still reaches both on first use
+    out = _python("-c", "import bandscan; print(bandscan.oracle.fd_dirichlet_eigenvalues.__name__,"
+                        " bandscan.capacitance.capacitance_bem.__name__)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["fd_dirichlet_eigenvalues", "capacitance_bem"]
+
+
+def test_one_parser_serves_every_request(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; each request's output equals a
+    # fresh process's, and a replaced command function is the one that runs
+    cli.build_parser.cache_clear()
+    requests = {  # argv: the files it writes
+        "classify 0 0": (),
+        "gap --a 0.1 --samples 7 --out g": ("g/report.txt", "g/branches.csv"),
+        "classify 0.5 0.5 0.5": (),
+        "face-map --resolution 21 --out f.csv": ("f.csv",),
+    }
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    (tmp_path / "fresh").mkdir()
+    expected = {}
+    for argv, files in requests.items():
+        proc = subprocess.run([sys.executable, "-m", "bandscan.cli", *argv.split()],
+                              capture_output=True, text=True, cwd=tmp_path / "fresh",
+                              env=dict(os.environ, PYTHONPATH=src))
+        expected[argv] = (proc.returncode, proc.stdout, proc.stderr,
+                          [(tmp_path / "fresh" / f).read_bytes() for f in files])
+    assert expected["classify 0 0"][0] == 2
+
+    (tmp_path / "in").mkdir()
+    monkeypatch.chdir(tmp_path / "in")
+    calls = []
+    for round_ in range(2):
+        if round_:
+            classify = cli.cmd_classify
+            monkeypatch.setattr(cli, "cmd_classify",
+                                lambda args: calls.append(args.k) or classify(args))
+        for argv, files in requests.items():
+            try:
+                rc = run(argv.split())
+            except SystemExit as exc:
+                rc = exc.code
+            out, err = capsys.readouterr()
+            assert (rc, out, err, [Path(f).read_bytes() for f in files]) == expected[argv]
+    assert calls == [[0.5, 0.5, 0.5]]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("face-map --resolution 100000", "samples: must be between 2 and 1601, got 100000"),
+    ("face-map --half-width 1000", "half_width: must be > 0 and <= 8.0, got 1000.0"),
+    ("bands --samples 100000000000", "samples: must be >= 1 and <= 1000000"),
+    ("gap --samples 1000001", "samples: must be >= 1 and <= 1000000"),
+])
+def test_request_beyond_the_memory_caps_exits_2_and_is_named(tmp_path, monkeypatch, capsys,
+                                                              argv, message):
+    # each once ended in a numpy memory-error traceback, or would have grown
+    # the candidate box as (4 half_width)^3
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())

@@ -1,3 +1,5 @@
+import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from conftest import random_order_two_pairs
 
 from bandscan import lattice
 from bandscan.errors import DomainError
+from bandscan.reports import write_face_map_csv
 
 SQ2 = math.sqrt(2.0) / 2.0
 
@@ -229,3 +232,37 @@ class TestFaceGapRegion:
             lattice.face_gap_region((0, 0, 0))
         with pytest.raises(DomainError):
             lattice.face_gap_region((0, 0, 1), samples=1)
+
+    @pytest.mark.parametrize("samples, half_width", [(41, 1.0), (64, 2.0), (31, 3.0)])
+    def test_pruned_blocks_match_the_full_residual_matrix(self, samples, half_width):
+        # the flags of the plain formula, every candidate of the box in one
+        # residual matrix, against the pruned, blocked map; and the CSV
+        # against a writer that formats every pixel's coordinates
+        shifts = [m for m in itertools.product(range(-2, 3), repeat=3) if any(m)]
+        assert len(shifts) == 124
+        t = np.linspace(-half_width, half_width, samples)
+        T1, T2 = np.meshgrid(t, t, indexing="ij")
+        for m0 in shifts:
+            m = np.asarray(m0, dtype=float)
+            e1, e2 = lattice._face_basis(m0)
+            Kf = (m / 2.0 + T1[..., None] * e1 + T2[..., None] * e2).reshape(-1, 3)
+            kmax = float(np.max(np.linalg.norm(Kf, axis=1)))
+            ms, msq = lattice._candidate_box(math.ceil(2.0 * kmax) + 1)
+            ratio = np.linalg.norm(Kf, axis=1) / math.sqrt(m @ m)
+            # a pixel outside the gap ratio is never flagged, whatever its count
+            inside = ratio < SQ2 - lattice.DEFAULT_EXCLUSION_BAND
+            resid = np.abs(2.0 * (Kf[inside] @ ms.T) - msq[None, :])
+            for tol in (0.0, 1e-9, 1e-3):
+                want = np.zeros(samples * samples, dtype=bool)
+                want[inside] = (resid <= tol * np.maximum(1.0, msq)[None, :]).sum(axis=1) == 1
+                fmap = lattice.face_gap_region(m0, samples=samples, half_width=half_width,
+                                               tol=tol)
+                np.testing.assert_array_equal(fmap.flagged, want.reshape(samples, samples))
+            # the writer reads only the map, so one tolerance per shift will do
+            lines = ["k1,k2,gap_flag\n"]
+            for t1, row in zip(fmap.t1.tolist(), fmap.flagged.tolist()):
+                for t2, flag in zip(fmap.t2.tolist(), row):
+                    lines.append(f"{t1!r},{t2!r},{int(flag)}\n")
+            out = io.StringIO()
+            write_face_map_csv(fmap, out)
+            assert out.getvalue() == "".join(lines), m0
