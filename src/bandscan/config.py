@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .meshes import read_off
 
 
-#: Cap of `samples`: at about 210 bytes a sample, a scan stays within about 256 MB.
+#: Cap of `samples`: at about 50 bytes a sample, `bands` peaks near 80 MB at the cap.
 MAX_SAMPLES = 1_000_000
 
 
@@ -66,12 +66,18 @@ class ScanConfig:
             raise ConfigError("q: must be > 0")
         if self.shape not in ("sphere", "ellipsoid", "mesh"):
             raise ConfigError(f"shape: unknown {self.shape!r}")
-        if self.shape == "ellipsoid" and self.semiaxes is None:
-            raise ConfigError("semiaxes: required for shape = ellipsoid")
-        if self.shape == "mesh" and self.mesh is None:
-            raise ConfigError("mesh: path required for shape = mesh")
         if self.problem == "transmission" and self.shape != "sphere":
             raise ConfigError("shape: transmission supports spheres only")
+        # the fields that one problem or shape reads: needed there, refused elsewhere
+        reads = {"q": self.problem == "dirichlet" and self.shape == "sphere",
+                 "semiaxes": self.shape == "ellipsoid", "mesh": self.shape == "mesh"}
+        for name, read in reads.items():
+            value = getattr(self, name)
+            if read and value is None:
+                raise ConfigError(f"{name}: required for shape = {self.shape}")
+            if not read and value != getattr(ScanConfig, name):
+                raise ConfigError(f"{name}: problem = {self.problem} with shape = {self.shape} "
+                                  f"does not use it, got {value!r}")
         for name in ("gamma_plus", "gamma_minus", "rho_plus", "rho_minus"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name}: must be > 0")
@@ -84,7 +90,7 @@ class ScanConfig:
         if self.g_max < 2:
             raise ConfigError("g_max: must be >= 2")
         if self.g_max > 10:
-            # the PWE basis cap, (2 g_max + 1)^3 <= oracle.pwe.MAX_BASIS
+            # oracle.pwe.MAX_G_MAX, the plane-wave oracle's truncation cap
             raise ConfigError("g_max: must be <= 10")
         if not self.c > 0.0:
             raise ConfigError("c: must be > 0")

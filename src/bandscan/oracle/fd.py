@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -57,7 +56,7 @@ import scipy.sparse as sp
 from scipy.special import ive
 
 from ..errors import DomainError, ResolutionError
-from ..lattice import integer_cube
+from ..lattice import integer_cube, mirror_axes
 from .eig import EigResult, hermitian_eigensolve
 
 TWO_PI = 2.0 * math.pi
@@ -93,30 +92,6 @@ def fourier_symbol(n: int, k, even=()) -> np.ndarray:
     return axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :]
 
 
-@dataclass(frozen=True)
-class FDGrid:
-    """Uniform grid plus inclusion mask for one (n, a) geometry."""
-
-    n: int
-    a: float
-    inclusion_mask: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.n < 8:
-            raise DomainError("grid must have n >= 8 points per axis")
-        if not (0.0 <= self.a < math.pi / 2):
-            raise DomainError("inclusion radius must satisfy 0 <= a < pi/2")
-        object.__setattr__(self, "inclusion_mask", sphere_mask(self.n, self.a))
-
-    @property
-    def h(self) -> float:
-        return TWO_PI / self.n
-
-    @property
-    def cells_across(self) -> float:
-        return 2.0 * self.a / self.h
-
-
 def _resolve_workers() -> int:
     # BANDSCAN_THREADS caps FFT worker threads; -1 means all cores
     return int(os.environ.get("BANDSCAN_THREADS", "-1") or "-1")
@@ -147,7 +122,7 @@ class _Sector:
 
     def __init__(self, n: int, a: float, even: tuple[int, ...]):
         self.n, self.even = n, even
-        self.grid, free, indices, indptr, slot = _stencil_pattern(n, a)
+        free, indices, indptr, slot = _stencil_pattern(n, a)
         node = np.stack(np.unravel_index(free, (n, n, n)))
         self.shape = tuple(n // 2 + 1 if i in even else n for i in range(3))
         # the free nodes with index <= n//2 on every mirrored axis, one per
@@ -331,13 +306,12 @@ def _block_modes(n: int, k, count: int, even=(), max_extra: int = 8):
 
 @lru_cache(maxsize=1)
 def _stencil_pattern(n: int, a: float):
-    """(grid, free nodes, CSR indices, indptr, stencil slot per entry), read-only.
+    """(free nodes, CSR indices, indptr, stencil slot per entry), read-only.
 
     Independent of k, so built once per geometry.  Slot 0 is the centre, slots
     1 + 2j and 2 + 2j the +1 and -1 neighbours along axis j (np.roll by -1, +1).
     """
-    grid = FDGrid(n=n, a=a)
-    free = np.flatnonzero(~grid.inclusion_mask.ravel())
+    free = np.flatnonzero(~sphere_mask(n, a).ravel())
     pos = np.full(n**3, free.size)  # masked nodes sort after every free one
     pos[free] = np.arange(free.size)
     node = np.arange(n**3).reshape(n, n, n)
@@ -348,8 +322,8 @@ def _stencil_pattern(n: int, a: float):
     C = np.take_along_axis(C, slot, axis=1)
     inside = C < free.size
     indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1)))).astype(np.int32)
-    out = grid, free, C[inside].astype(np.int32), indptr, slot[inside]
-    for arr in out[1:]:
+    out = free, C[inside].astype(np.int32), indptr, slot[inside]
+    for arr in out:
         arr.setflags(write=False)
     return out
 
@@ -364,7 +338,7 @@ def assemble_sparse(n: int, k, a: float = 0.0) -> sp.csr_matrix:
     """
     k = np.asarray(k, dtype=float)
     h = TWO_PI / n
-    _, free, indices, indptr, slot = _stencil_pattern(n, a)
+    free, indices, indptr, slot = _stencil_pattern(n, a)
     vals = [6.0 / h**2 + float(k @ k)]
     for axis in range(3):
         vals += [-1.0 / h**2 + sign * 1j * k[axis] / h for sign in (1.0, -1.0)]
@@ -403,22 +377,22 @@ def fd_dirichlet_eigenvalues(
         raise DomainError("fd_dirichlet_eigenvalues requires n >= 16")
     if count < 1:
         raise DomainError("count must be >= 1")
-    even = tuple(sorted(set(int(i) for i in even)))
-    if any(i not in (0, 1, 2) or k[i] != 0.0 for i in even):
-        raise DomainError(f"even: mirror axes {even} need k_i = 0 on each, got k = {tuple(k)}")
+    even = mirror_axes(k, even)
     if even and n % 2:
         # the DCT-I of the preconditioner is the DFT of even data for even n only
         raise DomainError(f"even: mirror sectors need an even n, got n = {n}")
-    grid = _stencil_pattern(n, a)[0]
+    if not 0.0 <= a < math.pi / 2:
+        raise DomainError("inclusion radius must satisfy 0 <= a < pi/2")
+    cells = a * n / math.pi  # across the diameter 2a at spacing 2 pi / n
     if a > 0.0:
-        if grid.cells_across < 2.0:
+        if cells < 2.0:
             raise ResolutionError(
-                f"only {grid.cells_across:.2f} grid cells across the inclusion "
+                f"only {cells:.2f} grid cells across the inclusion "
                 f"diameter at n={n}; need at least 2"
             )
-        if grid.cells_across < 4.0:
+        if cells < 4.0:
             warnings.warn(
-                f"{grid.cells_across:.2f} grid cells across the inclusion "
+                f"{cells:.2f} grid cells across the inclusion "
                 "diameter; staircase error is large below 4",
                 stacklevel=2,
             )

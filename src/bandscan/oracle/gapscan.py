@@ -25,9 +25,10 @@ import numpy as np
 
 from ..dirichlet import DirichletParams
 from ..errors import TrackingError
+from ..lattice import integer_cube
 from ..twomode import TwoModeModel
 from .fd import fd_dirichlet_eigenvalues, fourier_symbol
-from .pwe import PWEBasis, pwe_transmission_eigenvalues
+from .pwe import pwe_transmission_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def _oracle(model: TwoModeModel, params, n: int, g_max: int):
             0,
         )
     even = tuple(mirrors[:1])
-    basis = PWEBasis(g_max).basis
+    basis = integer_cube(g_max)
     modes = basis[np.all(basis[:, list(even)] >= 0, axis=1)]
     return (
         lambda kv: np.sum((kv + modes) ** 2, axis=1),

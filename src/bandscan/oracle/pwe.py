@@ -16,17 +16,14 @@ difference lattice, so the transform is evaluated there and gathered by the
 integer code of g - g' (the Toeplitz structure of Ho, Chan & Soukoulis,
 PRL 65, 3152, 1990).  The sphere is centred and isotropic, so each mirror
 x_i -> -x_i with k_i = 0 commutes with (A, B) and fixes the ray
-k = (1 + delta) k0.  Each sector of such mirrors is gathered straight into
-the orthonormal symmetrised basis (Sakoda, Optical Properties of Photonic
-Crystals, 2005, ch. 3).  With `even` the solve keeps only the sector even
-under the mirrors it names: a `gap --verify` ray names the first mirror that
-fixes both plane waves of its pair, so every k with a zero component costs
-the same.  Without it the solve takes the mirror of the first axis with
-k_i = 0 and solves both sectors, even and odd, which together have the full
-pencil's eigenvalues; a k with no zero component has one sector, the full
-pencil.
+k = (1 + delta) k0.  A solve keeps only the sector even under the mirrors
+that `even` names, gathered straight into the orthonormal symmetrised basis
+(Sakoda, Optical Properties of Photonic Crystals, 2005, ch. 3): a
+`gap --verify` ray names the first mirror that fixes both plane waves of its
+pair, and `oracle-compare` every mirror that fixes k0.  With no mirror the
+sector is the full pencil.
 
-Blocks and the Cholesky factor L of each sector's B are built once per
+The blocks and the Cholesky factor L of the sector's B are built once per
 (params, g_max, mirrors).  Each k then runs the steps of LAPACK's xSYGVX
 past its Cholesky step, sygst, syevx and a triangular back-substitution
 (Anderson et al., LAPACK Users' Guide, 3rd ed., 2.3.5.1), so its numbers
@@ -36,7 +33,6 @@ are those of `scipy.linalg.eigh(A, B, subset_by_index=...)` bit for bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
 
@@ -44,31 +40,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ..errors import DomainError, NumericalError
-from ..lattice import integer_cube
+from ..lattice import integer_cube, mirror_axes
 from ..transmission import TransmissionParams, volume_fraction
 from .eig import EigResult
 
-#: Cap on the plane-wave basis size (2*g_max+1)^3.
-MAX_BASIS = 12_000
-
-
-@dataclass(frozen=True)
-class PWEBasis:
-    """Lexicographically ordered integer modes with |g|_inf <= g_max."""
-
-    g_max: int
-    basis: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.g_max < 1:
-            raise DomainError("g_max must be >= 1")
-        size = (2 * self.g_max + 1) ** 3
-        if size > MAX_BASIS:
-            raise DomainError(f"basis size {size} exceeds cap {MAX_BASIS}")
-        object.__setattr__(self, "basis", integer_cube(self.g_max))
-
-    def __len__(self):
-        return len(self.basis)
+#: Cap on the truncation: the full basis has (2 g_max + 1)^3 = 9,261 modes at 10.
+MAX_G_MAX = 10
 
 
 def sphere_indicator_fourier(g, a: float):
@@ -99,36 +76,30 @@ def sphere_indicator_fourier(g, a: float):
 
 @lru_cache(maxsize=1)
 def _sector_maps(g_max: int, axes: tuple[int, ...]):
-    """(signs, perm, sectors) of the group H of mirrors g_i -> -g_i on `axes`.
+    """(signs, perm, rows) of the group H of mirrors g_i -> -g_i on `axes`.
 
-    Element h puts `signs[h]` on the axes and maps mode j to mode `perm[h, j]`.
-    A sector (chars, rows) is a character chi(h) and the orbit representatives
-    it keeps: g_i >= 0 on `axes`, and g_i != 0 where chi is odd.
+    Element h puts `signs[h]` on the axes and maps mode j to mode `perm[h, j]`;
+    `rows` are the orbit representatives, the modes with g_i >= 0 on `axes`.
     """
-    basis, ax = PWEBasis(g_max).basis, list(axes)
+    basis, ax = integer_cube(g_max), list(axes)
     signs = np.ones((2 ** len(ax), 3), dtype=int)
     signs[:, ax] = list(product((1, -1), repeat=len(ax)))
     side, flipped = 2 * g_max + 1, basis * signs[:, None, :] + g_max
     perm = (flipped[..., 0] * side + flipped[..., 1]) * side + flipped[..., 2]
-    sectors = []
-    for odd in product((0, 1), repeat=len(ax)):
-        chars = np.prod(signs[:, ax] ** np.array(odd, dtype=int), axis=1)
-        sectors.append((chars, np.flatnonzero(np.all(basis[:, ax] >= odd, axis=1))))
-    return signs, perm, tuple(sectors)
+    return signs, perm, np.flatnonzero(np.all(basis[:, ax] >= 0, axis=1))
 
 
 @lru_cache(maxsize=1)
-def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[int, ...],
-                          even_only: bool):
-    """Read-only (modes, eta blocks, B, L) of each mirror sector of `axes`, or of the even one.
+def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
+    """Read-only (modes, eta blocks, B, L) of the sector even under the mirrors on `axes`.
 
     A block of f is sqrt(|O_r| |O_s|) / |H| sum_h psi(h) f(r - h s); B is
-    gamma's with psi = chi, and L its lower Cholesky factor.  As k_i = 0 on
+    gamma's with psi = 1, and L its lower Cholesky factor.  As k_i = 0 on
     `axes`, (k+r).(k+h s) is sum_i sign_i(h) (k+r)_i (k+s)_i, so A takes one
-    eta block per distinct psi = chi sign_i, kept with its axes i.  No axes:
+    eta block per distinct psi = sign_i, kept with its axes i.  No axes:
     B = gamma, one block eta.
     """
-    basis = PWEBasis(g_max).basis
+    basis = integer_cube(g_max)
     side = 4 * g_max + 1
     diffs = integer_cube(2 * g_max)
     dnorm = np.linalg.norm(diffs.astype(float), axis=1)
@@ -140,63 +111,40 @@ def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[in
     gam = np.where(diag, mats.gamma_plus, 0.0) + (mats.gamma_minus - mats.gamma_plus) * chi
     # index of r - h s in `diffs`: the mixed-radix code is linear in the mode
     code = (basis[:, 0] * side + basis[:, 1]) * side + basis[:, 2]
-    signs, perm, sectors = _sector_maps(g_max, axes)
-    out = []
-    # the first sector is the one even under every mirror
-    for chars, rows in sectors[:1] if even_only else sectors:
-        origin = code[rows, None] + 2 * g_max * (side * side + side + 1)
-        idx = [origin - code[p[rows]] for p in perm]
-        orbit = 2.0 ** np.count_nonzero(basis[rows][:, list(axes)], axis=1)
-        weight = np.sqrt(np.outer(orbit, orbit)) / len(perm)
-        def block(f, psi):
-            b = reduce(np.add, (c * f[i] for c, i in zip(psi, idx))) * weight
-            b.flags.writeable = False
-            return b
-        groups: dict[tuple, list[int]] = {}
-        for i in range(3):
-            groups.setdefault(tuple(chars * signs[:, i]), []).append(i)
-        blocks = tuple((ax, block(eta, psi)) for psi, ax in groups.items())
-        B = block(gam, chars)
-        L, info = lapack.dpotrf(B, lower=1)
-        if info != 0:
-            raise NumericalError(f"PWE mass matrix not positive definite (LAPACK info {info})")
-        L.flags.writeable = False
-        out.append((basis[rows].astype(float), blocks, B, L))
-    return tuple(out)
+    signs, perm, rows = _sector_maps(g_max, axes)
+    origin = code[rows, None] + 2 * g_max * (side * side + side + 1)
+    idx = [origin - code[p[rows]] for p in perm]
+    orbit = 2.0 ** np.count_nonzero(basis[rows][:, list(axes)], axis=1)
+    weight = np.sqrt(np.outer(orbit, orbit)) / len(perm)
+
+    def block(f, psi):
+        b = reduce(np.add, (c * f[i] for c, i in zip(psi, idx))) * weight
+        b.flags.writeable = False
+        return b
+
+    groups: dict[tuple, list[int]] = {}
+    for i in range(3):
+        groups.setdefault(tuple(signs[:, i]), []).append(i)
+    blocks = tuple((ax, block(eta, psi)) for psi, ax in groups.items())
+    B = block(gam, np.ones(len(perm)))
+    L, info = lapack.dpotrf(B, lower=1)
+    if info != 0:
+        raise NumericalError(f"PWE mass matrix not positive definite (LAPACK info {info})")
+    L.flags.writeable = False
+    return basis[rows].astype(float), blocks, B, L
 
 
-def _mirrors(k, even) -> tuple[tuple[int, ...], bool]:
-    """(mirror axes, even sector only) of a solve at k: `even`, else the first axis with k_i = 0."""
-    k = np.asarray(k, dtype=float)
-    if not even:
-        return tuple(np.flatnonzero(k == 0)[:1].tolist()), False
-    even = tuple(sorted(set(int(i) for i in even)))
-    if any(i not in (0, 1, 2) or k[i] != 0.0 for i in even):
-        raise DomainError(f"even: mirror axes {even} need k_i = 0 on each, got k = {tuple(k)}")
-    return even, True
+def assemble_pwe(k, params: TransmissionParams, g_max: int, *, even=()):
+    """(A, B) of the sector even under the mirrors x_i -> -x_i on `even` at the Bloch vector k.
 
-
-def _pencils(k, params: TransmissionParams, g_max: int, axes: tuple[int, ...], even_only: bool):
-    """(A, B) of each mirror sector of `axes`, or of the even one, at the Bloch vector k."""
-    k, pencils = np.asarray(k, dtype=float), []
-    for modes, blocks, B, _ in _coefficient_matrices(params, g_max, axes, even_only):
-        kg = k[None, :] + modes
-        xs = [kg[:, ax] for ax, _ in blocks]
-        pencils.append((reduce(np.add, [(x @ x.T) * eta for x, (_, eta) in zip(xs, blocks)]), B))
-    return pencils
-
-
-def assemble_pwe(k, params: TransmissionParams, g_max: int):
-    """(A, B) pencil matrices for one Bloch vector; B is shared and read-only."""
-    return _pencils(k, params, g_max, (), False)[0]
-
-
-def assemble_pwe_sectors(k, params: TransmissionParams, g_max: int, *, even=()):
-    """One (A, B) per sign sector of the mirror x_i -> -x_i, i the first axis with k_i = 0.
-
-    With `even`, the one (A, B) of the sector even under the mirrors on those axes.
+    k_i = 0 on each axis of `even`; the default () gives the full pencil.
+    B is shared and read-only.
     """
-    return _pencils(k, params, g_max, *_mirrors(k, even))
+    k = np.asarray(k, dtype=float)
+    modes, blocks, B, _ = _coefficient_matrices(params, g_max, mirror_axes(k, even))
+    kg = k[None, :] + modes
+    xs = [kg[:, ax] for ax, _ in blocks]
+    return reduce(np.add, [(x @ x.T) * eta for x, (_, eta) in zip(xs, blocks)]), B
 
 
 def _lowest(A, L, count: int):
@@ -227,32 +175,23 @@ def pwe_transmission_eigenvalues(
     the eigenvalues whose eigenvectors are even under x_i -> -x_i on every
     one of them.  The default () gives the whole spectrum.
     """
-    if g_max < 2:
-        raise DomainError("g_max must be >= 2")
+    if not 2 <= g_max <= MAX_G_MAX:
+        raise DomainError(f"g_max must be between 2 and {MAX_G_MAX}, got {g_max}")
     if count < 1:
         raise DomainError("count must be >= 1")
-    axes, even_only = _mirrors(k, even)
+    k = np.asarray(k, dtype=float)
+    even = mirror_axes(k, even)
     if g_max * params.a < 1.0:
         msg = f"g_max*a = {g_max * params.a:.2f} < 1: truncation barely resolves the sphere"
         warnings.warn(msg, stacklevel=2)
-    # the even sector keeps the modes with g_i >= 0 on the mirrored axes
-    halved = len(axes) if even_only else 0
-    size = (g_max + 1) ** halved * (2 * g_max + 1) ** (3 - halved)
-    if count > size:
-        raise DomainError(f"count {count} exceeds the {size} modes solved")
-    pencils = assemble_pwe_sectors(k, params, g_max, even=even)
-    factors = [L for *_, L in _coefficient_matrices(params, g_max, axes, even_only)]
-    vals, res = [], []
-    for (A, B), L in zip(pencils, factors):
-        norm = max(np.linalg.norm(A), 1e-300)
-        herm = np.linalg.norm(A - A.T) / norm
-        if not herm <= 1e-12:
-            raise NumericalError(f"PWE assembly not symmetric (defect {herm:.2e})")
-        w, vecs = _lowest(A, L, min(count, len(A)))
-        vals.append(w)
-        # relative to ||A||_F, which, unlike the eigenvalues, cannot be near 0
-        res.append(np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0) / norm)
-    # the sector bases are orthonormal, so a sector residual is the full one
-    vals, res = np.concatenate(vals), np.concatenate(res)
-    keep = np.argsort(vals, kind="stable")[:count]
-    return EigResult(vals[keep], float(np.max(res[keep])))
+    A, B = assemble_pwe(k, params, g_max, even=even)
+    if count > len(A):
+        raise DomainError(f"count {count} exceeds the {len(A)} modes solved")
+    norm = max(np.linalg.norm(A), 1e-300)
+    herm = np.linalg.norm(A - A.T) / norm
+    if not herm <= 1e-12:
+        raise NumericalError(f"PWE assembly not symmetric (defect {herm:.2e})")
+    w, vecs = _lowest(A, _coefficient_matrices(params, g_max, even)[3], count)
+    # relative to ||A||_F, which, unlike the eigenvalues, cannot be near 0
+    res = np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0) / norm
+    return EigResult(w, float(np.max(res)))

@@ -63,8 +63,10 @@ class GapReport:
 
 def write_branch_csv(curve: BranchCurve, fh) -> None:
     fh.write("delta_tilde,omega_minus_over_c,omega_plus_over_c\n")
-    for dt, lo, hi in curve.samples():
-        fh.write(f"{dt!r},{lo!r},{hi!r}\n")
+    cols = (curve.delta_tilde, curve.omega_minus_over_c, curve.omega_plus_over_c)
+    for lo in range(0, len(curve), 65_536):  # a long scan is never held as text at once
+        rows = zip(*(c[lo:lo + 65_536].tolist() for c in cols))
+        fh.write("".join(f"{dt!r},{om!r},{op!r}\n" for dt, om, op in rows))
 
 
 def write_face_map_csv(face_map, fh) -> None:

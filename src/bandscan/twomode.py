@@ -68,15 +68,6 @@ class BranchCurve:
     def __len__(self):
         return len(self.delta_tilde)
 
-    def samples(self):
-        return list(
-            zip(
-                self.delta_tilde.tolist(),
-                self.omega_minus_over_c.tolist(),
-                self.omega_plus_over_c.tolist(),
-            )
-        )
-
 
 class TwoModeModel:
     """Branches, scans and the local gap of one order-two pair.

@@ -110,8 +110,7 @@ def test_criterion_3_dirichlet_oracle_agreement():
     def remainder(a, n):
         h = 2.0 * math.pi / n
         pattern = fd_oracle.mask_pattern(a / h)
-        grid = fd_oracle.FDGrid(n=n, a=a)
-        assert int(grid.inclusion_mask.sum()) == len(pattern)
+        assert int(fd_oracle.sphere_mask(n, a).sum()) == len(pattern)
         cap_d = fd_oracle.discrete_inclusion_capacitance(pattern, h)
         pred = 2.0 * math.pi * cap_d / (k2 * PI3) * knorm
         shift = shifts48[a] if n == 48 and a in shifts48 else measured_shift(a, n)

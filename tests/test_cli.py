@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -397,7 +398,7 @@ def test_g_max_above_the_basis_cap_exits_2_and_is_named(tmp_path, capsys, comman
     # 12167 exceeds cap 12000", which names no field
     from bandscan.oracle import pwe
 
-    assert (2 * 10 + 1) ** 3 <= pwe.MAX_BASIS < (2 * 11 + 1) ** 3
+    assert pwe.MAX_G_MAX == 10
     rc = run(command + ["--problem", "transmission", "--k0", "0,0,0.5", "--m0", "0,0,1",
                         "--a", "0.5", "--g-max", "11", "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -477,6 +478,55 @@ def test_double_dash_value_exits_2_and_is_named(capsys, argv, field):
     # ended in an AttributeError or TypeError traceback
     assert run(argv.split()) == 2
     assert re.match(rf"error: {field}: ", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, field", [
+    ("gap --problem transmission --q 5", "q"),
+    # the ellipsoid's own q would be reported
+    ("gap --shape ellipsoid --semiaxes 1,0.8,0.6 --q 5", "q"),
+    ("gap --semiaxes 3,1,1", "semiaxes"),
+    ("gap --mesh sphere.off", "mesh"),
+    ("bands --problem transmission --q 0.5", "q"),
+    ("oracle-compare --shape ellipsoid --semiaxes 1,1,1 --mesh sphere.off", "mesh"),
+])
+def test_config_field_the_request_ignores_exits_2_and_is_named(tmp_path, monkeypatch, capsys,
+                                                               argv, field):
+    # each once exited 0 and used the defaults in place of the value given
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: {field}: problem = \w+ with shape = \w+ does not use it, "
+                        r"got .*\n", err)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, field", [
+    ("classify 36.01 0 0", "k"),
+    ("gap --k0 0,0,36.5 --m0 0,0,73", "k0"),
+    ("gap --problem transmission --k0 0,36.5,0 --m0 0,73,0", "k0"),
+    ("bands --k0 36.5,0,0 --m0 73,0,0", "k0"),
+    # the window of half-width 1 around m0/2 = (36, 0, 0) reaches |k| = 36.03
+    ("face-map --m0 72,0,0 --resolution 11", "m0"),
+])
+def test_shift_search_past_its_cap_exits_2_and_is_named(tmp_path, monkeypatch, capsys,
+                                                        argv, field):
+    # the candidate-shift box grows as (4|k|)^3: `classify 40 0 0.5` once peaked at 274 MB
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: {field}: the candidate-shift search at \|k\| = [\d.]+ passes "
+                        r"its cap \|k\| <= 36\n", err)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("module", ["bandscan", "bandscan.oracle"])
+def test_every_exported_name_resolves(module):
+    # the package root loads `oracle` and `capacitance` on first use, so a
+    # stale name in __all__ would otherwise show up only when a caller asks for it
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_every_config_field_is_a_key_and_a_gap_flag():

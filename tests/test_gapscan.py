@@ -3,6 +3,7 @@ import pytest
 
 from bandscan import dirichlet, transmission
 from bandscan.errors import DomainError, TrackingError
+from bandscan.lattice import integer_cube
 from bandscan.oracle.gapscan import measure_gap_numeric
 from bandscan.transmission import MaterialSpec, TransmissionParams
 
@@ -174,7 +175,7 @@ def test_transmission_ray_solves_one_even_sector(monkeypatch, k0, even):
     oracle = gapscan._oracle
 
     def whole(model, params, n, g_max):
-        basis = pwe.PWEBasis(g_max).basis
+        basis = integer_cube(g_max)
         return (lambda kv: np.sum((kv + basis) ** 2, axis=1),
                 lambda kv, count, v0: pwe.pwe_transmission_eigenvalues(kv, params, g_max, count),
                 *oracle(model, params, n, g_max)[2:])

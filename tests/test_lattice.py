@@ -188,6 +188,20 @@ class TestProperties:
         assert brute == inside
 
 
+def test_shift_search_past_its_cap_is_refused_and_named():
+    # the search box grows as (4|k|)^3, so each caller names the vector whose
+    # norm sets it; none of these builds the box
+    past = lattice.MAX_SEARCH_NORM * (1.0 + 1e-9)
+    with pytest.raises(DomainError, match=r"^k: the candidate-shift search"):
+        lattice.classify_wavevector((0.0, past, 0.0))
+    with pytest.raises(DomainError, match=r"^k: the candidate-shift search"):
+        lattice.classify_wavevector_exact((0, Fraction(past).limit_denominator(10**9), 0))
+    with pytest.raises(DomainError, match=r"^k0: the candidate-shift search"):
+        lattice.gap_admissible((0.0, 0.0, 36.5), (0, 0, 73))
+    with pytest.raises(DomainError, match=r"^m0: the candidate-shift search"):
+        lattice.face_gap_region((72, 0, 0), samples=11)
+
+
 @pytest.fixture(scope="module")
 def fmap():
     return lattice.face_gap_region((0, 0, 1), samples=101)

@@ -46,9 +46,8 @@ class TestUnperturbed:
 
 class TestMaskedProblem:
     def test_mask_matches_pattern(self):
-        grid = fd.FDGrid(n=32, a=0.3)
-        pat = fd.mask_pattern(0.3 / grid.h)
-        assert int(grid.inclusion_mask.sum()) == len(pat)
+        pat = fd.mask_pattern(0.3 / (2.0 * math.pi / 32))
+        assert int(fd.sphere_mask(32, 0.3).sum()) == len(pat)
 
     def test_shift_tracks_asymptotic(self):
         res = fd.fd_dirichlet_eigenvalues(K, 0.3, 32, 1)
@@ -141,7 +140,7 @@ class TestGuards:
         with pytest.raises(DomainError):
             fd.fd_dirichlet_eigenvalues(K, 0.3, 12, 1)
         with pytest.raises(DomainError):
-            fd.FDGrid(n=4, a=0.1)
+            fd.fd_dirichlet_eigenvalues(K, 0.1, 4, 1)
 
     def test_bad_count(self):
         with pytest.raises(DomainError):
@@ -149,7 +148,7 @@ class TestGuards:
 
     def test_radius_bound(self):
         with pytest.raises(DomainError):
-            fd.FDGrid(n=16, a=math.pi / 2)
+            fd.fd_dirichlet_eigenvalues(K, math.pi / 2, 16, 1)
 
     def test_result_sorted_and_residual(self):
         res = fd.fd_dirichlet_eigenvalues(K, 0.3, 24, 3)
@@ -230,14 +229,14 @@ class TestIterativeSolver:
         op = fd._GridOperator(sector, K)
         rng = np.random.default_rng(1)
         V = rng.standard_normal((op.shape[0], 3))
-        G = full_grid(16, 0.5, sector_vectors(sector, V))
-        h = sector.grid.h
+        G = full_grid(16, 0.5, sector_vectors(sector, 0.5, V))
+        h = 2.0 * math.pi / 16
         out = (6.0 / h**2 + K2) * G
         for ax, kj in enumerate(K):
             up, dn = np.roll(G, -1, axis=ax), np.roll(G, 1, axis=ax)
             out += -(up + dn) / h**2 + (1j * kj / h) * (up - dn)
-        ref = out.reshape(-1, 3)[fd._stencil_pattern(16, 0.5)[1]]
-        assert np.allclose(sector_vectors(sector, op.matmat(V)), ref, rtol=0.0, atol=1e-10)
+        ref = out.reshape(-1, 3)[fd._stencil_pattern(16, 0.5)[0]]
+        assert np.allclose(sector_vectors(sector, 0.5, op.matmat(V)), ref, rtol=0.0, atol=1e-10)
         lo, hi = op.spectrum
         assert lo >= 0.0 and hi == pytest.approx(float(fd.fourier_symbol(16, K).max()))
 
@@ -303,12 +302,12 @@ class TestStencilPattern:
         mask = fd.sphere_mask(n, a)
         ref = reference_csr(n, K, mask)
         got = fd.assemble_sparse(n, K, a)
-        assert np.array_equal(fd._stencil_pattern(n, a)[1], np.flatnonzero(~mask.ravel()))
+        assert np.array_equal(fd._stencil_pattern(n, a)[0], np.flatnonzero(~mask.ravel()))
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
 
     def test_shared_pattern_is_read_only(self):
-        _, free, indices, indptr, slot = fd._stencil_pattern(16, 0.5)
+        free, indices, indptr, slot = fd._stencil_pattern(16, 0.5)
         sector = fd._sector(16, 0.5, (2,))
         for arr in (free, indices, indptr, slot, sector.data, sector.indices, sector.rep,
                     sector.scatter.data, sector.gather.indices, sector.diag,
@@ -331,10 +330,10 @@ def test_masked_eigenvalues_interlace_the_symbol(k, a, n):
     assert np.all(res.eigenvalues >= sym - 1e-8 * scale)
 
 
-def sector_vectors(sector, V):
+def sector_vectors(sector, a, V):
     """U V: the free-node vectors whose sector coefficients are the columns of V."""
     n = sector.n
-    node = np.stack(np.unravel_index(fd._stencil_pattern(n, sector.grid.a)[1], (n, n, n)))
+    node = np.stack(np.unravel_index(fd._stencil_pattern(n, a)[0], (n, n, n)))
     for i in sector.even:  # every node takes the value of its orbit's representative
         node[i] = np.minimum(node[i], -node[i] % n)
     return (sector.scatter @ V)[np.ravel_multi_index(node, sector.shape)]
@@ -343,7 +342,7 @@ def sector_vectors(sector, V):
 def full_grid(n, a, W):
     """The columns of W on the whole n^3 grid, 0 on the masked nodes."""
     G = np.zeros((n**3, W.shape[1]), dtype=complex)
-    G[fd._stencil_pattern(n, a)[1]] = W
+    G[fd._stencil_pattern(n, a)[0]] = W
     return G.reshape(n, n, n, -1)
 
 
@@ -361,7 +360,7 @@ class TestSector:
     def test_basis_is_orthonormal_even_and_inversion_real(self, k, even):
         sector = fd._Sector(self.N, self.A, even)
         V, W = self.blocks(sector)
-        UV, UW = sector_vectors(sector, V), sector_vectors(sector, W)
+        UV, UW = sector_vectors(sector, self.A, V), sector_vectors(sector, self.A, W)
         # U^H U = I, seen through random blocks
         assert np.allclose(UV.conj().T @ UW, V.T @ W, rtol=0.0, atol=1e-12)
         G = full_grid(self.N, self.A, UV)
@@ -378,7 +377,8 @@ class TestSector:
         sector = fd._Sector(self.N, self.A, even)
         V, W = self.blocks(sector)
         H = fd.assemble_sparse(self.N, k, self.A)
-        ref = sector_vectors(sector, W).conj().T @ (H @ sector_vectors(sector, V))
+        UV, UW = sector_vectors(sector, self.A, V), sector_vectors(sector, self.A, W)
+        ref = UW.conj().T @ (H @ UV)
         M = sector.matrix(k)
         assert np.abs(W.T @ (M @ V) - ref).max() <= 1e-12 * np.abs(ref).max()
         assert abs(M - M.T).max() <= 1e-12 * abs(M).max()
@@ -389,10 +389,11 @@ class TestSector:
         sector = fd._Sector(self.N, self.A, even)
         op = fd._GridOperator(sector, k)
         V, W = self.blocks(sector)
-        G = np.fft.fftn(full_grid(self.N, self.A, sector_vectors(sector, V)), axes=(0, 1, 2))
+        UV, UW = sector_vectors(sector, self.A, V), sector_vectors(sector, self.A, W)
+        G = np.fft.fftn(full_grid(self.N, self.A, UV), axes=(0, 1, 2))
         G /= (fd.fourier_symbol(self.N, k) + max(float(np.dot(k, k)), 0.1))[..., None]
         G = np.fft.ifftn(G, axes=(0, 1, 2)).reshape(-1, V.shape[1])
-        ref = sector_vectors(sector, W).conj().T @ G[fd._stencil_pattern(self.N, self.A)[1]]
+        ref = UW.conj().T @ G[fd._stencil_pattern(self.N, self.A)[0]]
         assert np.abs(W.T @ op.precmat(V) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("k, even", SECTORS[1:])

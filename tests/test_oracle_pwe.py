@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bandscan import transmission
+from bandscan import compare, transmission
 from bandscan.errors import DomainError, NumericalError
+from bandscan.lattice import integer_cube
 from bandscan.oracle import pwe
 from bandscan.oracle.gapscan import measure_gap_numeric
 from bandscan.transmission import MaterialSpec, TransmissionParams
@@ -23,16 +24,16 @@ def weak_params(f=0.01):
 
 class TestBasis:
     def test_size_and_order(self):
-        b = pwe.PWEBasis(2)
-        assert len(b) == 125
-        assert tuple(b.basis[0]) == (-2, -2, -2)
+        basis = integer_cube(2)
+        assert len(basis) == 125
+        assert tuple(basis[0]) == (-2, -2, -2)
         # closed under negation
-        as_set = {tuple(g) for g in b.basis}
-        assert all((-g[0], -g[1], -g[2]) in as_set for g in b.basis)
+        as_set = {tuple(g) for g in basis}
+        assert all((-g[0], -g[1], -g[2]) in as_set for g in basis)
 
     def test_cap(self):
-        with pytest.raises(DomainError):
-            pwe.PWEBasis(11)
+        with pytest.raises(DomainError, match="g_max"):
+            pwe.pwe_transmission_eigenvalues((0, 0, 0.5), weak_params(0.01), pwe.MAX_G_MAX + 1, 2)
 
 
 class TestSphereIndicator:
@@ -83,7 +84,7 @@ class TestEigenvalues:
         params = TransmissionParams(materials=UNIFORM, a=0.5)
         k = np.array([0.1, 0.25, -0.3])
         res = pwe.pwe_transmission_eigenvalues(k, params, 2, 8)
-        basis = pwe.PWEBasis(2).basis
+        basis = integer_cube(2)
         exact = np.sort(np.sum((k[None, :] + basis) ** 2, axis=1))[:8]
         assert np.allclose(res.eigenvalues, exact, atol=1e-11)
 
@@ -138,7 +139,7 @@ class TestEigenvalues:
 
 def broadcast_pencil(k, params, g_max):
     """(A, B) from the N x N x 3 array of mode differences, entry by entry."""
-    basis = pwe.PWEBasis(g_max).basis.astype(float)
+    basis = integer_cube(g_max).astype(float)
     kg = np.asarray(k, dtype=float)[None, :] + basis
     dG = np.linalg.norm(basis[:, None, :] - basis[None, :, :], axis=2)
     chi = pwe.sphere_indicator_fourier(dG, params.a)
@@ -200,55 +201,23 @@ class TestAssembly:
             B[0, 0] = 0.0
         _, B_again = pwe.assemble_pwe((0.0, 0.0, 0.5), params, 2)
         assert np.array_equal(B_again, broadcast_pencil((0, 0, 0), params, 2)[1])
-        # the Cholesky factor of each sector's B, which every k of a ray reuses
-        for axes, even_only in [((), False), ((1,), False), ((1,), True), ((0, 1), True)]:
-            for _, _, B, L in pwe._coefficient_matrices(params, 2, axes, even_only):
-                with pytest.raises(ValueError):
-                    L[0, 0] = 0.0
-                assert np.allclose(L @ L.T, B, rtol=0.0, atol=1e-14)
-
-
-#: Zero components of k -> the mirrored axes; the sizes are those at g_max = 5.
-SECTOR_SIZES = {(0, 1): [396, 330, 330, 275], (1,): [726, 605]}
+        # the Cholesky factor of the sector's B, which every k of a ray reuses
+        for axes in [(), (1,), (0, 1)]:
+            _, _, B, L = pwe._coefficient_matrices(params, 2, axes)
+            with pytest.raises(ValueError):
+                L[0, 0] = 0.0
+            assert np.allclose(L @ L.T, B, rtol=0.0, atol=1e-14)
 
 
 class TestSectorMaps:
-    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1), (1, 2), (0, 1, 2)])
-    def test_sectors_partition_the_basis(self, axes):
-        basis = pwe.PWEBasis(3).basis
-        _, perm, sectors = pwe._sector_maps(3, axes)
-        rows = np.concatenate([r for _, r in sectors])
-        assert len(rows) == len(basis)
-        # each representative sits in as many sectors as its orbit has modes,
-        # and the orbits of the representatives tile the basis
-        reps, times = np.unique(rows, return_counts=True)
-        orbits = [np.unique(perm[:, r]) for r in reps]
-        assert [len(o) for o in orbits] == times.tolist()
-        assert np.array_equal(np.sort(np.concatenate(orbits)), np.arange(len(basis)))
-
-    @pytest.mark.parametrize("axes", SECTOR_SIZES)
-    def test_sector_sizes(self, axes):
-        _, _, sectors = pwe._sector_maps(5, axes)
-        assert [len(rows) for _, rows in sectors] == SECTOR_SIZES[axes]
-
     @pytest.mark.parametrize("axes", [(), (2,), (0, 2), (0, 1, 2)])
     def test_every_element_maps_the_basis_onto_itself(self, axes):
-        basis = pwe.PWEBasis(3).basis
+        basis = integer_cube(3)
         signs, perm, _ = pwe._sector_maps(3, axes)
         assert len(perm) == 2 ** len(axes)
         for h, p in enumerate(perm):
             assert np.array_equal(np.sort(p), np.arange(len(basis)))
             assert np.array_equal(basis[p], basis * signs[h])
-
-    @pytest.mark.parametrize("axes", [(0,), (0, 1), (0, 1, 2)])
-    def test_zero_component_only_in_even_sectors(self, axes):
-        basis = pwe.PWEBasis(3).basis
-        signs, _, sectors = pwe._sector_maps(3, axes)
-        for i in axes:
-            flip_i = [h for h, s in enumerate(signs) if s[i] == -1 and sum(s) == 1][0]
-            for chars, rows in sectors:
-                on_plane = np.any(basis[rows, i] == 0)
-                assert on_plane == (chars[flip_i] == 1)
 
 
 def full_pencil_values(k, params, g_max, count):
@@ -270,56 +239,30 @@ class TestSectorSolve:
             np.testing.assert_allclose(got.eigenvalues, ref[:count], rtol=1e-12, atol=atol)
             assert got.residual_norm < 1e-10
 
-    def test_uniform_degenerate_values_across_sectors(self):
-        params = TransmissionParams(materials=UNIFORM, a=0.5)
-        k = np.array([0.0, 0.0, 0.5])
-        got = pwe.pwe_transmission_eigenvalues(k, params, 3, 12)
-        basis = pwe.PWEBasis(3).basis
-        exact = np.sort(np.sum((k + basis) ** 2, axis=1))[:12]
-        np.testing.assert_allclose(got.eigenvalues, exact, rtol=1e-12)
-        # |k+g|^2 = 1.25 at g = (+-1, 0, 0), (0, +-1, 0), (+-1, 0, -1), (0, +-1, -1):
-        # the eight-fold value splits 6/2 over the sectors (even/odd in x)
-        pencils = pwe.assemble_pwe_sectors(k, params, 3)
-        # the sector bases are orthonormal: B = gamma_plus I = I in each sector
-        assert all(np.array_equal(B, np.eye(len(B))) for _, B in pencils)
-        per_sector = [scipy.linalg.eigh(A, B, eigvals_only=True) for A, B in pencils]
-        assert [np.count_nonzero(np.isclose(v, 1.25, rtol=1e-12)) for v in per_sector] == [6, 2]
-
-    @pytest.mark.parametrize("k", [(0.2, 0.0, 0.5), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
-    def test_one_mirror_whatever_the_zero_count(self, k):
-        # one, two or three zero components: the same two sectors of 4 * 7^2 and
-        # 3 * 7^2 modes, so a ray costs the same along an axis or off it
-        pencils = pwe.assemble_pwe_sectors(k, weak_params(0.02), 3)
-        assert [len(A) for A, _ in pencils] == [196, 147]
-
     @pytest.mark.parametrize("g_max", [2, 3])
     @pytest.mark.parametrize("k", [(0.1, 0.2, 0.3), (0.2, -0.1, 0.3)])
     def test_no_zero_component_is_the_full_pencil(self, g_max, k):
         params = weak_params(0.02)
-        (A, B), = pwe.assemble_pwe_sectors(k, params, g_max)
-        A_ref, B_ref = pwe.assemble_pwe(k, params, g_max)
-        assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
         got = pwe.pwe_transmission_eigenvalues(k, params, g_max, 5)
         assert np.array_equal(got.eigenvalues, full_pencil_values(k, params, g_max, 5))
 
 
 class TestEvenSector:
     @pytest.mark.parametrize("g_max", [2, 3, 4])
-    @pytest.mark.parametrize("k", [(0.2, 0.0, 0.5), (0.0, 0.0, 0.5)])
+    @pytest.mark.parametrize("k, even", [((0.0, 0.0, 0.5), (0,)), ((0.0, 0.0, 0.5), (1,)),
+                                         ((0.2, 0.0, 0.5), (1,)), ((0.0, 0.0, 0.5), (0, 1)),
+                                         ((0.0, 0.0, 0.0), (0, 1, 2))])
     @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
-    def test_values_are_the_even_ones_of_the_whole_spectrum(self, g_max, k, mats, f):
+    def test_values_are_among_the_full_pencils(self, g_max, k, even, mats, f):
         params = TransmissionParams.from_volume_fraction(mats, f)
-        axis = 1 if k[0] else 0
-        whole = pwe.pwe_transmission_eigenvalues(k, params, g_max, 12).eigenvalues
-        # the whole spectrum splits by the same mirror into the even and odd values
-        even, odd = (scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 11))
-                     for A, B in pwe.assemble_pwe_sectors(k, params, g_max))
-        np.testing.assert_allclose(np.sort(np.concatenate([even, odd]))[:12], whole,
-                                   rtol=1e-12, atol=0.0)
-        for count in (1, 2, 5, 12):
-            got = pwe.pwe_transmission_eigenvalues(k, params, g_max, count, even=(axis,))
-            np.testing.assert_allclose(got.eigenvalues, even[:count], rtol=1e-12, atol=0.0)
-            assert got.residual_norm < 1e-10
+        whole = scipy.linalg.eigh(*pwe.assemble_pwe(k, params, g_max), eigvals_only=True)
+        got = pwe.pwe_transmission_eigenvalues(k, params, g_max, 12, even=even)
+        # at k = 0 the lowest value is 0, so it is held to an absolute bound
+        tol = 1e-12 * np.abs(got.eigenvalues)
+        if not any(k):
+            tol = np.maximum(tol, 1e-12 * got.eigenvalues[-1])
+        assert np.all(np.min(np.abs(whole[None, :] - got.eigenvalues[:, None]), axis=1) <= tol)
+        assert got.residual_norm < 1e-10
 
     def test_odd_bands_are_left_out(self):
         # uniform medium at k = (0, 0, 0.5): |k+g|^2 = 1.25 has six even and
@@ -327,22 +270,41 @@ class TestEvenSector:
         params = TransmissionParams(materials=UNIFORM, a=0.5)
         k = np.array([0.0, 0.0, 0.5])
         got = pwe.pwe_transmission_eigenvalues(k, params, 3, 12, even=(0,))
-        basis = pwe.PWEBasis(3).basis
+        basis = integer_cube(3)
         exact = np.sort(np.sum((k + basis[basis[:, 0] >= 0]) ** 2, axis=1))[:12]
         np.testing.assert_allclose(got.eigenvalues, exact, rtol=1e-12)
         assert np.count_nonzero(np.isclose(got.eigenvalues, 1.25, rtol=1e-12)) == 6
 
-    @pytest.mark.parametrize("axes, size", [((1,), 405), ((0, 1), 225)])
-    def test_sector_size_bounds_the_count(self, axes, size):
+    @pytest.mark.parametrize("g_max", [2, 4])
+    @pytest.mark.parametrize("axes", [(), (1,), (0, 1), (0, 1, 2)])
+    def test_sector_size_bounds_the_count(self, g_max, axes):
+        # the modes with g_i >= 0 on each of the m mirrored axes
+        size = (g_max + 1) ** len(axes) * (2 * g_max + 1) ** (3 - len(axes))
         params = weak_params(0.02)
-        assert len(pwe.assemble_pwe_sectors((0.0, 0.0, 0.5), params, 4, even=axes)[0][0]) == size
-        pwe.pwe_transmission_eigenvalues((0.0, 0.0, 0.5), params, 4, size, even=axes)
+        k = (0.0, 0.0, 0.0 if 2 in axes else 0.5)
+        assert len(pwe.assemble_pwe(k, params, g_max, even=axes)[0]) == size
+        pwe.pwe_transmission_eigenvalues(k, params, g_max, size, even=axes)
         with pytest.raises(DomainError, match="count"):
-            pwe.pwe_transmission_eigenvalues((0.0, 0.0, 0.5), params, 4, size + 1, even=axes)
+            pwe.pwe_transmission_eigenvalues(k, params, g_max, size + 1, even=axes)
 
     @pytest.mark.parametrize("even", [(2,), (0, 2), (3,)])
     def test_mirror_axis_needs_a_zero_component(self, even):
         with pytest.raises(DomainError, match="even"):
             pwe.pwe_transmission_eigenvalues((0.0, 0.0, 0.5), weak_params(0.02), 3, 2, even=even)
         with pytest.raises(DomainError, match="even"):
-            pwe.assemble_pwe_sectors((0.0, 0.0, 0.5), weak_params(0.02), 3, even=even)
+            pwe.assemble_pwe((0.0, 0.0, 0.5), weak_params(0.02), 3, even=even)
+
+
+@pytest.mark.parametrize("k0", [(0.0, 0.0, 0.5), (0.2, 0.0, 0.5)])
+def test_comparison_rows_match_the_full_pencil(monkeypatch, k0):
+    # oracle-compare solves the sector even under every mirror that fixes k0;
+    # its rows equal those of the whole spectrum
+    params = weak_params(0.01)
+    got = compare.transmission_comparison_rows(k0, params, g_max=3)
+    solve = compare.pwe_transmission_eigenvalues
+    monkeypatch.setattr(compare, "pwe_transmission_eigenvalues",
+                        lambda k, params, g_max, count, even: solve(k, params, g_max, count))
+    ref = compare.transmission_comparison_rows(k0, params, g_max=3)
+    assert [row[0] for row in got] == [row[0] for row in ref]
+    for row, ref_row in zip(got, ref):
+        np.testing.assert_allclose(row[1:3], ref_row[1:3], rtol=1e-11, atol=0.0)

@@ -112,7 +112,8 @@ class TestBranches:
         p = weak_params(0.01)
         model = transmission.pair_model(K_EX, M_EX, p)
         curve = model.scan((-0.02, 0.02), 5)
-        for dt, lo, hi in curve.samples():
+        for dt, lo, hi in zip(curve.delta_tilde.tolist(), curve.omega_minus_over_c.tolist(),
+                              curve.omega_plus_over_c.tolist()):
             wlo, whi = model.branches(dt)
             assert (lo, hi) == (wlo, whi)
 
