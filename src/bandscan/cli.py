@@ -3,9 +3,11 @@
 Subcommands: classify, gap, bands, face-map, global-scan, oracle-compare,
 capacitance.  Exit codes: 0 success, 2 usage/config error, 3 numerical or
 oracle failure.  All frequencies are emitted as omega/c; the --c flag only
-rescales the console summary.  BANDSCAN_THREADS caps FFT worker threads
-(pair it with OPENBLAS_NUM_THREADS / OMP_NUM_THREADS for bit-reproducible
-runs).
+rescales the console summary.
+
+gap, bands and oracle-compare take one flag per ScanConfig field, made from
+the field's name, less the keys the command never reads (`_UNREAD_KEYS`);
+argparse refuses those flags, and a config file that sets one is refused.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from functools import lru_cache
 
 from . import __version__, dirichlet, lattice, transmission
@@ -71,51 +73,42 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_config_options(sub: argparse.ArgumentParser) -> None:
-    """One flag per config key; `_config_from_args` parses its text like the file's."""
-    sub.add_argument("--config", help="key = value config file; flags override it")
-    sub.add_argument("--problem", choices=("dirichlet", "transmission"))
-    sub.add_argument("--k0", metavar="X,Y,Z")
-    sub.add_argument("--m0", metavar="I,J,K")
-    sub.add_argument("--a", help="inclusion scale")
-    sub.add_argument("--q", help="shape factor (sphere default 1)")
-    sub.add_argument("--shape", choices=("sphere", "ellipsoid", "mesh"))
-    sub.add_argument("--semiaxes", metavar="A1,A2,A3")
-    sub.add_argument("--mesh", help="OFF mesh path for shape=mesh")
-    sub.add_argument("--gamma-plus", dest="gamma_plus")
-    sub.add_argument("--gamma-minus", dest="gamma_minus")
-    sub.add_argument("--rho-plus", dest="rho_plus")
-    sub.add_argument("--rho-minus", dest="rho_minus")
-    sub.add_argument("--delta-tilde-min", dest="delta_tilde_min")
-    sub.add_argument("--delta-tilde-max", dest="delta_tilde_max")
-    sub.add_argument("--samples")
-    sub.add_argument("--verify", action="store_const", const="true",
-                     help="measure the gap with the numerical oracle too")
-    sub.add_argument("--n", help="FD grid points per axis")
-    sub.add_argument("--g-max", dest="g_max", help="PWE truncation")
-    sub.add_argument("--out", dest="out_dir", help="output directory")
-    sub.add_argument("--exclusion-band", dest="exclusion_band")
-    sub.add_argument("--tol")
-    sub.add_argument("--c", help="wave speed scale for console output")
+#: Config keys that a config-driven command never reads: it has no flag for them.
+_UNREAD_KEYS = {
+    "gap": frozenset(),
+    "bands": frozenset({"out_dir", "verify", "n", "g_max", "c"}),
+    "oracle-compare": frozenset({"delta_tilde_min", "delta_tilde_max", "samples", "verify", "c"}),
+}
+
+
+def _add_config_command(sub, command: str, summary: str) -> argparse.ArgumentParser:
+    """A command with a flag per config key that it reads; its text parses like the file's value.
+
+    Flags are not abbreviated, so a flag the command lacks is refused: `bands --out`
+    would otherwise be `--out-file`.
+    """
+    p = sub.add_parser(command, help=summary, allow_abbrev=False)
+    p.add_argument("--config", help="key = value config file; flags override it")
+    for f in fields(ScanConfig):
+        if f.name not in _UNREAD_KEYS[command]:
+            flag = "--out" if f.name == "out_dir" else "--" + f.name.replace("_", "-")
+            kind = dict(action="store_const", const="true") if f.name == "verify" else {}
+            p.add_argument(flag, dest=f.name, **kind)
+    return p
 
 
 def _config_from_args(args) -> ScanConfig:
-    file_values = parse_config_file(args.config) if args.config else None
+    file_values = parse_config_file(args.config) if args.config else {}
+    unread = _UNREAD_KEYS[args.command]
+    for key in sorted(unread.intersection(file_values)):
+        if file_values[key] != getattr(ScanConfig, key):
+            raise ConfigError(f"{key}: {args.command} does not use it, got {file_values[key]!r}")
     overrides = {
         key: coerce(key, getattr(args, key))
-        for key in sorted(KNOWN_KEYS)
+        for key in sorted(KNOWN_KEYS - unread)
         if getattr(args, key) is not None
     }
     return build_config(file_values, overrides)
-
-
-def _materials(cfg: ScanConfig) -> transmission.MaterialSpec:
-    return transmission.MaterialSpec(
-        gamma_plus=cfg.gamma_plus,
-        gamma_minus=cfg.gamma_minus,
-        rho_plus=cfg.rho_plus,
-        rho_minus=cfg.rho_minus,
-    )
 
 
 def cmd_classify(args) -> int:
@@ -139,7 +132,7 @@ def cmd_classify(args) -> int:
 
 def _require_fd_sphere(cfg: ScanConfig) -> None:
     """The FD oracle masks a sphere of radius a, whatever `shape` the prediction uses."""
-    if cfg.problem == "dirichlet" and cfg.shape != "sphere":
+    if cfg.shape != "sphere":
         raise ConfigError(
             f"shape: the finite-difference oracle masks a sphere, so it cannot "
             f"check shape = {cfg.shape}; use shape = sphere"
@@ -148,26 +141,16 @@ def _require_fd_sphere(cfg: ScanConfig) -> None:
 
 def _predict(cfg: ScanConfig):
     """Shared gap prediction: (report, curve, interval, model, model's params)."""
-    if cfg.problem == "dirichlet":
-        q = cfg.shape_factor()
-        params = dirichlet.DirichletParams(a=cfg.a, q=q)
+    params = cfg.params()
+    if isinstance(params, dirichlet.DirichletParams):
         model = dirichlet.pair_model(cfg.k0, cfg.m0, params, cfg.exclusion_band, cfg.tol)
-        extra = dict(q=q, a_tilde=model.s)
+        extra = dict(q=params.q, a_tilde=model.s)
         if model.nu <= 1.0:
             root = math.sqrt(1.0 - model.nu**2)
             extra.update(nu_minus=1.0 - root, nu_plus=1.0 + root)
     else:
-        mats = _materials(cfg)
-        params = transmission.TransmissionParams(materials=mats, a=cfg.a)
         model = transmission.pair_model(cfg.k0, cfg.m0, params, cfg.exclusion_band, cfg.tol)
-        extra = dict(
-            gamma_plus=mats.gamma_plus,
-            gamma_minus=mats.gamma_minus,
-            rho_plus=mats.rho_plus,
-            rho_minus=mats.rho_minus,
-            mu=model.s,
-            k0_tilde_norm=model.centre,
-        )
+        extra = dict(asdict(params.materials), mu=model.s, k0_tilde_norm=model.centre)
     status, interval = model.gap()
     if interval is not None:
         extra.update(predicted_lo_over_c=interval.lo_over_c,
@@ -289,11 +272,10 @@ def cmd_oracle_compare(args) -> int:
 
     cfg = _config_from_args(args)
     _require_fd_sphere(cfg)
-    if cfg.problem == "dirichlet":
-        p = dirichlet.DirichletParams(a=cfg.a, q=cfg.shape_factor())
-        rows = dirichlet_comparison_rows(cfg.k0, p, n=cfg.n, tol=cfg.tol)
+    params = cfg.params()
+    if isinstance(params, dirichlet.DirichletParams):
+        rows = dirichlet_comparison_rows(cfg.k0, params, n=cfg.n, tol=cfg.tol)
     else:
-        params = transmission.TransmissionParams(materials=_materials(cfg), a=cfg.a)
         rows = transmission_comparison_rows(cfg.k0, params, g_max=cfg.g_max, tol=cfg.tol)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "oracle_compare.csv")
@@ -343,11 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclusion-band", dest="exclusion_band", type=float,
                    default=lattice.DEFAULT_EXCLUSION_BAND)
 
-    p = sub.add_parser("gap", help="predict (and optionally measure) a local gap")
-    _add_config_options(p)
-
-    p = sub.add_parser("bands", help="emit the two-branch dispersion CSV")
-    _add_config_options(p)
+    _add_config_command(sub, "gap", "predict (and optionally measure) a local gap")
+    p = _add_config_command(sub, "bands", "emit the two-branch dispersion CSV")
     p.add_argument("--out-file", help="CSV destination (default: stdout)")
 
     p = sub.add_parser("face-map", help="raster the gap region on a BZ face")
@@ -367,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--out", help="CSV destination")
 
-    p = sub.add_parser("oracle-compare", help="asymptotics vs numerics table")
-    _add_config_options(p)
+    _add_config_command(sub, "oracle-compare", "asymptotics vs numerics table")
 
     p = sub.add_parser("capacitance", help="shape factor q of an inclusion")
     p.add_argument("--sphere", action="store_true")

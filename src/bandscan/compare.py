@@ -25,6 +25,15 @@ from .transmission import TransmissionParams, epsilon_nonexceptional_transmissio
 Row = tuple[str, float, float, float]
 
 
+def _first_zone(k0, tol: float) -> np.ndarray:
+    """k0 as an array; the lowest bands belong to k0 only where every |k0 + g| >= |k0|."""
+    k0 = np.asarray(k0, dtype=float)
+    if np.abs(k0).max() > 0.5 + tol:
+        raise DomainError(f"k0: must lie in the first Brillouin zone, max |k0_i| <= 1/2, "
+                          f"got {tuple(k0.tolist())}")
+    return k0
+
+
 def _row(name: str, asym: float, num: float) -> Row:
     if asym == 0.0:
         return (name, asym, num, 0.0 if num == 0.0 else math.inf)
@@ -37,7 +46,7 @@ def dirichlet_comparison_rows(
     n: int = 48,
     tol: float = lattice.DEFAULT_TOL,
 ) -> list[Row]:
-    k0 = np.asarray(k0, dtype=float)
+    k0 = _first_zone(k0, tol)
     knorm = float(np.linalg.norm(k0))
     rows: list[Row] = []
 
@@ -76,7 +85,7 @@ def transmission_comparison_rows(
     g_max: int = 3,
     tol: float = lattice.DEFAULT_TOL,
 ) -> list[Row]:
-    k0 = np.asarray(k0, dtype=float)
+    k0 = _first_zone(k0, tol)
     knorm = float(np.linalg.norm(k0))
     mats = params.materials
     c_host = mats.c_plus

@@ -4,10 +4,13 @@ Config files and gap reports are flat `key = value` lines, one field of a
 dataclass each; '#' starts a comment and blank lines are skipped.  A value
 is parsed by the type of its field: vectors are comma-separated
 components, and `none` is None for an optional field.  Config keys match
-the CLI flag names with underscores; a flag's text is parsed like the file
-value of its key, and CLI flags override file values.  Validation failures
-raise ConfigError naming the offending field.  A canonical example ships
-in configs/example_gap.cfg.
+the CLI flags, which are generated from the fields: `--name-with-dashes`,
+and `--out` for `out_dir`.  A flag's text is parsed like the file value of
+its key, and CLI flags override file values.  `ScanConfig.validated` refuses
+a field that the problem or shape does not read, and `ScanConfig.params`
+builds the problem's parameters.  Validation failures raise ConfigError
+naming the offending field.  A canonical example ships in
+configs/example_gap.cfg.
 """
 
 from __future__ import annotations
@@ -15,9 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from . import lattice
+from .dirichlet import DirichletParams
 from .errors import ConfigError
 from .meshes import read_off
+from .transmission import MaterialSpec, TransmissionParams
 
+
+#: The material keys, named like the MaterialSpec fields; only transmission reads them.
+_MATERIALS = tuple(f.name for f in fields(MaterialSpec))
 
 #: Cap of `samples`: at about 50 bytes a sample, `bands` peaks near 80 MB at the cap.
 MAX_SAMPLES = 1_000_000
@@ -44,8 +53,8 @@ class ScanConfig:
     n: int = 32
     g_max: int = 3
     out_dir: str = "bandscan_out"
-    exclusion_band: float = 1e-6
-    tol: float = 1e-9
+    exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND
+    tol: float = lattice.DEFAULT_TOL
     c: float = 1.0
 
     def validated(self) -> "ScanConfig":
@@ -69,8 +78,11 @@ class ScanConfig:
         if self.problem == "transmission" and self.shape != "sphere":
             raise ConfigError("shape: transmission supports spheres only")
         # the fields that one problem or shape reads: needed there, refused elsewhere
-        reads = {"q": self.problem == "dirichlet" and self.shape == "sphere",
-                 "semiaxes": self.shape == "ellipsoid", "mesh": self.shape == "mesh"}
+        sound_soft = self.problem == "dirichlet"
+        reads = {"q": sound_soft and self.shape == "sphere",
+                 "semiaxes": self.shape == "ellipsoid", "mesh": self.shape == "mesh",
+                 "n": sound_soft, "g_max": not sound_soft,
+                 **dict.fromkeys(_MATERIALS, not sound_soft)}
         for name, read in reads.items():
             value = getattr(self, name)
             if read and value is None:
@@ -78,7 +90,7 @@ class ScanConfig:
             if not read and value != getattr(ScanConfig, name):
                 raise ConfigError(f"{name}: problem = {self.problem} with shape = {self.shape} "
                                   f"does not use it, got {value!r}")
-        for name in ("gamma_plus", "gamma_minus", "rho_plus", "rho_minus"):
+        for name in _MATERIALS:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name}: must be > 0")
         if not self.delta_tilde_min <= self.delta_tilde_max:
@@ -100,20 +112,24 @@ class ScanConfig:
             raise ConfigError("tol: must be >= 0")
         return self
 
-    def shape_factor(self) -> float:
-        """The capacitance factor q implied by the inclusion shape."""
+    def params(self) -> DirichletParams | TransmissionParams:
+        """The problem's parameters: the shape's q for Dirichlet, the materials for transmission."""
+        if self.problem == "transmission":
+            materials = MaterialSpec(**{name: getattr(self, name) for name in _MATERIALS})
+            return TransmissionParams(materials=materials, a=self.a)
         if self.shape == "sphere":
-            return self.q
+            return DirichletParams(a=self.a, q=self.q)
         from . import capacitance  # loads scipy, which a sphere does not need
 
         if self.shape == "ellipsoid":
-            ax = self.semiaxes
-            return capacitance.capacitance_ellipsoid(ax[0], ax[1], ax[2]).q
-        try:
-            mesh = read_off(self.mesh)
-        except OSError as exc:
-            raise ConfigError(f"mesh: cannot read {self.mesh!r}: {exc}") from exc
-        return capacitance.capacitance_bem(mesh).q
+            q = capacitance.capacitance_ellipsoid(*self.semiaxes).q
+        else:
+            try:
+                mesh = read_off(self.mesh)
+            except OSError as exc:
+                raise ConfigError(f"mesh: cannot read {self.mesh!r}: {exc}") from exc
+            q = capacitance.capacitance_bem(mesh).q
+        return DirichletParams(a=self.a, q=q)
 
 
 def _components(s: str, kind: str) -> list[str]:

@@ -46,7 +46,6 @@ formulas.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from functools import lru_cache
 
@@ -90,11 +89,6 @@ def fourier_symbol(n: int, k, even=()) -> np.ndarray:
         sym = 4.0 * np.sin(th / 2) ** 2 / h**2 - 2.0 * ki * np.sin(th) / h + ki**2
         axes.append(sym[: n // 2 + 1] if i in even else sym)
     return axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :]
-
-
-def _resolve_workers() -> int:
-    # BANDSCAN_THREADS caps FFT worker threads; -1 means all cores
-    return int(os.environ.get("BANDSCAN_THREADS", "-1") or "-1")
 
 
 class _Sector:
@@ -233,7 +227,6 @@ class _GridOperator:
         self.sector = sector
         self.n = sector.n
         self.k = np.asarray(k, dtype=float)
-        self.workers = _resolve_workers()
         self.matrix = sector.matrix(self.k)
         self.shape = self.matrix.shape
         sym = fourier_symbol(self.n, self.k, sector.even)
@@ -258,20 +251,20 @@ class _GridOperator:
         # Sector data is even along a mirrored axis, where its DFT is a DCT-I
         # of the reduced grid, and P-invariant, so its DFT along the other
         # axes is real
-        s, p, workers = self.sector, V.shape[1], self.workers
+        s, p = self.sector, V.shape[1]
         dct_axes = list(s.even)
         fft_axes = [i for i in range(3) if i not in s.even]
         G = (s.scatter @ V).reshape(*s.shape, p)
         if fft_axes:
-            G = scipy.fft.fftn(G, axes=fft_axes, workers=workers, overwrite_x=True)
+            G = scipy.fft.fftn(G, axes=fft_axes, overwrite_x=True)
         G = np.ascontiguousarray(G.real)
         if dct_axes:
-            G = scipy.fft.dctn(G, type=1, axes=dct_axes, workers=workers, overwrite_x=True)
+            G = scipy.fft.dctn(G, type=1, axes=dct_axes, overwrite_x=True)
         G *= self.pre_sym[..., None]
         if dct_axes:
-            G = scipy.fft.idctn(G, type=1, axes=dct_axes, workers=workers, overwrite_x=True)
+            G = scipy.fft.idctn(G, type=1, axes=dct_axes, overwrite_x=True)
         if fft_axes:
-            G = scipy.fft.ifftn(G, axes=fft_axes, workers=workers, overwrite_x=True)
+            G = scipy.fft.ifftn(G, axes=fft_axes, overwrite_x=True)
         return (s.gather @ G.reshape(-1, p)).real
 
     def plane_wave_block(self, gs) -> np.ndarray:

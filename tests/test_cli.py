@@ -488,6 +488,15 @@ def test_double_dash_value_exits_2_and_is_named(capsys, argv, field):
     ("gap --mesh sphere.off", "mesh"),
     ("bands --problem transmission --q 0.5", "q"),
     ("oracle-compare --shape ellipsoid --semiaxes 1,1,1 --mesh sphere.off", "mesh"),
+    # the materials are the transmission problem's, n is the FD oracle's, g_max the PWE's
+    ("gap --gamma-plus 2", "gamma_plus"),
+    ("gap --gamma-minus 2 --rho-plus 3", "gamma_minus"),
+    ("bands --rho-plus 3", "rho_plus"),
+    ("oracle-compare --rho-minus 0.5", "rho_minus"),
+    ("gap --problem transmission --n 64 --verify", "n"),
+    ("oracle-compare --problem transmission --n 64", "n"),
+    ("gap --problem dirichlet --g-max 7", "g_max"),
+    ("oracle-compare --g-max 4", "g_max"),
 ])
 def test_config_field_the_request_ignores_exits_2_and_is_named(tmp_path, monkeypatch, capsys,
                                                                argv, field):
@@ -498,6 +507,79 @@ def test_config_field_the_request_ignores_exits_2_and_is_named(tmp_path, monkeyp
     assert out == ""
     assert re.fullmatch(rf"error: {field}: problem = \w+ with shape = \w+ does not use it, "
                         r"got .*\n", err)
+    assert not any(tmp_path.iterdir())
+
+
+#: The config keys that each config-driven command has no flag for.
+UNREAD = {
+    "gap": set(),
+    "bands": {"out_dir", "verify", "n", "g_max", "c"},
+    "oracle-compare": {"delta_tilde_min", "delta_tilde_max", "samples", "verify", "c"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD))
+def test_config_command_flags_are_the_keys_it_reads(command):
+    dests = set(vars(cli.build_parser().parse_args([command]))) - {"command", "config", "out_file"}
+    assert dests == KNOWN_KEYS - UNREAD[command]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, "--out" if key == "out_dir" else "--" + key.replace("_", "-"))
+    for command in sorted(UNREAD) for key in sorted(UNREAD[command])
+])
+def test_flag_the_command_never_reads_exits_2_and_is_named(tmp_path, monkeypatch, capsys,
+                                                           command, flag):
+    # each once exited 0 and dropped the value: `bands --out DIR` wrote to stdout
+    # and created nothing; an abbreviated `--c` or `--out` would reach `--config`
+    # or `--out-file`
+    monkeypatch.chdir(tmp_path)
+    argv = [command, flag] if flag == "--verify" else [command, flag, "2"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: unrecognized arguments: {' '.join(argv[1:])}\n" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, line", [
+    ("bands", "out_dir = elsewhere"), ("bands", "verify = true"), ("oracle-compare", "samples = 7"),
+])
+def test_config_file_key_the_command_never_reads_exits_2_and_is_named(tmp_path, monkeypatch,
+                                                                      capsys, command, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scan.cfg").write_text(line + "\n")
+    assert run([command, "--config", "scan.cfg"]) == 2
+    key, _, text = line.split()
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {key}: {command} does not use it, got ")
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.cfg"]
+
+
+@pytest.mark.parametrize("command", ["gap", "bands"])
+def test_example_config_loads(tmp_path, monkeypatch, capsys, command):
+    # it sets every key at its default, and a key at its default is accepted anywhere
+    example = Path(__file__).resolve().parents[1] / "configs" / "example_gap.cfg"
+    monkeypatch.chdir(tmp_path)
+    assert run([command, "--config", str(example)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    "--problem dirichlet --k0 0.5,0.3,0.8 --m0 1,0,0 --a 0.3 --n 24",
+    "--problem transmission --k0 0.5,0.3,0.8 --a 0.3 --gamma-minus 2",
+    "--problem dirichlet --k0 0.2,0.1,0.7 --a 0.3 --n 24",
+    "--problem transmission --k0 -0.2,0.1,0.5000001 --a 0.3 --gamma-minus 2",
+])
+def test_oracle_compare_k0_outside_the_first_zone_exits_2_and_is_named(tmp_path, monkeypatch,
+                                                                       capsys, argv):
+    # the lowest band belongs to another g there: (0.5, 0.3, 0.8) once printed
+    # zero_inclusion_omega 0.98995 against 0.62651, and eps1 -0.345, with exit 0
+    monkeypatch.chdir(tmp_path)
+    assert run(["oracle-compare", *argv.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: k0: must lie in the first Brillouin zone, max |k0_i| <= 1/2")
     assert not any(tmp_path.iterdir())
 
 
@@ -527,6 +609,13 @@ def test_every_exported_name_resolves(module):
     # stale name in __all__ would otherwise show up only when a caller asks for it
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_no_module_reads_the_environment():
+    # an environment variable is a setting that no flag, config key or report shows
+    src = Path(cli.__file__).parent
+    assert [p.name for p in sorted(src.rglob("*.py"))
+            if re.search(r"environ|getenv", p.read_text())] == []
 
 
 def test_every_config_field_is_a_key_and_a_gap_flag():

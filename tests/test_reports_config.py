@@ -20,6 +20,7 @@ from bandscan.reports import (
     write_branch_csv,
     write_face_map_csv,
 )
+from bandscan.transmission import MaterialSpec, TransmissionParams
 from bandscan import lattice
 
 
@@ -180,24 +181,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="shape"):
             build_config({}, {"problem": "transmission", "shape": "mesh", "mesh": "x"})
 
-    def test_shape_factor_sphere_and_ellipsoid(self):
-        assert ScanConfig(q=1.5).shape_factor() == 1.5
+    def test_params_sphere_and_ellipsoid(self):
+        assert ScanConfig(q=1.5).params() == dirichlet.DirichletParams(a=0.1, q=1.5)
         cfg = ScanConfig(shape="ellipsoid", semiaxes=(2.0, 1.0, 1.0)).validated()
         from bandscan.capacitance import prolate_spheroid_capacitance
 
-        assert cfg.shape_factor() == pytest.approx(
+        assert cfg.params().q == pytest.approx(
             prolate_spheroid_capacitance(2.0, 1.0), rel=1e-8
         )
 
-    def test_shape_factor_mesh(self, tmp_path):
+    def test_params_mesh(self, tmp_path):
         from bandscan import meshes
 
         path = tmp_path / "s.off"
         meshes.write_off(meshes.icosphere(2), path)
         cfg = ScanConfig(shape="mesh", mesh=str(path)).validated()
-        assert cfg.shape_factor() == pytest.approx(1.0, rel=0.05)
+        assert cfg.params().q == pytest.approx(1.0, rel=0.05)
 
-    def test_shape_factor_missing_mesh(self):
+    def test_params_missing_mesh(self):
         cfg = ScanConfig(shape="mesh", mesh="/nonexistent/path.off")
         with pytest.raises(ConfigError, match="mesh"):
-            cfg.shape_factor()
+            cfg.params()
+
+    def test_params_transmission(self):
+        cfg = ScanConfig(problem="transmission", a=0.5, gamma_plus=1.1, gamma_minus=1.2,
+                         rho_plus=1.3, rho_minus=1.4).validated()
+        assert cfg.params() == TransmissionParams(MaterialSpec(1.1, 1.2, 1.3, 1.4), a=0.5)
