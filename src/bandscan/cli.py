@@ -77,7 +77,8 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
 _UNREAD_KEYS = {
     "gap": frozenset(),
     "bands": frozenset({"out_dir", "verify", "n", "g_max", "c"}),
-    "oracle-compare": frozenset({"delta_tilde_min", "delta_tilde_max", "samples", "verify", "c"}),
+    "oracle-compare": frozenset({"delta_tilde_min", "delta_tilde_max", "samples", "verify", "c",
+                                 "m0", "exclusion_band"}),
 }
 
 

@@ -6,7 +6,9 @@ when only the asymptotic value is.  For the Dirichlet problem at an
 order-two point the table carries both candidate values of
 the upper-branch splitting coefficient (the interaction-matrix eigenvalue
 analysis gives twice the two-root display of the background theory); the
-measured row discriminates them empirically.
+measured row discriminates them empirically.  Both oracles solve only the
+sector even under the mirrors of k0's zero components (`lattice.mirror_axes`;
+FD on an even n), which holds the g = 0 mode and an order-two pair.
 """
 
 from __future__ import annotations
@@ -89,16 +91,13 @@ def transmission_comparison_rows(
     knorm = float(np.linalg.norm(k0))
     mats = params.materials
     c_host = mats.c_plus
-    # the g = 0 mode and an order-two pair are even under every mirror that
-    # fixes k0 (m0_i = 0 where k0_i = 0), so the solves keep only that sector
-    even = tuple(np.flatnonzero(k0 == 0.0).tolist())
     rows: list[Row] = []
 
     uniform = TransmissionParams(
         materials=type(mats)(mats.gamma_plus, mats.gamma_plus, mats.rho_plus, mats.rho_plus),
         a=params.a,
     )
-    base = pwe_transmission_eigenvalues(k0, uniform, g_max, 1, even=even)
+    base = pwe_transmission_eigenvalues(k0, uniform, g_max, 1)
     rows.append(
         _row(
             "zero_contrast_omega_over_c",
@@ -109,14 +108,14 @@ def transmission_comparison_rows(
 
     cls = lattice.classify_wavevector(k0, tol)
     if cls.order == 2:
-        res = pwe_transmission_eigenvalues(k0, params, g_max, 2, even=even)
+        res = pwe_transmission_eigenvalues(k0, params, g_max, 2)
         omegas = np.sqrt(res.eigenvalues) / c_host
         mu = transmission.pair_model(k0, cls.shifts[0], params, tol=tol).s
         rows.append(
             _row("band_splitting_over_c", mu / knorm, float(omegas[1] - omegas[0]))
         )
     elif cls.order == 1:
-        res = pwe_transmission_eigenvalues(k0, params, g_max, 1, even=even)
+        res = pwe_transmission_eigenvalues(k0, params, g_max, 1)
         eps_num = math.sqrt(res.eigenvalues[0]) / (c_host * knorm) - 1.0
         eps_asym = epsilon_nonexceptional_transmission(k0, params, tol)
         rows.append(_row("nonexceptional_epsilon", eps_asym, eps_num))

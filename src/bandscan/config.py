@@ -231,8 +231,13 @@ def read_fields(cls, lines, where) -> dict:
 
 def parse_config_file(path) -> dict:
     """Read a key = value config file into a typed dict."""
-    with open(path, "r", encoding="ascii") as fh:
-        return read_fields(ScanConfig, fh, path)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return read_fields(ScanConfig, fh, path)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config: {path} is not ASCII text") from None
 
 
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> ScanConfig:

@@ -100,13 +100,11 @@ def integer_cube(bound: int) -> np.ndarray:
     return cube
 
 
-def mirror_axes(k, even) -> tuple[int, ...]:
-    """The sorted distinct axes of `even`, whose mirrors x_i -> -x_i fix k: k_i = 0 on each."""
-    even = tuple(sorted(set(int(i) for i in even)))
-    if any(i not in (0, 1, 2) or k[i] != 0.0 for i in even):
-        raise DomainError(f"even: mirror axes {even} need k_i = 0 on each, "
-                          f"got k = {tuple(map(float, k))}")
-    return even
+def mirror_axes(k) -> tuple[int, ...]:
+    """The axes i with k_i = 0, whose mirrors x_i -> -x_i fix k: each oracle solves the
+    sector even under all of them.  At an order-two k0, m0_i = 0 wherever k0_i = 0
+    (flipping m0_i would give a third degenerate wave), so they fix the pair too."""
+    return tuple(i for i in range(3) if k[i] == 0.0)
 
 
 #: Cap on |k| of the candidate-shift search, whose box |m|_inf <= ceil(2|k|) + 1

@@ -23,10 +23,11 @@ range of the symbol; the eigensolver fails a solve that returns a value
 outside that interval.
 
 The centred sphere keeps two symmetries, and every solve uses both
-(`_Sector`).  Each mirror x_i -> -x_i with k_i = 0 commutes with H(k), so a
-solve can keep only the sector even under a chosen set of such mirrors: a
-`gap --verify` ray keeps the mirrors that fix both plane waves of its pair,
-which drops every band the tracker must not pick.  The inversion x -> -x
+(`_Sector`).  Each mirror x_i -> -x_i with k_i = 0 commutes with H(k), and a
+solve keeps only the sector even under all of them (`lattice.mirror_axes`;
+an odd n keeps the whole spectrum, see `_mirrors`): at an order-two k0 both
+plane waves of the pair lie in it, and the bands a `gap --verify` ray must
+not pick mostly do not.  The inversion x -> -x
 composed with complex conjugation leaves H(k) invariant, so in a basis of
 orbit sums paired under the inversion H(k) is real symmetric (the symmetry
 MPB runs in real arithmetic with: Johnson & Joannopoulos, Opt. Express 8,
@@ -74,27 +75,34 @@ def sphere_mask(n: int, a: float) -> np.ndarray:
     return x2[:, None, None] + x2[None, :, None] + x2[None, None, :] < a * a
 
 
-def fourier_symbol(n: int, k, even=()) -> np.ndarray:
-    """Exact eigenvalues of the unmasked discrete operator per FFT mode.
+def _mirrors(n: int, k) -> tuple[int, ...]:
+    """The mirror axes of the sector solved at k: `mirror_axes(k)`, or none for
+    an odd n, where the DCT-I of the preconditioner is not the DFT of even data."""
+    return mirror_axes(k) if n % 2 == 0 else ()
 
-    Along each axis i in `even` (where k_i = 0, so the symbol is even in g_i)
-    only the indices 0..n//2 are kept, one mode g_i >= 0 per mirror orbit: the
-    eigenvalues of the unmasked operator's even sector (`_Sector`).
-    """
+
+def fourier_symbol(n: int, k) -> np.ndarray:
+    """Exact eigenvalues of the unmasked discrete operator in the sector solved at k."""
+    return _symbol(n, k, _mirrors(n, k))
+
+
+def _symbol(n: int, k, axes) -> np.ndarray:
+    """The symbol per FFT mode; along each axis of `axes` (k_i = 0, so it is even in
+    g_i) only the indices 0..n//2 are kept, one mode g_i >= 0 per mirror orbit."""
     h = TWO_PI / n
     g = np.fft.fftfreq(n, d=1.0 / n)
     th = g * h
-    axes = []
+    per_axis = []
     for i, ki in enumerate(k):
         sym = 4.0 * np.sin(th / 2) ** 2 / h**2 - 2.0 * ki * np.sin(th) / h + ki**2
-        axes.append(sym[: n // 2 + 1] if i in even else sym)
-    return axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :]
+        per_axis.append(sym[: n // 2 + 1] if i in axes else sym)
+    return per_axis[0][:, None, None] + per_axis[1][None, :, None] + per_axis[2][None, None, :]
 
 
 class _Sector:
-    """Real orthonormal basis of the free nodes' even sector under the mirrors on `even`.
+    """Real orthonormal basis of the free nodes' even sector under the mirrors on `axes`.
 
-    The free nodes fall into orbits O of the mirrors x_i -> -x_i, i in `even`;
+    The free nodes fall into orbits O of the mirrors x_i -> -x_i, i in `axes`;
     the sector is spanned by the orbit sums s_O (1/sqrt|O| on each node of O).
     The inversion P composed with conjugation leaves H(k) invariant, and it maps
     s_O to s_PO, so the basis u_O = (s_O + s_PO)/sqrt2, u_PO = i(s_O - s_PO)/sqrt2
@@ -114,21 +122,21 @@ class _Sector:
     orbit); take the real part of its product.
     """
 
-    def __init__(self, n: int, a: float, even: tuple[int, ...]):
-        self.n, self.even = n, even
+    def __init__(self, n: int, a: float, axes: tuple[int, ...]):
+        self.n, self.axes = n, axes
         free, indices, indptr, slot = _stencil_pattern(n, a)
         node = np.stack(np.unravel_index(free, (n, n, n)))
-        self.shape = tuple(n // 2 + 1 if i in even else n for i in range(3))
+        self.shape = tuple(n // 2 + 1 if i in axes else n for i in range(3))
         # the free nodes with index <= n//2 on every mirrored axis, one per
         # orbit; `number` maps a reduced-grid code to its orbit
-        first = np.flatnonzero(np.all(node[list(even)] <= n // 2, axis=0))
+        first = np.flatnonzero(np.all(node[list(axes)] <= n // 2, axis=0))
         self.rep = np.ravel_multi_index(node[:, first], self.shape)
         m = first.size
         number = np.full(math.prod(self.shape), -1)
         number[self.rep] = np.arange(m)
         # P negates every index; along a mirrored axis it keeps the orbit
-        flip = np.where(np.isin(np.arange(3), even)[:, None], node, -node % n)
-        for i in even:
+        flip = np.where(np.isin(np.arange(3), axes)[:, None], node, -node % n)
+        for i in axes:
             node[i] = np.minimum(node[i], -node[i] % n)
         o = number[np.ravel_multi_index(node, self.shape)]
         po = o[np.searchsorted(free, np.ravel_multi_index(flip, (n, n, n)))]
@@ -168,8 +176,8 @@ class _Sector:
         # Re(U^H i D' U) = -(X + X^T), X = Re(U)^T D' Im(U), for D_j = i D'_j with
         # D'_j the real antisymmetric centred difference.  D_j maps the even
         # sector of mirror j to its odd one: nothing for a mirrored axis
-        axes = [j for j in range(3) if j not in even]
-        for j in axes:
+        rest = [j for j in range(3) if j not in axes]
+        for j in rest:
             d = np.zeros(7)
             d[1 + 2 * j], d[2 + 2 * j] = 1.0 / h, -1.0 / h
             X = re_ut @ (stencil(d) @ im_u)
@@ -187,9 +195,9 @@ class _Sector:
         code = pattern.data
         self.data = np.zeros(code.size)
         self.data[code & 1 != 0] = parts[0].data
-        self.diag = np.flatnonzero(code & (1 << (len(axes) + 1)))
+        self.diag = np.flatnonzero(code & (1 << (len(rest) + 1)))
         self.d = [(j, np.flatnonzero(code & (2 << b)), M.data)
-                  for b, (j, M) in enumerate(zip(axes, parts[1:]))]
+                  for b, (j, M) in enumerate(zip(rest, parts[1:]))]
         self.indices, self.indptr = pattern.indices, pattern.indptr
         for arr in (self.rep, self.data, self.diag, self.indices, self.indptr,
                     *(a for _, pos, vals in self.d for a in (pos, vals))):
@@ -212,8 +220,8 @@ class _Sector:
 
 
 @lru_cache(maxsize=1)
-def _sector(n: int, a: float, even: tuple[int, ...]) -> _Sector:
-    return _Sector(n, a, even)
+def _sector(n: int, a: float, axes: tuple[int, ...]) -> _Sector:
+    return _Sector(n, a, axes)
 
 
 class _GridOperator:
@@ -229,7 +237,7 @@ class _GridOperator:
         self.k = np.asarray(k, dtype=float)
         self.matrix = sector.matrix(self.k)
         self.shape = self.matrix.shape
-        sym = fourier_symbol(self.n, self.k, sector.even)
+        sym = _symbol(self.n, self.k, sector.axes)
         # the masked sector operator is a principal submatrix of the periodic
         # one in the orbit basis, so its eigenvalues lie within the symbol's range
         self.spectrum = (float(sym.min()), float(sym.max()))
@@ -252,8 +260,8 @@ class _GridOperator:
         # of the reduced grid, and P-invariant, so its DFT along the other
         # axes is real
         s, p = self.sector, V.shape[1]
-        dct_axes = list(s.even)
-        fft_axes = [i for i in range(3) if i not in s.even]
+        dct_axes = list(s.axes)
+        fft_axes = [i for i in range(3) if i not in s.axes]
         G = (s.scatter @ V).reshape(*s.shape, p)
         if fft_axes:
             G = scipy.fft.fftn(G, axes=fft_axes, overwrite_x=True)
@@ -273,15 +281,15 @@ class _GridOperator:
         x = axis_coords(self.n)
         cols = []
         for g in gs:
-            f = [np.cos(g[i] * x[: s.shape[i]]) if i in s.even else np.exp(1j * g[i] * x)
+            f = [np.cos(g[i] * x[: s.shape[i]]) if i in s.axes else np.exp(1j * g[i] * x)
                  for i in range(3)]
             cols.append((f[0][:, None, None] * f[1][None, :, None] * f[2][None, None, :]).ravel())
         return (s.gather @ np.stack(cols, axis=1)).real
 
 
-def _block_modes(n: int, k, count: int, even=(), max_extra: int = 8):
+def _block_modes(n: int, k, count: int, axes, max_extra: int = 8):
     """Sector start modes; block boundary avoids degenerate shells."""
-    sym = fourier_symbol(n, k, even)
+    sym = _symbol(n, k, axes)
     g = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     flat = sym.ravel()
     order = np.argsort(flat)
@@ -339,20 +347,12 @@ def assemble_sparse(n: int, k, a: float = 0.0) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size))
 
 
-def fd_dirichlet_eigenvalues(
-    k,
-    a: float,
-    n: int,
-    count: int,
-    *,
-    v0=None,
-    even=(),
-) -> EigResult:
+def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> EigResult:
     """Lowest `count` values of lambda = (omega/c)^2 for the masked problem.
 
-    `even` names mirror axes i (k_i = 0 on each, and n even): the solve then
-    keeps only the eigenvalues whose eigenvectors are even under x_i -> -x_i
-    on every one of them.  The default () gives the whole spectrum.
+    Only the eigenvalues of the sector even under every mirror x_i -> -x_i
+    with k_i = 0 are solved (`_mirrors`); `fourier_symbol(n, k)` is that
+    sector's spectrum without the inclusion.
 
     Requires n >= 16 and at least two grid cells across the inclusion
     diameter (a hard floor below which the staircase sphere degenerates);
@@ -370,10 +370,6 @@ def fd_dirichlet_eigenvalues(
         raise DomainError("fd_dirichlet_eigenvalues requires n >= 16")
     if count < 1:
         raise DomainError("count must be >= 1")
-    even = mirror_axes(k, even)
-    if even and n % 2:
-        # the DCT-I of the preconditioner is the DFT of even data for even n only
-        raise DomainError(f"even: mirror sectors need an even n, got n = {n}")
     if not 0.0 <= a < math.pi / 2:
         raise DomainError("inclusion radius must satisfy 0 <= a < pi/2")
     cells = a * n / math.pi  # across the diameter 2a at spacing 2 pi / n
@@ -390,8 +386,13 @@ def fd_dirichlet_eigenvalues(
                 stacklevel=2,
             )
 
-    op = _GridOperator(_sector(n, a, even), k)
-    modes = _block_modes(n, k, count, even)
+    return _solve(k, a, n, count, v0, _mirrors(n, k))
+
+
+def _solve(k, a: float, n: int, count: int, v0, axes: tuple[int, ...]) -> EigResult:
+    """The solve of `fd_dirichlet_eigenvalues` in the sector even under the mirrors on `axes`."""
+    op = _GridOperator(_sector(n, a, axes), k)
+    modes = _block_modes(n, k, count, axes)
     if v0 is None:
         X = op.plane_wave_block(modes)
     else:

@@ -5,9 +5,11 @@ with the oracle that the type of `params` names: DirichletParams runs the
 finite-difference oracle on an n^3 grid, TransmissionParams the plane-wave
 oracle with |g_i| <= g_max.  At each delta the oracle computes every band of
 the spectrum without the inclusion below the tracking window top, plus one
-for PWE only (`_auto_count`); the count is not a parameter.  Both oracles
-solve only a mirror sector that holds the pair, so both the count and the
-bands come from that sector.  The two bands nearest the model's pair centre
+for PWE only (`_auto_count`); the count is not a parameter.  Each oracle
+solves only the sector even under every mirror x_i -> -x_i with k0_i = 0,
+which holds the pair (`lattice.mirror_axes`), and gives that sector's
+spectrum without the inclusion, so both the count and the bands come from
+that sector.  The two bands nearest the model's pair centre
 are picked inside the window (default five predicted splittings wide).  The
 reported gap is the interval between the maximum of the lower band and the
 minimum of the upper band, or None when the band ranges overlap.  Frequencies are omega / c with c the host speed.
@@ -25,10 +27,9 @@ import numpy as np
 
 from ..dirichlet import DirichletParams
 from ..errors import TrackingError
-from ..lattice import integer_cube
 from ..twomode import TwoModeModel
 from .fd import fd_dirichlet_eigenvalues, fourier_symbol
-from .pwe import pwe_transmission_eigenvalues
+from .pwe import free_spectrum, pwe_transmission_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -40,41 +41,21 @@ class MeasuredGap:
     deltas: np.ndarray
 
 
-def _oracle(model: TwoModeModel, params, n: int, g_max: int):
+def _oracle(params, n: int, g_max: int):
     """(unperturbed, solve, host speed, count margin) of the problem `params` names.
 
-    `unperturbed(kv)` is the spectrum without the inclusion at kv, and
+    `unperturbed(kv)` is the spectrum without the inclusion of the sector
+    solved at kv, and
     `solve(kv, count, v0)` the oracle's EigResult; the FD solve starts from
     the Ritz block v0.  The margin is `_auto_count`'s.
-
-    A mirror x_i -> -x_i with k0_i = m0_i = 0 fixes the ray and both plane
-    waves of the pair, so each oracle solves only a sector even under such
-    mirrors, and `unperturbed` is that sector's symbol.  An order-two k0 has
-    m0_i = 0 wherever k0_i = 0 (else flipping m0_i gives a third mode).  The
-    FD oracle takes every such mirror; an odd n has no mirror sectors, so it
-    solves the whole spectrum.  The PWE oracle takes the first one, so a ray
-    costs the same on an axis and off it; its sector keeps the modes with
-    g_i >= 0.
     """
-    mirrors = [i for i in range(3) if model.k0[i] == 0.0 and model.m0[i] == 0]
     if isinstance(params, DirichletParams):
-        even = tuple(mirrors) if n % 2 == 0 else ()
-        return (
-            lambda kv: fourier_symbol(n, kv, even),
-            lambda kv, count, v0: fd_dirichlet_eigenvalues(kv, params.a, n, count,
-                                                           v0=v0, even=even),
-            1.0,
-            0,
-        )
-    even = tuple(mirrors[:1])
-    basis = integer_cube(g_max)
-    modes = basis[np.all(basis[:, list(even)] >= 0, axis=1)]
-    return (
-        lambda kv: np.sum((kv + modes) ** 2, axis=1),
-        lambda kv, count, v0: pwe_transmission_eigenvalues(kv, params, g_max, count, even=even),
-        params.materials.c_plus,
-        1,
-    )
+        return (lambda kv: fourier_symbol(n, kv),
+                lambda kv, count, v0: fd_dirichlet_eigenvalues(kv, params.a, n, count, v0=v0),
+                1.0, 0)
+    return (lambda kv: free_spectrum(kv, g_max),
+            lambda kv, count, v0: pwe_transmission_eigenvalues(kv, params, g_max, count),
+            params.materials.c_plus, 1)
 
 
 def _auto_count(unperturbed: np.ndarray, kv, center: float, window: float, margin: int) -> int:
@@ -122,7 +103,7 @@ def measure_gap_numeric(
     from.  `deltas` is the grid of relative ray offsets; by default it spans
     twice the predicted extremizer range, which brackets both branch extrema.
     """
-    unperturbed, solve, c_host, margin = _oracle(model, params, n, g_max)
+    unperturbed, solve, c_host, margin = _oracle(params, n, g_max)
     k0 = np.asarray(model.k0)
     knorm = model.knorm
     split = model.s / knorm

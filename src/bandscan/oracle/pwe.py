@@ -15,13 +15,12 @@ eta and gamma depend on g - g' only, which lies on the (4 g_max + 1)^3
 difference lattice, so the transform is evaluated there and gathered by the
 integer code of g - g' (the Toeplitz structure of Ho, Chan & Soukoulis,
 PRL 65, 3152, 1990).  The sphere is centred and isotropic, so each mirror
-x_i -> -x_i with k_i = 0 commutes with (A, B) and fixes the ray
-k = (1 + delta) k0.  A solve keeps only the sector even under the mirrors
-that `even` names, gathered straight into the orthonormal symmetrised basis
-(Sakoda, Optical Properties of Photonic Crystals, 2005, ch. 3): a
-`gap --verify` ray names the first mirror that fixes both plane waves of its
-pair, and `oracle-compare` every mirror that fixes k0.  With no mirror the
-sector is the full pencil.
+x_i -> -x_i with k_i = 0 commutes with (A, B).  A solve keeps only the
+sector even under all of them (`lattice.mirror_axes`), gathered straight
+into the orthonormal symmetrised basis (Sakoda, Optical Properties of
+Photonic Crystals, 2005, ch. 3): at an order-two k0 both plane waves of the
+pair lie in it.  With no zero component of k the sector is the full pencil,
+and `free_spectrum` gives the sector's values without the inclusion.
 
 The blocks and the Cholesky factor L of the sector's B are built once per
 (params, g_max, mirrors).  Each k then runs the steps of LAPACK's xSYGVX
@@ -134,17 +133,23 @@ def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[in
     return basis[rows].astype(float), blocks, B, L
 
 
-def assemble_pwe(k, params: TransmissionParams, g_max: int, *, even=()):
-    """(A, B) of the sector even under the mirrors x_i -> -x_i on `even` at the Bloch vector k.
-
-    k_i = 0 on each axis of `even`; the default () gives the full pencil.
-    B is shared and read-only.
-    """
-    k = np.asarray(k, dtype=float)
-    modes, blocks, B, _ = _coefficient_matrices(params, g_max, mirror_axes(k, even))
-    kg = k[None, :] + modes
+def _pencil(k, params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
+    """(A, B) of the sector even under the mirrors on `axes` (k_i = 0 on each)."""
+    modes, blocks, B, _ = _coefficient_matrices(params, g_max, axes)
+    kg = np.asarray(k, dtype=float)[None, :] + modes
     xs = [kg[:, ax] for ax, _ in blocks]
     return reduce(np.add, [(x @ x.T) * eta for x, (_, eta) in zip(xs, blocks)]), B
+
+
+def assemble_pwe(k, params: TransmissionParams, g_max: int):
+    """(A, B) at the Bloch vector k in the sector the solve keeps; B is shared and read-only."""
+    return _pencil(k, params, g_max, mirror_axes(k))
+
+
+def free_spectrum(k, g_max: int) -> np.ndarray:
+    """|k + g|^2 over the sector's modes: its omega^2 / c^2 without the inclusion."""
+    modes = integer_cube(g_max)[_sector_maps(g_max, mirror_axes(k))[2]]
+    return np.sum((np.asarray(k, dtype=float) + modes) ** 2, axis=1)
 
 
 def _lowest(A, L, count: int):
@@ -166,32 +171,29 @@ def _lowest(A, L, count: int):
     return w[:count], z
 
 
-def pwe_transmission_eigenvalues(
-    k, params: TransmissionParams, g_max: int, count: int, *, even=()
-) -> EigResult:
+def pwe_transmission_eigenvalues(k, params: TransmissionParams, g_max: int,
+                                 count: int) -> EigResult:
     """Lowest `count` omega^2 values of the transmission cell problem.
 
-    `even` names mirror axes i (k_i = 0 on each): the solve then keeps only
-    the eigenvalues whose eigenvectors are even under x_i -> -x_i on every
-    one of them.  The default () gives the whole spectrum.
+    Only the eigenvalues of the sector even under every mirror x_i -> -x_i
+    with k_i = 0 are solved.
     """
     if not 2 <= g_max <= MAX_G_MAX:
         raise DomainError(f"g_max must be between 2 and {MAX_G_MAX}, got {g_max}")
     if count < 1:
         raise DomainError("count must be >= 1")
     k = np.asarray(k, dtype=float)
-    even = mirror_axes(k, even)
     if g_max * params.a < 1.0:
         msg = f"g_max*a = {g_max * params.a:.2f} < 1: truncation barely resolves the sphere"
         warnings.warn(msg, stacklevel=2)
-    A, B = assemble_pwe(k, params, g_max, even=even)
+    A, B = assemble_pwe(k, params, g_max)
     if count > len(A):
         raise DomainError(f"count {count} exceeds the {len(A)} modes solved")
     norm = max(np.linalg.norm(A), 1e-300)
     herm = np.linalg.norm(A - A.T) / norm
     if not herm <= 1e-12:
         raise NumericalError(f"PWE assembly not symmetric (defect {herm:.2e})")
-    w, vecs = _lowest(A, _coefficient_matrices(params, g_max, even)[3], count)
+    w, vecs = _lowest(A, _coefficient_matrices(params, g_max, mirror_axes(k))[3], count)
     # relative to ||A||_F, which, unlike the eigenvalues, cannot be near 0
     res = np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0) / norm
     return EigResult(w, float(np.max(res)))

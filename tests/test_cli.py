@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -120,6 +122,22 @@ class TestGap:
         cfgf.write_text("problem = heat\n")
         assert run(["gap", "--config", str(cfgf)]) == 2
 
+    def test_missing_config_file_exits_2_and_is_named(self, tmp_path, monkeypatch, capsys):
+        # a missing file once ended in a FileNotFoundError traceback with exit 1
+        monkeypatch.chdir(tmp_path)
+        assert run(["gap", "--config", "nope.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: config: cannot read nope.cfg: ")
+        assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+    def test_non_ascii_config_file_exits_2_and_is_named(self, tmp_path, capsys):
+        # a UnicodeDecodeError once ended in a traceback with exit 1
+        cfgf = tmp_path / "scan.cfg"
+        cfgf.write_bytes("a = 0.3  # \u00e9\n".encode("utf-8"))
+        assert run(["gap", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: config: {cfgf} is not ASCII text\n"
+        assert not (tmp_path / "o").exists()
+
     def test_removed_seed_key_exits_2_and_is_named(self, tmp_path, capsys):
         cfgf = tmp_path / "scan.cfg"
         cfgf.write_text("a = 0.1\nseed = 0\n")
@@ -166,7 +184,7 @@ class TestGap:
                             lambda *a: calls.append(a) or classify(*a))
         monkeypatch.setattr(
             gapscan, "fd_dirichlet_eigenvalues",
-            lambda k, a, n, count, v0=None, even=(): SimpleNamespace(
+            lambda k, a, n, count, v0=None: SimpleNamespace(
                 eigenvalues=np.array([0.25, 0.26]), vectors=None),
         )
         out = tmp_path / "once"
@@ -217,7 +235,7 @@ class TestGap:
     def test_fd_oracle_refuses_a_shape_it_does_not_mask(self, tmp_path, capsys, command):
         # the FD oracle masks a sphere; measuring the ellipsoid's prediction
         # against it once gave rel_discrepancy 0.335 and exit 0
-        rc = run(command + ["--problem", "dirichlet", "--k0", "0,0,0.5", "--m0", "0,0,1",
+        rc = run(command + ["--problem", "dirichlet", "--k0", "0,0,0.5",
                             "--a", "0.4", "--n", "24", "--shape", "ellipsoid",
                             "--semiaxes", "3,1,0.5", "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -354,7 +372,7 @@ class TestOracleCompare:
         out = tmp_path / "cmp"
         rc = run([
             "oracle-compare", "--problem", "transmission", "--k0", "0,0,0.5",
-            "--m0", "0,0,1", "--a", "0.8397506176105911",
+            "--a", "0.8397506176105911",
             "--gamma-minus", "1.2", "--rho-plus", "1.2", "--g-max", "3",
             "--out", str(out),
         ])
@@ -383,7 +401,7 @@ class TestOracleCompare:
         out = tmp_path / "cmpd"
         rc = run([
             "oracle-compare", "--problem", "dirichlet", "--k0", "0.2,0.1,0.15",
-            "--m0", "0,0,1", "--a", "0.4", "--n", "24", "--out", str(out),
+            "--a", "0.4", "--n", "24", "--out", str(out),
         ])
         assert rc == 0
         lines = (out / "oracle_compare.csv").read_text().splitlines()
@@ -399,7 +417,7 @@ def test_g_max_above_the_basis_cap_exits_2_and_is_named(tmp_path, capsys, comman
     from bandscan.oracle import pwe
 
     assert pwe.MAX_G_MAX == 10
-    rc = run(command + ["--problem", "transmission", "--k0", "0,0,0.5", "--m0", "0,0,1",
+    rc = run(command + ["--problem", "transmission", "--k0", "0,0,0.5",
                         "--a", "0.5", "--g-max", "11", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err == "error: g_max: must be <= 10\n"
@@ -514,7 +532,8 @@ def test_config_field_the_request_ignores_exits_2_and_is_named(tmp_path, monkeyp
 UNREAD = {
     "gap": set(),
     "bands": {"out_dir", "verify", "n", "g_max", "c"},
-    "oracle-compare": {"delta_tilde_min", "delta_tilde_max", "samples", "verify", "c"},
+    "oracle-compare": {"delta_tilde_min", "delta_tilde_max", "samples", "verify", "c",
+                       "m0", "exclusion_band"},
 }
 
 
@@ -557,6 +576,20 @@ def test_config_file_key_the_command_never_reads_exits_2_and_is_named(tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == ["scan.cfg"]
 
 
+def test_readme_example_with_the_example_config_runs(tmp_path, monkeypatch, capsys):
+    # `gap --config configs/example_gap.cfg --verify` once exited 3: the
+    # example's a = 0.1 spans 1.02 cells of its n = 32 grid, under the floor of 2
+    root = Path(__file__).resolve().parents[1]
+    (line,) = [l for l in (root / "README.md").read_text().splitlines()
+               if l.startswith("bandscan gap --config configs/example_gap.cfg")]
+    shutil.copytree(root / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(line.split()[1:]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["gap", "bands"])
 def test_example_config_loads(tmp_path, monkeypatch, capsys, command):
     # it sets every key at its default, and a key at its default is accepted anywhere
@@ -566,7 +599,7 @@ def test_example_config_loads(tmp_path, monkeypatch, capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    "--problem dirichlet --k0 0.5,0.3,0.8 --m0 1,0,0 --a 0.3 --n 24",
+    "--problem dirichlet --k0 0.5,0.3,0.8 --a 0.3 --n 24",
     "--problem transmission --k0 0.5,0.3,0.8 --a 0.3 --gamma-minus 2",
     "--problem dirichlet --k0 0.2,0.1,0.7 --a 0.3 --n 24",
     "--problem transmission --k0 -0.2,0.1,0.5000001 --a 0.3 --gamma-minus 2",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -99,12 +101,11 @@ def test_warm_started_ray_matches_cold_solves(monkeypatch):
 def test_ray_solves_the_mirror_sector_of_the_pair(monkeypatch, n, even):
     # k0_i = m0_i = 0 on x and y: both plane waves of the pair are even
     # there; an odd grid has no mirror sector and solves the whole spectrum
-    from bandscan.oracle import gapscan
+    from bandscan.oracle import fd
 
     seen = []
-    solve = gapscan.fd_dirichlet_eigenvalues
-    monkeypatch.setattr(gapscan, "fd_dirichlet_eigenvalues",
-                        lambda *args, **kw: seen.append(kw["even"]) or solve(*args, **kw))
+    sector = fd._sector
+    monkeypatch.setattr(fd, "_sector", lambda n, a, axes: seen.append(axes) or sector(n, a, axes))
     p = dirichlet.DirichletParams(a=0.5)
     got = measure_gap_numeric(dirichlet.pair_model((0.0, 0.0, 0.5), (0, 0, 1), p), p,
                               n=n, n_deltas=3)
@@ -144,7 +145,7 @@ def test_dirichlet_guard_eigenvalue_changes_no_band(monkeypatch):
 
 def test_transmission_ray_matches_full_pencil():
     # nu = 0.16 and k0_y = 0: every ray point is solved in the even sector of
-    # the mirror y -> -y; the bands equal those of the full pencil at each point
+    # the mirror y -> -y; the bands equal those of the whole pencil at each point
     import scipy.linalg
 
     from bandscan.oracle import gapscan, pwe
@@ -156,7 +157,7 @@ def test_transmission_ray_matches_full_pencil():
     assert got is not None
     window = max(5.0 * model.s / model.knorm, 1e-3)
     for i, d in enumerate(got.deltas):
-        A, B = pwe.assemble_pwe((1.0 + d) * k0, params, 3)
+        A, B = pwe._pencil((1.0 + d) * k0, params, 3, ())
         vals = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 11))
         omegas = np.sqrt(np.maximum(vals, 0.0)) / params.materials.c_plus
         lo, hi = gapscan._pick_two_bands(omegas, model.centre, window)
@@ -164,30 +165,54 @@ def test_transmission_ray_matches_full_pencil():
         assert got.upper_band[i] == pytest.approx(hi, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("k0, even", [((0.2, 0.0, 0.5), (1,)), ((0.0, 0.0, 0.5), (0,))])
+@pytest.mark.parametrize("k0, even", [((0.2, 0.0, 0.5), (1,)), ((0.0, 0.0, 0.5), (0, 1))])
 def test_transmission_ray_solves_one_even_sector(monkeypatch, k0, even):
-    # k0_i = m0_i = 0 on y, or on x and y: the ray solves the even sector of
-    # the first such mirror only, and measures the edges of the whole spectrum
+    # k0_i = m0_i = 0 on y, or on x and y: the ray solves the sector even
+    # under every such mirror, and measures the edges of the whole spectrum
+    import scipy.linalg
+
     from bandscan.oracle import gapscan, pwe
 
     params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
     model = transmission.pair_model(k0, (0, 0, 1), params)
     oracle = gapscan._oracle
 
-    def whole(model, params, n, g_max):
+    def whole(params, n, g_max):
+        def solve(kv, count, v0):
+            A, B = pwe._pencil(kv, params, g_max, ())
+            return SimpleNamespace(eigenvalues=scipy.linalg.eigh(
+                A, B, eigvals_only=True, subset_by_index=(0, count - 1)), vectors=None)
         basis = integer_cube(g_max)
-        return (lambda kv: np.sum((kv + basis) ** 2, axis=1),
-                lambda kv, count, v0: pwe.pwe_transmission_eigenvalues(kv, params, g_max, count),
-                *oracle(model, params, n, g_max)[2:])
+        return lambda kv: np.sum((kv + basis) ** 2, axis=1), solve, *oracle(params, n, g_max)[2:]
 
     monkeypatch.setattr(gapscan, "_oracle", whole)
     ref = measure_gap_numeric(model, params, g_max=3, n_deltas=5)
     monkeypatch.setattr(gapscan, "_oracle", oracle)
     seen = []
-    solve = gapscan.pwe_transmission_eigenvalues
-    monkeypatch.setattr(gapscan, "pwe_transmission_eigenvalues",
-                        lambda *args, **kw: seen.append(kw["even"]) or solve(*args, **kw))
+    matrices = pwe._coefficient_matrices
+    monkeypatch.setattr(pwe, "_coefficient_matrices",
+                        lambda params, g_max, axes: seen.append(axes) or matrices(params, g_max, axes))
     got = measure_gap_numeric(model, params, g_max=3, n_deltas=5)
-    assert seen == [even] * 5
+    assert set(seen) == {even}
     assert got.lo_over_c == pytest.approx(ref.lo_over_c, rel=1e-12, abs=0.0)
     assert got.hi_over_c == pytest.approx(ref.hi_over_c, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [(0.3, 0.2, 0.1), (0.3, 0.0, 0.1), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
+def test_unperturbed_spectrum_is_the_solved_sectors(k):
+    # the count comes from the spectrum without the inclusion of the sector
+    # the oracle solves.  In a uniform medium the PWE sector's values are
+    # exactly its |k+g|^2, and no count past them is solved; without a mask
+    # the FD sector has one basis vector per symbol value, on an even grid
+    # (mirror sectors) and an odd one (the whole spectrum)
+    from bandscan.oracle import gapscan
+
+    k = np.array(k)
+    unperturbed, solve = gapscan._oracle(TransmissionParams(MaterialSpec(1, 1, 1, 1), 0.5), 32, 2)[:2]
+    free = np.sort(unperturbed(k))
+    np.testing.assert_allclose(solve(k, len(free), None).eigenvalues, free, rtol=1e-12, atol=1e-12)
+    with pytest.raises(DomainError, match="count"):
+        solve(k, len(free) + 1, None)
+    for n in (16, 17):
+        unperturbed, solve = gapscan._oracle(dirichlet.DirichletParams(a=0.0), n, 2)[:2]
+        assert solve(k, 2, None).vectors.shape[0] == unperturbed(k).size

@@ -112,9 +112,11 @@ class TestMaskedProblem:
     def test_largest_n16_masks_match_dense_reference(self):
         import scipy.linalg
 
-        # the biggest mask at n = 16 leaves the fewest free nodes any solve
-        # has (3,845); at k = 0 only a dense solve once got there.  The k = 0
-        # matrix is real, so its reference eigvalsh runs in real arithmetic.
+        # the biggest mask at n = 16 leaves the fewest free nodes a whole-grid
+        # solve has (3,845); at k = 0 only a dense solve once got there.  The
+        # k = 0 matrix is real, so its reference eigvalsh runs in real
+        # arithmetic.  At k = 0 the solve keeps the sector even under all
+        # three mirrors: the lowest value, then values of the whole spectrum.
         a = math.pi / 2 - 1e-6
         for k in (K, np.zeros(3)):
             res = fd.fd_dirichlet_eigenvalues(k, a, 16, 2)
@@ -122,8 +124,11 @@ class TestMaskedProblem:
             if not k.any():
                 assert not dense.imag.any()
                 dense = dense.real
-            ref = np.sort(scipy.linalg.eigvalsh(dense))[:2]
-            assert np.allclose(res.eigenvalues, ref, atol=1e-10)
+            ref = np.sort(scipy.linalg.eigvalsh(dense))
+            assert res.eigenvalues[0] == pytest.approx(ref[0], abs=1e-10)
+            assert np.min(np.abs(ref[None, :] - res.eigenvalues[:, None]), axis=1).max() <= 1e-10
+            if k.any():
+                assert np.allclose(res.eigenvalues, ref[:2], atol=1e-10)
             assert res.residual_norm <= 1e-8
 
 
@@ -334,7 +339,7 @@ def sector_vectors(sector, a, V):
     """U V: the free-node vectors whose sector coefficients are the columns of V."""
     n = sector.n
     node = np.stack(np.unravel_index(fd._stencil_pattern(n, a)[0], (n, n, n)))
-    for i in sector.even:  # every node takes the value of its orbit's representative
+    for i in sector.axes:  # every node takes the value of its orbit's representative
         node[i] = np.minimum(node[i], -node[i] % n)
     return (sector.scatter @ V)[np.ravel_multi_index(node, sector.shape)]
 
@@ -391,7 +396,7 @@ class TestSector:
         V, W = self.blocks(sector)
         UV, UW = sector_vectors(sector, self.A, V), sector_vectors(sector, self.A, W)
         G = np.fft.fftn(full_grid(self.N, self.A, UV), axes=(0, 1, 2))
-        G /= (fd.fourier_symbol(self.N, k) + max(float(np.dot(k, k)), 0.1))[..., None]
+        G /= (fd._symbol(self.N, k, ()) + max(float(np.dot(k, k)), 0.1))[..., None]
         G = np.fft.ifftn(G, axes=(0, 1, 2)).reshape(-1, V.shape[1])
         ref = UW.conj().T @ G[fd._stencil_pattern(self.N, self.A)[0]]
         assert np.abs(W.T @ op.precmat(V) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -400,7 +405,8 @@ class TestSector:
     def test_sector_values_are_in_the_full_spectrum(self, k, even):
         import scipy.sparse.linalg
 
-        res = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 4, even=even)
+        res = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 4)
+        assert fd._sector(self.N, self.A, even).size == res.vectors.shape[0]
         full = scipy.sparse.linalg.eigsh(fd.assemble_sparse(self.N, k, self.A).tocsc(), k=16,
                                          sigma=0.0, return_eigenvectors=False).real
         assert res.eigenvalues[-1] < full.max()
@@ -411,15 +417,16 @@ class TestSector:
     def test_sector_values_interlace_the_sector_symbol(self, k, even):
         # the sector operator is a principal submatrix of the periodic sector
         # operator in the orbit basis, whose eigenvalues are the sector symbol
-        res = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 6, even=even)
-        sym = np.sort(fd.fourier_symbol(self.N, k, even), axis=None)
+        res = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 6)
+        sym = np.sort(fd.fourier_symbol(self.N, k), axis=None)
         assert sym.size == fd._sector(self.N, 0.0, even).size
         assert np.all(res.eigenvalues >= sym[:6] - 1e-8 * res.eigenvalues.max())
 
     @pytest.mark.parametrize("k, even", SECTORS[1:])
     def test_pair_values_equal_the_full_solve(self, k, even):
-        sector = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 2, even=even)
-        full = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 2)
+        sector = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 2)
+        full = fd._solve(np.asarray(k), self.A, self.N, 2, None, ())
+        assert full.vectors.shape[0] > sector.vectors.shape[0]
         assert np.allclose(sector.eigenvalues, full.eigenvalues, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("n", [16, 24, 32])
@@ -433,19 +440,32 @@ class TestSector:
             for axis in range(3):
                 assert np.array_equal(np.take(mask, flip, axis=axis), mask)
 
-    def test_mirror_axis_needs_zero_k_and_even_n(self):
-        with pytest.raises(DomainError, match="even"):
-            fd.fd_dirichlet_eigenvalues((0.5, 0.2, 0.0), self.A, self.N, 2, even=(1,))
-        with pytest.raises(DomainError, match="even n"):
-            fd.fd_dirichlet_eigenvalues((0.5, 0.2, 0.0), self.A, self.N + 1, 2, even=(2,))
 
 def test_stalled_column_costs_one_short_call(monkeypatch):
-    # the sixth value sits in a cluster (symbol 1.2843, 1.2843, 1.2900, 1.2900
-    # around the block edge); one 400-iteration lobpcg call idled on the stalled
-    # extra column and the complex solve applied the stencil 198 times
+    # in the whole spectrum the sixth value sits in a cluster (symbol 1.2843,
+    # 1.2843, 1.2900, 1.2900 around the block edge); one 400-iteration lobpcg
+    # call idled on the stalled extra column and the complex solve applied the
+    # stencil 198 times.  The z-mirror sector splits the cluster, so the
+    # whole grid is solved here
     calls = []
     matmat = fd._GridOperator.matmat
     monkeypatch.setattr(fd._GridOperator, "matmat", lambda op, V: calls.append(1) or matmat(op, V))
-    res = fd.fd_dirichlet_eigenvalues((0.5, 0.2, 0.0), 0.33, 24, 6)
+    res = fd._solve(np.array([0.5, 0.2, 0.0]), 0.33, 24, 6, None, ())
     assert res.residual_norm <= 1e-8
     assert len(calls) < 198
+
+
+def test_comparison_rows_match_the_whole_spectrum(monkeypatch):
+    # oracle-compare solves the sector even under the x and y mirrors at
+    # k0 = (0, 0, 0.5); its rows equal those of the whole grid
+    from bandscan import compare
+    from bandscan.dirichlet import DirichletParams
+
+    k0, p = (0.0, 0.0, 0.5), DirichletParams(a=0.6)
+    got = compare.dirichlet_comparison_rows(k0, p, n=24)
+    monkeypatch.setattr(compare, "fd_dirichlet_eigenvalues",
+                        lambda k, a, n, count: fd._solve(np.asarray(k), a, n, count, None, ()))
+    ref = compare.dirichlet_comparison_rows(k0, p, n=24)
+    assert [row[0] for row in got] == [row[0] for row in ref]
+    for row, ref_row in zip(got, ref):
+        np.testing.assert_allclose(row[1:3], ref_row[1:3], rtol=1e-8, atol=0.0)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,8 +156,9 @@ class TestAssembly:
     @pytest.mark.parametrize("k", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
     @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
     def test_matches_broadcast_formula(self, g_max, k, mats, f):
+        # the whole pencil: at k = 0 the solve would keep the all-mirror sector
         params = TransmissionParams.from_volume_fraction(mats, f)
-        A, B = pwe.assemble_pwe(k, params, g_max)
+        A, B = pwe._pencil(k, params, g_max, ())
         A_ref, B_ref = broadcast_pencil(k, params, g_max)
         assert np.array_equal(A, A_ref)
         assert np.array_equal(B, B_ref)
@@ -199,7 +201,7 @@ class TestAssembly:
         _, B = pwe.assemble_pwe((0.2, -0.1, 0.3), params, 2)
         with pytest.raises(ValueError):
             B[0, 0] = 0.0
-        _, B_again = pwe.assemble_pwe((0.0, 0.0, 0.5), params, 2)
+        _, B_again = pwe.assemble_pwe((0.3, 0.1, 0.5), params, 2)
         assert np.array_equal(B_again, broadcast_pencil((0, 0, 0), params, 2)[1])
         # the Cholesky factor of the sector's B, which every k of a ray reuses
         for axes in [(), (1,), (0, 1)]:
@@ -220,8 +222,9 @@ class TestSectorMaps:
             assert np.array_equal(basis[p], basis * signs[h])
 
 
-def full_pencil_values(k, params, g_max, count):
-    A, B = pwe.assemble_pwe(k, params, g_max)
+def full_pencil_values(k, params, g_max, count, axes=None):
+    """scipy's eigh of the pencil the solve keeps at k, or of the sector of `axes`."""
+    A, B = pwe.assemble_pwe(k, params, g_max) if axes is None else pwe._pencil(k, params, g_max, axes)
     return scipy.linalg.eigh(A, B, subset_by_index=(0, count - 1))[0]
 
 
@@ -249,14 +252,16 @@ class TestSectorSolve:
 
 class TestEvenSector:
     @pytest.mark.parametrize("g_max", [2, 3, 4])
-    @pytest.mark.parametrize("k, even", [((0.0, 0.0, 0.5), (0,)), ((0.0, 0.0, 0.5), (1,)),
+    @pytest.mark.parametrize("k, even", [((0.0, 0.2, 0.5), (0,)), ((0.0, 0.5, 0.0), (0, 2)),
                                          ((0.2, 0.0, 0.5), (1,)), ((0.0, 0.0, 0.5), (0, 1)),
                                          ((0.0, 0.0, 0.0), (0, 1, 2))])
     @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
     def test_values_are_among_the_full_pencils(self, g_max, k, even, mats, f):
+        # the solve keeps the sector even under the mirrors of k's zero components
         params = TransmissionParams.from_volume_fraction(mats, f)
-        whole = scipy.linalg.eigh(*pwe.assemble_pwe(k, params, g_max), eigvals_only=True)
-        got = pwe.pwe_transmission_eigenvalues(k, params, g_max, 12, even=even)
+        whole = scipy.linalg.eigh(*pwe._pencil(k, params, g_max, ()), eigvals_only=True)
+        got = pwe.pwe_transmission_eigenvalues(k, params, g_max, 12)
+        np.testing.assert_array_equal(got.eigenvalues, full_pencil_values(k, params, g_max, 12, even))
         # at k = 0 the lowest value is 0, so it is held to an absolute bound
         tol = 1e-12 * np.abs(got.eigenvalues)
         if not any(k):
@@ -265,15 +270,16 @@ class TestEvenSector:
         assert got.residual_norm < 1e-10
 
     def test_odd_bands_are_left_out(self):
-        # uniform medium at k = (0, 0, 0.5): |k+g|^2 = 1.25 has six even and
-        # two odd modes under x -> -x, and the sector keeps the even six
+        # uniform medium at k = (0, 0, 0.5): |k+g|^2 = 1.25 has eight modes,
+        # g = (+-1, 0, *) and (0, +-1, *) with g_z in {0, -1}; four are even
+        # under both x -> -x and y -> -y, and the sector keeps those four
         params = TransmissionParams(materials=UNIFORM, a=0.5)
         k = np.array([0.0, 0.0, 0.5])
-        got = pwe.pwe_transmission_eigenvalues(k, params, 3, 12, even=(0,))
+        got = pwe.pwe_transmission_eigenvalues(k, params, 3, 12)
         basis = integer_cube(3)
-        exact = np.sort(np.sum((k + basis[basis[:, 0] >= 0]) ** 2, axis=1))[:12]
+        exact = np.sort(np.sum((k + basis[np.all(basis[:, :2] >= 0, axis=1)]) ** 2, axis=1))[:12]
         np.testing.assert_allclose(got.eigenvalues, exact, rtol=1e-12)
-        assert np.count_nonzero(np.isclose(got.eigenvalues, 1.25, rtol=1e-12)) == 6
+        assert np.count_nonzero(np.isclose(got.eigenvalues, 1.25, rtol=1e-12)) == 4
 
     @pytest.mark.parametrize("g_max", [2, 4])
     @pytest.mark.parametrize("axes", [(), (1,), (0, 1), (0, 1, 2)])
@@ -281,18 +287,12 @@ class TestEvenSector:
         # the modes with g_i >= 0 on each of the m mirrored axes
         size = (g_max + 1) ** len(axes) * (2 * g_max + 1) ** (3 - len(axes))
         params = weak_params(0.02)
-        k = (0.0, 0.0, 0.0 if 2 in axes else 0.5)
-        assert len(pwe.assemble_pwe(k, params, g_max, even=axes)[0]) == size
-        pwe.pwe_transmission_eigenvalues(k, params, g_max, size, even=axes)
+        k = tuple(0.0 if i in axes else 0.5 for i in range(3))
+        assert len(pwe.assemble_pwe(k, params, g_max)[0]) == size
+        assert len(pwe.free_spectrum(k, g_max)) == size
+        pwe.pwe_transmission_eigenvalues(k, params, g_max, size)
         with pytest.raises(DomainError, match="count"):
-            pwe.pwe_transmission_eigenvalues(k, params, g_max, size + 1, even=axes)
-
-    @pytest.mark.parametrize("even", [(2,), (0, 2), (3,)])
-    def test_mirror_axis_needs_a_zero_component(self, even):
-        with pytest.raises(DomainError, match="even"):
-            pwe.pwe_transmission_eigenvalues((0.0, 0.0, 0.5), weak_params(0.02), 3, 2, even=even)
-        with pytest.raises(DomainError, match="even"):
-            pwe.assemble_pwe((0.0, 0.0, 0.5), weak_params(0.02), 3, even=even)
+            pwe.pwe_transmission_eigenvalues(k, params, g_max, size + 1)
 
 
 @pytest.mark.parametrize("k0", [(0.0, 0.0, 0.5), (0.2, 0.0, 0.5)])
@@ -301,9 +301,9 @@ def test_comparison_rows_match_the_full_pencil(monkeypatch, k0):
     # its rows equal those of the whole spectrum
     params = weak_params(0.01)
     got = compare.transmission_comparison_rows(k0, params, g_max=3)
-    solve = compare.pwe_transmission_eigenvalues
     monkeypatch.setattr(compare, "pwe_transmission_eigenvalues",
-                        lambda k, params, g_max, count, even: solve(k, params, g_max, count))
+                        lambda k, params, g_max, count: SimpleNamespace(
+                            eigenvalues=full_pencil_values(k, params, g_max, count, ())))
     ref = compare.transmission_comparison_rows(k0, params, g_max=3)
     assert [row[0] for row in got] == [row[0] for row in ref]
     for row, ref_row in zip(got, ref):
