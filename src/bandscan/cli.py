@@ -132,12 +132,15 @@ def cmd_classify(args) -> int:
 
 
 def _require_fd_sphere(cfg: ScanConfig) -> None:
-    """The FD oracle masks a sphere of radius a, whatever `shape` the prediction uses."""
+    """The FD oracle masks a sphere of radius a, whatever `shape` or `q` the prediction uses."""
     if cfg.shape != "sphere":
         raise ConfigError(
             f"shape: the finite-difference oracle masks a sphere, so it cannot "
             f"check shape = {cfg.shape}; use shape = sphere"
         )
+    if cfg.q != 1.0:
+        raise ConfigError(f"q: the finite-difference oracle masks a sphere (q = 1), "
+                          f"so it cannot check q = {cfg.q}")
 
 
 def _predict(cfg: ScanConfig):

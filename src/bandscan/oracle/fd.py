@@ -124,7 +124,7 @@ class _Sector:
 
     def __init__(self, n: int, a: float, axes: tuple[int, ...]):
         self.n, self.axes = n, axes
-        free, indices, indptr, slot = _stencil_pattern(n, a)
+        free = np.flatnonzero(~sphere_mask(n, a).ravel())
         node = np.stack(np.unravel_index(free, (n, n, n)))
         self.shape = tuple(n // 2 + 1 if i in axes else n for i in range(3))
         # the free nodes with index <= n//2 on every mirrored axis, one per
@@ -161,29 +161,32 @@ class _Sector:
         re_ut, im_ut = re_u.T.tocsr(), im_u.T.tocsr()
         h = TWO_PI / n
 
-        def stencil(vals):
-            # only the entries of the nonzero slots, so a difference costs 2 of 7
-            data = np.asarray(vals)[slot]
-            keep = data != 0.0
-            if keep.all():
-                return sp.csr_matrix((data, indices, indptr), shape=(free.size,) * 2)
-            ptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            return sp.csr_matrix((data[keep], indices[keep], ptr), shape=(free.size,) * 2)
-
+        # N[j, step] picks each free node's neighbour at index +step along axis
+        # j (np.roll by -step) where that neighbour is free: a masked node's
+        # position is -1.  Entries are 1, so int8 keeps the build's peak low
+        pos = np.full(n**3, -1)
+        pos[free] = np.arange(free.size)
+        grid = np.arange(n**3).reshape(n, n, n)
+        N = {}
+        for j in range(3):
+            for step in (1, -1):
+                col = pos[np.roll(grid, -step, axis=j).ravel()[free]]
+                row = np.flatnonzero(col >= 0)
+                N[j, step] = sp.csr_matrix((np.ones(row.size, dtype=np.int8), (row, col[row])),
+                                           shape=(free.size,) * 2)
+        del pos, grid
         # Re(U^H L U) for the real Laplacian L
-        lap = stencil([6.0 / h**2] + [-1.0 / h**2] * 6)
+        lap = sp.identity(free.size, format="csr") * (6.0 / h**2) - sum(N.values()) / h**2
         parts = [re_ut @ (lap @ re_u) + im_ut @ (lap @ im_u)]
         # Re(U^H i D' U) = -(X + X^T), X = Re(U)^T D' Im(U), for D_j = i D'_j with
         # D'_j the real antisymmetric centred difference.  D_j maps the even
         # sector of mirror j to its odd one: nothing for a mirrored axis
         rest = [j for j in range(3) if j not in axes]
         for j in rest:
-            d = np.zeros(7)
-            d[1 + 2 * j], d[2 + 2 * j] = 1.0 / h, -1.0 / h
-            X = re_ut @ (stencil(d) @ im_u)
+            X = re_ut @ ((N[j, 1] - N[j, -1]) / h @ im_u)
             parts.append(-(X + X.T))
         parts.append(sp.identity(m, format="csr"))
-        del lap
+        del lap, N
         # one pattern for all: the sum of their patterns, each entry coded
         # with bit b of part b, so part b sits at the entries with that bit
         # set, in its own row-major order
@@ -303,48 +306,6 @@ def _block_modes(n: int, k, count: int, axes, max_extra: int = 8):
         size = min(count + max_extra, len(vals))
     i, j, l = np.unravel_index(order[:size], sym.shape)
     return [(int(g[p]), int(g[q]), int(g[r])) for p, q, r in zip(i, j, l)]
-
-
-@lru_cache(maxsize=1)
-def _stencil_pattern(n: int, a: float):
-    """(free nodes, CSR indices, indptr, stencil slot per entry), read-only.
-
-    Independent of k, so built once per geometry.  Slot 0 is the centre, slots
-    1 + 2j and 2 + 2j the +1 and -1 neighbours along axis j (np.roll by -1, +1).
-    """
-    free = np.flatnonzero(~sphere_mask(n, a).ravel())
-    pos = np.full(n**3, free.size)  # masked nodes sort after every free one
-    pos[free] = np.arange(free.size)
-    node = np.arange(n**3).reshape(n, n, n)
-    cols = [free] + [np.roll(node, step, axis=axis).ravel()[free]
-                     for axis in range(3) for step in (-1, 1)]
-    C = pos[np.stack(cols, axis=1)]
-    slot = np.argsort(C, axis=1, kind="stable")
-    C = np.take_along_axis(C, slot, axis=1)
-    inside = C < free.size
-    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1)))).astype(np.int32)
-    out = free, C[inside].astype(np.int32), indptr, slot[inside]
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-def assemble_sparse(n: int, k, a: float = 0.0) -> sp.csr_matrix:
-    """Sparse matrix of the grid operator, restricted to the nodes outside the sphere.
-
-    Row r holds the 7-point stencil of free node r in sorted columns, without
-    couplings to masked nodes; each k only gathers its 7 values into the
-    cached pattern.  This is the complex node-basis form of the operator
-    that `_Sector` rewrites as a real matrix.
-    """
-    k = np.asarray(k, dtype=float)
-    h = TWO_PI / n
-    free, indices, indptr, slot = _stencil_pattern(n, a)
-    vals = [6.0 / h**2 + float(k @ k)]
-    for axis in range(3):
-        vals += [-1.0 / h**2 + sign * 1j * k[axis] / h for sign in (1.0, -1.0)]
-    data = np.array(vals, dtype=complex)[slot]
-    return sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size))
 
 
 def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> EigResult:

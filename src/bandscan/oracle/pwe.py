@@ -47,18 +47,16 @@ from .eig import EigResult
 MAX_G_MAX = 10
 
 
-def sphere_indicator_fourier(g, a: float):
-    """Fourier coefficient of the radius-a ball indicator on the cell.
+def sphere_indicator_fourier(gnorm, a: float):
+    """Fourier coefficient of the radius-a ball indicator on the cell, at |g| = gnorm.
 
     Normalized so the g = 0 value is exactly the volume fraction
     f = (4/3) pi a^3 / (2 pi)^3; for g != 0 the value is
     f * 3 (sin t - t cos t) / t^3 with t = |g| a, which tends to f as
-    t -> 0.  Accepts an integer 3-vector or an array of |g| values.
+    t -> 0.  `gnorm` is a scalar or an array of |g| values.
     """
     if a <= 0:
         raise DomainError("sphere radius must be positive")
-    g = np.asarray(g, dtype=float)
-    gnorm = np.linalg.norm(g) if g.shape == (3,) else g
     f = volume_fraction(a)
     t = np.asarray(gnorm, dtype=float) * a
     out = np.full(t.shape, f)

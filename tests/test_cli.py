@@ -231,15 +231,21 @@ class TestGap:
         report = GapReport.from_text((out / "report.txt").read_text())
         assert report.q == calls[0].q
 
-    @pytest.mark.parametrize("command", [["gap", "--verify"], ["oracle-compare"]])
+    @pytest.mark.parametrize("command", [
+        ["gap", "--verify", "--shape", "ellipsoid", "--semiaxes", "3,1,0.5"],
+        ["oracle-compare", "--shape", "ellipsoid", "--semiaxes", "3,1,0.5"],
+        ["gap", "--verify", "--q", "2"],
+        ["oracle-compare", "--q", "2"],
+    ])
     def test_fd_oracle_refuses_a_shape_it_does_not_mask(self, tmp_path, capsys, command):
-        # the FD oracle masks a sphere; measuring the ellipsoid's prediction
-        # against it once gave rel_discrepancy 0.335 and exit 0
+        # the FD oracle masks the sphere of q = 1; measuring the ellipsoid's
+        # prediction against it once gave rel_discrepancy 0.335 and exit 0,
+        # and the prediction at q = 2 gave 0.532
         rc = run(command + ["--problem", "dirichlet", "--k0", "0,0,0.5",
-                            "--a", "0.4", "--n", "24", "--shape", "ellipsoid",
-                            "--semiaxes", "3,1,0.5", "--out", str(tmp_path / "o")])
+                            "--a", "0.4", "--n", "24", "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: shape: ")
+        field = "q" if "--q" in command else "shape"
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not (tmp_path / "o").exists()
 
     def test_verify_transmission_fast(self, tmp_path, capsys):

@@ -41,15 +41,15 @@ class TestSphereIndicator:
     def test_zero_mode_is_volume_fraction(self):
         a = 0.5
         f = (4.0 / 3.0) * math.pi * a**3 / PI3
-        assert pwe.sphere_indicator_fourier((0, 0, 0), a) == pytest.approx(f, rel=1e-15)
-        assert pwe.sphere_indicator_fourier((0, 0, 0), 0.5) == pytest.approx(
+        assert pwe.sphere_indicator_fourier(0.0, a) == pytest.approx(f, rel=1e-15)
+        assert pwe.sphere_indicator_fourier(0.0, 0.5) == pytest.approx(
             0.0021121, rel=1e-3
         )
 
     def test_continuity_at_small_argument(self):
         a = 1e-5
         f = (4.0 / 3.0) * math.pi * a**3 / PI3
-        val = pwe.sphere_indicator_fourier((1, 0, 0), a)
+        val = pwe.sphere_indicator_fourier(1.0, a)
         assert val == pytest.approx(f, rel=1e-8)
 
     def test_series_matches_closed_form_at_crossover(self):
@@ -57,7 +57,7 @@ class TestSphereIndicator:
         t = a  # |g| = 1
         closed = 3.0 * (math.sin(t) - t * math.cos(t)) / t**3
         f = (4.0 / 3.0) * math.pi * a**3 / PI3
-        assert pwe.sphere_indicator_fourier((1, 0, 0), a) == pytest.approx(
+        assert pwe.sphere_indicator_fourier(1.0, a) == pytest.approx(
             f * closed, rel=1e-10
         )
 
@@ -75,9 +75,16 @@ class TestSphereIndicator:
         assert all(p < target for p in partials)
         assert partials[-1] > 0.9 * target
 
+    def test_three_norms_are_three_values(self):
+        # an array of three |g| once passed for a 3-vector g, and came back as one scalar
+        norms = np.array([0.0, 1.0, 2.0])
+        got = pwe.sphere_indicator_fourier(norms, 0.5)
+        assert got.shape == (3,)
+        assert np.array_equal(got, [pwe.sphere_indicator_fourier(x, 0.5) for x in norms])
+
     def test_invalid_radius(self):
         with pytest.raises(DomainError):
-            pwe.sphere_indicator_fourier((0, 0, 0), 0.0)
+            pwe.sphere_indicator_fourier(0.0, 0.0)
 
 
 class TestEigenvalues:

@@ -133,3 +133,35 @@ def test_extremizer_needs_nu_below_one():
     model = dirichlet.pair_model((0.5, 0.6, 0.3), (1, 0, 0), DirichletParams(a=0.1))
     with pytest.raises(DomainError, match="nu < 1"):
         model.extremizer()
+
+
+def gap_outcome(k0, m0, p):
+    """(status, lo, hi) of the pair's model, or the error the model raises."""
+    try:
+        status, gap = pair_model(k0, m0, p).gap()
+    except DomainError as exc:
+        return str(exc), None, None
+    if gap is None:
+        return status, None, None
+    return status, gap.lo_over_c, gap.hi_over_c
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SHIFTS),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.floats(min_value=0.51, max_value=0.95),
+    params,
+)
+def test_gap_is_invariant_under_the_cube_group(m0, theta, ratio, p):
+    # a signed permutation R maps the lattice to itself, so (R k0, R m0) is a
+    # pair with the same |k0|, |m0|, nu and splitting: the same gap
+    k0 = face_point(m0, theta, ratio)
+    assume(lattice.classify_wavevector(k0).order == 2)
+    status, lo, hi = gap_outcome(k0, m0, p)
+    for R in lattice.cubic_symmetries():
+        got_status, got_lo, got_hi = gap_outcome(R @ k0, (R @ m0).astype(int), p)
+        assert got_status == status
+        if lo is not None:
+            assert got_lo == pytest.approx(lo, rel=1e-12, abs=0.0)
+            assert got_hi == pytest.approx(hi, rel=1e-12, abs=0.0)
