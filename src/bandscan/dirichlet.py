@@ -73,7 +73,7 @@ def epsilon_nonexceptional(k, p: DirichletParams, tol: float = lattice.DEFAULT_T
     cls = lattice.classify_wavevector(k, tol)
     if cls.order != 1:
         raise DomainError(
-            f"k={tuple(k)} is exceptional of order {cls.order}; use pair_model"
+            f"k={tuple(k.tolist())} is exceptional of order {cls.order}; use pair_model"
         )
     k2 = float(np.dot(k, k))
     return 2.0 * math.pi * p.q * p.a / (k2 * CELL_VOLUME)

@@ -138,8 +138,15 @@ def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, i
     knorm = wavevector_norm(k)
     require_nonnegative("tol", tol)
     M, m2 = _search_box("k", knorm)
-    resid = np.abs(2.0 * (M @ as_wavevector(k)) - m2)
-    return _shifts(M[resid <= tol * np.maximum(1.0, m2)])
+    return _shifts(M[_on_plane(M, m2, as_wavevector(k), tol)])
+
+
+def _on_plane(M: np.ndarray, m2, k: np.ndarray, tol: float):
+    """|2 k.m - |m|^2| <= tol * max(1, |m|^2) per shift m in M (..., 3).  It sums elementwise
+    in one order (a BLAS product rounds one row unlike a block of rows), so that the pair
+    checks accept exactly the shifts the classification lists."""
+    resid = 2.0 * (M[..., 0] * k[0] + M[..., 1] * k[1] + M[..., 2] * k[2]) - m2
+    return np.abs(resid) <= tol * np.maximum(1.0, m2)
 
 
 def require_nonnegative(name: str, value: float) -> None:
@@ -181,11 +188,8 @@ def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
 
 def is_ewald_pair(k0, m0, tol: float = DEFAULT_TOL) -> bool:
     """Whether (k0, m0) satisfies 2 k0.m0 = |m0|^2 within tolerance."""
-    k0 = as_wavevector(k0)
     m0 = as_shift(m0)
-    m2 = m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2
-    lhs = 2.0 * (k0[0] * m0[0] + k0[1] * m0[1] + k0[2] * m0[2]) - m2
-    return abs(lhs) <= tol * max(1.0, m2)
+    return bool(_on_plane(np.array(m0), sum(c * c for c in m0), as_wavevector(k0), tol))
 
 
 def nu(k0, m0, tol: float = DEFAULT_TOL) -> float:
@@ -193,7 +197,7 @@ def nu(k0, m0, tol: float = DEFAULT_TOL) -> float:
     k0 = as_wavevector(k0)
     m0 = as_shift(m0)
     if not is_ewald_pair(k0, m0, tol):
-        raise DomainError(f"(k0={tuple(k0)}, m0={m0}) violates 2 k.m = |m|^2")
+        raise DomainError(f"(k0={tuple(k0.tolist())}, m0={m0}) violates 2 k.m = |m|^2")
     m2 = m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2
     return 4.0 * float(np.dot(k0, k0)) / m2 - 1.0
 
@@ -204,10 +208,10 @@ def require_order_two_pair(k0, m0, tol: float = DEFAULT_TOL) -> ExceptionalClass
     m0 = as_shift(m0)
     cls = classify_wavevector(k0, tol)
     if cls.order == 1:
-        raise DomainError(f"k0={tuple(k0)} is non-exceptional")
+        raise DomainError(f"k0={tuple(k0.tolist())} is non-exceptional")
     if cls.order > 2:
         raise DomainError(
-            f"k0={tuple(k0)} is exceptional of order {cls.order}; "
+            f"k0={tuple(k0.tolist())} is exceptional of order {cls.order}; "
             "only order-two pairs are supported"
         )
     if cls.shifts[0] != m0:
@@ -234,7 +238,7 @@ def gap_admissible(
     _search_box("k0", knorm)  # past the cap, named here rather than as k by the search
     cls = classify_wavevector(k0, tol)
     if cls.order == 1:
-        raise DomainError(f"k0={tuple(k0)} is non-exceptional")
+        raise DomainError(f"k0={tuple(as_wavevector(k0).tolist())} is non-exceptional")
     return shift_admissibility(knorm, m0, cls.order, exclusion_band)
 
 

@@ -72,7 +72,7 @@ def _auto_count(unperturbed: np.ndarray, kv, center: float, window: float, margi
     if below > 12:
         raise TrackingError(
             f"{below} unperturbed bands below the tracking window top at "
-            f"k={tuple(np.round(kv, 6))}; narrow the window or the ray"
+            f"k={tuple(np.round(kv, 6).tolist())}; narrow the window or the ray"
         )
     return max(2, below + margin)
 

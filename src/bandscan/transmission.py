@@ -166,7 +166,7 @@ def epsilon_nonexceptional_transmission(
     cls = lattice.classify_wavevector(k, tol)
     if cls.order != 1:
         raise DomainError(
-            f"k={tuple(k)} is exceptional of order {cls.order}; use pair_model"
+            f"k={tuple(k.tolist())} is exceptional of order {cls.order}; use pair_model"
         )
     mats = params.materials
     return 0.5 * (mats.alpha + mats.beta) * params.f

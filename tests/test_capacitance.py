@@ -8,6 +8,20 @@ from bandscan import meshes
 from bandscan.errors import DomainError, MeshError
 
 
+def prolate_spheroid_capacitance(a1: float, a3: float) -> float:
+    """Closed form for semiaxes (a1, a3, a3), a1 > a3."""
+    if not a1 > a3 > 0:
+        raise DomainError("prolate form needs a1 > a3 > 0")
+    return math.sqrt(a1 * a1 - a3 * a3) / math.acosh(a1 / a3)
+
+
+def oblate_spheroid_capacitance(a1: float, a3: float) -> float:
+    """Closed form for semiaxes (a1, a1, a3), a1 > a3."""
+    if not a1 > a3 > 0:
+        raise DomainError("oblate form needs a1 > a3 > 0")
+    return math.sqrt(a1 * a1 - a3 * a3) / math.acos(a3 / a1)
+
+
 class TestAnalytic:
     def test_sphere(self):
         r = cap.capacitance_sphere()
@@ -21,13 +35,19 @@ class TestAnalytic:
 
     def test_prolate_cross_check(self):
         r = cap.capacitance_ellipsoid(2.0, 1.0, 1.0)
-        closed = cap.prolate_spheroid_capacitance(2.0, 1.0)
+        closed = prolate_spheroid_capacitance(2.0, 1.0)
         assert closed == pytest.approx(math.sqrt(3.0) / math.log(2.0 + math.sqrt(3.0)), rel=1e-14)
-        assert r.q == pytest.approx(closed, rel=1e-8)
+        assert r.q == pytest.approx(closed, rel=1e-13)
 
     def test_oblate_cross_check(self):
         r = cap.capacitance_ellipsoid(1.0, 1.0, 0.5)
-        assert r.q == pytest.approx(cap.oblate_spheroid_capacitance(1.0, 0.5), rel=1e-8)
+        assert r.q == pytest.approx(oblate_spheroid_capacitance(1.0, 0.5), rel=1e-13)
+
+    def test_ellipsoid_is_a_closed_form(self):
+        # Carlson's R_F: exact up to rounding, so no error estimate to report
+        r = cap.capacitance_ellipsoid(1.3, 1.0, 0.8)
+        assert r.method is cap.Method.ANALYTIC
+        assert r.estimated_error == 0.0
 
     def test_scaling(self):
         base = cap.capacitance_ellipsoid(2.0, 1.5, 1.0).q
@@ -69,8 +89,29 @@ class TestSelfIntegral:
             approx = self._quadrature(tri, centroid)
             assert exact == pytest.approx(approx, rel=1e-9)
 
+    def test_stacked_matches_per_triangle(self):
+        mesh = meshes.ellipsoid_mesh(1.3, 1.0, 0.8, 2)
+        tv, cents = mesh.triangle_vertices(), mesh.centroids()
+        stacked = cap.triangle_self_potential(tv, cents)
+        single = [cap.triangle_self_potential(t, c) for t, c in zip(tv, cents)]
+        assert stacked.shape == (mesh.n_triangles,)
+        np.testing.assert_allclose(stacked, single, rtol=1e-15, atol=0.0)
+
 
 class TestBem:
+    def test_assemble_off_diagonal_is_the_entry_formula(self):
+        # bit for bit: area_j / (4 pi r_ij), r_ij summed over x, y, z in order
+        mesh = meshes.ellipsoid_mesh(1.3, 1.0, 0.8, 2)
+        A, areas = cap._assemble(mesh)
+        cents = mesh.centroids().tolist()
+        inv4pi = 1.0 / (4.0 * math.pi)
+        for i, ci in enumerate(cents):
+            for j, cj in enumerate(cents):
+                if i != j:
+                    dx, dy, dz = (u - v for u, v in zip(ci, cj))
+                    r = math.sqrt(dx * dx + dy * dy + dz * dz)
+                    assert A[i, j] == inv4pi * areas[j] / r, (i, j)
+
     def test_unit_sphere(self):
         mesh = meshes.icosphere(3)
         r = cap.capacitance_bem(mesh)

@@ -61,6 +61,23 @@ class TestClassify:
             run(["classify", "0", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["0", "1e-12"])
+    def test_gap_accepts_exactly_the_shifts_classify_lists(self, tmp_path, monkeypatch, capsys,
+                                                           tol):
+        # As decimals, k0 = (1.6, -0.2, -0.1) lies on the planes of (1, 1, -1) and (3, -1, 0);
+        # as doubles, at --tol 0, on neither.  At each tol the pair check of gap refuses
+        # (3, -1, 0) by the plane condition exactly when classify does not list it
+        monkeypatch.chdir(tmp_path)
+        assert run(["classify", "1.6", "-0.2", "-0.1", "--tol", tol]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        listed = [s["m"] for s in payload["shifts"]]
+        assert listed == ([] if tol == "0" else [[1, 1, -1], [3, -1, 0]])
+        for problem in ("dirichlet", "transmission"):
+            argv = ["gap", f"--problem={problem}", "--k0=1.6,-0.2,-0.1", "--m0=3,-1,0",
+                    "--tol", tol]
+            assert run(argv) == 2  # off the plane at tol 0, order three at 1e-12
+            assert ("plane condition" in capsys.readouterr().err) == (listed == [])
+
 
 class TestGap:
     def test_dirichlet_report(self, tmp_path, capsys):
@@ -692,6 +709,23 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
                         " bandscan.capacitance.capacitance_bem.__name__)")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["fd_dirichlet_eigenvalues", "capacitance_bem"]
+
+
+def test_ellipsoid_requests_leave_integrate_unloaded(tmp_path):
+    # the ellipsoid's q is Carlson's R_F in closed form: no quadrature module loads
+    script = f"""
+import contextlib, io, os, sys
+import bandscan.cli as cli
+os.chdir({str(tmp_path)!r})
+for argv in (["gap", "--shape", "ellipsoid", "--semiaxes", "2,1,1"],
+             ["capacitance", "--ellipsoid", "2,1,1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy.integrate")))
+"""
+    out = _python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]"]
 
 
 def test_one_parser_serves_every_request(tmp_path, monkeypatch, capsys):

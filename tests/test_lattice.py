@@ -167,6 +167,26 @@ class TestProperties:
             want = sorted(tuple(int(c) for c in P @ np.asarray(m)) for m in base.shifts)
             assert list(mapped.shifts) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*3 * [st.integers(-3, 3)]).filter(any),
+           st.tuples(st.integers(-2000, 2000), st.integers(-2000, 2000)),
+           st.integers(1, 3), st.sampled_from([0.0, 1e-12]))
+    def test_pair_checks_accept_every_listed_shift(self, m, free, digits, tol):
+        # k typed as decimals on the Bragg plane of m: the free components have
+        # `digits` places, the solved one (m_j = +-1 where possible) digits + 1,
+        # so the doubles miss the plane by rounding alone
+        j = max(range(3), key=lambda i: (abs(m[i]) == 1, m[i] != 0))
+        k = [0.0, 0.0, 0.0]
+        for i, a in zip([i for i in range(3) if i != j], free):
+            k[i] = round(a / 1000, digits)
+        rest = sum(k[i] * m[i] for i in range(3) if i != j)
+        k[j] = round((sum(c * c for c in m) - 2.0 * rest) / (2 * m[j]), digits + 1)
+        if not any(k):
+            return
+        for s in lattice.enumerate_candidate_shifts(k, tol):
+            assert lattice.is_ewald_pair(k, s, tol), (k, s)
+            lattice.nu(k, s, tol)
+
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(coord, coord, coord))
     def test_enumeration_box_is_exhaustive(self, k):
@@ -186,6 +206,36 @@ class TestProperties:
         for m in M[ok][resid]:
             brute.add(tuple(int(c) for c in m))
         assert brute == inside
+
+
+def test_wave_vector_messages_print_plain_floats(monkeypatch):
+    # numpy 2 prints np.float64(0.5) for a scalar taken from an array
+    from bandscan import dirichlet, transmission
+    from bandscan.errors import TrackingError
+    from bandscan.oracle import gapscan
+
+    def message(call):
+        with pytest.raises((DomainError, TrackingError)) as exc:
+            call()
+        assert "np.float64" not in str(exc.value)
+        return str(exc.value)
+
+    k = np.array([0.0, 0.0, 0.5])
+    generic = (0.3, 0.1, 0.2)
+    materials = transmission.MaterialSpec(1.0, 1.2, 1.2, 1.0)
+    assert "(0.3, 0.1, 0.2)" in message(lambda: lattice.nu(generic, (1, 0, 0)))
+    assert "(0.3, 0.1, 0.2)" in message(lambda: lattice.require_order_two_pair(generic, (1, 0, 0)))
+    assert "(0.5, 0.5, 0.5)" in message(
+        lambda: lattice.require_order_two_pair((0.5, 0.5, 0.5), (1, 0, 0)))
+    assert "(0.0, 0.0, 0.5)" in message(
+        lambda: dirichlet.epsilon_nonexceptional(k, dirichlet.DirichletParams(a=0.1)))
+    assert "(0.0, 0.0, 0.5)" in message(lambda: transmission.epsilon_nonexceptional_transmission(
+        k, transmission.TransmissionParams(materials, a=0.5)))
+    assert "(0.0, 0.0, 0.5)" in message(
+        lambda: gapscan._auto_count(np.zeros(20), k, center=1.0, window=1.0, margin=0))
+    # a pair on its plane that the classification, patched, calls non-exceptional
+    monkeypatch.setattr(lattice, "classify_wavevector", lambda *a: lattice.ExceptionalClass(1, ()))
+    assert "(0.0, 0.0, 0.5)" in message(lambda: lattice.gap_admissible(k, (0, 0, 1)))
 
 
 def test_shift_search_past_its_cap_is_refused_and_named():

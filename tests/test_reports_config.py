@@ -184,11 +184,8 @@ class TestConfig:
     def test_params_sphere_and_ellipsoid(self):
         assert ScanConfig(q=1.5).params() == dirichlet.DirichletParams(a=0.1, q=1.5)
         cfg = ScanConfig(shape="ellipsoid", semiaxes=(2.0, 1.0, 1.0)).validated()
-        from bandscan.capacitance import prolate_spheroid_capacitance
-
-        assert cfg.params().q == pytest.approx(
-            prolate_spheroid_capacitance(2.0, 1.0), rel=1e-8
-        )
+        prolate = math.sqrt(3.0) / math.acosh(2.0)  # closed form for semiaxes (2, 1, 1)
+        assert cfg.params().q == pytest.approx(prolate, rel=1e-13)
 
     def test_params_mesh(self, tmp_path):
         from bandscan import meshes
