@@ -5,7 +5,8 @@ a has capacitance q*a.  Spheres and ellipsoids are analytic (the ellipsoid
 through Carlson's R_F, with estimated_error = 0.0); arbitrary closed triangle
 meshes go through a first-kind single-layer BEM (collocation at centroids,
 piecewise-constant densities, analytic flat self-integral, dense direct
-solve) whose matrix is assembled whole, in one array pass.
+solve) whose matrix is assembled in blocks of rows and factored in place.
+`shape_factor` is the one path from a shape to its q.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
 
-from .errors import DomainError, NumericalError
-from .meshes import TriangleMesh, subdivide, validate_mesh
+from .errors import ConfigError, DomainError, MeshError, NumericalError
+from .meshes import TriangleMesh, read_off, subdivide, validate_mesh
 
 #: Dense-solve cap on the number of panels.
 MAX_PANELS = 10_000
+
+#: Rows of A^T filled per pass: a block of 5,120 panels is 5 MB.
+_BLOCK = 128
 
 #: Reciprocal-condition threshold below which the system is rejected.
 RCOND_MIN = 1e-12
@@ -89,20 +93,21 @@ def triangle_self_potential(tri: np.ndarray, point: np.ndarray) -> np.ndarray:
 
 
 def _assemble(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    areas, _ = mesh.areas_and_normals()
+    """(A, areas) with A Fortran-ordered, for LAPACK to factor in place: A^T is built by rows."""
+    areas = mesh.areas()
     cents = mesh.centroids()
     inv4pi = 1.0 / (4.0 * math.pi)
-    r = np.zeros((len(cents), len(cents)))
-    tmp = np.empty_like(r)  # the one n x n temporary besides the matrix
-    for c in cents.T:
-        np.subtract.outer(c, c, out=tmp)
-        tmp *= tmp
-        r += tmp
-    np.sqrt(r, out=r)
-    np.fill_diagonal(r, 1.0)  # placeholder, replaced below
-    A = np.divide(inv4pi * areas, r, out=r)
-    np.fill_diagonal(A, inv4pi * triangle_self_potential(mesh.triangle_vertices(), cents))
-    return A, areas
+    At = np.zeros((len(cents), len(cents)))  # row j: area_j / (4 pi r_ij) over i
+    for lo in range(0, len(cents), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        r = At[rows]
+        for c in cents.T:
+            r += np.subtract.outer(c[rows], c) ** 2
+        np.sqrt(r, out=r)
+        r[:, rows][np.diag_indices(len(r))] = 1.0  # placeholder, replaced below
+        np.divide(inv4pi * areas[rows, None], r, out=r)
+    np.fill_diagonal(At, inv4pi * triangle_self_potential(mesh.triangle_vertices(), cents))
+    return At.T, areas
 
 
 def capacitance_bem(mesh: TriangleMesh, refine_check: bool = False) -> CapacitanceResult:
@@ -119,20 +124,37 @@ def capacitance_bem(mesh: TriangleMesh, refine_check: bool = False) -> Capacitan
             f"{mesh.n_triangles} panels exceeds the dense-solve cap {MAX_PANELS}"
         )
     A, areas = _assemble(mesh)
-    anorm = np.linalg.norm(A, 1)
-    lu, piv = lu_factor(A)
+    anorm = lapack.dlange("1", A)
+    lu, piv = lu_factor(A, overwrite_a=True)
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or rcond < RCOND_MIN:
         raise NumericalError(f"BEM system ill-conditioned (rcond={rcond:.2e})")
     sigma = lu_solve((lu, piv), np.ones(mesh.n_triangles))
     q = float(np.dot(sigma, areas)) / (4.0 * math.pi)
-    if q <= 0:
-        raise NumericalError(f"non-positive capacitance {q}; mesh orientation suspect")
-
-    err = math.nan
-    if refine_check:
-        fine = capacitance_bem(subdivide(mesh), refine_check=False)
-        err = abs(fine.q - q)
+    err = abs(capacitance_bem(subdivide(mesh)).q - q) if refine_check else math.nan
     return CapacitanceResult(
         q=q, method=Method.BEM, mesh_size=mesh.n_triangles, estimated_error=err
     )
+
+
+def shape_factor(shape: str, semiaxes=None, mesh=None,
+                 refine_check: bool = False) -> CapacitanceResult:
+    """q of the inclusion `shape`: "sphere", "ellipsoid" of `semiaxes`, or "mesh" read from
+    the OFF file at path `mesh`.
+
+    The one place where a shape becomes q.  Every failure to use the mesh
+    file (unreadable, not ASCII, malformed, open, too many panels) is one
+    ConfigError that names the `mesh` field.
+    """
+    if shape == "sphere":
+        return capacitance_sphere()
+    if shape == "ellipsoid":
+        return capacitance_ellipsoid(*semiaxes)
+    try:
+        return capacitance_bem(read_off(mesh), refine_check)
+    except OSError as exc:
+        raise ConfigError(f"mesh: cannot read {mesh!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"mesh: {mesh!r} is not ASCII text") from None
+    except (MeshError, DomainError) as exc:
+        raise ConfigError(f"mesh: {mesh!r}: {exc}") from None

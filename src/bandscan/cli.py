@@ -31,7 +31,6 @@ from .errors import (
     NumericalError,
 )
 from .globalscan import global_scan
-from .meshes import read_off
 from .reports import (
     GapReport,
     write_branch_csv,
@@ -291,15 +290,14 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_capacitance(args) -> int:
-    from .capacitance import capacitance_bem, capacitance_ellipsoid, capacitance_sphere
+    from .capacitance import shape_factor
 
     if args.sphere:
-        result = capacitance_sphere()
+        result = shape_factor("sphere")
     elif args.ellipsoid is not None:
-        a1, a2, a3 = coerce("semiaxes", args.ellipsoid)
-        result = capacitance_ellipsoid(a1, a2, a3)
+        result = shape_factor("ellipsoid", coerce("semiaxes", args.ellipsoid))
     elif args.mesh_path:
-        result = capacitance_bem(read_off(args.mesh_path), refine_check=args.refine_check)
+        result = shape_factor("mesh", mesh=args.mesh_path, refine_check=args.refine_check)
     else:
         print("one of --sphere, --ellipsoid, --mesh is required", file=sys.stderr)
         return EXIT_USAGE

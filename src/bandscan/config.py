@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields, replace
 from . import lattice
 from .dirichlet import DirichletParams
 from .errors import ConfigError
-from .meshes import read_off
 from .transmission import MaterialSpec, TransmissionParams
 
 
@@ -97,8 +96,9 @@ class ScanConfig:
             raise ConfigError("delta_tilde_min: must not exceed delta_tilde_max")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ConfigError(f"samples: must be >= 1 and <= {MAX_SAMPLES}")
-        if self.n < 16:
-            raise ConfigError("n: must be >= 16")
+        if not 16 <= self.n <= 96:
+            # 96, the largest grid any check runs, peaks at 631 MB in the FD oracle's build
+            raise ConfigError("n: must be >= 16 and <= 96")
         if self.g_max < 2:
             raise ConfigError("g_max: must be >= 2")
         if self.g_max > 10:
@@ -119,17 +119,9 @@ class ScanConfig:
             return TransmissionParams(materials=materials, a=self.a)
         if self.shape == "sphere":
             return DirichletParams(a=self.a, q=self.q)
-        from . import capacitance  # loads scipy, which a sphere does not need
+        from .capacitance import shape_factor  # loads scipy, which a sphere does not need
 
-        if self.shape == "ellipsoid":
-            q = capacitance.capacitance_ellipsoid(*self.semiaxes).q
-        else:
-            try:
-                mesh = read_off(self.mesh)
-            except OSError as exc:
-                raise ConfigError(f"mesh: cannot read {self.mesh!r}: {exc}") from exc
-            q = capacitance.capacitance_bem(mesh).q
-        return DirichletParams(a=self.a, q=q)
+        return DirichletParams(a=self.a, q=shape_factor(self.shape, self.semiaxes, self.mesh).q)
 
 
 def _components(s: str, kind: str) -> list[str]:

@@ -90,14 +90,10 @@ def as_shift(m) -> tuple[int, int, int]:
     return t
 
 
-@lru_cache(maxsize=64)
 def integer_cube(bound: int) -> np.ndarray:
-    """Read-only (N, 3) array of the integer points with |m|_inf <= bound, in
-    lexicographic order."""
+    """(N, 3) array of the integer points with |m|_inf <= bound, in lexicographic order."""
     rng = np.arange(-bound, bound + 1)
-    cube = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    cube.flags.writeable = False
-    return cube
+    return np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def mirror_axes(k) -> tuple[int, ...]:
@@ -111,21 +107,29 @@ def mirror_axes(k) -> tuple[int, ...]:
 #: holds about (4|k|)^3 points: `classify` peaks near 220 MB and `face-map` near 250 MB at it.
 MAX_SEARCH_NORM = 36.0
 
+#: Largest bound whose box stays cached: those up to it (|k| <= 11.5) take 12 MB in all.
+#: Of the larger boxes only the last is kept, which a sweep in |k| such as `global-scan` reuses.
+MAX_CACHED_BOUND = 24
+
 
 def _search_box(name: str, norm: float) -> tuple[np.ndarray, np.ndarray]:
     """`_candidate_box` for the vector `name` of norm `norm`, refused by name past the cap."""
     if not norm <= MAX_SEARCH_NORM:
         raise DomainError(f"{name}: the candidate-shift search at |k| = {norm:.6g} passes "
                           f"its cap |k| <= {MAX_SEARCH_NORM:g}")
-    return _candidate_box(math.ceil(2.0 * norm) + 1)
+    bound = math.ceil(2.0 * norm) + 1
+    return (_candidate_box if bound <= MAX_CACHED_BOUND else _last_large_box)(bound)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=MAX_CACHED_BOUND)
 def _candidate_box(bound: int) -> tuple[np.ndarray, np.ndarray]:
     M = integer_cube(bound)
     m2 = np.sum(M * M, axis=1)
     keep = (m2 > 0) & (m2 <= bound * bound)
     return M[keep], m2[keep]
+
+
+_last_large_box = lru_cache(maxsize=1)(_candidate_box.__wrapped__)
 
 
 def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, int, int]]:

@@ -14,6 +14,7 @@ enclose positive volume with outward-pointing normals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,12 @@ class TriangleMesh:
     def centroids(self) -> np.ndarray:
         return self.triangle_vertices().mean(axis=1)
 
-    def areas_and_normals(self) -> tuple[np.ndarray, np.ndarray]:
+    def areas(self) -> np.ndarray:
         tv = self.triangle_vertices()
-        cross = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
-        norms = np.linalg.norm(cross, axis=1)
+        norms = np.linalg.norm(np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]), axis=1)
         if np.any(norms <= 0):
             raise MeshError("degenerate (zero-area) triangle")
-        return 0.5 * norms, cross / norms[:, None]
+        return 0.5 * norms
 
     def enclosed_volume(self) -> float:
         tv = self.triangle_vertices()
@@ -71,81 +71,66 @@ def validate_mesh(mesh: TriangleMesh) -> None:
     """Raise MeshError unless the mesh is closed, oriented, and positive."""
     if mesh.n_triangles < 4:
         raise MeshError("a closed surface needs at least 4 triangles")
-    edges: dict[tuple[int, int], int] = {}
-    for tri in mesh.triangles:
-        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            e = (int(e[0]), int(e[1]))
-            if e[0] == e[1]:
-                raise MeshError("triangle with repeated vertex")
-            edges[e] = edges.get(e, 0) + 1
-    for (i, j), cnt in edges.items():
-        if cnt != 1:
-            raise MeshError(f"directed edge ({i},{j}) used {cnt} times; not oriented")
-        if edges.get((j, i), 0) != 1:
-            raise MeshError(f"edge ({i},{j}) not shared by an opposite triangle; mesh open")
-    mesh.areas_and_normals()
+    t, nv = mesh.triangles, len(mesh.vertices)
+    tails, heads = t.ravel(), np.roll(t, -1, axis=1).ravel()  # (a, b), (b, c), (c, a)
+    if np.any(tails == heads):
+        raise MeshError("triangle with repeated vertex")
+    codes, counts = np.unique(tails * nv + heads, return_counts=True)
+    if np.any(counts > 1):
+        first = np.argmax(counts > 1)
+        i, j = divmod(int(codes[first]), nv)
+        raise MeshError(f"directed edge ({i},{j}) used {counts[first]} times; not oriented")
+    rev = codes % nv * nv + codes // nv  # the code of (j, i)
+    unpaired = codes[np.searchsorted(codes, rev) % len(codes)] != rev
+    if np.any(unpaired):
+        i, j = divmod(int(codes[np.argmax(unpaired)]), nv)
+        raise MeshError(f"edge ({i},{j}) not shared by an opposite triangle; mesh open")
+    mesh.areas()
     if mesh.enclosed_volume() <= 0.0:
         raise MeshError("enclosed volume not positive; check orientation")
 
 
 def read_off(path) -> TriangleMesh:
     with open(path, "r", encoding="ascii") as fh:
-        tokens: list[str] = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+        tokens = re.sub("#.*", "", fh.read()).split()
     if not tokens or tokens[0].upper() != "OFF":
         raise MeshError("missing OFF header")
     try:
         nv, nt = int(tokens[1]), int(tokens[2])
-        pos = 4  # skip the edge count
-        verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
-        pos += 3 * nv
-        tris = []
-        for _ in range(nt):
-            cnt = int(tokens[pos])
-            if cnt != 3:
-                raise MeshError("only triangle faces are supported")
-            tris.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
-            pos += 4
+        start = 4 + 3 * nv  # after the edge count and the vertex block
+        verts = np.array(tokens[4:start], dtype=float).reshape(nv, 3)
+        faces = np.array(tokens[start : start + 4 * nt], dtype=int).reshape(nt, 4)
     except (IndexError, ValueError) as exc:
         raise MeshError(f"malformed OFF file: {exc}") from exc
-    return TriangleMesh(verts, np.array(tris, dtype=int))
+    if np.any(faces[:, 0] != 3):
+        raise MeshError("only triangle faces are supported")
+    return TriangleMesh(verts, faces[:, 1:])
 
 
 def write_off(mesh: TriangleMesh, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("OFF\n")
         fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        fh.writelines(f"{x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist())
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist())
 
 
 def subdivide(mesh: TriangleMesh, project_unit_sphere: bool = False) -> TriangleMesh:
-    """Midpoint 4-to-1 refinement; optionally reproject onto the unit sphere."""
-    verts = [tuple(v) for v in mesh.vertices]
-    cache: dict[tuple[int, int], int] = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key in cache:
-            return cache[key]
-        p = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-        if project_unit_sphere:
-            p = p / np.linalg.norm(p)
-        idx = len(verts)
-        verts.append(tuple(p))
-        cache[key] = idx
-        return idx
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return TriangleMesh(np.array(verts, dtype=float), np.array(tris, dtype=int))
+    """Midpoint 4-to-1 refinement, optionally reprojected onto the unit sphere; midpoints
+    follow the vertices, in the order the edges (a, b), (b, c), (c, a) first meet them."""
+    t, v = mesh.triangles, mesh.vertices
+    ends = np.stack([t, np.roll(t, -1, axis=1)], axis=-1).reshape(-1, 2)
+    _, first, inverse = np.unique(ends.min(axis=1) * len(v) + ends.max(axis=1),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ab, bc, ca = (len(v) + np.argsort(order)[inverse]).reshape(-1, 3).T
+    a, b = ends[first[order]].T
+    mid = 0.5 * (v[a] + v[b])
+    if project_unit_sphere:
+        mid /= np.sqrt(np.vecdot(mid, mid))[:, None]  # rounds like np.linalg.norm of one row
+    a, b, c = t.T
+    tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return TriangleMesh(np.vstack([v, mid]), tris)
 
 
 def icosahedron() -> TriangleMesh:
@@ -199,11 +184,7 @@ def cube_mesh(side: float = 1.0, refinements: int = 3) -> TriangleMesh:
         (0, 2, 6, 4),  # -z
         (1, 5, 7, 3),  # +z
     ]
-    tris = []
-    for a, b, c, d in quads:
-        tris.append((a, b, c))
-        tris.append((a, c, d))
-    mesh = TriangleMesh(verts, np.array(tris, dtype=int))
+    mesh = TriangleMesh(verts, np.array(quads)[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3))
     for _ in range(refinements):
         mesh = subdivide(mesh)
     return mesh

@@ -72,21 +72,6 @@ def sphere_indicator_fourier(gnorm, a: float):
 
 
 @lru_cache(maxsize=1)
-def _sector_maps(g_max: int, axes: tuple[int, ...]):
-    """(signs, perm, rows) of the group H of mirrors g_i -> -g_i on `axes`.
-
-    Element h puts `signs[h]` on the axes and maps mode j to mode `perm[h, j]`;
-    `rows` are the orbit representatives, the modes with g_i >= 0 on `axes`.
-    """
-    basis, ax = integer_cube(g_max), list(axes)
-    signs = np.ones((2 ** len(ax), 3), dtype=int)
-    signs[:, ax] = list(product((1, -1), repeat=len(ax)))
-    side, flipped = 2 * g_max + 1, basis * signs[:, None, :] + g_max
-    perm = (flipped[..., 0] * side + flipped[..., 1]) * side + flipped[..., 2]
-    return signs, perm, np.flatnonzero(np.all(basis[:, ax] >= 0, axis=1))
-
-
-@lru_cache(maxsize=1)
 def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
     """Read-only (modes, eta blocks, B, L) of the sector even under the mirrors on `axes`.
 
@@ -97,6 +82,9 @@ def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[in
     B = gamma, one block eta.
     """
     basis = integer_cube(g_max)
+    rep = basis[np.all(basis[:, list(axes)] >= 0, axis=1)]  # one mode per orbit of H
+    signs = np.ones((2 ** len(axes), 3), dtype=int)  # the mirror group H, one row per element
+    signs[:, list(axes)] = list(product((1, -1), repeat=len(axes)))
     side = 4 * g_max + 1
     diffs = integer_cube(2 * g_max)
     dnorm = np.linalg.norm(diffs.astype(float), axis=1)
@@ -107,12 +95,11 @@ def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[in
     eta = np.where(diag, eta_p, 0.0) + (eta_m - eta_p) * chi
     gam = np.where(diag, mats.gamma_plus, 0.0) + (mats.gamma_minus - mats.gamma_plus) * chi
     # index of r - h s in `diffs`: the mixed-radix code is linear in the mode
-    code = (basis[:, 0] * side + basis[:, 1]) * side + basis[:, 2]
-    signs, perm, rows = _sector_maps(g_max, axes)
-    origin = code[rows, None] + 2 * g_max * (side * side + side + 1)
-    idx = [origin - code[p[rows]] for p in perm]
-    orbit = 2.0 ** np.count_nonzero(basis[rows][:, list(axes)], axis=1)
-    weight = np.sqrt(np.outer(orbit, orbit)) / len(perm)
+    radix = np.array([side * side, side, 1])
+    origin = rep @ radix + 2 * g_max * radix.sum()
+    idx = [origin[:, None] - (rep * h) @ radix for h in signs]
+    orbit = 2.0 ** np.count_nonzero(rep[:, list(axes)], axis=1)
+    weight = np.sqrt(np.outer(orbit, orbit)) / len(signs)
 
     def block(f, psi):
         b = reduce(np.add, (c * f[i] for c, i in zip(psi, idx))) * weight
@@ -123,12 +110,12 @@ def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[in
     for i in range(3):
         groups.setdefault(tuple(signs[:, i]), []).append(i)
     blocks = tuple((ax, block(eta, psi)) for psi, ax in groups.items())
-    B = block(gam, np.ones(len(perm)))
+    B = block(gam, np.ones(len(signs)))
     L, info = lapack.dpotrf(B, lower=1)
     if info != 0:
         raise NumericalError(f"PWE mass matrix not positive definite (LAPACK info {info})")
     L.flags.writeable = False
-    return basis[rows].astype(float), blocks, B, L
+    return rep.astype(float), blocks, B, L
 
 
 def _pencil(k, params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
@@ -146,7 +133,8 @@ def assemble_pwe(k, params: TransmissionParams, g_max: int):
 
 def free_spectrum(k, g_max: int) -> np.ndarray:
     """|k + g|^2 over the sector's modes: its omega^2 / c^2 without the inclusion."""
-    modes = integer_cube(g_max)[_sector_maps(g_max, mirror_axes(k))[2]]
+    basis = integer_cube(g_max)
+    modes = basis[np.all(basis[:, list(mirror_axes(k))] >= 0, axis=1)]
     return np.sum((np.asarray(k, dtype=float) + modes) ** 2, axis=1)
 
 

@@ -128,7 +128,8 @@ class TwoModeModel:
 
         A zero splitting (a = 0, or alpha + beta kh0.kh1 = 0) is reported as
         DEGENERATE_SPLITTING, not as a gap of width zero: the leading order
-        predicts touching bands there.
+        predicts touching bands there.  So is a splitting too small to move
+        omega by one rounding step.
         """
         adm = self.admissibility
         if adm.verdict is lattice.Verdict.BOUNDARY_EXCLUDED:
@@ -137,9 +138,9 @@ class TwoModeModel:
             )
         if adm.verdict is lattice.Verdict.NO_GAP:
             return GapStatus.NO_GAP_NU, None
-        if self.s == 0.0:
-            return GapStatus.DEGENERATE_SPLITTING, None
         half = self.s * math.sqrt(1.0 - self.nu * self.nu) / (2.0 * self.knorm)
+        if not self.centre - half < self.centre + half:  # also a splitting below omega's rounding
+            return GapStatus.DEGENERATE_SPLITTING, None
         return GapStatus.PREDICTED, GapInterval(self.centre - half, self.centre + half)
 
     def extremizer(self) -> float:

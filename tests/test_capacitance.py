@@ -5,7 +5,7 @@ import pytest
 
 from bandscan import capacitance as cap
 from bandscan import meshes
-from bandscan.errors import DomainError, MeshError
+from bandscan.errors import ConfigError, DomainError, MeshError
 
 
 def prolate_spheroid_capacitance(a1: float, a3: float) -> float:
@@ -112,6 +112,20 @@ class TestBem:
                     r = math.sqrt(dx * dx + dy * dy + dz * dz)
                     assert A[i, j] == inv4pi * areas[j] / r, (i, j)
 
+    def test_factors_a_fortran_matrix_in_place(self, monkeypatch):
+        # LAPACK takes a Fortran-ordered A without a copy, so the solve holds one n x n matrix
+        mesh = meshes.ellipsoid_mesh(1.3, 1.0, 0.8, 2)
+        A, areas = cap._assemble(mesh)
+        sigma = np.linalg.solve(np.ascontiguousarray(A), np.ones(len(A)))
+        reference = float(sigma @ areas) / (4.0 * math.pi)
+        seen = []
+        lu_factor = cap.lu_factor
+        monkeypatch.setattr(cap, "lu_factor", lambda a, **kw: seen.append(
+            (a.flags.f_contiguous, kw)) or lu_factor(a, **kw))
+        q = cap.capacitance_bem(mesh).q
+        assert seen == [(True, {"overwrite_a": True})]
+        assert q == pytest.approx(reference, rel=1e-13, abs=0.0)
+
     def test_unit_sphere(self):
         mesh = meshes.icosphere(3)
         r = cap.capacitance_bem(mesh)
@@ -164,3 +178,19 @@ class TestBem:
     def test_panel_cap(self):
         with pytest.raises(DomainError):
             cap.capacitance_bem(meshes.icosphere(5))  # 20480 panels
+
+
+class TestShapeFactor:
+    def test_each_shape_is_its_solver(self, tmp_path):
+        path = tmp_path / "s.off"
+        meshes.write_off(meshes.icosphere(1), path)
+        assert cap.shape_factor("sphere") == cap.capacitance_sphere()
+        assert cap.shape_factor("ellipsoid", (2.0, 1.0, 1.0)) == cap.capacitance_ellipsoid(2, 1, 1)
+        assert (cap.shape_factor("mesh", mesh=str(path), refine_check=True)
+                == cap.capacitance_bem(meshes.icosphere(1), refine_check=True))
+
+    def test_panel_cap_names_mesh(self, tmp_path):
+        path = tmp_path / "big.off"
+        meshes.write_off(meshes.icosphere(5), path)
+        with pytest.raises(ConfigError, match=r"^mesh: .*20480 panels exceeds the dense-solve cap"):
+            cap.shape_factor("mesh", mesh=str(path))

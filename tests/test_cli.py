@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -234,7 +235,8 @@ class TestGap:
         calls = []
         bem = capacitance.capacitance_bem
         monkeypatch.setattr(capacitance, "capacitance_bem",
-                            lambda mesh: calls.append(bem(mesh)) or calls[-1])
+                            lambda mesh, refine_check=False:
+                            calls.append(bem(mesh, refine_check)) or calls[-1])
         oracle_params = []
         monkeypatch.setattr(gapscan, "measure_gap_numeric",
                             lambda model, params, **kw: oracle_params.append(params))
@@ -388,6 +390,28 @@ class TestCapacitance:
 
     def test_no_shape_exits_2(self, capsys):
         assert run(["capacitance"]) == 2
+
+
+_TETRA_FACES = "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+#: Mesh files that cannot be used: each once ended in a traceback or in an error naming no field.
+_BAD_MESH_FILES = {
+    "missing": None,
+    "non-ascii": "OFF\n# caf\u00e9\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n" + _TETRA_FACES,
+    "quad": "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n",
+    "open": "OFF\n5 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n" + _TETRA_FACES[:-8] + "3 1 2 4\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_MESH_FILES))
+@pytest.mark.parametrize("command", ["capacitance --mesh {}", "gap --shape mesh --mesh {}"])
+def test_unusable_mesh_file_exits_2_and_names_mesh(tmp_path, monkeypatch, capsys, kind, command):
+    monkeypatch.chdir(tmp_path)
+    if _BAD_MESH_FILES[kind] is not None:
+        Path(f"{kind}.off").write_bytes(_BAD_MESH_FILES[kind].encode("utf-8"))
+    assert run(command.format(f"{kind}.off").split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: mesh: ") and "Traceback" not in err
+    assert sorted(os.listdir()) == ([] if kind == "missing" else [f"{kind}.off"])
 
 
 class TestOracleCompare:
@@ -773,12 +797,21 @@ def test_one_parser_serves_every_request(tmp_path, monkeypatch, capsys):
     ("face-map --half-width 1000", "half_width: must be > 0 and <= 8.0, got 1000.0"),
     ("bands --samples 100000000000", "samples: must be >= 1 and <= 1000000"),
     ("gap --samples 1000001", "samples: must be >= 1 and <= 1000000"),
+    ("gap --verify --a 0.3 --n 4096", "n: must be >= 16 and <= 96"),
+    ("global-scan --omega-lo 0.4 --omega-hi 1 --samples 1000000000",
+     "samples: must be between 1 and 100000, got 1000000000"),
 ])
 def test_request_beyond_the_memory_caps_exits_2_and_is_named(tmp_path, monkeypatch, capsys,
                                                               argv, message):
     # each once ended in a numpy memory-error traceback, or would have grown
     # the candidate box as (4 half_width)^3
     monkeypatch.chdir(tmp_path)
-    assert run(argv.split()) == 2
+    tracemalloc.start()
+    try:
+        assert run(argv.split()) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not any(tmp_path.iterdir())
+    assert peak < 4 << 20  # refused before anything the size of the request is allocated

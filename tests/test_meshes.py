@@ -91,3 +91,57 @@ def test_subdivide_preserves_geometry():
 def test_ellipsoid_mesh_volume():
     m = meshes.ellipsoid_mesh(2.0, 1.0, 1.0, subdivisions=3)
     assert m.enclosed_volume() == pytest.approx(2.0 * 4.0 * math.pi / 3.0, rel=0.01)
+
+
+def dict_loop_subdivide(mesh):
+    """Midpoint refinement numbered by a dict, one edge at a time (the reference order)."""
+    verts, cache, tris = [tuple(v) for v in mesh.vertices], {}, []
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            cache[key] = len(verts)
+            verts.append(tuple(0.5 * (mesh.vertices[i] + mesh.vertices[j])))
+        return cache[key]
+
+    for a, b, c in mesh.triangles.tolist():
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        tris.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(verts), np.array(tris)
+
+
+@pytest.mark.parametrize("mesh", [meshes.icosahedron(), meshes.cube_mesh(1.0, 0),
+                                  meshes.cube_mesh(2.0, 2)], ids=["icosahedron", "cube", "cube-2"])
+def test_subdivide_numbers_midpoints_in_first_met_order(mesh):
+    verts, tris = dict_loop_subdivide(mesh)
+    fine = meshes.subdivide(mesh)
+    assert np.array_equal(fine.triangles, tris)
+    assert np.array_equal(fine.vertices, verts)
+    # projected, each midpoint is that vertex divided by its own norm
+    sphere = meshes.subdivide(mesh, project_unit_sphere=True)
+    assert np.array_equal(sphere.triangles, tris)
+    n = len(mesh.vertices)
+    expected = verts[n:] / np.array([np.linalg.norm(v) for v in verts[n:]])[:, None]
+    assert np.array_equal(sphere.vertices[n:], expected)
+
+
+def test_off_blocks_read_as_arrays(tmp_path):
+    p = tmp_path / "t.off"
+    p.write_text("OFF 4 4 0 # counts on the header line\n0 0 0 1 0 0\n0 1 0\n0 0 1\n"
+                 "3 0 2 1 3 0 1 3\n3 0 3 2\n3 1 2 3\n")
+    m = meshes.read_off(p)
+    assert m.vertices.shape == (4, 3) and m.triangles.tolist()[1] == [0, 1, 3]
+    for text, match in (("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n", "malformed"),
+                        ("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 x\n3 0 1 2\n", "malformed"),
+                        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1.5\n", "malformed"),
+                        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", "out of range")):
+        p.write_text(text)
+        with pytest.raises(MeshError, match=match):
+            meshes.read_off(p)
+
+
+def test_reused_directed_edge_rejected():
+    m = meshes.icosahedron()
+    tris = np.vstack([m.triangles, m.triangles[:1]])
+    with pytest.raises(MeshError, match="used 2 times"):
+        meshes.validate_mesh(meshes.TriangleMesh(m.vertices, tris))

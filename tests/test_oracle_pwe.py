@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -218,15 +219,26 @@ class TestAssembly:
             assert np.allclose(L @ L.T, B, rtol=0.0, atol=1e-14)
 
 
-class TestSectorMaps:
-    @pytest.mark.parametrize("axes", [(), (2,), (0, 2), (0, 1, 2)])
-    def test_every_element_maps_the_basis_onto_itself(self, axes):
-        basis = integer_cube(3)
-        signs, perm, _ = pwe._sector_maps(3, axes)
-        assert len(perm) == 2 ** len(axes)
-        for h, p in enumerate(perm):
-            assert np.array_equal(np.sort(p), np.arange(len(basis)))
-            assert np.array_equal(basis[p], basis * signs[h])
+class TestSectorProjection:
+    @pytest.mark.parametrize("axes", [(2,), (0, 2), (0, 1, 2)])
+    @pytest.mark.parametrize("mats", [WEAK, STRONG])
+    def test_sector_pencil_is_the_projected_full_pencil(self, axes, mats):
+        # U's column for a representative r is the normalised sum of e_g over
+        # the orbit of r under the sign flips on `axes`
+        params = TransmissionParams.from_volume_fraction(mats, 0.05)
+        k = tuple(0.0 if i in axes else 0.1 * (i + 2) for i in range(3))
+        row = {g: j for j, g in enumerate(map(tuple, integer_cube(3).tolist()))}
+        modes = pwe._coefficient_matrices(params, 3, axes)[0].astype(int).tolist()
+        U = np.zeros((len(row), len(modes)))
+        for col, r in enumerate(modes):
+            orbit = {tuple(-x if i in flip else x for i, x in enumerate(r))
+                     for n in range(len(axes) + 1) for flip in itertools.combinations(axes, n)}
+            for g in orbit:
+                U[row[g], col] = 1.0 / math.sqrt(len(orbit))
+        A, B = pwe._pencil(k, params, 3, ())
+        for got, full in zip(pwe._pencil(k, params, 3, axes), (A, B)):
+            np.testing.assert_allclose(got, U.T @ full @ U, rtol=0.0,
+                                       atol=1e-12 * np.abs(full).max())
 
 
 def full_pencil_values(k, params, g_max, count, axes=None):

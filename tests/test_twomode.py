@@ -61,6 +61,13 @@ def pair_model(k0, m0, p):
     ratio=0.515625,
     p=TransmissionParams(MaterialSpec(1.0, 1.0, 0.6784019924323472, 0.6796875), a=0.1015625),
 )
+# s = 5.1e-20: the gap is narrower than the rounding of omega ~ 0.625
+@example(
+    m0=(0, 0, 1),
+    theta=0.0,
+    ratio=0.625,
+    p=TransmissionParams(MaterialSpec(0.5, 0.5, 0.5, 0.5000000000000001), a=0.5),
+)
 def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     # 0 < nu < 1: the lower branch peaks at +delta_tilde*, the upper one dips
     # at -delta_tilde*; both are samples of the 2,001-point scan over
@@ -71,6 +78,10 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     assume(model.s > 0.0)
     assert 0.0 < model.nu < 1.0
     status, gap = model.gap()
+    if status is GapStatus.DEGENERATE_SPLITTING:
+        # edges that round together leave no gap interval; they once raised a ValueError
+        assert gap is None and model.s < 1e-12 * model.centre
+        return
     assert status is GapStatus.PREDICTED
     d = model.extremizer()
     curve = model.scan((-2.0 * d, 2.0 * d), 2001)
