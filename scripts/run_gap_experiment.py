@@ -15,7 +15,7 @@ import time
 
 from bandscan import dirichlet
 from bandscan.config import coerce
-from bandscan.errors import ConfigError
+from bandscan.errors import ConfigError, NumericalError
 from bandscan.oracle.gapscan import measure_gap_numeric
 
 
@@ -48,16 +48,20 @@ def main():
             "measured_hi": "",
             "seconds": "",
         }
+        failure = ""
         if args.verify and gap is not None:
             t0 = time.time()
-            got = measure_gap_numeric(model, p, n=args.n)
+            try:
+                got = measure_gap_numeric(model, p, n=args.n)
+            except NumericalError as exc:  # e.g. too few grid cells at this a: go on
+                got, failure = None, f" oracle failure: {exc}"
             row["seconds"] = f"{time.time() - t0:.1f}"
             if got is not None:
                 row["measured_lo"] = got.lo_over_c
                 row["measured_hi"] = got.hi_over_c
         rows.append(row)
         print(f"a={a}: predicted=({row['predicted_lo']}, {row['predicted_hi']}) "
-              f"measured=({row['measured_lo']}, {row['measured_hi']})")
+              f"measured=({row['measured_lo']}, {row['measured_hi']}){failure}")
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

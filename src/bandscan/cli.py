@@ -119,7 +119,7 @@ def cmd_classify(args) -> int:
     shifts_out = []
     for m in cls.shifts:  # all judged before anything is printed
         adm = lattice.shift_admissibility(knorm, m, cls.order, args.exclusion_band)
-        shifts_out.append({"m": list(m), "nu": lattice.nu(k, m, args.tol), "ratio": adm.ratio,
+        shifts_out.append({"m": list(m), "nu": adm.nu, "ratio": adm.ratio,
                            "verdict": adm.verdict.value})
     print(f"k = ({k[0]}, {k[1]}, {k[2]})")
     print(f"order = {cls.order}" + ("  (non-exceptional)" if cls.order == 1 else ""))

@@ -90,9 +90,9 @@ def as_shift(m) -> tuple[int, int, int]:
     return t
 
 
-def integer_cube(bound: int) -> np.ndarray:
+def integer_cube(bound: int, dtype=int) -> np.ndarray:
     """(N, 3) array of the integer points with |m|_inf <= bound, in lexicographic order."""
-    rng = np.arange(-bound, bound + 1)
+    rng = np.arange(-bound, bound + 1, dtype=dtype)
     return np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
@@ -104,10 +104,10 @@ def mirror_axes(k) -> tuple[int, ...]:
 
 
 #: Cap on |k| of the candidate-shift search, whose box |m|_inf <= ceil(2|k|) + 1
-#: holds about (4|k|)^3 points: `classify` peaks near 220 MB and `face-map` near 250 MB at it.
+#: holds about (4|k|)^3 points: `classify` peaks near 80 MB and `face-map` near 130 MB at it.
 MAX_SEARCH_NORM = 36.0
 
-#: Largest bound whose box stays cached: those up to it (|k| <= 11.5) take 12 MB in all.
+#: Largest bound whose box stays cached: those up to it (|k| <= 11.5) take 2.6 MB in all.
 #: Of the larger boxes only the last is kept, which a sweep in |k| such as `global-scan` reuses.
 MAX_CACHED_BOUND = 24
 
@@ -123,8 +123,10 @@ def _search_box(name: str, norm: float) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=MAX_CACHED_BOUND)
 def _candidate_box(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    M = integer_cube(bound)
-    m2 = np.sum(M * M, axis=1)
+    # int8 points (|m| <= 73 at the cap); |m|^2 in int32, as int8 squares overflow
+    # from 12 and np.sqrt of int16 would be float32
+    M = integer_cube(bound, np.int8)
+    m2 = sum(M[:, j].astype(np.int32) ** 2 for j in range(3))
     keep = (m2 > 0) & (m2 <= bound * bound)
     return M[keep], m2[keep]
 
@@ -147,8 +149,8 @@ def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, i
 
 def _on_plane(M: np.ndarray, m2, k: np.ndarray, tol: float):
     """|2 k.m - |m|^2| <= tol * max(1, |m|^2) per shift m in M (..., 3).  It sums elementwise
-    in one order (a BLAS product rounds one row unlike a block of rows), so that the pair
-    checks accept exactly the shifts the classification lists."""
+    in one order (a BLAS product rounds one row unlike a block of rows), so that
+    `is_ewald_pair` accepts exactly the shifts the classification lists."""
     resid = 2.0 * (M[..., 0] * k[0] + M[..., 1] * k[1] + M[..., 2] * k[2]) - m2
     return np.abs(resid) <= tol * np.maximum(1.0, m2)
 
@@ -197,30 +199,8 @@ def is_ewald_pair(k0, m0, tol: float = DEFAULT_TOL) -> bool:
 
 
 def nu(k0, m0, tol: float = DEFAULT_TOL) -> float:
-    """Gap-geometry parameter nu = 4|k0|^2/|m0|^2 - 1 for an Ewald pair."""
-    k0 = as_wavevector(k0)
-    m0 = as_shift(m0)
-    if not is_ewald_pair(k0, m0, tol):
-        raise DomainError(f"(k0={tuple(k0.tolist())}, m0={m0}) violates 2 k.m = |m|^2")
-    m2 = m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2
-    return 4.0 * float(np.dot(k0, k0)) / m2 - 1.0
-
-
-def require_order_two_pair(k0, m0, tol: float = DEFAULT_TOL) -> ExceptionalClass:
-    """Validate that k0 is exceptional of order exactly two with shift m0."""
-    k0 = as_wavevector(k0)
-    m0 = as_shift(m0)
-    cls = classify_wavevector(k0, tol)
-    if cls.order == 1:
-        raise DomainError(f"k0={tuple(k0.tolist())} is non-exceptional")
-    if cls.order > 2:
-        raise DomainError(
-            f"k0={tuple(k0.tolist())} is exceptional of order {cls.order}; "
-            "only order-two pairs are supported"
-        )
-    if cls.shifts[0] != m0:
-        raise DomainError(f"shift of k0 is {cls.shifts[0]}, not {m0}")
-    return cls
+    """Gap-geometry parameter nu = 4|k0|^2/|m0|^2 - 1 of the pair, as `gap_admissible` gives it."""
+    return gap_admissible(k0, m0, tol=tol).nu
 
 
 def gap_admissible(
@@ -229,7 +209,7 @@ def gap_admissible(
     exclusion_band: float = DEFAULT_EXCLUSION_BAND,
     tol: float = DEFAULT_TOL,
 ) -> GapAdmissibility:
-    """Local-gap admissibility of an exceptional pair.
+    """Local-gap admissibility of (k0, m0), m0 a shift of k0's one classification.
 
     GapPredicted when |k0|/|m0| < sqrt(2)/2 - band (equivalently nu < 1),
     NoGap above the band, BoundaryExcluded inside it, and
@@ -237,12 +217,11 @@ def gap_admissible(
     """
     knorm = wavevector_norm(k0)
     m0 = as_shift(m0)
-    if not is_ewald_pair(k0, m0, tol):
-        raise DomainError(f"(k0, m0={m0}) violates the plane condition")
     _search_box("k0", knorm)  # past the cap, named here rather than as k by the search
     cls = classify_wavevector(k0, tol)
-    if cls.order == 1:
-        raise DomainError(f"k0={tuple(as_wavevector(k0).tolist())} is non-exceptional")
+    if m0 not in cls.shifts:
+        raise DomainError(f"(k0={tuple(as_wavevector(k0).tolist())}, m0={m0}) violates "
+                          "the plane condition")
     return shift_admissibility(knorm, m0, cls.order, exclusion_band)
 
 

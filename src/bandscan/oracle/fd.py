@@ -112,9 +112,9 @@ class _Sector:
     reduced grid `shape`, at the codes `rep`.
 
     H(k) = L + sum_j k_j D_j + |k|^2 I, so U^H H(k) U is combined per k on one
-    cached CSR pattern (`matrix`): `data` holds U^H L U on the whole pattern,
-    `d` each (j, positions, values) of U^H D_j U on its own positions, and
-    `diag` the positions of the diagonal.  On the reduced
+    cached CSR pattern (`matrix`): `P` has one row per position of the pattern
+    and one column per part, U^H L U, I, then each U^H D_j U, so the pattern's
+    values are P @ (1, |k|^2, k_j), summed in that column order.  On the reduced
     grid, `scatter` maps sector coefficients to the values of the mirror-even
     grid function they stand for (U restricted to the representatives), and
     `gather` maps the values of a mirror-even, P-invariant grid function back
@@ -177,7 +177,7 @@ class _Sector:
         del pos, grid
         # Re(U^H L U) for the real Laplacian L
         lap = sp.identity(free.size, format="csr") * (6.0 / h**2) - sum(N.values()) / h**2
-        parts = [re_ut @ (lap @ re_u) + im_ut @ (lap @ im_u)]
+        parts = [re_ut @ (lap @ re_u) + im_ut @ (lap @ im_u), sp.identity(m, format="csr")]
         # Re(U^H i D' U) = -(X + X^T), X = Re(U)^T D' Im(U), for D_j = i D'_j with
         # D'_j the real antisymmetric centred difference.  D_j maps the even
         # sector of mirror j to its odd one: nothing for a mirrored axis
@@ -185,7 +185,6 @@ class _Sector:
         for j in rest:
             X = re_ut @ ((N[j, 1] - N[j, -1]) / h @ im_u)
             parts.append(-(X + X.T))
-        parts.append(sp.identity(m, format="csr"))
         del lap, N
         # one pattern for all: the sum of their patterns, each entry coded
         # with bit b of part b, so part b sits at the entries with that bit
@@ -196,14 +195,14 @@ class _Sector:
                                     shape=(m, m)) for b, M in enumerate(parts))
         pattern.sort_indices()
         code = pattern.data
-        self.data = np.zeros(code.size)
-        self.data[code & 1 != 0] = parts[0].data
-        self.diag = np.flatnonzero(code & (1 << (len(rest) + 1)))
-        self.d = [(j, np.flatnonzero(code & (2 << b)), M.data)
-                  for b, (j, M) in enumerate(zip(rest, parts[1:]))]
+        data = np.concatenate([M.data for M in parts])
+        del parts, M  # P's values are held once at the peak of the build
+        rows = [np.flatnonzero(code & (1 << b)).astype(np.int32) for b in range(len(rest) + 2)]
+        self.P = sp.csc_matrix((data, np.concatenate(rows), np.cumsum([0, *map(len, rows)])),
+                               shape=(code.size, len(rows)))
         self.indices, self.indptr = pattern.indices, pattern.indptr
-        for arr in (self.rep, self.data, self.diag, self.indices, self.indptr,
-                    *(a for _, pos, vals in self.d for a in (pos, vals))):
+        for arr in (self.rep, self.indices, self.indptr, self.P.data, self.P.indices,
+                    self.P.indptr):
             arr.setflags(write=False)
         for M in (self.scatter, self.gather):
             for arr in (M.data, M.indices, M.indptr):
@@ -215,11 +214,9 @@ class _Sector:
 
     def matrix(self, k) -> sp.csr_matrix:
         """U^H H(k) U, real symmetric; k_i must be 0 on the mirrored axes."""
-        data = self.data.copy()
-        data[self.diag] += float(k @ k)
-        for j, pos, vals in self.d:
-            data[pos] += k[j] * vals
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+        coef = [1.0, float(k @ k)] + [k[j] for j in range(3) if j not in self.axes]
+        return sp.csr_matrix((self.P @ np.array(coef), self.indices, self.indptr),
+                             shape=(self.size, self.size))
 
 
 @lru_cache(maxsize=1)

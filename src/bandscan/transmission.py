@@ -100,7 +100,7 @@ def khat_dot(k0, m0, tol: float = lattice.DEFAULT_TOL) -> float:
     k0 = lattice.as_wavevector(k0)
     m0 = lattice.as_shift(m0)
     if not lattice.is_ewald_pair(k0, m0, tol):
-        raise DomainError(f"(k0, m0={m0}) violates the plane condition")
+        raise DomainError(f"(k0={tuple(k0.tolist())}, m0={m0}) violates the plane condition")
     k1 = k0 - np.asarray(m0, dtype=float)
     return float(np.dot(k0, k1) / (np.linalg.norm(k0) * np.linalg.norm(k1)))
 
@@ -123,7 +123,7 @@ def matrix_M_transmission(
 ) -> np.ndarray:
     """Leading-order 2x2 interaction matrix whose determinant vanishes on
     the dispersion surface (spherical inclusions)."""
-    lattice.require_order_two_pair(k0, m0, tol)
+    pair_model(k0, m0, params, tol=tol)  # refuses what a gap request refuses
     k0 = np.asarray(k0, dtype=float)
     m0t = lattice.as_shift(m0)
     k2 = float(np.dot(k0, k0))

@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandscan import cli
+from conftest import random_order_two_pairs
+
+from bandscan import cli, lattice
 from bandscan.config import KNOWN_KEYS, ScanConfig
 from bandscan.errors import NumericalError
 from bandscan.reports import GapReport
@@ -56,6 +58,25 @@ class TestClassify:
         assert run(["classify", "0.5", "0.5", "0.5"]) == 0
         assert "order = 8" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_printed_nu_and_ratio_are_the_gap_reports(self, tmp_path, capsys, pair_rng):
+        # one classification of k0 and one formula for nu serve classify, gap and lattice.nu
+        pairs = [(k0, m0) for k0, m0, _ in random_order_two_pairs(pair_rng, 300)]
+        pairs += [((0.5, 0.6, 0.3), (1, 0, 0)), ((-0.093, 1.0, -0.306), (0, 2, 0))]
+        printed = []
+        for k0, m0 in pairs:
+            ks = [repr(float(c)) for c in k0]
+            assert run(["classify", "--", *ks]) == 0
+            shift, = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["shifts"]
+            assert shift["m"] == list(m0)
+            assert run(["gap", "--k0=" + ",".join(ks), "--m0=" + ",".join(map(str, m0)),
+                        "--samples", "2", "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            report = GapReport.from_text((tmp_path / "report.txt").read_text())
+            assert (shift["nu"], shift["ratio"]) == (report.nu, report.ratio), (k0, m0)
+            assert lattice.nu(k0, m0) == lattice.gap_admissible(k0, m0).nu == report.nu
+            printed.append(shift["nu"])
+        assert printed[-2:] == [1.8000000000000003, 0.10228500000000018]
 
     def test_malformed_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:

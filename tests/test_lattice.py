@@ -140,6 +140,17 @@ class TestGapAdmissible:
         with pytest.raises(DomainError):
             lattice.gap_admissible((0.3, 0.1, 0.2), (1, 0, 0))
 
+    @pytest.mark.parametrize("k0, m0", [((0.5, 0.2, 0.0), (0, 1, 0)),
+                                         ((0.3, 0.1, 0.2), (1, 0, 0)),
+                                         ((0.5, 0.5, 0.0), (1, 0, 1))])
+    def test_unlisted_shift_refused_with_k0_in_plain_floats(self, k0, m0):
+        # a pair is valid only when m0 is a shift of k0's classification
+        assert m0 not in lattice.classify_wavevector(k0).shifts
+        for check in (lattice.gap_admissible, lattice.nu):
+            with pytest.raises(DomainError) as exc:
+                check(np.array(k0), m0)
+            assert f"k0={k0}" in str(exc.value)
+
     def test_gap_iff_nu_below_one(self, pair_rng):
         band = 1e-6
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 300):
@@ -224,9 +235,13 @@ def test_wave_vector_messages_print_plain_floats(monkeypatch):
     generic = (0.3, 0.1, 0.2)
     materials = transmission.MaterialSpec(1.0, 1.2, 1.2, 1.0)
     assert "(0.3, 0.1, 0.2)" in message(lambda: lattice.nu(generic, (1, 0, 0)))
-    assert "(0.3, 0.1, 0.2)" in message(lambda: lattice.require_order_two_pair(generic, (1, 0, 0)))
-    assert "(0.5, 0.5, 0.5)" in message(
-        lambda: lattice.require_order_two_pair((0.5, 0.5, 0.5), (1, 0, 0)))
+    # the paper's identities validate the pair through their module's pair_model
+    dparams = dirichlet.DirichletParams(a=0.1)
+    tparams = transmission.TransmissionParams(materials, a=0.5)
+    for check in (lambda k0, m0: dirichlet.exceptional_splitting_check(k0, m0, dparams),
+                  lambda k0, m0: transmission.matrix_M_transmission(k0, m0, tparams, 0.0, 0.0)):
+        assert "(0.3, 0.1, 0.2)" in message(lambda: check(generic, (1, 0, 0)))
+        assert "higher-order" in message(lambda: check((0.5, 0.5, 0.5), (1, 0, 0)))
     assert "(0.0, 0.0, 0.5)" in message(
         lambda: dirichlet.epsilon_nonexceptional(k, dirichlet.DirichletParams(a=0.1)))
     assert "(0.0, 0.0, 0.5)" in message(lambda: transmission.epsilon_nonexceptional_transmission(

@@ -315,9 +315,8 @@ class TestStencilPattern:
 
     def test_shared_pattern_is_read_only(self):
         sector = fd._sector(16, 0.5, (2,))
-        for arr in (sector.data, sector.indices, sector.rep,
-                    sector.scatter.data, sector.gather.indices, sector.diag,
-                    *(a for _, pos, vals in sector.d for a in (pos, vals))):
+        for arr in (sector.P.data, sector.P.indices, sector.P.indptr, sector.indices,
+                    sector.rep, sector.scatter.data, sector.gather.indices):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
