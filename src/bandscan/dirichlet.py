@@ -27,7 +27,7 @@ import numpy as np
 
 from . import lattice
 from .errors import DomainError
-from .twomode import TwoModeModel
+from .twomode import TwoModeModel, order_two_admissibility
 
 #: Cell volume |Pi| of the cube [-pi, pi]^3.
 CELL_VOLUME = (2.0 * math.pi) ** 3
@@ -102,7 +102,7 @@ def exceptional_splitting_check(
     the eigenvalues of J give eps2 = 0 and eps1 = a_tilde / |k0|^2, which
     matches the upper branch of pair_model at delta_tilde = 0.
     """
-    pair_model(k0, m0, p, tol=tol)  # refuses what a gap request refuses
+    order_two_admissibility(k0, m0, tol=tol)  # refuses what a gap request refuses
     k0 = np.asarray(k0, dtype=float)
     k2 = float(np.dot(k0, k0))
     J = np.ones((2, 2))

@@ -123,9 +123,9 @@ def _search_box(name: str, norm: float) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=MAX_CACHED_BOUND)
 def _candidate_box(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    # int8 points (|m| <= 73 at the cap); |m|^2 in int32, as int8 squares overflow
-    # from 12 and np.sqrt of int16 would be float32
-    M = integer_cube(bound, np.int8)
+    # the smallest signed points holding +-bound (int8 up to the cap's 73); |m|^2 in int32,
+    # as int8 squares overflow from 12 and np.sqrt of int16 would be float32
+    M = integer_cube(bound, np.min_scalar_type(-bound - 1))
     m2 = sum(M[:, j].astype(np.int32) ** 2 for j in range(3))
     keep = (m2 > 0) & (m2 <= bound * bound)
     return M[keep], m2[keep]

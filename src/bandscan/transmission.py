@@ -28,7 +28,7 @@ import numpy as np
 from . import lattice
 from .dirichlet import CELL_VOLUME
 from .errors import DomainError
-from .twomode import TwoModeModel
+from .twomode import TwoModeModel, order_two_admissibility
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def matrix_M_transmission(
 ) -> np.ndarray:
     """Leading-order 2x2 interaction matrix whose determinant vanishes on
     the dispersion surface (spherical inclusions)."""
-    pair_model(k0, m0, params, tol=tol)  # refuses what a gap request refuses
+    order_two_admissibility(k0, m0, tol=tol)  # refuses what a gap request refuses
     k0 = np.asarray(k0, dtype=float)
     m0t = lattice.as_shift(m0)
     k2 = float(np.dot(k0, k0))

@@ -69,11 +69,20 @@ class BranchCurve:
         return len(self.delta_tilde)
 
 
-class TwoModeModel:
-    """Branches, scans and the local gap of one order-two pair.
+def order_two_admissibility(k0, m0, exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
+                            tol: float = lattice.DEFAULT_TOL) -> lattice.GapAdmissibility:
+    """`lattice.gap_admissible` of (k0, m0), which classifies k0 once, refusing a higher-order
+    k0: three or more degenerate plane waves have no two-mode gap."""
+    adm = lattice.gap_admissible(k0, m0, exclusion_band, tol)
+    if adm.verdict is lattice.Verdict.HIGHER_ORDER_EXCLUDED:
+        raise DomainError(f"k0={tuple(lattice.as_wavevector(k0).tolist())} is a higher-order "
+                          "exceptional point (three or more plane waves degenerate); "
+                          "no gap theory here")
+    return adm
 
-    The pair is classified once, here; a higher-order point is rejected.
-    """
+
+class TwoModeModel:
+    """Branches, scans and the local gap of one pair that `order_two_admissibility` accepts."""
 
     def __init__(
         self,
@@ -84,12 +93,7 @@ class TwoModeModel:
         exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
         tol: float = lattice.DEFAULT_TOL,
     ):
-        self.admissibility = lattice.gap_admissible(k0, m0, exclusion_band, tol)
-        if self.admissibility.verdict is lattice.Verdict.HIGHER_ORDER_EXCLUDED:
-            raise DomainError(
-                "k0 is a higher-order exceptional point (three or more plane waves "
-                "degenerate); no gap theory here"
-            )
+        self.admissibility = order_two_admissibility(k0, m0, exclusion_band, tol)
         self.k0 = tuple(float(x) for x in np.asarray(k0, dtype=float))
         self.m0 = lattice.as_shift(m0)
         self.knorm = float(np.linalg.norm(self.k0))
