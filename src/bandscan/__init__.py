@@ -24,7 +24,6 @@ from .lattice import (
     enumerate_candidate_shifts,
     face_gap_region,
     gap_admissible,
-    nu,
 )
 from .transmission import MaterialSpec, TransmissionParams
 from .twomode import BranchCurve, GapInterval, GapStatus, TwoModeModel
@@ -58,7 +57,6 @@ __all__ = [
     "globalscan",
     "lattice",
     "meshes",
-    "nu",
     "oracle",
     "transmission",
     "twomode",

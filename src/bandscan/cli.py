@@ -1,13 +1,13 @@
 """bandscan command line interface.
 
-Subcommands: classify, gap, bands, face-map, global-scan, oracle-compare,
-capacitance.  Exit codes: 0 success, 2 usage/config error, 3 numerical or
-oracle failure.  All frequencies are emitted as omega/c; the --c flag only
+Subcommands: classify, gap, bands, face-map, global-scan, capacitance.
+Exit codes: 0 success, 2 usage/config error, 3 numerical or oracle
+failure.  All frequencies are emitted as omega/c; the --c flag only
 rescales the console summary.
 
-gap, bands and oracle-compare take one flag per ScanConfig field, made from
-the field's name, less the keys the command never reads (`_UNREAD_KEYS`);
-argparse refuses those flags, and a config file that sets one is refused.
+gap and bands take one flag per ScanConfig field, made from the field's
+name, less the keys the command never reads (`_UNREAD_KEYS`); argparse
+refuses those flags, and a config file that sets one is refused.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .globalscan import global_scan
 from .reports import (
     GapReport,
     write_branch_csv,
-    write_comparison_csv,
     write_face_map_csv,
     write_global_scan_csv,
 )
@@ -76,8 +75,6 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
 _UNREAD_KEYS = {
     "gap": frozenset(),
     "bands": frozenset({"out_dir", "verify", "n", "g_max", "c"}),
-    "oracle-compare": frozenset({"delta_tilde_min", "delta_tilde_max", "samples", "verify", "c",
-                                 "m0", "exclusion_band"}),
 }
 
 
@@ -270,37 +267,17 @@ def cmd_global_scan(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_compare(args) -> int:
-    from .compare import dirichlet_comparison_rows, transmission_comparison_rows
-
-    cfg = _config_from_args(args)
-    _require_fd_sphere(cfg)
-    params = cfg.params()
-    if isinstance(params, dirichlet.DirichletParams):
-        rows = dirichlet_comparison_rows(cfg.k0, params, n=cfg.n, tol=cfg.tol)
-    else:
-        rows = transmission_comparison_rows(cfg.k0, params, g_max=cfg.g_max, tol=cfg.tol)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "oracle_compare.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        write_comparison_csv(rows, fh)
-    write_comparison_csv(rows, sys.stdout)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 def cmd_capacitance(args) -> int:
     from .capacitance import shape_factor
 
+    if args.refine_check and args.mesh_path is None:
+        raise ConfigError("refine_check: only a mesh is refined, so it needs --mesh")
     if args.sphere:
         result = shape_factor("sphere")
     elif args.ellipsoid is not None:
         result = shape_factor("ellipsoid", coerce("semiaxes", args.ellipsoid))
-    elif args.mesh_path:
-        result = shape_factor("mesh", mesh=args.mesh_path, refine_check=args.refine_check)
     else:
-        print("one of --sphere, --ellipsoid, --mesh is required", file=sys.stderr)
-        return EXIT_USAGE
+        result = shape_factor("mesh", mesh=args.mesh_path, refine_check=args.refine_check)
     err = result.estimated_error
     print(f"q = {result.q!r}")
     print(f"method = {result.method.value}")
@@ -348,12 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--out", help="CSV destination")
 
-    _add_config_command(sub, "oracle-compare", "asymptotics vs numerics table")
-
     p = sub.add_parser("capacitance", help="shape factor q of an inclusion")
-    p.add_argument("--sphere", action="store_true")
-    p.add_argument("--ellipsoid", metavar="A1,A2,A3", help="semiaxes of an ellipsoid")
-    p.add_argument("--mesh", dest="mesh_path")
+    shape = p.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--sphere", action="store_true")
+    shape.add_argument("--ellipsoid", metavar="A1,A2,A3", help="semiaxes of an ellipsoid")
+    shape.add_argument("--mesh", dest="mesh_path")
     p.add_argument("--refine-check", dest="refine_check", action="store_true")
 
     return ap

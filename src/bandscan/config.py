@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from . import lattice
 from .dirichlet import DirichletParams
 from .errors import ConfigError
-from .transmission import MaterialSpec, TransmissionParams
+from .transmission import MAX_G_MAX, MaterialSpec, TransmissionParams
 
 
 #: The material keys, named like the MaterialSpec fields; only transmission reads them.
@@ -64,8 +64,8 @@ class ScanConfig:
                 raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.problem not in ("dirichlet", "transmission"):
             raise ConfigError(f"problem: must be dirichlet or transmission, got {self.problem!r}")
-        if len(self.k0) != 3:
-            raise ConfigError("k0: needs 3 components")
+        if len(self.k0) != 3 or not any(self.k0):
+            raise ConfigError("k0: needs 3 components, not all zero")
         if len(self.m0) != 3 or self.m0 == (0, 0, 0):
             raise ConfigError("m0: needs 3 integer components, not all zero")
         if not self.a >= 0.0:
@@ -101,9 +101,8 @@ class ScanConfig:
             raise ConfigError("n: must be >= 16 and <= 96")
         if self.g_max < 2:
             raise ConfigError("g_max: must be >= 2")
-        if self.g_max > 10:
-            # oracle.pwe.MAX_G_MAX, the plane-wave oracle's truncation cap
-            raise ConfigError("g_max: must be <= 10")
+        if self.g_max > MAX_G_MAX:
+            raise ConfigError(f"g_max: must be <= {MAX_G_MAX}")
         if not self.c > 0.0:
             raise ConfigError("c: must be > 0")
         if not self.exclusion_band >= 0.0:

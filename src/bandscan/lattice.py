@@ -84,9 +84,9 @@ def wavevector_norm(k) -> float:
 def as_shift(m) -> tuple[int, int, int]:
     t = tuple(int(c) for c in m)
     if len(t) != 3 or any(c != float(o) for c, o in zip(t, m)):
-        raise DomainError(f"lattice shift must be an integer 3-vector, got {m!r}")
+        raise DomainError(f"m0: lattice shift must be an integer 3-vector, got {m!r}")
     if t == (0, 0, 0):
-        raise DomainError("lattice shift must be nonzero")
+        raise DomainError("m0: lattice shift must be nonzero")
     return t
 
 
@@ -196,11 +196,6 @@ def is_ewald_pair(k0, m0, tol: float = DEFAULT_TOL) -> bool:
     """Whether (k0, m0) satisfies 2 k0.m0 = |m0|^2 within tolerance."""
     m0 = as_shift(m0)
     return bool(_on_plane(np.array(m0), sum(c * c for c in m0), as_wavevector(k0), tol))
-
-
-def nu(k0, m0, tol: float = DEFAULT_TOL) -> float:
-    """Gap-geometry parameter nu = 4|k0|^2/|m0|^2 - 1 of the pair, as `gap_admissible` gives it."""
-    return gap_admissible(k0, m0, tol=tol).nu
 
 
 def gap_admissible(

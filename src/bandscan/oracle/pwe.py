@@ -40,11 +40,8 @@ from scipy.linalg import lapack
 
 from ..errors import DomainError, NumericalError
 from ..lattice import integer_cube, mirror_axes
-from ..transmission import TransmissionParams, volume_fraction
+from ..transmission import MAX_G_MAX, TransmissionParams, volume_fraction
 from .eig import EigResult
-
-#: Cap on the truncation: the full basis has (2 g_max + 1)^3 = 9,261 modes at 10.
-MAX_G_MAX = 10
 
 
 def sphere_indicator_fourier(gnorm, a: float):

@@ -78,12 +78,6 @@ def write_face_map_csv(face_map, fh) -> None:
         fh.write("".join([head + tail[flag] for tail, flag in zip(tails, row)]))
 
 
-def write_comparison_csv(rows, fh) -> None:
-    fh.write("quantity,asymptotic,numeric,rel_diff\n")
-    for name, asym, num, rel in rows:
-        fh.write(f"{name},{float(asym)!r},{float(num)!r},{float(rel)!r}\n")
-
-
 def write_global_scan_csv(rows, fh) -> None:
     fh.write("omega_over_c,k1,k2,k3,order,residual\n")
     for om, k, order, resid in rows:

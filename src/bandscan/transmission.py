@@ -30,6 +30,10 @@ from .dirichlet import CELL_VOLUME
 from .errors import DomainError
 from .twomode import TwoModeModel, order_two_admissibility
 
+#: Cap on the plane-wave oracle's truncation.  The dense solve of the full
+#: basis, (2 g_max + 1)^3 modes, peaks at 259 MB at 6 and 513 MB at 7.
+MAX_G_MAX = 6
+
 
 @dataclass(frozen=True)
 class MaterialSpec:

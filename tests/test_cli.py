@@ -60,7 +60,7 @@ class TestClassify:
         assert len(calls) == 1
 
     def test_printed_nu_and_ratio_are_the_gap_reports(self, tmp_path, capsys, pair_rng):
-        # one classification of k0 and one formula for nu serve classify, gap and lattice.nu
+        # one classification of k0 and one formula for nu serve classify and gap
         pairs = [(k0, m0) for k0, m0, _ in random_order_two_pairs(pair_rng, 300)]
         pairs += [((0.5, 0.6, 0.3), (1, 0, 0)), ((-0.093, 1.0, -0.306), (0, 2, 0))]
         printed = []
@@ -74,7 +74,7 @@ class TestClassify:
             capsys.readouterr()
             report = GapReport.from_text((tmp_path / "report.txt").read_text())
             assert (shift["nu"], shift["ratio"]) == (report.nu, report.ratio), (k0, m0)
-            assert lattice.nu(k0, m0) == lattice.gap_admissible(k0, m0).nu == report.nu
+            assert lattice.gap_admissible(k0, m0).nu == report.nu
             printed.append(shift["nu"])
         assert printed[-2:] == [1.8000000000000003, 0.10228500000000018]
 
@@ -273,9 +273,7 @@ class TestGap:
 
     @pytest.mark.parametrize("command", [
         ["gap", "--verify", "--shape", "ellipsoid", "--semiaxes", "3,1,0.5"],
-        ["oracle-compare", "--shape", "ellipsoid", "--semiaxes", "3,1,0.5"],
         ["gap", "--verify", "--q", "2"],
-        ["oracle-compare", "--q", "2"],
     ])
     def test_fd_oracle_refuses_a_shape_it_does_not_mask(self, tmp_path, capsys, command):
         # the FD oracle masks the sphere of q = 1; measuring the ellipsoid's
@@ -410,7 +408,26 @@ class TestCapacitance:
         assert "bem" in out and "panels = 320" in out
 
     def test_no_shape_exits_2(self, capsys):
-        assert run(["capacitance"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["capacitance"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param("--sphere --ellipsoid 2,1,1",
+                     "argument --ellipsoid: not allowed with argument --sphere", id="two-shapes"),
+        pytest.param("--ellipsoid 2,1,1 --mesh nope.off",
+                     "argument --mesh: not allowed with argument --ellipsoid", id="shape-and-mesh"),
+        pytest.param("--sphere --refine-check", "refine_check: ", id="refine-check-no-mesh"),
+    ])
+    def test_one_shape_and_refine_check_with_a_mesh_only(self, capsys, argv, message):
+        # each once printed the first shape's q and exited 0
+        try:
+            rc = run(["capacitance", *argv.split()])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {message}" in err
 
 
 _TETRA_FACES = "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
@@ -435,60 +452,19 @@ def test_unusable_mesh_file_exits_2_and_names_mesh(tmp_path, monkeypatch, capsys
     assert sorted(os.listdir()) == ([] if kind == "missing" else [f"{kind}.off"])
 
 
-class TestOracleCompare:
-    def test_transmission_table(self, tmp_path, capsys):
-        out = tmp_path / "cmp"
-        rc = run([
-            "oracle-compare", "--problem", "transmission", "--k0", "0,0,0.5",
-            "--a", "0.8397506176105911",
-            "--gamma-minus", "1.2", "--rho-plus", "1.2", "--g-max", "3",
-            "--out", str(out),
-        ])
-        assert rc == 0
-        lines = (out / "oracle_compare.csv").read_text().splitlines()
-        assert lines[0] == "quantity,asymptotic,numeric,rel_diff"
-        table = {l.split(",")[0]: float(l.split(",")[3]) for l in lines[1:]}
-        assert table["zero_contrast_omega_over_c"] <= 1e-3
-        assert table["band_splitting_over_c"] <= 0.25
-
-    def test_zero_contrast_transmission_table(self, tmp_path, monkeypatch, capsys):
-        # default materials: the predicted splitting is 0, so is the asymptotic value
-        monkeypatch.chdir(tmp_path)
-        rc = run(["oracle-compare", "--problem", "transmission", "--k0", "0,0,0.5",
-                  "--a", "0.5", "--g-max", "3"])
-        out, err = capsys.readouterr()
-        assert rc == 0
-        assert "Traceback" not in err
-        lines = (tmp_path / "bandscan_out" / "oracle_compare.csv").read_text().splitlines()
-        assert out.startswith("\n".join(lines) + "\n")
-        name, asym, num, rel = lines[2].split(",")
-        assert (name, float(asym)) == ("band_splitting_over_c", 0.0)
-        assert float(rel) == (math.inf if float(num) != 0.0 else 0.0)
-
-    def test_dirichlet_table_small_grid(self, tmp_path):
-        out = tmp_path / "cmpd"
-        rc = run([
-            "oracle-compare", "--problem", "dirichlet", "--k0", "0.2,0.1,0.15",
-            "--a", "0.4", "--n", "24", "--out", str(out),
-        ])
-        assert rc == 0
-        lines = (out / "oracle_compare.csv").read_text().splitlines()
-        table = {l.split(",")[0]: float(l.split(",")[3]) for l in lines[1:]}
-        assert table["zero_inclusion_omega"] <= 1e-3
-        assert table["nonexceptional_shift"] <= 0.25
-
-
-@pytest.mark.parametrize("command", [["gap", "--verify"], ["oracle-compare"]])
+@pytest.mark.parametrize("command", [["gap", "--verify"], ["gap"]])
 def test_g_max_above_the_basis_cap_exits_2_and_is_named(tmp_path, capsys, command):
     # g_max = 11 once reached the PWE basis and failed there with "basis size
-    # 12167 exceeds cap 12000", which names no field
+    # 12167 exceeds cap 12000", which names no field; the dense solve at
+    # g_max = 7 peaks at 513 MB.  The config and the oracle share one cap
+    from bandscan import transmission
     from bandscan.oracle import pwe
 
-    assert pwe.MAX_G_MAX == 10
+    assert pwe.MAX_G_MAX == transmission.MAX_G_MAX == 6
     rc = run(command + ["--problem", "transmission", "--k0", "0,0,0.5",
-                        "--a", "0.5", "--g-max", "11", "--out", str(tmp_path / "o")])
+                        "--a", "0.5", "--g-max", "7", "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: g_max: must be <= 10\n"
+    assert capsys.readouterr().err == "error: g_max: must be <= 6\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -567,22 +543,32 @@ def test_double_dash_value_exits_2_and_is_named(capsys, argv, field):
 
 
 @pytest.mark.parametrize("argv, field", [
+    ("gap --k0 0,0,0", "k0"), ("bands --k0 0,0,0", "k0"), ("face-map --m0 0,0,0", "m0"),
+])
+def test_zero_vector_exits_2_and_is_named(tmp_path, monkeypatch, capsys, argv, field):
+    # "zero wave vector is not classifiable" and "lattice shift must be nonzero" named no field
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {field}: ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, field", [
     ("gap --problem transmission --q 5", "q"),
     # the ellipsoid's own q would be reported
     ("gap --shape ellipsoid --semiaxes 1,0.8,0.6 --q 5", "q"),
     ("gap --semiaxes 3,1,1", "semiaxes"),
     ("gap --mesh sphere.off", "mesh"),
     ("bands --problem transmission --q 0.5", "q"),
-    ("oracle-compare --shape ellipsoid --semiaxes 1,1,1 --mesh sphere.off", "mesh"),
+    ("bands --shape ellipsoid --semiaxes 1,1,1 --mesh sphere.off", "mesh"),
     # the materials are the transmission problem's, n is the FD oracle's, g_max the PWE's
     ("gap --gamma-plus 2", "gamma_plus"),
     ("gap --gamma-minus 2 --rho-plus 3", "gamma_minus"),
     ("bands --rho-plus 3", "rho_plus"),
-    ("oracle-compare --rho-minus 0.5", "rho_minus"),
+    ("gap --rho-minus 0.5", "rho_minus"),
     ("gap --problem transmission --n 64 --verify", "n"),
-    ("oracle-compare --problem transmission --n 64", "n"),
     ("gap --problem dirichlet --g-max 7", "g_max"),
-    ("oracle-compare --g-max 4", "g_max"),
 ])
 def test_config_field_the_request_ignores_exits_2_and_is_named(tmp_path, monkeypatch, capsys,
                                                                argv, field):
@@ -600,8 +586,6 @@ def test_config_field_the_request_ignores_exits_2_and_is_named(tmp_path, monkeyp
 UNREAD = {
     "gap": set(),
     "bands": {"out_dir", "verify", "n", "g_max", "c"},
-    "oracle-compare": {"delta_tilde_min", "delta_tilde_max", "samples", "verify", "c",
-                       "m0", "exclusion_band"},
 }
 
 
@@ -631,7 +615,7 @@ def test_flag_the_command_never_reads_exits_2_and_is_named(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("command, line", [
-    ("bands", "out_dir = elsewhere"), ("bands", "verify = true"), ("oracle-compare", "samples = 7"),
+    ("bands", "out_dir = elsewhere"), ("bands", "verify = true"),
 ])
 def test_config_file_key_the_command_never_reads_exits_2_and_is_named(tmp_path, monkeypatch,
                                                                       capsys, command, line):
@@ -664,24 +648,6 @@ def test_example_config_loads(tmp_path, monkeypatch, capsys, command):
     example = Path(__file__).resolve().parents[1] / "configs" / "example_gap.cfg"
     monkeypatch.chdir(tmp_path)
     assert run([command, "--config", str(example)]) == 0
-
-
-@pytest.mark.parametrize("argv", [
-    "--problem dirichlet --k0 0.5,0.3,0.8 --a 0.3 --n 24",
-    "--problem transmission --k0 0.5,0.3,0.8 --a 0.3 --gamma-minus 2",
-    "--problem dirichlet --k0 0.2,0.1,0.7 --a 0.3 --n 24",
-    "--problem transmission --k0 -0.2,0.1,0.5000001 --a 0.3 --gamma-minus 2",
-])
-def test_oracle_compare_k0_outside_the_first_zone_exits_2_and_is_named(tmp_path, monkeypatch,
-                                                                       capsys, argv):
-    # the lowest band belongs to another g there: (0.5, 0.3, 0.8) once printed
-    # zero_inclusion_omega 0.98995 against 0.62651, and eps1 -0.345, with exit 0
-    monkeypatch.chdir(tmp_path)
-    assert run(["oracle-compare", *argv.split()]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: k0: must lie in the first Brillouin zone, max |k0_i| <= 1/2")
-    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, field", [

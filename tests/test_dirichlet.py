@@ -72,7 +72,7 @@ class TestBranchPair:
 
     def test_zero_scale_recovers_cones(self):
         p = DirichletParams(a=0.0)
-        nu = lattice.nu(K_EX, M_EX)
+        nu = lattice.gap_admissible(K_EX, M_EX).nu
         for dt in (-0.08, -0.01, 0.0, 0.02, 0.09):
             lo, hi = dirichlet.pair_model(K_EX, M_EX, p).branches(dt)
             assert lo == pytest.approx(0.5 + (nu * dt - abs(dt)) / 1.0, abs=1e-15)
@@ -128,7 +128,7 @@ class TestLocalGap:
         # delta_tilde = +-a_tilde*nu/sqrt(1-nu^2)
         k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
         p = DirichletParams(a=0.15)
-        nu = lattice.nu(k0, m0)
+        nu = lattice.gap_admissible(k0, m0).nu
         model = dirichlet.pair_model(k0, m0, p)
         gap = model.gap()[1]
         knorm = math.sqrt(0.29)
@@ -219,7 +219,7 @@ class TestProperties:
         p = DirichletParams(a=0.1)
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 1000):
             gap = dirichlet.pair_model(k0, m0, p, exclusion_band=1e-3).gap()[1]
-            assert (gap is not None) == (lattice.nu(k0, m0) < 1.0)
+            assert (gap is not None) == (lattice.gap_admissible(k0, m0).nu < 1.0)
 
     def test_gap_scales_linearly_in_a_and_q(self):
         k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)

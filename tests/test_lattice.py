@@ -97,20 +97,20 @@ class TestClassification:
 
 class TestNu:
     def test_face_center(self):
-        assert lattice.nu((0, 0, 0.5), (0, 0, 1)) == pytest.approx(0.0, abs=1e-12)
+        assert lattice.gap_admissible((0, 0, 0.5), (0, 0, 1)).nu == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_values(self):
         # 4*(0.25+0.04) - 1 and 4*(0.25+0.36+0.09) - 1
-        assert lattice.nu((0.5, 0.2, 0), (1, 0, 0)) == pytest.approx(0.16, rel=1e-12)
-        assert lattice.nu((0.5, 0.6, 0.3), (1, 0, 0)) == pytest.approx(1.8, rel=1e-12)
+        assert lattice.gap_admissible((0.5, 0.2, 0), (1, 0, 0)).nu == pytest.approx(0.16, rel=1e-12)
+        assert lattice.gap_admissible((0.5, 0.6, 0.3), (1, 0, 0)).nu == pytest.approx(1.8, rel=1e-12)
 
     def test_violating_pair_rejected(self):
         with pytest.raises(DomainError):
-            lattice.nu((0.3, 0.1, 0.2), (1, 0, 0))
+            lattice.gap_admissible((0.3, 0.1, 0.2), (1, 0, 0))
 
     def test_nonnegative_over_many_pairs(self, pair_rng):
         pairs = random_order_two_pairs(pair_rng, 10_000, ratio_band=0.0)
-        nus = [lattice.nu(k0, m0) for k0, m0, _ in pairs]
+        nus = [lattice.gap_admissible(k0, m0).nu for k0, m0, _ in pairs]
         assert min(nus) >= -1e-12
 
 
@@ -146,10 +146,9 @@ class TestGapAdmissible:
     def test_unlisted_shift_refused_with_k0_in_plain_floats(self, k0, m0):
         # a pair is valid only when m0 is a shift of k0's classification
         assert m0 not in lattice.classify_wavevector(k0).shifts
-        for check in (lattice.gap_admissible, lattice.nu):
-            with pytest.raises(DomainError) as exc:
-                check(np.array(k0), m0)
-            assert f"k0={k0}" in str(exc.value)
+        with pytest.raises(DomainError) as exc:
+            lattice.gap_admissible(np.array(k0), m0)
+        assert f"k0={k0}" in str(exc.value)
 
     def test_gap_iff_nu_below_one(self, pair_rng):
         band = 1e-6
@@ -196,7 +195,7 @@ class TestProperties:
             return
         for s in lattice.enumerate_candidate_shifts(k, tol):
             assert lattice.is_ewald_pair(k, s, tol), (k, s)
-            lattice.nu(k, s, tol)
+            lattice.gap_admissible(k, s, tol=tol)
 
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(coord, coord, coord))
@@ -234,7 +233,7 @@ def test_wave_vector_messages_print_plain_floats(monkeypatch):
     k = np.array([0.0, 0.0, 0.5])
     generic = (0.3, 0.1, 0.2)
     materials = transmission.MaterialSpec(1.0, 1.2, 1.2, 1.0)
-    assert "(0.3, 0.1, 0.2)" in message(lambda: lattice.nu(generic, (1, 0, 0)))
+    assert "(0.3, 0.1, 0.2)" in message(lambda: lattice.gap_admissible(generic, (1, 0, 0)))
     # the paper's identities validate the pair through their module's pair_model
     dparams = dirichlet.DirichletParams(a=0.1)
     tparams = transmission.TransmissionParams(materials, a=0.5)

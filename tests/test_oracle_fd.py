@@ -454,19 +454,3 @@ def test_stalled_column_costs_one_short_call(monkeypatch):
     res = fd._solve(np.array([0.5, 0.2, 0.0]), 0.33, 24, 6, None, ())
     assert res.residual_norm <= 1e-8
     assert len(calls) < 198
-
-
-def test_comparison_rows_match_the_whole_spectrum(monkeypatch):
-    # oracle-compare solves the sector even under the x and y mirrors at
-    # k0 = (0, 0, 0.5); its rows equal those of the whole grid
-    from bandscan import compare
-    from bandscan.dirichlet import DirichletParams
-
-    k0, p = (0.0, 0.0, 0.5), DirichletParams(a=0.6)
-    got = compare.dirichlet_comparison_rows(k0, p, n=24)
-    monkeypatch.setattr(compare, "fd_dirichlet_eigenvalues",
-                        lambda k, a, n, count: fd._solve(np.asarray(k), a, n, count, None, ()))
-    ref = compare.dirichlet_comparison_rows(k0, p, n=24)
-    assert [row[0] for row in got] == [row[0] for row in ref]
-    for row, ref_row in zip(got, ref):
-        np.testing.assert_allclose(row[1:3], ref_row[1:3], rtol=1e-8, atol=0.0)

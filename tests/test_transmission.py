@@ -92,7 +92,7 @@ class TestMatrixM:
 class TestBranches:
     def test_identical_materials_give_cones(self):
         p = TransmissionParams(materials=MaterialSpec(1, 1, 1, 1), a=0.5)
-        nu = lattice.nu(K_EX, M_EX)
+        nu = lattice.gap_admissible(K_EX, M_EX).nu
         for dt in (-0.05, 0.0, 0.03):
             lo, hi = transmission.pair_model(K_EX, M_EX, p).branches(dt)
             assert lo == pytest.approx(0.5 + (nu * dt - abs(dt)), abs=1e-15)
@@ -147,7 +147,7 @@ class TestLocalGap:
         p = weak_params(0.01)
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 300):
             gap = transmission.pair_model(k0, m0, p, exclusion_band=1e-3).gap()[1]
-            assert (gap is not None) == (lattice.nu(k0, m0) < 1.0)
+            assert (gap is not None) == (lattice.gap_admissible(k0, m0).nu < 1.0)
 
     def test_samples_respect_gap(self):
         p = weak_params(0.01)
