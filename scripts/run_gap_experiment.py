@@ -15,8 +15,37 @@ import time
 
 from bandscan import dirichlet
 from bandscan.config import coerce
-from bandscan.errors import ConfigError, NumericalError
+from bandscan.errors import ConfigError, DomainError, NumericalError
 from bandscan.oracle.gapscan import measure_gap_numeric
+
+
+def sweep_row(a, k0, m0, args):
+    """The predicted and, under --verify, the measured gap at inclusion scale a, printed."""
+    p = dirichlet.DirichletParams(a=a, q=args.q)
+    model = dirichlet.pair_model(k0, m0, p)
+    _, gap = model.gap()
+    row = {
+        "a": a,
+        "predicted_lo": gap.lo_over_c if gap else "",
+        "predicted_hi": gap.hi_over_c if gap else "",
+        "measured_lo": "",
+        "measured_hi": "",
+        "seconds": "",
+    }
+    failure = ""
+    if args.verify and gap is not None:
+        t0 = time.time()
+        try:
+            got = measure_gap_numeric(model, p, n=args.n)
+        except NumericalError as exc:  # e.g. too few grid cells at this a: go on
+            got, failure = None, f" oracle failure: {exc}"
+        row["seconds"] = f"{time.time() - t0:.1f}"
+        if got is not None:
+            row["measured_lo"] = got.lo_over_c
+            row["measured_hi"] = got.hi_over_c
+    print(f"a={a}: predicted=({row['predicted_lo']}, {row['predicted_hi']}) "
+          f"measured=({row['measured_lo']}, {row['measured_hi']}){failure}")
+    return row
 
 
 def main():
@@ -30,38 +59,13 @@ def main():
     ap.add_argument("--out", default="gap_sweep.csv")
     args = ap.parse_args()
 
+    rows = []
     try:
         k0, m0 = coerce("k0", args.k0), coerce("m0", args.m0)
-    except ConfigError as exc:
+        for a in args.scales:
+            rows.append(sweep_row(a, k0, m0, args))
+    except (ConfigError, DomainError) as exc:  # refused input, such as a q the oracle cannot mask
         ap.error(str(exc))
-
-    rows = []
-    for a in args.scales:
-        p = dirichlet.DirichletParams(a=a, q=args.q)
-        model = dirichlet.pair_model(k0, m0, p)
-        _, gap = model.gap()
-        row = {
-            "a": a,
-            "predicted_lo": gap.lo_over_c if gap else "",
-            "predicted_hi": gap.hi_over_c if gap else "",
-            "measured_lo": "",
-            "measured_hi": "",
-            "seconds": "",
-        }
-        failure = ""
-        if args.verify and gap is not None:
-            t0 = time.time()
-            try:
-                got = measure_gap_numeric(model, p, n=args.n)
-            except NumericalError as exc:  # e.g. too few grid cells at this a: go on
-                got, failure = None, f" oracle failure: {exc}"
-            row["seconds"] = f"{time.time() - t0:.1f}"
-            if got is not None:
-                row["measured_lo"] = got.lo_over_c
-                row["measured_hi"] = got.hi_over_c
-        rows.append(row)
-        print(f"a={a}: predicted=({row['predicted_lo']}, {row['predicted_hi']}) "
-              f"measured=({row['measured_lo']}, {row['measured_hi']}){failure}")
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

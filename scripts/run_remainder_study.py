@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from bandscan.config import coerce
-from bandscan.errors import ConfigError
+from bandscan.dirichlet import MAX_N, MIN_N
+from bandscan.errors import ConfigError, DomainError
 from bandscan.oracle import fd
 
 PI3 = (2.0 * math.pi) ** 3
@@ -45,11 +46,19 @@ def main():
         k = np.array(coerce("k0", args.k))
     except ConfigError as exc:
         ap.error(f"--k: {exc}")
+    if not MIN_N <= args.n <= MAX_N // 2:
+        # each scale also solves at 2n, which the oracle would refuse only after the n solve
+        ap.error(f"n: the study solves at n and 2n, so n must be >= {MIN_N} "
+                 f"and <= {MAX_N // 2}, got {args.n}")
     print("a      n    cap_d     remainder      ratio_vs_half")
-    for a in args.scales:
-        rem_a, cap_a = remainder(k, a, args.n)
-        rem_h, _ = remainder(k, a / 2.0, 2 * args.n)
-        print(f"{a:<6.3g} {args.n:<4d} {cap_a:<9.5f} {rem_a:+.6e} {abs(rem_a) / abs(rem_h):9.2f}")
+    try:
+        for a in args.scales:
+            rem_a, cap_a = remainder(k, a, args.n)
+            rem_h, _ = remainder(k, a / 2.0, 2 * args.n)
+            print(f"{a:<6.3g} {args.n:<4d} {cap_a:<9.5f} {rem_a:+.6e} "
+                  f"{abs(rem_a) / abs(rem_h):9.2f}")
+    except DomainError as exc:  # refused input, such as a scale too large for the cell
+        ap.error(str(exc))
     return 0
 
 

@@ -24,7 +24,6 @@ from functools import lru_cache
 from . import __version__, dirichlet, lattice, transmission
 from .config import KNOWN_KEYS, ScanConfig, build_config, coerce, parse_config_file
 from .errors import (
-    BandscanError,
     ConfigError,
     DomainError,
     MeshError,
@@ -112,7 +111,7 @@ def cmd_classify(args) -> int:
     k = args.k
     lattice.require_nonnegative("exclusion_band", args.exclusion_band)  # even with no shifts
     cls = lattice.classify_wavevector(k, args.tol)
-    knorm = lattice.wavevector_norm(k)
+    knorm = lattice.wavevector_norm("k", k)
     shifts_out = []
     for m in cls.shifts:  # all judged before anything is printed
         adm = lattice.shift_admissibility(knorm, m, cls.order, args.exclusion_band)
@@ -127,16 +126,15 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _require_fd_sphere(cfg: ScanConfig) -> None:
-    """The FD oracle masks a sphere of radius a, whatever `shape` or `q` the prediction uses."""
-    if cfg.shape != "sphere":
-        raise ConfigError(
-            f"shape: the finite-difference oracle masks a sphere, so it cannot "
-            f"check shape = {cfg.shape}; use shape = sphere"
-        )
-    if cfg.q != 1.0:
-        raise ConfigError(f"q: the finite-difference oracle masks a sphere (q = 1), "
-                          f"so it cannot check q = {cfg.q}")
+def _output(field: str, path: str, make_dir: bool = False):
+    """`path` opened for writing, after its directory when `make_dir`; a path that cannot be
+    written is refused as the config key or flag `field` that named it."""
+    try:
+        if make_dir:
+            os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise ConfigError(f"{field}: cannot write {exc.filename}: {exc.strerror}") from None
 
 
 def _predict(cfg: ScanConfig):
@@ -185,41 +183,37 @@ def _summarize(report, cfg: ScanConfig) -> None:
 
 def cmd_gap(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.verify:
-        _require_fd_sphere(cfg)
     report, curve, interval, model, params = _predict(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "branches.csv")
-    report_path = os.path.join(cfg.out_dir, "report.txt")
-    with open(csv_path, "w", encoding="ascii") as fh:
-        write_branch_csv(curve, fh)
-
+    measured = failure = None
     if cfg.verify:
         from .oracle.gapscan import measure_gap_numeric  # loads scipy
 
         try:
             measured = measure_gap_numeric(model, params, n=cfg.n, g_max=cfg.g_max)
-        except NumericalError as exc:
-            with open(report_path, "w", encoding="ascii") as fh:
-                fh.write(report.to_text())
-            _summarize(report, cfg)
-            print(f"oracle failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        if measured is not None:
-            rel = None
-            if interval is not None:
-                rel = abs(
-                    (measured.hi_over_c - measured.lo_over_c) - interval.width_over_c
-                ) / interval.width_over_c
-            report = replace(
-                report,
-                measured_lo_over_c=measured.lo_over_c,
-                measured_hi_over_c=measured.hi_over_c,
-                rel_discrepancy=rel,
-            )
-    with open(report_path, "w", encoding="ascii") as fh:
+        except NumericalError as exc:  # the report keeps the prediction
+            failure = exc
+    if measured is not None:
+        rel = None
+        if interval is not None:
+            rel = abs(
+                (measured.hi_over_c - measured.lo_over_c) - interval.width_over_c
+            ) / interval.width_over_c
+        report = replace(
+            report,
+            measured_lo_over_c=measured.lo_over_c,
+            measured_hi_over_c=measured.hi_over_c,
+            rel_discrepancy=rel,
+        )
+    csv_path = os.path.join(cfg.out_dir, "branches.csv")
+    report_path = os.path.join(cfg.out_dir, "report.txt")
+    with _output("out_dir", csv_path, make_dir=True) as fh:
+        write_branch_csv(curve, fh)
+    with _output("out_dir", report_path) as fh:
         fh.write(report.to_text())
     _summarize(report, cfg)
+    if failure is not None:
+        print(f"oracle failure: {failure}", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(f"wrote {report_path} and {csv_path}")
     return EXIT_OK
 
@@ -228,7 +222,7 @@ def cmd_bands(args) -> int:
     cfg = _config_from_args(args)
     curve = _predict(cfg)[1]
     if args.out_file:
-        with open(args.out_file, "w", encoding="ascii") as fh:
+        with _output("out_file", args.out_file) as fh:
             write_branch_csv(curve, fh)
         print(f"wrote {args.out_file}")
     else:
@@ -241,7 +235,7 @@ def cmd_face_map(args) -> int:
         coerce("m0", args.m0), samples=args.resolution, half_width=args.half_width,
         exclusion_band=args.exclusion_band, tol=args.tol,
     )
-    with open(args.out, "w", encoding="ascii") as fh:
+    with _output("out", args.out) as fh:
         write_face_map_csv(fmap, fh)
     frac = fmap.flagged_fraction()
     print(f"face normal m0 = {fmap.m0}, window half-width {fmap.half_width}")
@@ -259,7 +253,7 @@ def cmd_global_scan(args) -> int:
     rows = global_scan(args.omega_lo, args.omega_hi, args.samples, p)
     worst = max(r.residual for r in rows)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with _output("out", args.out) as fh:
             write_global_scan_csv([(r.omega_over_c, r.k, r.order, r.residual) for r in rows], fh)
         print(f"wrote {args.out}")
     print(f"covered {len(rows)} frequencies in [{args.omega_lo}, {args.omega_hi}]")
@@ -349,9 +343,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except BandscanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

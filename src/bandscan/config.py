@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from . import lattice
-from .dirichlet import DirichletParams
+from .dirichlet import MAX_N, MIN_N, DirichletParams
 from .errors import ConfigError
 from .transmission import MAX_G_MAX, MaterialSpec, TransmissionParams
 
@@ -76,6 +76,9 @@ class ScanConfig:
             raise ConfigError(f"shape: unknown {self.shape!r}")
         if self.problem == "transmission" and self.shape != "sphere":
             raise ConfigError("shape: transmission supports spheres only")
+        if self.verify and self.shape != "sphere":
+            raise ConfigError(f"shape: the finite-difference oracle masks a sphere, so it "
+                              f"cannot check shape = {self.shape}; use shape = sphere")
         # the fields that one problem or shape reads: needed there, refused elsewhere
         sound_soft = self.problem == "dirichlet"
         reads = {"q": sound_soft and self.shape == "sphere",
@@ -96,9 +99,8 @@ class ScanConfig:
             raise ConfigError("delta_tilde_min: must not exceed delta_tilde_max")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ConfigError(f"samples: must be >= 1 and <= {MAX_SAMPLES}")
-        if not 16 <= self.n <= 96:
-            # 96, the largest grid any check runs, peaks at 631 MB in the FD oracle's build
-            raise ConfigError("n: must be >= 16 and <= 96")
+        if not MIN_N <= self.n <= MAX_N:
+            raise ConfigError(f"n: must be >= {MIN_N} and <= {MAX_N}")
         if self.g_max < 2:
             raise ConfigError("g_max: must be >= 2")
         if self.g_max > MAX_G_MAX:

@@ -32,6 +32,10 @@ from .twomode import TwoModeModel, order_two_admissibility
 #: Cell volume |Pi| of the cube [-pi, pi]^3.
 CELL_VOLUME = (2.0 * math.pi) ** 3
 
+#: Grid sizes n of the finite-difference oracle, which masks the sphere on an n^3
+#: grid.  96, the largest grid any check runs, peaks at 631 MB in the oracle's build.
+MIN_N, MAX_N = 16, 96
+
 
 @dataclass(frozen=True)
 class DirichletParams:
@@ -87,7 +91,7 @@ def pair_model(
     tol: float = lattice.DEFAULT_TOL,
 ) -> TwoModeModel:
     """Two-mode model of (k0, m0): centre |k0| + a_tilde/(2|k0|), splitting a_tilde."""
-    knorm = lattice.wavevector_norm(k0)
+    knorm = lattice.wavevector_norm("k0", k0)
     return TwoModeModel(
         k0, m0, knorm + p.a_tilde / (2.0 * knorm), p.a_tilde, exclusion_band, tol
     )

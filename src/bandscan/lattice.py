@@ -49,12 +49,11 @@ class Verdict(Enum):
 class ExceptionalClass:
     """Classification of a Bloch vector: order and the witnessing shifts."""
 
-    order: int
     shifts: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        if self.order != 1 + len(self.shifts):
-            raise ValueError("order must equal 1 + number of shifts")
+    @property
+    def order(self) -> int:
+        return 1 + len(self.shifts)
 
 
 @dataclass(frozen=True)
@@ -64,20 +63,21 @@ class GapAdmissibility:
     nu: float
 
 
-def as_wavevector(k) -> np.ndarray:
+def as_wavevector(name: str, k) -> np.ndarray:
+    """The wave vector `name` as a finite float 3-vector, refused by name otherwise."""
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
-        raise DomainError(f"wave vector must have 3 components, got shape {k.shape}")
+        raise DomainError(f"{name}: wave vector must have 3 components, got shape {k.shape}")
     if not np.all(np.isfinite(k)):
-        raise DomainError("wave vector components must be finite")
+        raise DomainError(f"{name}: wave vector components must be finite")
     return k
 
 
-def wavevector_norm(k) -> float:
-    """|k| of a finite, nonzero wave vector."""
-    norm = float(np.linalg.norm(as_wavevector(k)))
+def wavevector_norm(name: str, k) -> float:
+    """|k| of the finite, nonzero wave vector `name`."""
+    norm = float(np.linalg.norm(as_wavevector(name, k)))
     if norm == 0.0:
-        raise DomainError("zero wave vector is not classifiable")
+        raise DomainError(f"{name}: zero wave vector is not classifiable")
     return norm
 
 
@@ -141,10 +141,10 @@ def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, i
     plus Cauchy-Schwarz forces |m|^2 = 2 k.m <= 2|k||m|, and the +1 guard
     absorbs the tolerance.
     """
-    knorm = wavevector_norm(k)
+    knorm = wavevector_norm("k", k)
     require_nonnegative("tol", tol)
     M, m2 = _search_box("k", knorm)
-    return _shifts(M[_on_plane(M, m2, as_wavevector(k), tol)])
+    return _shifts(M[_on_plane(M, m2, as_wavevector("k", k), tol)])
 
 
 def _on_plane(M: np.ndarray, m2, k: np.ndarray, tol: float):
@@ -166,8 +166,7 @@ def _shifts(M: np.ndarray) -> list[tuple[int, int, int]]:
 
 def classify_wavevector(k, tol: float = DEFAULT_TOL) -> ExceptionalClass:
     """Order and shift set of a Bloch vector (order 1 = non-exceptional)."""
-    shifts = tuple(enumerate_candidate_shifts(k, tol))
-    return ExceptionalClass(order=1 + len(shifts), shifts=shifts)
+    return ExceptionalClass(tuple(enumerate_candidate_shifts(k, tol)))
 
 
 def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
@@ -180,22 +179,21 @@ def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
     """
     comps = [Fraction(*c) if isinstance(c, tuple) else Fraction(c) for c in k_rational]
     if len(comps) != 3:
-        raise DomainError("wave vector must have 3 components")
+        raise DomainError("k: wave vector must have 3 components")
     if all(c == 0 for c in comps):
-        raise DomainError("zero wave vector is not classifiable")
+        raise DomainError("k: zero wave vector is not classifiable")
     D = math.lcm(*(c.denominator for c in comps))
     p = np.array([int(c * D) for c in comps], dtype=object)
     norm2 = sum(c * c for c in comps)
     M, m2 = _search_box("k", math.sqrt(float(norm2)))
     hits = 2 * (M.astype(object) @ p) == D * m2.astype(object)
-    shifts = tuple(_shifts(M[hits]))
-    return ExceptionalClass(order=1 + len(shifts), shifts=shifts)
+    return ExceptionalClass(tuple(_shifts(M[hits])))
 
 
 def is_ewald_pair(k0, m0, tol: float = DEFAULT_TOL) -> bool:
     """Whether (k0, m0) satisfies 2 k0.m0 = |m0|^2 within tolerance."""
     m0 = as_shift(m0)
-    return bool(_on_plane(np.array(m0), sum(c * c for c in m0), as_wavevector(k0), tol))
+    return bool(_on_plane(np.array(m0), sum(c * c for c in m0), as_wavevector("k0", k0), tol))
 
 
 def gap_admissible(
@@ -210,12 +208,12 @@ def gap_admissible(
     NoGap above the band, BoundaryExcluded inside it, and
     HigherOrderExcluded when k0 lies on three or more cones.
     """
-    knorm = wavevector_norm(k0)
+    knorm = wavevector_norm("k0", k0)
     m0 = as_shift(m0)
     _search_box("k0", knorm)  # past the cap, named here rather than as k by the search
     cls = classify_wavevector(k0, tol)
     if m0 not in cls.shifts:
-        raise DomainError(f"(k0={tuple(as_wavevector(k0).tolist())}, m0={m0}) violates "
+        raise DomainError(f"(k0={tuple(as_wavevector('k0', k0).tolist())}, m0={m0}) violates "
                           "the plane condition")
     return shift_admissibility(knorm, m0, cls.order, exclusion_band)
 

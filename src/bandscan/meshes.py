@@ -60,12 +60,6 @@ class TriangleMesh:
         tv = self.triangle_vertices()
         return float(np.einsum("ij,ij->", tv[:, 0], np.cross(tv[:, 1], tv[:, 2])) / 6.0)
 
-    def transformed(self, matrix=None, scale: float = 1.0) -> "TriangleMesh":
-        v = self.vertices * scale
-        if matrix is not None:
-            v = v @ np.asarray(matrix, dtype=float).T
-        return TriangleMesh(v, self.triangles.copy())
-
 
 def validate_mesh(mesh: TriangleMesh) -> None:
     """Raise MeshError unless the mesh is closed, oriented, and positive."""
@@ -167,24 +161,3 @@ def icosphere(subdivisions: int = 3) -> TriangleMesh:
 def ellipsoid_mesh(a1: float, a2: float, a3: float, subdivisions: int = 4) -> TriangleMesh:
     sphere = icosphere(subdivisions)
     return TriangleMesh(sphere.vertices * np.array([a1, a2, a3]), sphere.triangles)
-
-
-def cube_mesh(side: float = 1.0, refinements: int = 3) -> TriangleMesh:
-    """Axis-aligned cube of the given side, 12 * 4^refinements triangles."""
-    s = side / 2.0
-    verts = np.array(
-        [(x, y, z) for x in (-s, s) for y in (-s, s) for z in (-s, s)], dtype=float
-    )
-    # outward-oriented faces of the [0..7] = (x,y,z) bit-coded corners
-    quads = [
-        (0, 1, 3, 2),  # -x
-        (4, 6, 7, 5),  # +x
-        (0, 4, 5, 1),  # -y
-        (2, 3, 7, 6),  # +y
-        (0, 2, 6, 4),  # -z
-        (1, 5, 7, 3),  # +z
-    ]
-    mesh = TriangleMesh(verts, np.array(quads)[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3))
-    for _ in range(refinements):
-        mesh = subdivide(mesh)
-    return mesh

@@ -55,6 +55,7 @@ import scipy.fft
 import scipy.sparse as sp
 from scipy.special import ive
 
+from ..dirichlet import MAX_N, MIN_N
 from ..errors import DomainError, ResolutionError
 from ..lattice import integer_cube, mirror_axes
 from .eig import EigResult, hermitian_eigensolve
@@ -312,9 +313,10 @@ def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> Eig
     with k_i = 0 are solved (`_mirrors`); `fourier_symbol(n, k)` is that
     sector's spectrum without the inclusion.
 
-    Requires n >= 16 and at least two grid cells across the inclusion
-    diameter (a hard floor below which the staircase sphere degenerates);
-    below four cells a resolution warning is issued instead.
+    Requires `dirichlet.MIN_N` <= n <= `dirichlet.MAX_N` and at least two
+    grid cells across the inclusion diameter (a hard floor below which the
+    staircase sphere degenerates); below four cells a resolution warning is
+    issued instead.
 
     The block eigensolver starts from the sector's plane waves of the lowest
     symbol modes, or from `v0`, the real `vectors` block of a solve at a
@@ -324,8 +326,8 @@ def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> Eig
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
         raise DomainError("wave vector must have 3 components")
-    if n < 16:
-        raise DomainError("fd_dirichlet_eigenvalues requires n >= 16")
+    if not MIN_N <= n <= MAX_N:
+        raise DomainError(f"n: must be >= {MIN_N} and <= {MAX_N}, got {n}")
     if count < 1:
         raise DomainError("count must be >= 1")
     if not 0.0 <= a < math.pi / 2:

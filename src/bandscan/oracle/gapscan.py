@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dirichlet import DirichletParams
-from ..errors import TrackingError
+from ..errors import DomainError, TrackingError
 from ..twomode import TwoModeModel
 from .fd import fd_dirichlet_eigenvalues, fourier_symbol
 from .pwe import free_spectrum, pwe_transmission_eigenvalues
@@ -50,6 +50,9 @@ def _oracle(params, n: int, g_max: int):
     the Ritz block v0.  The margin is `_auto_count`'s.
     """
     if isinstance(params, DirichletParams):
+        if params.q != 1.0:
+            raise DomainError(f"q: the finite-difference oracle masks a sphere (q = 1), "
+                              f"so it cannot check q = {params.q}")
         return (lambda kv: fourier_symbol(n, kv),
                 lambda kv, count, v0: fd_dirichlet_eigenvalues(kv, params.a, n, count, v0=v0),
                 1.0, 0)
@@ -100,8 +103,10 @@ def measure_gap_numeric(
     """Measure the local gap of `model`'s pair with the oracle `params` names.
 
     `params` is the DirichletParams or TransmissionParams `model` was built
-    from.  `deltas` is the grid of relative ray offsets; by default it spans
-    twice the predicted extremizer range, which brackets both branch extrema.
+    from.  The FD oracle masks the sphere of q = 1, so a DirichletParams of
+    any other q is refused, naming `q`, before any solve.  `deltas` is the
+    grid of relative ray offsets; by default it spans twice the predicted
+    extremizer range, which brackets both branch extrema.
     """
     unperturbed, solve, c_host, margin = _oracle(params, n, g_max)
     k0 = np.asarray(model.k0)

@@ -65,10 +65,6 @@ class MaterialSpec:
     def c_plus(self) -> float:
         return 1.0 / math.sqrt(self.gamma_plus * self.rho_plus)
 
-    @property
-    def c_minus(self) -> float:
-        return 1.0 / math.sqrt(self.gamma_minus * self.rho_minus)
-
 
 def volume_fraction(a: float) -> float:
     return (4.0 / 3.0) * math.pi * a**3 / CELL_VOLUME
@@ -101,7 +97,7 @@ class TransmissionParams:
 
 def khat_dot(k0, m0, tol: float = lattice.DEFAULT_TOL) -> float:
     """kh0 . kh1 for k1 = k0 - m0 on the Ewald sphere (|k1| = |k0|)."""
-    k0 = lattice.as_wavevector(k0)
+    k0 = lattice.as_wavevector("k0", k0)
     m0 = lattice.as_shift(m0)
     if not lattice.is_ewald_pair(k0, m0, tol):
         raise DomainError(f"(k0={tuple(k0.tolist())}, m0={m0}) violates the plane condition")
@@ -151,7 +147,7 @@ def pair_model(
     tol: float = lattice.DEFAULT_TOL,
 ) -> TwoModeModel:
     """Two-mode model of (k0, m0): centre |k0|(1 + (alpha+beta)f/2), splitting mu."""
-    knorm = lattice.wavevector_norm(k0)
+    knorm = lattice.wavevector_norm("k0", k0)
     mats = params.materials
     return TwoModeModel(
         k0, m0, knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * params.f),

@@ -59,8 +59,6 @@ class GapInterval:
 class BranchCurve:
     """Two-branch dispersion samples along the ray k = (1 + delta) k0."""
 
-    k0: tuple[float, float, float]
-    m0: tuple[int, int, int]
     delta_tilde: np.ndarray = field(repr=False)
     omega_minus_over_c: np.ndarray = field(repr=False)
     omega_plus_over_c: np.ndarray = field(repr=False)
@@ -75,9 +73,9 @@ def order_two_admissibility(k0, m0, exclusion_band: float = lattice.DEFAULT_EXCL
     k0: three or more degenerate plane waves have no two-mode gap."""
     adm = lattice.gap_admissible(k0, m0, exclusion_band, tol)
     if adm.verdict is lattice.Verdict.HIGHER_ORDER_EXCLUDED:
-        raise DomainError(f"k0={tuple(lattice.as_wavevector(k0).tolist())} is a higher-order "
-                          "exceptional point (three or more plane waves degenerate); "
-                          "no gap theory here")
+        raise DomainError(f"k0={tuple(lattice.as_wavevector('k0', k0).tolist())} is a "
+                          "higher-order exceptional point (three or more plane waves "
+                          "degenerate); no gap theory here")
     return adm
 
 
@@ -125,7 +123,7 @@ class TwoModeModel:
             raise DomainError("delta_range must be increasing")
         dts = np.linspace(lo, hi, n_samples)
         lower, upper = self.branches(dts, max(abs(lo), abs(hi), DEFAULT_DELTA0))
-        return BranchCurve(self.k0, self.m0, dts, lower, upper)
+        return BranchCurve(dts, lower, upper)
 
     def gap(self) -> tuple[GapStatus, GapInterval | None]:
         """Local gap from the branch extrema, with its status.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bandscan import lattice
+from bandscan import lattice, meshes
 
 
 def random_order_two_pairs(rng, n_pairs, ratio_band=1e-3, max_attempts_factor=20):
@@ -39,6 +39,28 @@ def random_order_two_pairs(rng, n_pairs, ratio_band=1e-3, max_attempts_factor=20
     if len(out) < n_pairs:
         raise RuntimeError("pair generation starved")
     return out
+
+
+def cube_mesh(side: float = 1.0, refinements: int = 3) -> meshes.TriangleMesh:
+    """Axis-aligned cube of the given side, 12 * 4^refinements triangles: a flat-faced
+    closed mesh for the BEM and for subdivision."""
+    s = side / 2.0
+    verts = np.array(
+        [(x, y, z) for x in (-s, s) for y in (-s, s) for z in (-s, s)], dtype=float
+    )
+    # outward-oriented faces of the [0..7] = (x,y,z) bit-coded corners
+    quads = [
+        (0, 1, 3, 2),  # -x
+        (4, 6, 7, 5),  # +x
+        (0, 4, 5, 1),  # -y
+        (2, 3, 7, 6),  # +y
+        (0, 2, 6, 4),  # -z
+        (1, 5, 7, 3),  # +z
+    ]
+    mesh = meshes.TriangleMesh(verts, np.array(quads)[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3))
+    for _ in range(refinements):
+        mesh = meshes.subdivide(mesh)
+    return mesh
 
 
 @pytest.fixture

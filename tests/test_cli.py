@@ -46,7 +46,14 @@ class TestClassify:
 
     def test_zero_vector_exits_2(self, capsys):
         assert run(["classify", "0", "0", "0"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: k: ")
+
+    @pytest.mark.parametrize("k", [["nan", "0", "0.5"], ["0", "inf", "0.5"],
+                                   ["--", "0", "0", "-inf"]])
+    def test_non_finite_vector_exits_2_and_names_k(self, capsys, k):
+        assert run(["classify", *k]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: k: wave vector components must be finite\n"
 
     def test_order_eight_point_is_classified_once(self, monkeypatch, capsys):
         from bandscan import lattice
@@ -452,6 +459,16 @@ def test_unusable_mesh_file_exits_2_and_names_mesh(tmp_path, monkeypatch, capsys
     assert sorted(os.listdir()) == ([] if kind == "missing" else [f"{kind}.off"])
 
 
+def test_config_and_fd_oracle_share_one_grid_range():
+    # the CLI once held its own n <= 96, and the oracle checked only n >= 16
+    from bandscan import config, dirichlet
+    from bandscan.oracle import fd
+
+    assert (config.MIN_N, config.MAX_N) == (fd.MIN_N, fd.MAX_N) == (16, 96)
+    assert config.MIN_N is fd.MIN_N is dirichlet.MIN_N
+    assert config.MAX_N is fd.MAX_N is dirichlet.MAX_N
+
+
 @pytest.mark.parametrize("command", [["gap", "--verify"], ["gap"]])
 def test_g_max_above_the_basis_cap_exits_2_and_is_named(tmp_path, capsys, command):
     # g_max = 11 once reached the PWE basis and failed there with "basis size
@@ -540,6 +557,23 @@ def test_double_dash_value_exits_2_and_is_named(capsys, argv, field):
     # ended in an AttributeError or TypeError traceback
     assert run(argv.split()) == 2
     assert re.match(rf"error: {field}: ", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, field", [
+    ("gap --out taken", "out_dir"),
+    ("bands --out-file nodir/x.csv", "out_file"),
+    ("face-map --out nodir/x.csv", "out"),
+    ("global-scan --omega-lo 0.5 --omega-hi 1 --out nodir/x.csv", "out"),
+])
+def test_unwritable_output_path_exits_2_and_is_named(tmp_path, monkeypatch, capsys, argv, field):
+    # a file where the output directory goes, or a missing directory, ended
+    # in a FileExistsError or FileNotFoundError traceback with exit 1
+    monkeypatch.chdir(tmp_path)
+    Path("taken").write_text("")
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {field}: cannot write ")
+    assert sorted(os.listdir()) == ["taken"]
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -70,6 +70,20 @@ def test_requires_order_two_and_params():
         transmission.pair_model((0.3, 0.1, 0.2), (1, 0, 0), params)
 
 
+def test_fd_oracle_refuses_q_other_than_the_sphere_before_any_solve(monkeypatch):
+    # the FD oracle masks the sphere of q = 1; measured against it, the q = 2
+    # prediction once printed the sphere's gap beside its own
+    from bandscan.oracle import gapscan
+
+    calls = []
+    monkeypatch.setattr(gapscan, "fd_dirichlet_eigenvalues", lambda *a, **kw: calls.append(a))
+    p = dirichlet.DirichletParams(a=0.4, q=2.0)
+    model = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p)
+    with pytest.raises(DomainError, match=r"^q: the finite-difference oracle masks a sphere"):
+        measure_gap_numeric(model, p, n=24)
+    assert calls == []
+
+
 def test_warm_started_ray_matches_cold_solves(monkeypatch):
     # nu = 0.16, n = 24: each point after the first starts from the Ritz
     # block of the previous one, and the bands equal those of cold solves of

@@ -249,7 +249,7 @@ def test_wave_vector_messages_print_plain_floats(monkeypatch):
     assert "(0.0, 0.0, 0.5)" in message(
         lambda: gapscan._auto_count(np.zeros(20), k, center=1.0, window=1.0, margin=0))
     # a pair on its plane that the classification, patched, calls non-exceptional
-    monkeypatch.setattr(lattice, "classify_wavevector", lambda *a: lattice.ExceptionalClass(1, ()))
+    monkeypatch.setattr(lattice, "classify_wavevector", lambda *a: lattice.ExceptionalClass(()))
     assert "(0.0, 0.0, 0.5)" in message(lambda: lattice.gap_admissible(k, (0, 0, 1)))
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cube_mesh
+
 from bandscan import meshes
 from bandscan.errors import MeshError
 
@@ -21,7 +23,7 @@ def test_icosphere_volume_approaches_sphere():
 
 
 def test_cube_mesh():
-    m = meshes.cube_mesh(2.0, refinements=2)
+    m = cube_mesh(2.0, refinements=2)
     meshes.validate_mesh(m)
     assert m.enclosed_volume() == pytest.approx(8.0, rel=1e-12)
 
@@ -81,7 +83,7 @@ def test_off_comments_and_errors(tmp_path):
 
 
 def test_subdivide_preserves_geometry():
-    m = meshes.cube_mesh(1.0, 0)
+    m = cube_mesh(1.0, 0)
     fine = meshes.subdivide(m)
     assert fine.n_triangles == 4 * m.n_triangles
     assert fine.enclosed_volume() == pytest.approx(m.enclosed_volume(), rel=1e-12)
@@ -110,8 +112,8 @@ def dict_loop_subdivide(mesh):
     return np.array(verts), np.array(tris)
 
 
-@pytest.mark.parametrize("mesh", [meshes.icosahedron(), meshes.cube_mesh(1.0, 0),
-                                  meshes.cube_mesh(2.0, 2)], ids=["icosahedron", "cube", "cube-2"])
+@pytest.mark.parametrize("mesh", [meshes.icosahedron(), cube_mesh(1.0, 0),
+                                  cube_mesh(2.0, 2)], ids=["icosahedron", "cube", "cube-2"])
 def test_subdivide_numbers_midpoints_in_first_met_order(mesh):
     verts, tris = dict_loop_subdivide(mesh)
     fine = meshes.subdivide(mesh)

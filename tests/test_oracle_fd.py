@@ -148,25 +148,34 @@ class TestMaskedProblem:
         assert abs(M - M.T).max() <= 1e-12 * abs(M).max()
 
     def test_largest_n16_masks_match_dense_reference(self):
-        import scipy.linalg
+        from scipy.sparse.linalg import eigsh
 
         # the biggest mask at n = 16 leaves the fewest free nodes a whole-grid
         # solve has (3,845); at k = 0 only a dense solve once got there.  The
-        # k = 0 matrix is real, so its reference eigvalsh runs in real
-        # arithmetic.  At k = 0 the solve keeps the sector even under all
-        # three mirrors: the lowest value, then values of the whole spectrum.
+        # reference is shift-invert ARPACK on a sparse LU of the node-basis
+        # matrix, which shares nothing with LOBPCG, the preconditioner or the
+        # sector basis.  The spectrum is >= 0 (a principal submatrix of the
+        # periodic operator), so the values nearest a shift below 0 are the
+        # lowest, and a shift just below a solved value finds the value of the
+        # whole spectrum next to it.  The k = 0 matrix is real, so its
+        # reference runs in real arithmetic.  At k = 0 the solve keeps the
+        # sector even under all three mirrors: the lowest value, then values
+        # of the whole spectrum.
         a = math.pi / 2 - 1e-6
         for k in (K, np.zeros(3)):
             res = fd.fd_dirichlet_eigenvalues(k, a, 16, 2)
-            dense = reference_csr(16, k, fd.sphere_mask(16, a)).toarray()
+            A = reference_csr(16, k, fd.sphere_mask(16, a))
             if not k.any():
-                assert not dense.imag.any()
-                dense = dense.real
-            ref = np.sort(scipy.linalg.eigvalsh(dense))
+                assert not A.data.imag.any()
+                A = A.real
+            lowest = np.sort(eigsh(A, 2, sigma=-1.0, return_eigenvectors=False))
+            near = [eigsh(A, 1, sigma=v - 1e-6, return_eigenvectors=False)[0]
+                    for v in res.eigenvalues]
+            ref = np.sort(np.concatenate([lowest, near]))
             assert res.eigenvalues[0] == pytest.approx(ref[0], abs=1e-10)
             assert np.min(np.abs(ref[None, :] - res.eigenvalues[:, None]), axis=1).max() <= 1e-10
             if k.any():
-                assert np.allclose(res.eigenvalues, ref[:2], atol=1e-10)
+                assert np.allclose(res.eigenvalues, lowest, atol=1e-10)
             assert res.residual_norm <= 1e-8
 
 
@@ -184,6 +193,14 @@ class TestGuards:
             fd.fd_dirichlet_eigenvalues(K, 0.3, 12, 1)
         with pytest.raises(DomainError):
             fd.fd_dirichlet_eigenvalues(K, 0.1, 4, 1)
+
+    def test_grid_above_the_cap_is_refused_before_any_sector_is_built(self, monkeypatch):
+        # n = 128 once reached the build, where n = 96 already peaks at 631 MB
+        built = []
+        monkeypatch.setattr(fd, "_sector", lambda *a: built.append(a))
+        with pytest.raises(DomainError, match=r"^n: must be >= 16 and <= 96, got 128"):
+            fd.fd_dirichlet_eigenvalues(K, 0.3, 128, 2)
+        assert built == []
 
     def test_bad_count(self):
         with pytest.raises(DomainError):

@@ -39,3 +39,22 @@ def test_gap_experiment_reports_an_oracle_failure_on_its_row(tmp_path):
     assert [r["a"] for r in rows] == ["0.2", "0.3"]
     assert rows[0]["predicted_lo"] and rows[0]["measured_lo"] == rows[0]["measured_hi"] == ""
     assert float(rows[1]["measured_lo"]) < float(rows[1]["measured_hi"])
+
+
+def test_gap_experiment_refuses_a_q_the_oracle_cannot_mask(tmp_path):
+    # the FD oracle masks the sphere of q = 1: at q = 2 the sweep once printed
+    # the sphere's measured gap beside the q = 2 prediction and exited 0
+    proc = _run_script("run_gap_experiment.py", "--scales", "0.4", "--q", "2", "--n", "24",
+                       "--verify", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error: q: the finite-difference oracle masks a sphere" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not any(tmp_path.iterdir())
+
+
+def test_remainder_study_refuses_a_grid_past_the_cap_before_its_first_solve(tmp_path):
+    # each scale also solves at 2n = 128, past the FD oracle's n <= 96
+    proc = _run_script("run_remainder_study.py", "--scales", "0.3", "--n", "64", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error: n: " in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -46,7 +46,6 @@ class TestMaterials:
     def test_host_speed(self):
         m = MaterialSpec(4.0, 1.0, 0.25, 1.0)
         assert m.c_plus == pytest.approx(1.0)
-        assert m.c_minus == pytest.approx(1.0)
 
 
 class TestParams:
