@@ -63,7 +63,7 @@ def capacitance_ellipsoid(a1: float, a2: float, a3: float) -> CapacitanceResult:
     """
     if not (math.isfinite(a1) and a1 >= a2 >= a3 > 0.0):
         raise DomainError(
-            f"semiaxes must be finite and satisfy a1 >= a2 >= a3 > 0, got {(a1, a2, a3)}"
+            f"semiaxes: must be finite and satisfy a1 >= a2 >= a3 > 0, got {(a1, a2, a3)}"
         )
     from scipy.special import elliprf  # lazily: the mesh path does not need it
 

@@ -8,9 +8,10 @@ the CLI flags, which are generated from the fields: `--name-with-dashes`,
 and `--out` for `out_dir`.  A flag's text is parsed like the file value of
 its key, and CLI flags override file values.  `ScanConfig.validated` refuses
 a field that the problem or shape does not read, and `ScanConfig.params`
-builds the problem's parameters.  Validation failures raise ConfigError
-naming the offending field.  A canonical example ships in
-configs/example_gap.cfg.
+builds the problem's parameters.  Every refusal names the offending field:
+ConfigError from the checks here, DomainError from the rules that `lattice`
+and the params types own (samples, n, g_max, tol and exclusion_band; a, q
+and the materials).  A canonical example ships in configs/example_gap.cfg.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from . import lattice
-from .dirichlet import MAX_N, MIN_N, DirichletParams
+from .dirichlet import MAX_N, MIN_N, DirichletParams, require_scale
 from .errors import ConfigError
-from .transmission import MAX_G_MAX, MaterialSpec, TransmissionParams
+from .transmission import MAX_G_MAX, MIN_G_MAX, MaterialSpec, TransmissionParams
 
 
 #: The material keys, named like the MaterialSpec fields; only transmission reads them.
@@ -68,10 +69,6 @@ class ScanConfig:
             raise ConfigError("k0: needs 3 components, not all zero")
         if len(self.m0) != 3 or self.m0 == (0, 0, 0):
             raise ConfigError("m0: needs 3 integer components, not all zero")
-        if not self.a >= 0.0:
-            raise ConfigError("a: must be >= 0")
-        if not self.q > 0.0:
-            raise ConfigError("q: must be > 0")
         if self.shape not in ("sphere", "ellipsoid", "mesh"):
             raise ConfigError(f"shape: unknown {self.shape!r}")
         if self.problem == "transmission" and self.shape != "sphere":
@@ -92,25 +89,16 @@ class ScanConfig:
             if not read and value != getattr(ScanConfig, name):
                 raise ConfigError(f"{name}: problem = {self.problem} with shape = {self.shape} "
                                   f"does not use it, got {value!r}")
-        for name in _MATERIALS:
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name}: must be > 0")
         if not self.delta_tilde_min <= self.delta_tilde_max:
             raise ConfigError("delta_tilde_min: must not exceed delta_tilde_max")
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ConfigError(f"samples: must be >= 1 and <= {MAX_SAMPLES}")
-        if not MIN_N <= self.n <= MAX_N:
-            raise ConfigError(f"n: must be >= {MIN_N} and <= {MAX_N}")
-        if self.g_max < 2:
-            raise ConfigError("g_max: must be >= 2")
-        if self.g_max > MAX_G_MAX:
-            raise ConfigError(f"g_max: must be <= {MAX_G_MAX}")
+        lattice.require_between("samples", self.samples, 1, MAX_SAMPLES)
+        lattice.require_between("n", self.n, MIN_N, MAX_N)
+        lattice.require_between("g_max", self.g_max, MIN_G_MAX, MAX_G_MAX)
         if not self.c > 0.0:
             raise ConfigError("c: must be > 0")
-        if not self.exclusion_band >= 0.0:
-            raise ConfigError("exclusion_band: must be >= 0")
-        if not self.tol >= 0.0:
-            raise ConfigError("tol: must be >= 0")
+        # here, not at their first use: with a mesh shape that comes after the BEM solve
+        lattice.require_nonnegative("exclusion_band", self.exclusion_band)
+        lattice.require_nonnegative("tol", self.tol)
         return self
 
     def params(self) -> DirichletParams | TransmissionParams:
@@ -120,6 +108,7 @@ class ScanConfig:
             return TransmissionParams(materials=materials, a=self.a)
         if self.shape == "sphere":
             return DirichletParams(a=self.a, q=self.q)
+        require_scale(self.a)  # before the shape's solve, which for a mesh takes seconds
         from .capacitance import shape_factor  # loads scipy, which a sphere does not need
 
         return DirichletParams(a=self.a, q=shape_factor(self.shape, self.semiaxes, self.mesh).q)

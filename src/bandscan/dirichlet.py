@@ -37,6 +37,12 @@ CELL_VOLUME = (2.0 * math.pi) ** 3
 MIN_N, MAX_N = 16, 96
 
 
+def require_scale(a: float) -> None:
+    """Refuses a scale outside 0 <= a < 0.5*pi: the bound of DirichletParams and the FD oracle."""
+    if not 0.0 <= a < 0.5 * math.pi:  # NaN fails too
+        raise DomainError(f"a: must be >= 0 and < 0.5*pi, got {a}")
+
+
 @dataclass(frozen=True)
 class DirichletParams:
     """Inclusion scale a and shape factor q; the cell is [-pi, pi]^3.
@@ -50,17 +56,14 @@ class DirichletParams:
     q: float = 1.0
 
     def __post_init__(self):
-        if not (self.a >= 0.0 and math.isfinite(self.a)):
-            raise DomainError("inclusion scale a must be finite and >= 0")
-        if self.a >= 0.5 * math.pi:
-            raise DomainError(f"a={self.a} too large; require a < 0.5*pi")
+        require_scale(self.a)
+        if not (self.q > 0.0 and math.isfinite(self.q)):
+            raise DomainError(f"q: must be finite and > 0, got {self.q}")
         if self.a > 0.2 * math.pi:
             warnings.warn(
                 f"a={self.a} above 0.2*pi; asymptotic accuracy degrades",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__, to its caller
             )
-        if not (self.q > 0.0 and math.isfinite(self.q)):
-            raise DomainError(f"shape factor q must be finite and positive, got {self.q}")
 
     @property
     def a_tilde(self) -> float:

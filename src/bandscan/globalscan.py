@@ -57,10 +57,10 @@ def cover_frequency(
 ) -> CoverageRow:
     """A non-exceptional k with (1 + eps(a, k)) |k| = omega/c on a ray."""
     if omega_over_c <= 0:
-        raise DomainError("omega must be positive")
+        raise DomainError(f"omega_over_c: must be > 0, got {omega_over_c}")
     d = np.asarray(direction, dtype=float)
     if np.linalg.norm(d) == 0:
-        raise DomainError("ray direction must be nonzero")
+        raise DomainError("direction: must be nonzero")
     A = 2.0 * math.pi * p.q * p.a / CELL_VOLUME
     for attempt in range(MAX_PERTURBATIONS + 1):
         dhat = d / np.linalg.norm(d)
@@ -87,10 +87,9 @@ def global_scan(
     p: DirichletParams,
 ) -> list[CoverageRow]:
     """Cover every omega in [omega_lo, omega_hi] by a propagating wave."""
-    if not math.isfinite(omega_hi):
-        raise DomainError(f"omega_hi must be finite, got {omega_hi}")
-    if not (0.0 < omega_lo < omega_hi):
-        raise DomainError("need 0 < omega_lo < omega_hi")
+    if not 0.0 < omega_lo < omega_hi < math.inf:  # NaN fails too
+        raise DomainError(f"omega_lo, omega_hi: must satisfy 0 < omega_lo < omega_hi < inf, "
+                          f"got {omega_lo}, {omega_hi}")
     if not 1 <= samples <= MAX_SAMPLES:
         raise DomainError(f"samples: must be between 1 and {MAX_SAMPLES}, got {samples}")
     omegas = np.linspace(omega_lo, omega_hi, samples)

@@ -160,6 +160,12 @@ def require_nonnegative(name: str, value: float) -> None:
         raise DomainError(f"{name}: must be finite and >= 0, got {value}")
 
 
+def require_between(name: str, value: int, lo: int, hi: int) -> None:
+    """Refuses field `name` outside [lo, hi]: the one text of each range, in config and oracle."""
+    if not lo <= value <= hi:
+        raise DomainError(f"{name}: must be >= {lo} and <= {hi}")
+
+
 def _shifts(M: np.ndarray) -> list[tuple[int, int, int]]:
     return sorted(tuple(int(c) for c in m) for m in M)
 

@@ -70,14 +70,14 @@ def hermitian_eigensolve(A, count: int, *, precond, v0, spectrum=None, tol: floa
 
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
-        raise DomainError("matrix must be square")
+        raise DomainError(f"A: must be square, got shape {A.shape}")
     if count < 1 or count > n:
-        raise DomainError(f"count must be in [1, {n}]")
+        raise DomainError(f"count: must be in [1, {n}], got {count}")
     if np.iscomplexobj(v0):
-        raise DomainError("starting block must be real")
+        raise DomainError("v0: starting block must be real")
     X = np.array(v0, dtype=float)  # a copy: lobpcg overwrites its start block
     if X.ndim != 2 or X.shape[0] != n or X.shape[1] < count:
-        raise DomainError("starting block shape mismatch")
+        raise DomainError(f"v0: starting block shape {X.shape} is not ({n}, >= {count})")
 
     # lobpcg's tol is an absolute residual norm: scale it by the largest
     # Rayleigh quotient of the start block and, on a restart from the block

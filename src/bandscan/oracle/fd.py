@@ -55,9 +55,9 @@ import scipy.fft
 import scipy.sparse as sp
 from scipy.special import ive
 
-from ..dirichlet import MAX_N, MIN_N
+from ..dirichlet import MAX_N, MIN_N, require_scale
 from ..errors import DomainError, ResolutionError
-from ..lattice import integer_cube, mirror_axes
+from ..lattice import as_wavevector, integer_cube, mirror_axes, require_between
 from .eig import EigResult, hermitian_eigensolve
 
 TWO_PI = 2.0 * math.pi
@@ -323,15 +323,11 @@ def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> Eig
     nearby k on the same grid, mask and sector (plane waves fill any missing
     columns).  The result carries that Ritz block in `vectors`.
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
-        raise DomainError("wave vector must have 3 components")
-    if not MIN_N <= n <= MAX_N:
-        raise DomainError(f"n: must be >= {MIN_N} and <= {MAX_N}, got {n}")
+    k = as_wavevector("k", k)
+    require_between("n", n, MIN_N, MAX_N)
     if count < 1:
-        raise DomainError("count must be >= 1")
-    if not 0.0 <= a < math.pi / 2:
-        raise DomainError("inclusion radius must satisfy 0 <= a < pi/2")
+        raise DomainError("count: must be >= 1")
+    require_scale(a)
     cells = a * n / math.pi  # across the diameter 2a at spacing 2 pi / n
     if a > 0.0:
         if cells < 2.0:
@@ -358,7 +354,7 @@ def _solve(k, a: float, n: int, count: int, v0, axes: tuple[int, ...]) -> EigRes
     else:
         X = np.asarray(v0)
         if X.ndim != 2 or X.shape[0] != op.shape[0] or np.iscomplexobj(X):
-            raise DomainError(f"v0 must be real with {op.shape[0]} rows, one per basis vector")
+            raise DomainError(f"v0: must be real with {op.shape[0]} rows, one per basis vector")
         if X.shape[1] < len(modes):
             X = np.hstack([X, op.plane_wave_block(modes[X.shape[1]:])])
         else:

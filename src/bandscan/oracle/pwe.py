@@ -39,8 +39,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ..errors import DomainError, NumericalError
-from ..lattice import integer_cube, mirror_axes
-from ..transmission import MAX_G_MAX, TransmissionParams, volume_fraction
+from ..lattice import as_wavevector, integer_cube, mirror_axes, require_between
+from ..transmission import MAX_G_MAX, MIN_G_MAX, TransmissionParams, volume_fraction
 from .eig import EigResult
 
 
@@ -52,8 +52,8 @@ def sphere_indicator_fourier(gnorm, a: float):
     f * 3 (sin t - t cos t) / t^3 with t = |g| a, which tends to f as
     t -> 0.  `gnorm` is a scalar or an array of |g| values.
     """
-    if a <= 0:
-        raise DomainError("sphere radius must be positive")
+    if not a > 0.0:
+        raise DomainError(f"a: sphere radius must be > 0, got {a}")
     f = volume_fraction(a)
     t = np.asarray(gnorm, dtype=float) * a
     out = np.full(t.shape, f)
@@ -161,17 +161,16 @@ def pwe_transmission_eigenvalues(k, params: TransmissionParams, g_max: int,
     Only the eigenvalues of the sector even under every mirror x_i -> -x_i
     with k_i = 0 are solved.
     """
-    if not 2 <= g_max <= MAX_G_MAX:
-        raise DomainError(f"g_max must be between 2 and {MAX_G_MAX}, got {g_max}")
+    require_between("g_max", g_max, MIN_G_MAX, MAX_G_MAX)
     if count < 1:
-        raise DomainError("count must be >= 1")
-    k = np.asarray(k, dtype=float)
+        raise DomainError("count: must be >= 1")
+    k = as_wavevector("k", k)
     if g_max * params.a < 1.0:
         msg = f"g_max*a = {g_max * params.a:.2f} < 1: truncation barely resolves the sphere"
         warnings.warn(msg, stacklevel=2)
     A, B = assemble_pwe(k, params, g_max)
     if count > len(A):
-        raise DomainError(f"count {count} exceeds the {len(A)} modes solved")
+        raise DomainError(f"count: {count} exceeds the {len(A)} modes solved")
     norm = max(np.linalg.norm(A), 1e-300)
     herm = np.linalg.norm(A - A.T) / norm
     if not herm <= 1e-12:

@@ -30,9 +30,9 @@ from .dirichlet import CELL_VOLUME
 from .errors import DomainError
 from .twomode import TwoModeModel, order_two_admissibility
 
-#: Cap on the plane-wave oracle's truncation.  The dense solve of the full
+#: Range of the plane-wave oracle's truncation.  The dense solve of the full
 #: basis, (2 g_max + 1)^3 modes, peaks at 259 MB at 6 and 513 MB at 7.
-MAX_G_MAX = 6
+MIN_G_MAX, MAX_G_MAX = 2, 6
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class MaterialSpec:
         for f in fields(self):
             v = getattr(self, f.name)
             if not (v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"{f.name} must be finite and positive, got {v}")
+                raise DomainError(f"{f.name}: must be finite and > 0, got {v}")
 
     @property
     def sigma(self) -> float:
@@ -78,10 +78,8 @@ class TransmissionParams:
     a: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError("sphere radius a must be finite and positive")
-        if volume_fraction(self.a) >= 1.0:
-            raise DomainError("volume fraction must be below 1")
+        if not 0.0 < volume_fraction(self.a) < 1.0:  # NaN fails too
+            raise DomainError(f"a: must be > 0 with a volume fraction below 1, got {self.a}")
 
     @property
     def f(self) -> float:
@@ -90,7 +88,7 @@ class TransmissionParams:
     @classmethod
     def from_volume_fraction(cls, materials: MaterialSpec, f: float) -> "TransmissionParams":
         if not (0.0 < f < 1.0):
-            raise DomainError(f"volume fraction must lie in (0, 1), got {f}")
+            raise DomainError(f"f: volume fraction must lie in (0, 1), got {f}")
         a = (f * CELL_VOLUME * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
         return cls(materials=materials, a=a)
 

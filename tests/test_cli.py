@@ -481,7 +481,7 @@ def test_g_max_above_the_basis_cap_exits_2_and_is_named(tmp_path, capsys, comman
     rc = run(command + ["--problem", "transmission", "--k0", "0,0,0.5",
                         "--a", "0.5", "--g-max", "7", "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: g_max: must be <= 6\n"
+    assert capsys.readouterr().err == "error: g_max: must be >= 2 and <= 6\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -523,7 +523,46 @@ def test_bad_lattice_tolerance_exits_2_and_is_named(tmp_path, monkeypatch, capsy
     assert err.startswith(f"error: {field}: must be finite and >= 0")
 
 
-_NUMBERS = ("0", "1", "-1", "0.5", "2e-3", " 1 ")
+@pytest.mark.parametrize("argv, field", [
+    ("gap --a 2", "a"),
+    ("gap --problem transmission --a 0", "a"),
+    ("gap --problem transmission --a 4", "a"),  # volume fraction 1.09
+    ("gap --problem transmission --gamma-plus -1", "gamma_plus"),
+    ("gap --tol -1", "tol"),
+    ("gap --exclusion-band -1", "exclusion_band"),
+    ("gap --problem transmission --g-max 7", "g_max"),
+    ("global-scan --omega-lo 0.5 --omega-hi 1 --q 0 --out g.csv", "q"),
+    ("global-scan --omega-lo 0.5 --omega-hi 1 --a -1 --out g.csv", "a"),
+])
+def test_refusal_of_the_params_owner_exits_2_and_is_named(tmp_path, monkeypatch, capsys, argv,
+                                                          field):
+    # the params types and lattice own these rules; their messages once named
+    # no field, as "a=2.0 too large; require a < 0.5*pi"
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {field}: ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("a", ["2", "-1"])
+def test_bad_a_with_a_mesh_is_refused_before_the_bem_solve(tmp_path, monkeypatch, capsys, a):
+    # a = 2 once ran the BEM first: 3.6 s for a 5,120-panel mesh
+    from bandscan import capacitance, meshes
+
+    path = tmp_path / "s.off"
+    meshes.write_off(meshes.icosphere(1), path)
+    calls = []
+    monkeypatch.setattr(capacitance, "capacitance_bem", lambda *args: calls.append(args))
+    argv = ["gap", "--shape", "mesh", "--mesh", str(path), "--a", a,
+            "--out", str(tmp_path / "o")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: a: ")
+    assert calls == [] and not (tmp_path / "o").exists()
+
+
+_NUMBERS =("0", "1", "-1", "0.5", "2e-3", " 1 ")
 _NOT_NUMBERS = ("", " ", "x", "1e", "--", "0x1", "1.2.3", "+-1", "1;2")
 #: Vector text that is not 3 numbers: an empty component, a non-numeric
 #: token, or a count other than 3 (the empty value included).

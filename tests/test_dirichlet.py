@@ -22,8 +22,10 @@ def test_params_validation():
         DirichletParams(a=0.5 * math.pi)
     with pytest.raises(DomainError):
         DirichletParams(a=0.1, q=0.0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="above 0.2") as record:
         DirichletParams(a=0.21 * math.pi)
+    # the caller's line, not the dataclass's generated __init__ ("<string>:5")
+    assert [w.filename for w in record] == [__file__]
     assert DirichletParams(a=0.0).a_tilde == 0.0
 
 

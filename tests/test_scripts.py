@@ -58,3 +58,10 @@ def test_remainder_study_refuses_a_grid_past_the_cap_before_its_first_solve(tmp_
     assert proc.returncode == 2
     assert "error: n: " in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_remainder_study_names_a_scale_too_large_for_the_cell(tmp_path):
+    # the FD oracle's refusal once read "inclusion radius must satisfy 0 <= a < pi/2"
+    proc = _run_script("run_remainder_study.py", "--scales", "2", "--n", "24", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error: a: " in proc.stderr and "Traceback" not in proc.stderr
