@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from bandscan.config import coerce
-from bandscan.dirichlet import MAX_N, MIN_N
+from bandscan.dirichlet import MAX_N, MIN_N, require_scale
 from bandscan.errors import ConfigError, DomainError
 from bandscan.oracle import fd
 
@@ -50,6 +50,11 @@ def main():
         # each scale also solves at 2n, which the oracle would refuse only after the n solve
         ap.error(f"n: the study solves at n and 2n, so n must be >= {MIN_N} "
                  f"and <= {MAX_N // 2}, got {args.n}")
+    try:
+        for a in args.scales:  # every scale, before the first mask is built
+            require_scale(a)
+    except DomainError as exc:
+        ap.error(str(exc))
     print("a      n    cap_d     remainder      ratio_vs_half")
     try:
         for a in args.scales:

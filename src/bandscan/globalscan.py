@@ -90,7 +90,6 @@ def global_scan(
     if not 0.0 < omega_lo < omega_hi < math.inf:  # NaN fails too
         raise DomainError(f"omega_lo, omega_hi: must satisfy 0 < omega_lo < omega_hi < inf, "
                           f"got {omega_lo}, {omega_hi}")
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise DomainError(f"samples: must be between 1 and {MAX_SAMPLES}, got {samples}")
+    lattice.require_between("samples", samples, 1, MAX_SAMPLES)
     omegas = np.linspace(omega_lo, omega_hi, samples)
     return [cover_frequency(float(om), p) for om in omegas]

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import permutations, product
 from typing import Sequence
 
 import numpy as np
@@ -96,11 +96,25 @@ def integer_cube(bound: int, dtype=int) -> np.ndarray:
     return np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def mirror_axes(k) -> tuple[int, ...]:
-    """The axes i with k_i = 0, whose mirrors x_i -> -x_i fix k: each oracle solves the
-    sector even under all of them.  At an order-two k0, m0_i = 0 wherever k0_i = 0
-    (flipping m0_i would give a third degenerate wave), so they fix the pair too."""
-    return tuple(i for i in range(3) if k[i] == 0.0)
+def stabiliser(k) -> tuple:
+    """The group G of the R in `cubic_symmetries()` with R k = k, identity first, each R in
+    nested tuples (the oracles cache by G).  At an order-two k0, G fixes m0 (R m0 is a shift
+    of R k0 = k0), so the pair and the centred sphere lie in G's symmetric sector."""
+    S = cubic_symmetries()
+    fixed = S[np.all(S @ np.asarray(k, dtype=float) == k, axis=1)]
+    return tuple(tuple(map(tuple, R)) for R in fixed.tolist())
+
+
+def orbits(points: np.ndarray, group, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, number) of the orbits of `group` on `points` (N, 3), distinct mod `period`.
+
+    `first` indexes, in the order of `points`, each orbit's point of smallest code (p mod
+    `period` in mixed radix), and point i lies in the orbit of `points[first[number[i]]]`."""
+    radix = np.array([period * period, period, 1])
+    key = reduce(np.minimum, [points @ np.transpose(R) % period @ radix for R in group])
+    first = np.flatnonzero(points % period @ radix == key)
+    order = np.argsort(key[first])
+    return first, order[np.searchsorted(key[first], key, sorter=order)]
 
 
 #: Cap on |k| of the candidate-shift search, whose box |m|_inf <= ceil(2|k|) + 1
@@ -302,8 +316,7 @@ def face_gap_region(
     the disk k1^2 + k2^2 < 1/4.  Vectorized over blocks of pixels.
     """
     m0 = as_shift(m0)
-    if not 2 <= samples <= MAX_FACE_SAMPLES:
-        raise DomainError(f"samples: must be between 2 and {MAX_FACE_SAMPLES}, got {samples}")
+    require_between("samples", samples, 2, MAX_FACE_SAMPLES)
     if not 0.0 < half_width <= MAX_FACE_HALF_WIDTH:  # NaN fails too
         raise DomainError(f"half_width: must be > 0 and <= {MAX_FACE_HALF_WIDTH}, "
                           f"got {half_width}")
@@ -348,13 +361,11 @@ def face_gap_region(
     )
 
 
-def cubic_symmetries() -> list[np.ndarray]:
-    """The 48 signed permutation matrices of the cube group."""
-    mats = []
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        for signs in product((1, -1), repeat=3):
-            P = np.zeros((3, 3))
-            for row, (col, s) in enumerate(zip(perm, signs)):
-                P[row, col] = s
-            mats.append(P)
-    return mats
+@lru_cache(maxsize=1)
+def cubic_symmetries() -> np.ndarray:
+    """The 48 signed permutation matrices of the cube group, (48, 3, 3), identity first."""
+    eye = np.eye(3, dtype=int)
+    S = np.array([np.diag(s) @ eye[list(p)] for p in permutations(range(3))
+                  for s in product((1, -1), repeat=3)])
+    S.flags.writeable = False
+    return S

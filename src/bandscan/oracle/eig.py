@@ -34,6 +34,16 @@ CALLS = 30
 warnings.filterwarnings("ignore", r"(Exited|Failed) (at iteration|postprocessing)", UserWarning)
 
 
+def outside_stacklevel() -> int:
+    """`stacklevel` of an oracle warning that names the first line outside this package."""
+    from sys import _getframe
+
+    frame, level = _getframe(2), 2
+    while frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class EigResult:
     """Sorted lowest eigenvalues of one discretized Bloch problem.

@@ -23,20 +23,21 @@ range of the symbol; the eigensolver fails a solve that returns a value
 outside that interval.
 
 The centred sphere keeps two symmetries, and every solve uses both
-(`_Sector`).  Each mirror x_i -> -x_i with k_i = 0 commutes with H(k), and a
-solve keeps only the sector even under all of them (`lattice.mirror_axes`;
-an odd n keeps the whole spectrum, see `_mirrors`): at an order-two k0 both
-plane waves of the pair lie in it, and the bands a `gap --verify` ray must
-not pick mostly do not.  The inversion x -> -x
-composed with complex conjugation leaves H(k) invariant, so in a basis of
-orbit sums paired under the inversion H(k) is real symmetric (the symmetry
-MPB runs in real arithmetic with: Johnson & Joannopoulos, Opt. Express 8,
-173, 2001).  The real sector matrix is combined per k from arrays cached
-per (n, a, mirrors); the preconditioner applies the symbol's inverse
-through a DCT-I along the mirrored axes and an FFT along the others.  The
-block eigensolver (`hermitian_eigensolve`) starts from the sector's plane
-waves of the lowest symbol modes or, along a ray of nearby k, from the Ritz
-block of the previous solve (`v0`).
+(`_Sector`).  Each signed permutation R of the axes with R k = k commutes
+with H(k), and a solve keeps only the sector symmetric under the group G of
+all of them (`lattice.stabiliser`; an odd n keeps the whole spectrum, see
+`_group`): at an order-two k0 both plane waves of the pair lie in it, and
+the bands a `gap --verify` ray must not pick mostly do not.  The inversion
+x -> -x commutes with G, and composed with complex conjugation it leaves
+H(k) invariant, so in a basis of G-orbit sums paired under the inversion
+H(k) is real symmetric (the symmetry MPB runs in real arithmetic with:
+Johnson & Joannopoulos, Opt. Express 8, 173, 2001).  The real sector matrix
+is combined per k from arrays cached per (n, a, G); the preconditioner
+applies the symbol's inverse through a DCT-I along the axes of G's mirrors
+x_i -> -x_i and an FFT along the others.  The block eigensolver
+(`hermitian_eigensolve`) starts from the sector's plane waves of the lowest
+symbol modes or, along a ray of nearby k, from the Ritz block of the
+previous solve (`v0`).
 
 The module ships the free-lattice Green function (Bessel-integral form) and
 the exact discrete capacitance of a masked node pattern; together they give
@@ -57,34 +58,46 @@ from scipy.special import ive
 
 from ..dirichlet import MAX_N, MIN_N, require_scale
 from ..errors import DomainError, ResolutionError
-from ..lattice import as_wavevector, integer_cube, mirror_axes, require_between
-from .eig import EigResult, hermitian_eigensolve
+from ..lattice import as_wavevector, integer_cube, orbits, require_between, stabiliser
+from .eig import EigResult, hermitian_eigensolve, outside_stacklevel
 
 TWO_PI = 2.0 * math.pi
 SQRT_HALF = math.sqrt(0.5)
 
 
 def axis_coords(n: int) -> np.ndarray:
-    # h (j - n/2) rather than -pi + h j: the mirror j -> -j mod n then negates
-    # every coordinate bit for bit, so it maps the sphere mask to itself
+    """The node coordinates h (j - n/2) along one axis."""
     return (TWO_PI / n) * (np.arange(n) - n / 2)
 
 
 def sphere_mask(n: int, a: float) -> np.ndarray:
-    """Boolean (n,n,n) array, True at nodes with |x| < a."""
-    x2 = axis_coords(n) ** 2
-    return x2[:, None, None] + x2[None, :, None] + x2[None, None, :] < a * a
+    """Boolean (n,n,n) array, True at nodes with |x| < a.  |x|^2 is (pi/n)^2 times the
+    integer sum of the (2 j - n)^2, so every signed permutation of the axes keeps the mask."""
+    d2 = (2 * np.arange(n) - n) ** 2
+    return (d2[:, None, None] + d2[None, :, None] + d2[None, None, :]) * (math.pi / n) ** 2 < a * a
 
 
-def _mirrors(n: int, k) -> tuple[int, ...]:
-    """The mirror axes of the sector solved at k: `mirror_axes(k)`, or none for
-    an odd n, where the DCT-I of the preconditioner is not the DFT of even data."""
-    return mirror_axes(k) if n % 2 == 0 else ()
+def _group(n: int, k) -> tuple:
+    """The group of the sector solved at k: `stabiliser(k)`, or its identity alone for an
+    odd n, where the DCT-I of the preconditioner is not the DFT of even data."""
+    return stabiliser(k) if n % 2 == 0 else stabiliser(k)[:1]
+
+
+def _mirrored(group) -> tuple[int, ...]:
+    """The axes i whose mirror x_i -> -x_i lies in `group`: those with k_i = 0."""
+    return tuple(sorted(int(np.argmin(np.diag(R))) for R in np.array(group)
+                        if np.trace(np.abs(R)) == 3 and np.trace(R) == 1))
+
+
+@lru_cache(maxsize=4)  # n^3/|G| codes each; requests alternate grids and groups
+def _frequencies(n: int, group) -> np.ndarray:
+    """Flat FFT-grid codes of one frequency per orbit of `group`, in the sector's order."""
+    return orbits(np.stack(np.unravel_index(np.arange(n**3), (n, n, n)), axis=1), group, n)[0]
 
 
 def fourier_symbol(n: int, k) -> np.ndarray:
-    """Exact eigenvalues of the unmasked discrete operator in the sector solved at k."""
-    return _symbol(n, k, _mirrors(n, k))
+    """Exact eigenvalues of the unmasked operator in the sector solved at k, one per orbit."""
+    return _symbol(n, k, ()).ravel()[_frequencies(n, _group(n, k))]
 
 
 def _symbol(n: int, k, axes) -> np.ndarray:
@@ -101,47 +114,40 @@ def _symbol(n: int, k, axes) -> np.ndarray:
 
 
 class _Sector:
-    """Real orthonormal basis of the free nodes' even sector under the mirrors on `axes`.
+    """Real orthonormal basis of the free nodes' sector symmetric under the group G.
 
-    The free nodes fall into orbits O of the mirrors x_i -> -x_i, i in `axes`;
-    the sector is spanned by the orbit sums s_O (1/sqrt|O| on each node of O).
-    The inversion P composed with conjugation leaves H(k) invariant, and it maps
-    s_O to s_PO, so the basis u_O = (s_O + s_PO)/sqrt2, u_PO = i(s_O - s_PO)/sqrt2
-    for O < PO and u_O = s_O for O = PO turns H(k) into a real symmetric matrix.
-    Orbit O is numbered by its representative node, the one with index <= n//2
-    along each mirrored axis, in row-major order; the representatives fill the
-    reduced grid `shape`, at the codes `rep`.
+    The free nodes fall into orbits O of G (`lattice.orbits` of the indices j
+    mod n, on which R acts as on the offsets j - n/2); the sector is spanned by
+    the orbit sums s_O (1/sqrt|O| on each node of O).  The inversion P composed
+    with conjugation leaves H(k) invariant, and it maps s_O to s_PO, so the
+    basis u_O = (s_O + s_PO)/sqrt2, u_PO = i(s_O - s_PO)/sqrt2 for O < PO and
+    u_O = s_O for O = PO turns H(k) into a real symmetric matrix.
 
     H(k) = L + sum_j k_j D_j + |k|^2 I, so U^H H(k) U is combined per k on one
     cached CSR pattern (`matrix`): `P` has one row per position of the pattern
     and one column per part, U^H L U, I, then each U^H D_j U, so the pattern's
-    values are P @ (1, |k|^2, k_j), summed in that column order.  On the reduced
-    grid, `scatter` maps sector coefficients to the values of the mirror-even
-    grid function they stand for (U restricted to the representatives), and
-    `gather` maps the values of a mirror-even, P-invariant grid function back
-    to its sector coefficients (U^H, with each representative counting for its
-    orbit); take the real part of its product.
+    values are P @ (1, |k|^2, k_j), summed in that column order.  On the grid
+    `shape` reduced by G's mirrors (index <= n//2 on each axis of `axes`),
+    `scatter` maps sector coefficients to the values of the grid function they
+    stand for (U restricted there), and `gather` maps the values of a
+    mirror-even, P-invariant grid function back to its sector coefficients
+    (U^H, each node counting for its mirror orbit); take the real part.
     """
 
-    def __init__(self, n: int, a: float, axes: tuple[int, ...]):
-        self.n, self.axes = n, axes
+    def __init__(self, n: int, a: float, group):
+        self.n, self.axes = n, _mirrored(group)
         free = np.flatnonzero(~sphere_mask(n, a).ravel())
         node = np.stack(np.unravel_index(free, (n, n, n)))
-        self.shape = tuple(n // 2 + 1 if i in axes else n for i in range(3))
-        # the free nodes with index <= n//2 on every mirrored axis, one per
-        # orbit; `number` maps a reduced-grid code to its orbit
-        first = np.flatnonzero(np.all(node[list(axes)] <= n // 2, axis=0))
-        self.rep = np.ravel_multi_index(node[:, first], self.shape)
-        m = first.size
-        number = np.full(math.prod(self.shape), -1)
-        number[self.rep] = np.arange(m)
-        # P negates every index; along a mirrored axis it keeps the orbit
-        flip = np.where(np.isin(np.arange(3), axes)[:, None], node, -node % n)
-        for i in axes:
-            node[i] = np.minimum(node[i], -node[i] % n)
-        o = number[np.ravel_multi_index(node, self.shape)]
-        po = o[np.searchsorted(free, np.ravel_multi_index(flip, (n, n, n)))]
+        self.shape = tuple(n // 2 + 1 if i in self.axes else n for i in range(3))
+        o = orbits(node.T, group, n)[1]
+        m = self.size = int(o.max()) + 1
+        po = o[np.searchsorted(free, np.ravel_multi_index(-node % n, (n, n, n)))]
         size = np.bincount(o, minlength=m)
+        # the free nodes of the reduced grid, and the size of each one's mirror orbit
+        mirrored = node[list(self.axes)]
+        first = np.flatnonzero(np.all(mirrored <= n // 2, axis=0))
+        weight = 2 ** np.count_nonzero(mirrored[:, first] % (n // 2), axis=0)
+        cell = np.ravel_multi_index(node[:, first], self.shape)  # before U, for the peak
 
         # U = Re U + i Im U.  A free node of orbit O has one entry in each: in
         # column min(O, PO) of Re U (the sum or the fixed orbit's column), and,
@@ -153,12 +159,12 @@ class _Sector:
                               np.maximum(o, po)[pair], np.concatenate(([0], np.cumsum(pair)))),
                              shape=(free.size, m))
         u = (re_u[first] + 1j * im_u[first]).tocoo()
-        at = self.rep[u.row]
+        at = cell[u.row]
         self.scatter = sp.csr_matrix((u.data, (at, u.col)), shape=(math.prod(self.shape), m))
-        self.gather = sp.csr_matrix((u.data.conj() * size[u.row], (u.col, at)),
+        self.gather = sp.csr_matrix((u.data.conj() * weight[u.row], (u.col, at)),
                                     shape=(m, math.prod(self.shape)))
         # the products below set the peak memory at n = 96: free what they do not use
-        del node, flip, number, o, po, size, pair, u, at, first
+        del node, mirrored, o, po, size, pair, u, at, first, weight, cell
         re_ut, im_ut = re_u.T.tocsr(), im_u.T.tocsr()
         h = TWO_PI / n
 
@@ -182,7 +188,7 @@ class _Sector:
         # Re(U^H i D' U) = -(X + X^T), X = Re(U)^T D' Im(U), for D_j = i D'_j with
         # D'_j the real antisymmetric centred difference.  D_j maps the even
         # sector of mirror j to its odd one: nothing for a mirrored axis
-        rest = [j for j in range(3) if j not in axes]
+        rest = [j for j in range(3) if j not in self.axes]
         for j in rest:
             X = re_ut @ ((N[j, 1] - N[j, -1]) / h @ im_u)
             parts.append(-(X + X.T))
@@ -202,27 +208,22 @@ class _Sector:
         self.P = sp.csc_matrix((data, np.concatenate(rows), np.cumsum([0, *map(len, rows)])),
                                shape=(code.size, len(rows)))
         self.indices, self.indptr = pattern.indices, pattern.indptr
-        for arr in (self.rep, self.indices, self.indptr, self.P.data, self.P.indices,
-                    self.P.indptr):
+        for arr in (self.indices, self.indptr, self.P.data, self.P.indices, self.P.indptr):
             arr.setflags(write=False)
         for M in (self.scatter, self.gather):
             for arr in (M.data, M.indices, M.indptr):
                 arr.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.rep.size
-
     def matrix(self, k) -> sp.csr_matrix:
-        """U^H H(k) U, real symmetric; k_i must be 0 on the mirrored axes."""
+        """U^H H(k) U, real symmetric; every R of the sector's group must fix k."""
         coef = [1.0, float(k @ k)] + [k[j] for j in range(3) if j not in self.axes]
         return sp.csr_matrix((self.P @ np.array(coef), self.indices, self.indptr),
                              shape=(self.size, self.size))
 
 
 @lru_cache(maxsize=1)
-def _sector(n: int, a: float, axes: tuple[int, ...]) -> _Sector:
-    return _Sector(n, a, axes)
+def _sector(n: int, a: float, group) -> _Sector:
+    return _Sector(n, a, group)
 
 
 class _GridOperator:
@@ -288,11 +289,11 @@ class _GridOperator:
         return (s.gather @ np.stack(cols, axis=1)).real
 
 
-def _block_modes(n: int, k, count: int, axes, max_extra: int = 8):
-    """Sector start modes; block boundary avoids degenerate shells."""
-    sym = _symbol(n, k, axes)
+def _block_modes(n: int, k, count: int, group, max_extra: int = 8):
+    """Sector start modes, one per orbit of `group`; block boundary avoids degenerate shells."""
+    codes = _frequencies(n, group)
     g = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    flat = sym.ravel()
+    flat = _symbol(n, k, ()).ravel()[codes]
     order = np.argsort(flat)
     vals = flat[order]
     size = count
@@ -302,16 +303,16 @@ def _block_modes(n: int, k, count: int, axes, max_extra: int = 8):
             break
     else:
         size = min(count + max_extra, len(vals))
-    i, j, l = np.unravel_index(order[:size], sym.shape)
+    i, j, l = np.unravel_index(codes[order[:size]], (n, n, n))
     return [(int(g[p]), int(g[q]), int(g[r])) for p, q, r in zip(i, j, l)]
 
 
 def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> EigResult:
     """Lowest `count` values of lambda = (omega/c)^2 for the masked problem.
 
-    Only the eigenvalues of the sector even under every mirror x_i -> -x_i
-    with k_i = 0 are solved (`_mirrors`); `fourier_symbol(n, k)` is that
-    sector's spectrum without the inclusion.
+    Only the eigenvalues of the sector symmetric under every signed
+    permutation R of the axes with R k = k are solved (`_group`);
+    `fourier_symbol(n, k)` is that sector's spectrum without the inclusion.
 
     Requires `dirichlet.MIN_N` <= n <= `dirichlet.MAX_N` and at least two
     grid cells across the inclusion diameter (a hard floor below which the
@@ -339,16 +340,16 @@ def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> Eig
             warnings.warn(
                 f"{cells:.2f} grid cells across the inclusion "
                 "diameter; staircase error is large below 4",
-                stacklevel=2,
+                stacklevel=outside_stacklevel(),
             )
 
-    return _solve(k, a, n, count, v0, _mirrors(n, k))
+    return _solve(k, a, n, count, v0, _group(n, k))
 
 
-def _solve(k, a: float, n: int, count: int, v0, axes: tuple[int, ...]) -> EigResult:
-    """The solve of `fd_dirichlet_eigenvalues` in the sector even under the mirrors on `axes`."""
-    op = _GridOperator(_sector(n, a, axes), k)
-    modes = _block_modes(n, k, count, axes)
+def _solve(k, a: float, n: int, count: int, v0, group) -> EigResult:
+    """The solve of `fd_dirichlet_eigenvalues` in the sector symmetric under `group`."""
+    op = _GridOperator(_sector(n, a, group), k)
+    modes = _block_modes(n, k, count, group)
     if v0 is None:
         X = op.plane_wave_block(modes)
     else:

@@ -6,11 +6,11 @@ finite-difference oracle on an n^3 grid, TransmissionParams the plane-wave
 oracle with |g_i| <= g_max.  At each delta the oracle computes every band of
 the spectrum without the inclusion below the tracking window top, plus one
 for PWE only (`_auto_count`); the count is not a parameter.  Each oracle
-solves only the sector even under every mirror x_i -> -x_i with k0_i = 0,
-which holds the pair (`lattice.mirror_axes`), and gives that sector's
-spectrum without the inclusion, so both the count and the bands come from
-that sector.  The two bands nearest the model's pair centre
-are picked inside the window (default five predicted splittings wide).  The
+solves only the sector symmetric under the signed permutations R with
+R k0 = k0, which holds the pair (`lattice.stabiliser`), and gives that
+sector's spectrum without the inclusion, so both the count and the bands
+come from that sector.  The two bands nearest the model's pair centre are
+picked inside the window (default five predicted splittings wide).  The
 reported gap is the interval between the maximum of the lower band and the
 minimum of the upper band, or None when the band ranges overlap.  Frequencies are omega / c with c the host speed.
 

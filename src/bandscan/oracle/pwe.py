@@ -14,16 +14,16 @@ omega^2 = c^2 |k+g|^2 exactly.
 eta and gamma depend on g - g' only, which lies on the (4 g_max + 1)^3
 difference lattice, so the transform is evaluated there and gathered by the
 integer code of g - g' (the Toeplitz structure of Ho, Chan & Soukoulis,
-PRL 65, 3152, 1990).  The sphere is centred and isotropic, so each mirror
-x_i -> -x_i with k_i = 0 commutes with (A, B).  A solve keeps only the
-sector even under all of them (`lattice.mirror_axes`), gathered straight
-into the orthonormal symmetrised basis (Sakoda, Optical Properties of
-Photonic Crystals, 2005, ch. 3): at an order-two k0 both plane waves of the
-pair lie in it.  With no zero component of k the sector is the full pencil,
-and `free_spectrum` gives the sector's values without the inclusion.
+PRL 65, 3152, 1990).  The sphere is centred and isotropic, so every signed
+permutation R of the axes with R k = k commutes with (A, B).  A solve keeps
+only the sector symmetric under their group G (`lattice.stabiliser`), one
+mode per orbit, gathered straight into the orthonormal symmetrised basis
+(Sakoda, Optical Properties of Photonic Crystals, 2005, ch. 3): at an
+order-two k0 both plane waves of the pair lie in it.  `free_spectrum` gives
+the sector's values without the inclusion.
 
-The blocks and the Cholesky factor L of the sector's B are built once per
-(params, g_max, mirrors).  Each k then runs the steps of LAPACK's xSYGVX
+The modes, blocks and Cholesky factor L of the sector's B are built once per
+(params, g_max, G).  Each k then runs the steps of LAPACK's xSYGVX
 past its Cholesky step, sygst, syevx and a triangular back-substitution
 (Anderson et al., LAPACK Users' Guide, 3rd ed., 2.3.5.1), so its numbers
 are those of `scipy.linalg.eigh(A, B, subset_by_index=...)` bit for bit.
@@ -33,15 +33,14 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache, reduce
-from itertools import product
 
 import numpy as np
 from scipy.linalg import lapack
 
 from ..errors import DomainError, NumericalError
-from ..lattice import as_wavevector, integer_cube, mirror_axes, require_between
+from ..lattice import as_wavevector, integer_cube, orbits, require_between, stabiliser
 from ..transmission import MAX_G_MAX, MIN_G_MAX, TransmissionParams, volume_fraction
-from .eig import EigResult
+from .eig import EigResult, outside_stacklevel
 
 
 def sphere_indicator_fourier(gnorm, a: float):
@@ -68,20 +67,25 @@ def sphere_indicator_fourier(gnorm, a: float):
     return out
 
 
-@lru_cache(maxsize=1)
-def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
-    """Read-only (modes, eta blocks, B, L) of the sector even under the mirrors on `axes`.
+@lru_cache(maxsize=4)  # requests alternate between g_max and groups
+def _modes(g_max: int, group) -> tuple[np.ndarray, np.ndarray]:
+    """(modes, orbit sizes): one mode g per orbit of `group` in the cube |g_i| <= g_max."""
+    cube = integer_cube(g_max)
+    first, number = orbits(cube, group, 2 * g_max + 1)
+    return cube[first], np.bincount(number)
 
-    A block of f is sqrt(|O_r| |O_s|) / |H| sum_h psi(h) f(r - h s); B is
-    gamma's with psi = 1, and L its lower Cholesky factor.  As k_i = 0 on
-    `axes`, (k+r).(k+h s) is sum_i sign_i(h) (k+r)_i (k+s)_i, so A takes one
-    eta block per distinct psi = sign_i, kept with its axes i.  No axes:
-    B = gamma, one block eta.
+
+@lru_cache(maxsize=1)
+def _coefficient_matrices(params: TransmissionParams, g_max: int, group):
+    """(modes, read-only eta blocks, B, L) of the sector symmetric under `group` (R k = k).
+
+    A block of f is sqrt(|O_r| |O_s|) / |G| sum_R psi(R) f(r - R s); B is gamma's
+    with psi = 1, L its lower Cholesky factor.  As R k = k, (k+r).(k+R s) is
+    sum_ij (k+r)_i R_ij (k+s)_j: A takes one eta block per distinct nonzero psi = R_ij
+    (up to 9), kept with its pairs (i, j).  The trivial group: B = gamma, one eta.
     """
-    basis = integer_cube(g_max)
-    rep = basis[np.all(basis[:, list(axes)] >= 0, axis=1)]  # one mode per orbit of H
-    signs = np.ones((2 ** len(axes), 3), dtype=int)  # the mirror group H, one row per element
-    signs[:, list(axes)] = list(product((1, -1), repeat=len(axes)))
+    modes, orbit = _modes(g_max, group)
+    G = np.array(group)
     side = 4 * g_max + 1
     diffs = integer_cube(2 * g_max)
     dnorm = np.linalg.norm(diffs.astype(float), axis=1)
@@ -91,48 +95,48 @@ def _coefficient_matrices(params: TransmissionParams, g_max: int, axes: tuple[in
     diag = dnorm < 0.5
     eta = np.where(diag, eta_p, 0.0) + (eta_m - eta_p) * chi
     gam = np.where(diag, mats.gamma_plus, 0.0) + (mats.gamma_minus - mats.gamma_plus) * chi
-    # index of r - h s in `diffs`: the mixed-radix code is linear in the mode
+    # index of r - R s in `diffs`: the mixed-radix code is linear in the mode
     radix = np.array([side * side, side, 1])
-    origin = rep @ radix + 2 * g_max * radix.sum()
-    idx = [origin[:, None] - (rep * h) @ radix for h in signs]
-    orbit = 2.0 ** np.count_nonzero(rep[:, list(axes)], axis=1)
-    weight = np.sqrt(np.outer(orbit, orbit)) / len(signs)
+    origin = modes @ radix + 2 * g_max * radix.sum()
+    idx = [origin[:, None] - modes @ R.T @ radix for R in G]
+    weight = np.sqrt(np.outer(orbit, orbit)) / len(G)
 
     def block(f, psi):
-        b = reduce(np.add, (c * f[i] for c, i in zip(psi, idx))) * weight
+        b = reduce(np.add, (c * f[i] for c, i in zip(psi, idx) if c)) * weight
         b.flags.writeable = False
         return b
 
-    groups: dict[tuple, list[int]] = {}
-    for i in range(3):
-        groups.setdefault(tuple(signs[:, i]), []).append(i)
-    blocks = tuple((ax, block(eta, psi)) for psi, ax in groups.items())
-    B = block(gam, np.ones(len(signs)))
+    pairs: dict[tuple, list[tuple[int, int]]] = {}
+    for i, j in zip(*np.nonzero(G.any(axis=0))):  # row-major, as the parts of A are summed
+        pairs.setdefault(tuple(G[:, i, j]), []).append((i, j))
+    blocks = tuple((*map(list, zip(*ij)), block(eta, psi)) for psi, ij in pairs.items())
+    B = block(gam, np.ones(len(G)))
     L, info = lapack.dpotrf(B, lower=1)
     if info != 0:
         raise NumericalError(f"PWE mass matrix not positive definite (LAPACK info {info})")
     L.flags.writeable = False
-    return rep.astype(float), blocks, B, L
+    return modes, blocks, B, L
 
 
-def _pencil(k, params: TransmissionParams, g_max: int, axes: tuple[int, ...]):
-    """(A, B) of the sector even under the mirrors on `axes` (k_i = 0 on each)."""
-    modes, blocks, B, _ = _coefficient_matrices(params, g_max, axes)
+def _pencil(k, params: TransmissionParams, g_max: int, group):
+    """(A, B) of the sector symmetric under `group` (R k = k for each R)."""
+    modes, blocks, B, _ = _coefficient_matrices(params, g_max, group)
     kg = np.asarray(k, dtype=float)[None, :] + modes
-    xs = [kg[:, ax] for ax, _ in blocks]
-    return reduce(np.add, [(x @ x.T) * eta for x, (_, eta) in zip(xs, blocks)]), B
+    A = 0.0
+    for rows, cols, eta in blocks:
+        x = kg[:, rows]
+        A = A + (x @ (x if rows == cols else kg[:, cols]).T) * eta  # x @ x.T: numpy's syrk
+    return A, B
 
 
 def assemble_pwe(k, params: TransmissionParams, g_max: int):
     """(A, B) at the Bloch vector k in the sector the solve keeps; B is shared and read-only."""
-    return _pencil(k, params, g_max, mirror_axes(k))
+    return _pencil(k, params, g_max, stabiliser(k))
 
 
 def free_spectrum(k, g_max: int) -> np.ndarray:
     """|k + g|^2 over the sector's modes: its omega^2 / c^2 without the inclusion."""
-    basis = integer_cube(g_max)
-    modes = basis[np.all(basis[:, list(mirror_axes(k))] >= 0, axis=1)]
-    return np.sum((np.asarray(k, dtype=float) + modes) ** 2, axis=1)
+    return np.sum((np.asarray(k, dtype=float) + _modes(g_max, stabiliser(k))[0]) ** 2, axis=1)
 
 
 def _lowest(A, L, count: int):
@@ -158,8 +162,8 @@ def pwe_transmission_eigenvalues(k, params: TransmissionParams, g_max: int,
                                  count: int) -> EigResult:
     """Lowest `count` omega^2 values of the transmission cell problem.
 
-    Only the eigenvalues of the sector even under every mirror x_i -> -x_i
-    with k_i = 0 are solved.
+    Only the eigenvalues of the sector symmetric under every signed
+    permutation R of the axes with R k = k are solved.
     """
     require_between("g_max", g_max, MIN_G_MAX, MAX_G_MAX)
     if count < 1:
@@ -167,7 +171,7 @@ def pwe_transmission_eigenvalues(k, params: TransmissionParams, g_max: int,
     k = as_wavevector("k", k)
     if g_max * params.a < 1.0:
         msg = f"g_max*a = {g_max * params.a:.2f} < 1: truncation barely resolves the sphere"
-        warnings.warn(msg, stacklevel=2)
+        warnings.warn(msg, stacklevel=outside_stacklevel())
     A, B = assemble_pwe(k, params, g_max)
     if count > len(A):
         raise DomainError(f"count: {count} exceeds the {len(A)} modes solved")
@@ -175,7 +179,7 @@ def pwe_transmission_eigenvalues(k, params: TransmissionParams, g_max: int,
     herm = np.linalg.norm(A - A.T) / norm
     if not herm <= 1e-12:
         raise NumericalError(f"PWE assembly not symmetric (defect {herm:.2e})")
-    w, vecs = _lowest(A, _coefficient_matrices(params, g_max, mirror_axes(k))[3], count)
+    w, vecs = _lowest(A, _coefficient_matrices(params, g_max, stabiliser(k))[3], count)
     # relative to ||A||_F, which, unlike the eigenvalues, cannot be near 0
     res = np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0) / norm
     return EigResult(w, float(np.max(res)))

@@ -5,11 +5,12 @@ import pytest
 
 from bandscan import dirichlet, transmission
 from bandscan.errors import DomainError, TrackingError
-from bandscan.lattice import integer_cube
+from bandscan.lattice import integer_cube, stabiliser
 from bandscan.oracle.gapscan import measure_gap_numeric
 from bandscan.transmission import MaterialSpec, TransmissionParams
 
 WEAK = MaterialSpec(1.0, 1.2, 1.2, 1.0)
+TRIVIAL = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)  # the group of the identity alone
 
 
 def test_zero_contrast_has_no_gap():
@@ -113,17 +114,20 @@ def test_warm_started_ray_matches_cold_solves(monkeypatch):
 
 @pytest.mark.parametrize("n, even", [(16, (0, 1)), (17, ())])
 def test_ray_solves_the_mirror_sector_of_the_pair(monkeypatch, n, even):
-    # k0_i = m0_i = 0 on x and y: both plane waves of the pair are even
-    # there; an odd grid has no mirror sector and solves the whole spectrum
+    # k0 and m0 on the z axis: the eight signed permutations that fix the
+    # axis, the mirrors on x and y among them, fix both plane waves of the
+    # pair; an odd grid keeps the identity alone and solves the whole spectrum
     from bandscan.oracle import fd
 
     seen = []
     sector = fd._sector
-    monkeypatch.setattr(fd, "_sector", lambda n, a, axes: seen.append(axes) or sector(n, a, axes))
+    monkeypatch.setattr(fd, "_sector", lambda *args: seen.append(args[2]) or sector(*args))
     p = dirichlet.DirichletParams(a=0.5)
     got = measure_gap_numeric(dirichlet.pair_model((0.0, 0.0, 0.5), (0, 0, 1), p), p,
                               n=n, n_deltas=3)
-    assert got is not None and set(seen) == {even}
+    group = stabiliser((0.0, 0.0, 0.5)) if n % 2 == 0 else TRIVIAL
+    assert got is not None and set(seen) == {group}
+    assert fd._mirrored(group) == even and len(group) == (8 if even else 1)
 
 
 def test_window_follows_predicted_pair_centre():
@@ -171,7 +175,7 @@ def test_transmission_ray_matches_full_pencil():
     assert got is not None
     window = max(5.0 * model.s / model.knorm, 1e-3)
     for i, d in enumerate(got.deltas):
-        A, B = pwe._pencil((1.0 + d) * k0, params, 3, ())
+        A, B = pwe._pencil((1.0 + d) * k0, params, 3, TRIVIAL)
         vals = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 11))
         omegas = np.sqrt(np.maximum(vals, 0.0)) / params.materials.c_plus
         lo, hi = gapscan._pick_two_bands(omegas, model.centre, window)
@@ -181,11 +185,12 @@ def test_transmission_ray_matches_full_pencil():
 
 @pytest.mark.parametrize("k0, even", [((0.2, 0.0, 0.5), (1,)), ((0.0, 0.0, 0.5), (0, 1))])
 def test_transmission_ray_solves_one_even_sector(monkeypatch, k0, even):
-    # k0_i = m0_i = 0 on y, or on x and y: the ray solves the sector even
-    # under every such mirror, and measures the edges of the whole spectrum
+    # k0_i = m0_i = 0 on y, or on x and y: the ray solves the sector of the
+    # group of k0, the mirrors of those axes and on the z axis the swap of x
+    # and y too, and measures the edges of the whole spectrum
     import scipy.linalg
 
-    from bandscan.oracle import gapscan, pwe
+    from bandscan.oracle import fd, gapscan, pwe
 
     params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
     model = transmission.pair_model(k0, (0, 0, 1), params)
@@ -193,7 +198,7 @@ def test_transmission_ray_solves_one_even_sector(monkeypatch, k0, even):
 
     def whole(params, n, g_max):
         def solve(kv, count, v0):
-            A, B = pwe._pencil(kv, params, g_max, ())
+            A, B = pwe._pencil(kv, params, g_max, TRIVIAL)
             return SimpleNamespace(eigenvalues=scipy.linalg.eigh(
                 A, B, eigvals_only=True, subset_by_index=(0, count - 1)), vectors=None)
         basis = integer_cube(g_max)
@@ -205,14 +210,15 @@ def test_transmission_ray_solves_one_even_sector(monkeypatch, k0, even):
     seen = []
     matrices = pwe._coefficient_matrices
     monkeypatch.setattr(pwe, "_coefficient_matrices",
-                        lambda params, g_max, axes: seen.append(axes) or matrices(params, g_max, axes))
+                        lambda *args: seen.append(args[2]) or matrices(*args))
     got = measure_gap_numeric(model, params, g_max=3, n_deltas=5)
-    assert set(seen) == {even}
+    assert set(seen) == {stabiliser(k0)} and fd._mirrored(stabiliser(k0)) == even
     assert got.lo_over_c == pytest.approx(ref.lo_over_c, rel=1e-12, abs=0.0)
     assert got.hi_over_c == pytest.approx(ref.hi_over_c, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("k", [(0.3, 0.2, 0.1), (0.3, 0.0, 0.1), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
+@pytest.mark.parametrize("k", [(0.3, 0.2, 0.1), (0.3, 0.0, 0.1), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0),
+                               (0.5, 0.2, 0.2)])
 def test_unperturbed_spectrum_is_the_solved_sectors(k):
     # the count comes from the spectrum without the inclusion of the sector
     # the oracle solves.  In a uniform medium the PWE sector's values are
@@ -230,3 +236,29 @@ def test_unperturbed_spectrum_is_the_solved_sectors(k):
     for n in (16, 17):
         unperturbed, solve = gapscan._oracle(dirichlet.DirichletParams(a=0.0), n, 2)[:2]
         assert solve(k, 2, None).vectors.shape[0] == unperturbed(k).size
+
+
+# Edges measured when each oracle solved the sector of the mirrors x_i -> -x_i
+# with k0_i = 0 (the whole spectrum at (0.5, 0.2, 0.2)), on rays of this file
+MIRROR_SECTOR_EDGES = [
+    ("transmission", (0, 0, 0.5), (0, 0, 1), 3, 0.4990645113975126, 0.5008884435554526),
+    ("transmission", (0.5, 0.2, 0.2), (1, 0, 0), 3, 0.5736250801686803, 0.5752287187779629),
+    ("transmission", (0, -0.5, 0), (0, -1, 0), 3, 0.49906451139751384, 0.5008884435554531),
+    ("dirichlet", (0, 0, 0.5), (0, 0, 1), 24, 0.5037102541832756, 0.5416103165437625),
+    ("dirichlet", (0.5, 0.2, 0.2), (1, 0, 0), 16, 0.5841755034052695, 0.6141988147436794),
+]
+
+
+@pytest.mark.parametrize("problem, k0, m0, size, lo, hi", MIRROR_SECTOR_EDGES)
+def test_group_sector_keeps_the_mirror_sectors_edges(problem, k0, m0, size, lo, hi):
+    # both plane waves of the pair are fixed by every R with R k0 = k0, so
+    # the smaller sector of that whole group holds the same two bands; `size`
+    # is g_max or n
+    if problem == "transmission":
+        p = TransmissionParams.from_volume_fraction(WEAK, 0.01)
+        got = measure_gap_numeric(transmission.pair_model(k0, m0, p), p, g_max=size, n_deltas=7)
+    else:
+        p = dirichlet.DirichletParams(a=0.4)
+        got = measure_gap_numeric(dirichlet.pair_model(k0, m0, p), p, n=size, n_deltas=7)
+    assert got.lo_over_c == pytest.approx(lo, rel=1e-12, abs=0.0)
+    assert got.hi_over_c == pytest.approx(hi, rel=1e-12, abs=0.0)

@@ -218,6 +218,48 @@ class TestProperties:
         assert brute == inside
 
 
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+class TestStabiliser:
+    @pytest.mark.parametrize("k", [(0, 0, 0.5), (0, -0.5, 0), (0.5, 0.2, 0.2), (0.5, 0.2, 0.0),
+                                   (0.3, 0.2, 0.1), (0.5, 0.5, 0.5), (-0.2, 0.2, 0.0), (0, 0, 0)])
+    def test_is_every_cube_symmetry_that_fixes_k_and_a_group(self, k):
+        group = lattice.stabiliser(k)
+        want = [tuple(map(tuple, R.astype(int).tolist()))
+                for R in lattice.cubic_symmetries() if np.array_equal(R @ np.asarray(k), k)]
+        assert group == tuple(want) and group[0] == IDENTITY
+        elements = set(group)
+        assert len(elements) == len(group)
+        for R in group:
+            assert tuple(map(tuple, np.transpose(R).tolist())) in elements  # R^-1 = R^T
+            for S in group:
+                assert tuple(map(tuple, (np.asarray(R) @ S).tolist())) in elements
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_signed_axis_has_eight(self, axis, sign):
+        k = np.zeros(3)
+        k[axis] = 0.5 * sign
+        assert len(lattice.stabiliser(k)) == 8
+
+    def test_equal_components_add_their_swap(self):
+        assert lattice.stabiliser((0.5, 0.2, 0.2)) == (IDENTITY, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+
+    @pytest.mark.parametrize("k", [(0, 0, 0.5), (0.5, 0.2, 0.2), (0.3, 0.2, 0.1), (0, 0, 0)])
+    @pytest.mark.parametrize("period", [5, 8])
+    def test_orbits_partition_the_points(self, k, period):
+        # the cube |p_i| <= 2, distinct mod 5, or the indices 0..7 of an FD grid
+        group = lattice.stabiliser(k)
+        points = lattice.integer_cube(2) if period == 5 else np.indices((8, 8, 8)).reshape(3, -1).T
+        first, number = lattice.orbits(points, group, period)
+        assert np.all(np.diff(first) > 0) and np.array_equal(number[first], np.arange(first.size))
+        index = {tuple(p): i for i, p in enumerate((points % period).tolist())}
+        for i, p in enumerate(points):
+            orbit = {index[tuple(np.asarray(R) @ p % period)] for R in group}
+            assert set(np.flatnonzero(number == number[i])) == orbit
+
+
 def test_wave_vector_messages_print_plain_floats(monkeypatch):
     # numpy 2 prints np.float64(0.5) for a scalar taken from an array
     from bandscan import dirichlet, transmission

@@ -5,11 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from bandscan.errors import DomainError, ResolutionError
+from bandscan.lattice import stabiliser
 from bandscan.oracle import fd
 
 PI3 = (2.0 * math.pi) ** 3
 K = np.array([0.2, 0.1, 0.15])
 K2 = float(K @ K)
+TRIVIAL = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)  # the group of the identity alone
 
 
 def reference_csr(n, k, mask):
@@ -54,7 +56,9 @@ class TestUnperturbed:
     def test_symbol_matches_cone_family(self):
         # discrete symbol approximates |k - m|^2 to O(h^2) for small m
         n = 32
-        sym = fd.fourier_symbol(n, K)
+        sym = fd._symbol(n, K, ())
+        # no R but the identity fixes K: the sector is the whole grid, in grid order
+        assert np.array_equal(fd.fourier_symbol(n, K), sym.ravel())
         g = np.fft.fftfreq(n, d=1.0 / n).astype(int)
         for m in [(0, 0, 0), (1, 0, 0), (0, -1, 0), (1, 1, 0)]:
             idx = tuple(int(np.where(g == c)[0][0]) for c in m)
@@ -144,7 +148,7 @@ class TestMaskedProblem:
         A = reference_csr(16, K, fd.sphere_mask(16, 0.5))
         defect = abs(A - A.getH()).max()
         assert defect <= 1e-12 * abs(A).max()
-        M = fd._Sector(16, 0.5, ()).matrix(K)
+        M = fd._Sector(16, 0.5, TRIVIAL).matrix(K)
         assert abs(M - M.T).max() <= 1e-12 * abs(M).max()
 
     def test_largest_n16_masks_match_dense_reference(self):
@@ -185,8 +189,9 @@ class TestGuards:
             fd.fd_dirichlet_eigenvalues(K, 0.1, 16, 1)  # < 2 cells across
 
     def test_resolution_warning_band(self):
-        with pytest.warns(UserWarning, match="cells across"):
+        with pytest.warns(UserWarning, match="cells across") as caught:
             fd.fd_dirichlet_eigenvalues(K, 0.45, 16, 1)
+        assert caught[0].filename == __file__  # a direct call names its caller
 
     def test_small_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -285,7 +290,7 @@ class TestIterativeSolver:
         assert np.allclose(rx.eigenvalues, ry.eigenvalues, rtol=1e-8, atol=0.0)
 
     def test_csr_operator_matches_stencil(self):
-        sector = fd._Sector(16, 0.5, ())
+        sector = fd._Sector(16, 0.5, TRIVIAL)
         op = fd._GridOperator(sector, K)
         rng = np.random.default_rng(1)
         V = rng.standard_normal((op.shape[0], 3))
@@ -319,10 +324,10 @@ class TestStencilPattern:
                              ids=["16-0.5-center0", "16-0.6-center1", "24-0.5-center2",
                                   "16-0.0-center4", "16-0.5-center5"])
     def test_new_geometry_gets_a_fresh_pattern(self, n, a):
-        # the sector of each geometry compresses that geometry's stencil; with
-        # no mirror each free node is an orbit of its own
+        # the sector of each geometry compresses that geometry's stencil; in
+        # the trivial group each free node is an orbit of its own
         mask = fd.sphere_mask(n, a)
-        sector = fd._Sector(n, a, ())
+        sector = fd._Sector(n, a, TRIVIAL)
         assert sector.size == np.count_nonzero(~mask)
         rng = np.random.default_rng(2)
         V, W = rng.standard_normal((2, sector.size, 4))
@@ -331,9 +336,9 @@ class TestStencilPattern:
         assert np.abs(W.T @ (sector.matrix(K) @ V) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_shared_pattern_is_read_only(self):
-        sector = fd._sector(16, 0.5, (2,))
+        sector = fd._sector(16, 0.5, stabiliser((0.5, 0.2, 0.0)))
         for arr in (sector.P.data, sector.P.indices, sector.P.indptr, sector.indices,
-                    sector.rep, sector.scatter.data, sector.gather.indices):
+                    sector.indptr, sector.scatter.data, sector.gather.indices):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -368,7 +373,10 @@ def full_grid(n, a, W):
     return G.reshape(n, n, n, -1)
 
 
-SECTORS = [((0.3, 0.2, 0.1), ()), ((0.5, 0.2, 0.0), (2,)), ((0.0, 0.0, 0.5), (0, 1))]
+# k and the mirrored axes of its group: the trivial group, one mirror, the eight
+# signed permutations fixing the z axis, and the swap y <-> z
+SECTORS = [((0.3, 0.2, 0.1), ()), ((0.5, 0.2, 0.0), (2,)), ((0.0, 0.0, 0.5), (0, 1)),
+           ((0.5, 0.2, 0.2), ())]
 
 
 class TestSector:
@@ -380,23 +388,32 @@ class TestSector:
 
     @pytest.mark.parametrize("k, even", SECTORS)
     def test_basis_is_orthonormal_even_and_inversion_real(self, k, even):
-        sector = fd._Sector(self.N, self.A, even)
+        group = stabiliser(k)
+        sector = fd._Sector(self.N, self.A, group)
+        assert sector.axes == even
         V, W = self.blocks(sector)
         UV, UW = sector_vectors(sector, self.A, V), sector_vectors(sector, self.A, W)
         # U^H U = I, seen through random blocks
         assert np.allclose(UV.conj().T @ UW, V.T @ W, rtol=0.0, atol=1e-12)
         G = full_grid(self.N, self.A, UV)
         flip = (-np.arange(self.N)) % self.N
-        for i in even:  # even under each mirror
-            assert np.array_equal(np.take(G, flip, axis=i), G)
+        # symmetric under each R of the group: the node of index j takes the
+        # value of the node R j mod n (h (j - n/2) maps to h (R j - n/2) mod 2 pi)
+        node = np.indices((self.N,) * 3).reshape(3, -1)
+        flat = G.reshape(self.N**3, -1)
+        for R in group:
+            image = np.ravel_multi_index(np.asarray(R) @ node % self.N, (self.N,) * 3)
+            assert np.array_equal(flat[image], flat)
         # and invariant under the inversion composed with conjugation
         assert np.allclose(G[flip][:, flip][:, :, flip].conj(), G, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("k, even", SECTORS)
     def test_cached_matrix_is_the_compressed_operator(self, k, even):
-        rng = np.random.default_rng(3)
-        k = np.where(np.isin(np.arange(3), even), 0.0, rng.uniform(-0.6, 0.6, 3))
-        sector = fd._Sector(self.N, self.A, even)
+        # a random k that the group fixes: the group average of a random vector
+        group = stabiliser(k)
+        v = np.random.default_rng(3).uniform(-0.6, 0.6, 3)
+        k = np.mean([np.asarray(R) @ v for R in group], axis=0)
+        sector = fd._Sector(self.N, self.A, group)
         V, W = self.blocks(sector)
         H = reference_csr(self.N, k, fd.sphere_mask(self.N, self.A))
         UV, UW = sector_vectors(sector, self.A, V), sector_vectors(sector, self.A, W)
@@ -408,7 +425,7 @@ class TestSector:
     @pytest.mark.parametrize("k, even", SECTORS)
     def test_preconditioner_is_the_compressed_symbol_inverse(self, k, even):
         # U^H F^-1 diag(1 / (symbol + tau)) F U, with F the DFT of the whole grid
-        sector = fd._Sector(self.N, self.A, even)
+        sector = fd._Sector(self.N, self.A, stabiliser(k))
         op = fd._GridOperator(sector, k)
         V, W = self.blocks(sector)
         UV, UW = sector_vectors(sector, self.A, V), sector_vectors(sector, self.A, W)
@@ -423,7 +440,7 @@ class TestSector:
         import scipy.sparse.linalg
 
         res = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 4)
-        assert fd._sector(self.N, self.A, even).size == res.vectors.shape[0]
+        assert fd._sector(self.N, self.A, stabiliser(k)).size == res.vectors.shape[0]
         H = reference_csr(self.N, k, fd.sphere_mask(self.N, self.A))
         full = scipy.sparse.linalg.eigsh(H.tocsc(), k=16, sigma=0.0,
                                          return_eigenvectors=False).real
@@ -437,26 +454,29 @@ class TestSector:
         # operator in the orbit basis, whose eigenvalues are the sector symbol
         res = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 6)
         sym = np.sort(fd.fourier_symbol(self.N, k), axis=None)
-        assert sym.size == fd._sector(self.N, 0.0, even).size
+        assert sym.size == fd._sector(self.N, 0.0, stabiliser(k)).size
         assert np.all(res.eigenvalues >= sym[:6] - 1e-8 * res.eigenvalues.max())
 
     @pytest.mark.parametrize("k, even", SECTORS[1:])
     def test_pair_values_equal_the_full_solve(self, k, even):
         sector = fd.fd_dirichlet_eigenvalues(k, self.A, self.N, 2)
-        full = fd._solve(np.asarray(k), self.A, self.N, 2, None, ())
+        full = fd._solve(np.asarray(k), self.A, self.N, 2, None, TRIVIAL)
         assert full.vectors.shape[0] > sector.vectors.shape[0]
         assert np.allclose(sector.eigenvalues, full.eigenvalues, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_mask_is_mirror_symmetric_at_tie_radii(self, n):
         # a = h sqrt(q) puts nodes exactly on the sphere; coordinates -pi + h j
-        # rounded them unevenly, and 29 such masks at n = 16, 24, 32 broke a mirror
+        # rounded them unevenly, and 29 such masks at n = 16, 24, 32 broke a
+        # mirror.  The sector's group also swaps axes, which the mask must follow
         h = 2.0 * math.pi / n
         flip = (-np.arange(n)) % n
         for q in range(1, int((math.pi / 2 / h) ** 2) + 1):
             mask = fd.sphere_mask(n, h * math.sqrt(q))
             for axis in range(3):
                 assert np.array_equal(np.take(mask, flip, axis=axis), mask)
+            for perm in [(1, 0, 2), (0, 2, 1), (2, 0, 1)]:
+                assert np.array_equal(np.transpose(mask, perm), mask)
 
 
 def test_stalled_column_costs_one_short_call(monkeypatch):
@@ -468,6 +488,6 @@ def test_stalled_column_costs_one_short_call(monkeypatch):
     calls = []
     matmat = fd._GridOperator.matmat
     monkeypatch.setattr(fd._GridOperator, "matmat", lambda op, V: calls.append(1) or matmat(op, V))
-    res = fd._solve(np.array([0.5, 0.2, 0.0]), 0.33, 24, 6, None, ())
+    res = fd._solve(np.array([0.5, 0.2, 0.0]), 0.33, 24, 6, None, TRIVIAL)
     assert res.residual_norm <= 1e-8
     assert len(calls) < 198

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import scipy.linalg
 
 from bandscan import transmission
 from bandscan.errors import DomainError, NumericalError
-from bandscan.lattice import integer_cube
+from bandscan.lattice import integer_cube, stabiliser
 from bandscan.oracle import pwe
 from bandscan.oracle.gapscan import measure_gap_numeric
 from bandscan.transmission import (
@@ -25,6 +24,19 @@ STRONG = MaterialSpec(gamma_plus=1.0, gamma_minus=3.0, rho_plus=1.0, rho_minus=0
 
 def weak_params(f=0.01):
     return TransmissionParams.from_volume_fraction(WEAK, f)
+
+
+TRIVIAL = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)  # the group of the identity alone
+
+
+def orbit_representatives(group, g_max):
+    """One mode per orbit {R g : R in group} of the cube, found by brute force."""
+    seen, reps = set(), []
+    for g in integer_cube(g_max).tolist():
+        if tuple(g) not in seen:
+            seen |= {tuple(np.asarray(R) @ g) for R in group}
+            reps.append(g)
+    return np.array(reps)
 
 
 class TestBasis:
@@ -181,9 +193,9 @@ class TestAssembly:
     @pytest.mark.parametrize("k", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
     @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
     def test_matches_broadcast_formula(self, g_max, k, mats, f):
-        # the whole pencil: at k = 0 the solve would keep the all-mirror sector
+        # the whole pencil: at k = 0 the solve would keep the sector of all 48 R
         params = TransmissionParams.from_volume_fraction(mats, f)
-        A, B = pwe._pencil(k, params, g_max, ())
+        A, B = pwe._pencil(k, params, g_max, TRIVIAL)
         A_ref, B_ref = broadcast_pencil(k, params, g_max)
         assert np.array_equal(A, A_ref)
         assert np.array_equal(B, B_ref)
@@ -229,8 +241,8 @@ class TestAssembly:
         _, B_again = pwe.assemble_pwe((0.3, 0.1, 0.5), params, 2)
         assert np.array_equal(B_again, broadcast_pencil((0, 0, 0), params, 2)[1])
         # the Cholesky factor of the sector's B, which every k of a ray reuses
-        for axes in [(), (1,), (0, 1)]:
-            _, _, B, L = pwe._coefficient_matrices(params, 2, axes)
+        for k in [(0.2, -0.1, 0.3), (0.3, 0.0, 0.5), (0.0, 0.0, 0.5), (0.5, 0.2, 0.2)]:
+            _, _, B, L = pwe._coefficient_matrices(params, 2, stabiliser(k))
             with pytest.raises(ValueError):
                 L[0, 0] = 0.0
             assert np.allclose(L @ L.T, B, rtol=0.0, atol=1e-14)
@@ -241,27 +253,31 @@ class TestSectorProjection:
     @pytest.mark.parametrize("mats", [WEAK, STRONG])
     def test_sector_pencil_is_the_projected_full_pencil(self, axes, mats):
         # U's column for a representative r is the normalised sum of e_g over
-        # the orbit of r under the sign flips on `axes`
+        # the orbit of r under the group of k: the mirrors on `axes` and, for
+        # k on a coordinate axis, the swaps that fix it
         params = TransmissionParams.from_volume_fraction(mats, 0.05)
         k = tuple(0.0 if i in axes else 0.1 * (i + 2) for i in range(3))
+        group = stabiliser(k)
         row = {g: j for j, g in enumerate(map(tuple, integer_cube(3).tolist()))}
-        modes = pwe._coefficient_matrices(params, 3, axes)[0].astype(int).tolist()
+        modes = pwe._coefficient_matrices(params, 3, group)[0].tolist()
         U = np.zeros((len(row), len(modes)))
         for col, r in enumerate(modes):
-            orbit = {tuple(-x if i in flip else x for i, x in enumerate(r))
-                     for n in range(len(axes) + 1) for flip in itertools.combinations(axes, n)}
+            orbit = {tuple(np.asarray(R) @ r) for R in group}
             for g in orbit:
                 U[row[g], col] = 1.0 / math.sqrt(len(orbit))
-        A, B = pwe._pencil(k, params, 3, ())
-        for got, full in zip(pwe._pencil(k, params, 3, axes), (A, B)):
+        A, B = pwe._pencil(k, params, 3, TRIVIAL)
+        for got, full in zip(pwe._pencil(k, params, 3, group), (A, B)):
             np.testing.assert_allclose(got, U.T @ full @ U, rtol=0.0,
                                        atol=1e-12 * np.abs(full).max())
 
 
-def full_pencil_values(k, params, g_max, count, axes=None):
-    """scipy's eigh of the pencil the solve keeps at k, or of the sector of `axes`."""
-    A, B = pwe.assemble_pwe(k, params, g_max) if axes is None else pwe._pencil(k, params, g_max, axes)
-    return scipy.linalg.eigh(A, B, subset_by_index=(0, count - 1))[0]
+def full_pencil_values(k, params, g_max, count, group=None):
+    """scipy's eigh of the pencil the solve keeps at k, or of the sector of `group`."""
+    if group is None:
+        A, B = pwe.assemble_pwe(k, params, g_max)
+    else:
+        A, B = pwe._pencil(k, params, g_max, group)
+    return scipy.linalg.eigh(A, B, subset_by_index=(0, min(count, len(A)) - 1))[0]
 
 
 class TestSectorSolve:
@@ -273,7 +289,7 @@ class TestSectorSolve:
         ref = full_pencil_values(k, params, g_max, 12)
         # at k = 0 the lowest value is 0, so it is held to an absolute bound
         atol = 1e-12 * ref[-1] if not any(k) else 0.0
-        for count in range(1, 13):
+        for count in range(1, len(ref) + 1):  # at k = 0, g_max = 2 the sector has 10 modes
             got = pwe.pwe_transmission_eigenvalues(k, params, g_max, count)
             np.testing.assert_allclose(got.eigenvalues, ref[:count], rtol=1e-12, atol=atol)
             assert got.residual_norm < 1e-10
@@ -290,40 +306,51 @@ class TestEvenSector:
     @pytest.mark.parametrize("g_max", [2, 3, 4])
     @pytest.mark.parametrize("k, even", [((0.0, 0.2, 0.5), (0,)), ((0.0, 0.5, 0.0), (0, 2)),
                                          ((0.2, 0.0, 0.5), (1,)), ((0.0, 0.0, 0.5), (0, 1)),
-                                         ((0.0, 0.0, 0.0), (0, 1, 2))])
+                                         ((0.0, 0.0, 0.0), (0, 1, 2)), ((0.5, 0.2, 0.2), ()),
+                                         ((0.0, -0.5, 0.0), (0, 2))])
     @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
     def test_values_are_among_the_full_pencils(self, g_max, k, even, mats, f):
-        # the solve keeps the sector even under the mirrors of k's zero components
+        # the solve keeps the sector symmetric under the group G of k.  Its
+        # diagonal elements are the mirrors of k's zero components, a subgroup
+        # whose sector holds G's: G's values are among the mirrors', and those
+        # among the whole pencil's
         params = TransmissionParams.from_volume_fraction(mats, f)
-        whole = scipy.linalg.eigh(*pwe._pencil(k, params, g_max, ()), eigvals_only=True)
-        got = pwe.pwe_transmission_eigenvalues(k, params, g_max, 12)
-        np.testing.assert_array_equal(got.eigenvalues, full_pencil_values(k, params, g_max, 12, even))
+        group = stabiliser(k)
+        mirrors = tuple(R for R in group if not np.any(np.asarray(R) - np.diag(np.diag(R))))
+        assert len(mirrors) == 2 ** len(even)
+        count = min(12, len(pwe.free_spectrum(k, g_max)))  # 10 modes at k = 0, g_max = 2
+        got = pwe.pwe_transmission_eigenvalues(k, params, g_max, count)
+        np.testing.assert_array_equal(got.eigenvalues,
+                                      full_pencil_values(k, params, g_max, count, group))
         # at k = 0 the lowest value is 0, so it is held to an absolute bound
         tol = 1e-12 * np.abs(got.eigenvalues)
         if not any(k):
             tol = np.maximum(tol, 1e-12 * got.eigenvalues[-1])
-        assert np.all(np.min(np.abs(whole[None, :] - got.eigenvalues[:, None]), axis=1) <= tol)
+        for sub in (mirrors, TRIVIAL):
+            values = scipy.linalg.eigh(*pwe._pencil(k, params, g_max, sub), eigvals_only=True)
+            assert np.all(np.min(np.abs(values[None, :] - got.eigenvalues[:, None]), axis=1) <= tol)
         assert got.residual_norm < 1e-10
 
     def test_odd_bands_are_left_out(self):
         # uniform medium at k = (0, 0, 0.5): |k+g|^2 = 1.25 has eight modes,
-        # g = (+-1, 0, *) and (0, +-1, *) with g_z in {0, -1}; four are even
-        # under both x -> -x and y -> -y, and the sector keeps those four
+        # g = (+-1, 0, *) and (0, +-1, *) with g_z in {0, -1}.  The eight
+        # signed permutations fixing k map the four of one g_z to each other,
+        # and the sector keeps one symmetric sum per g_z
         params = TransmissionParams(materials=UNIFORM, a=0.5)
         k = np.array([0.0, 0.0, 0.5])
         got = pwe.pwe_transmission_eigenvalues(k, params, 3, 12)
-        basis = integer_cube(3)
-        exact = np.sort(np.sum((k + basis[np.all(basis[:, :2] >= 0, axis=1)]) ** 2, axis=1))[:12]
+        reps = orbit_representatives(stabiliser(k), 3)
+        exact = np.sort(np.sum((k + reps) ** 2, axis=1))[:12]
         np.testing.assert_allclose(got.eigenvalues, exact, rtol=1e-12)
-        assert np.count_nonzero(np.isclose(got.eigenvalues, 1.25, rtol=1e-12)) == 4
+        assert np.count_nonzero(np.isclose(got.eigenvalues, 1.25, rtol=1e-12)) == 2
 
     @pytest.mark.parametrize("g_max", [2, 4])
     @pytest.mark.parametrize("axes", [(), (1,), (0, 1), (0, 1, 2)])
     def test_sector_size_bounds_the_count(self, g_max, axes):
-        # the modes with g_i >= 0 on each of the m mirrored axes
-        size = (g_max + 1) ** len(axes) * (2 * g_max + 1) ** (3 - len(axes))
+        # one mode per orbit of the group of k
         params = weak_params(0.02)
         k = tuple(0.0 if i in axes else 0.5 for i in range(3))
+        size = len(orbit_representatives(stabiliser(k), g_max))
         assert len(pwe.assemble_pwe(k, params, g_max)[0]) == size
         assert len(pwe.free_spectrum(k, g_max)) == size
         pwe.pwe_transmission_eigenvalues(k, params, g_max, size)

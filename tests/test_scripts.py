@@ -61,7 +61,10 @@ def test_remainder_study_refuses_a_grid_past_the_cap_before_its_first_solve(tmp_
 
 
 def test_remainder_study_names_a_scale_too_large_for_the_cell(tmp_path):
-    # the FD oracle's refusal once read "inclusion radius must satisfy 0 <= a < pi/2"
-    proc = _run_script("run_remainder_study.py", "--scales", "2", "--n", "24", cwd=tmp_path)
+    # the FD oracle's refusal once read "inclusion radius must satisfy 0 <= a < pi/2",
+    # and came after the first scale's mask, capacitance and printed header
+    proc = _run_script("run_remainder_study.py", "--scales", "0.3", "2", "--n", "24",
+                       cwd=tmp_path)
     assert proc.returncode == 2
-    assert "error: a: " in proc.stderr and "Traceback" not in proc.stderr
+    assert "error: a: must be >= 0 and < 0.5*pi, got 2.0" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
