@@ -111,7 +111,7 @@ def orbits(points: np.ndarray, group, period: int) -> tuple[np.ndarray, np.ndarr
     `first` indexes, in the order of `points`, each orbit's point of smallest code (p mod
     `period` in mixed radix), and point i lies in the orbit of `points[first[number[i]]]`."""
     radix = np.array([period * period, period, 1])
-    key = reduce(np.minimum, [points @ np.transpose(R) % period @ radix for R in group])
+    key = reduce(np.minimum, (points @ np.transpose(R) % period @ radix for R in group))
     first = np.flatnonzero(points % period @ radix == key)
     order = np.argsort(key[first])
     return first, order[np.searchsorted(key[first], key, sorter=order)]

@@ -89,7 +89,7 @@ def _mirrored(group) -> tuple[int, ...]:
                         if np.trace(np.abs(R)) == 3 and np.trace(R) == 1))
 
 
-@lru_cache(maxsize=4)  # n^3/|G| codes each; requests alternate grids and groups
+@lru_cache(maxsize=1)
 def _frequencies(n: int, group) -> np.ndarray:
     """Flat FFT-grid codes of one frequency per orbit of `group`, in the sector's order."""
     return orbits(np.stack(np.unravel_index(np.arange(n**3), (n, n, n)), axis=1), group, n)[0]

@@ -67,7 +67,7 @@ def sphere_indicator_fourier(gnorm, a: float):
     return out
 
 
-@lru_cache(maxsize=4)  # requests alternate between g_max and groups
+@lru_cache(maxsize=1)
 def _modes(g_max: int, group) -> tuple[np.ndarray, np.ndarray]:
     """(modes, orbit sizes): one mode g per orbit of `group` in the cube |g_i| <= g_max."""
     cube = integer_cube(g_max)
