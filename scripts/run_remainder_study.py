@@ -26,7 +26,7 @@ PI3 = (2.0 * math.pi) ** 3
 
 def remainder(k, a, n):
     h = 2.0 * math.pi / n
-    pattern = fd.mask_pattern(a / h)
+    pattern = fd.mask_pattern(n, a)
     cap = fd.discrete_inclusion_capacitance(pattern, h)
     res = fd.fd_dirichlet_eigenvalues(k, a, n, 1)
     k2 = float(np.dot(k, k))

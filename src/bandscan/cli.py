@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from functools import lru_cache
 
-from . import __version__, dirichlet, lattice, transmission
+from . import __version__, dirichlet, lattice, transmission, twomode
 from .config import KNOWN_KEYS, ScanConfig, build_config, coerce, parse_config_file
 from .errors import (
     ConfigError,
@@ -139,22 +139,23 @@ def _output(field: str, path: str, make_dir: bool = False):
 
 def _predict(cfg: ScanConfig):
     """Shared gap prediction: (report, curve, interval, model, model's params)."""
+    # the pair first: a mesh's q is a BEM solve of seconds, run only for an admitted pair
+    adm = twomode.order_two_admissibility(cfg.k0, cfg.m0, cfg.exclusion_band, cfg.tol)
     params = cfg.params()
     if isinstance(params, dirichlet.DirichletParams):
-        model = dirichlet.pair_model(cfg.k0, cfg.m0, params, cfg.exclusion_band, cfg.tol)
+        model = dirichlet.pair_model(cfg.k0, cfg.m0, params, adm)
         extra = dict(q=params.q, a_tilde=model.s)
         if model.nu <= 1.0:
             root = math.sqrt(1.0 - model.nu**2)
             extra.update(nu_minus=1.0 - root, nu_plus=1.0 + root)
     else:
-        model = transmission.pair_model(cfg.k0, cfg.m0, params, cfg.exclusion_band, cfg.tol)
+        model = transmission.pair_model(cfg.k0, cfg.m0, params, adm)
         extra = dict(asdict(params.materials), mu=model.s, k0_tilde_norm=model.centre)
     status, interval = model.gap()
     if interval is not None:
         extra.update(predicted_lo_over_c=interval.lo_over_c,
                      predicted_hi_over_c=interval.hi_over_c)
     curve = model.scan((cfg.delta_tilde_min, cfg.delta_tilde_max), cfg.samples)
-    adm = model.admissibility
     report = GapReport(
         problem=cfg.problem, k0=cfg.k0, m0=cfg.m0, a=cfg.a, verdict=adm.verdict.value,
         status=status.value, nu=adm.nu, ratio=adm.ratio, **extra,

@@ -10,8 +10,9 @@ its key, and CLI flags override file values.  `ScanConfig.validated` refuses
 a field that the problem or shape does not read, and `ScanConfig.params`
 builds the problem's parameters.  Every refusal names the offending field:
 ConfigError from the checks here, DomainError from the rules that `lattice`
-and the params types own (samples, n, g_max, tol and exclusion_band; a, q
-and the materials).  A canonical example ships in configs/example_gap.cfg.
+and the params types own (samples, n, g_max and the pair of k0, m0, tol and
+exclusion_band, which `twomode.order_two_admissibility` admits before any
+shape solve; a, q and the materials).  An example is configs/example_gap.cfg.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ class ScanConfig:
     c: float = 1.0
 
     def validated(self) -> "ScanConfig":
+        """This config, after the checks that no lower layer makes: finite values, the problem
+        and shape choices, the fields each reads, and the ranges of samples, n and g_max."""
         for f in fields(self):
             value = getattr(self, f.name)
             parts = value if isinstance(value, tuple) else (value,)
@@ -65,10 +68,6 @@ class ScanConfig:
                 raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.problem not in ("dirichlet", "transmission"):
             raise ConfigError(f"problem: must be dirichlet or transmission, got {self.problem!r}")
-        if len(self.k0) != 3 or not any(self.k0):
-            raise ConfigError("k0: needs 3 components, not all zero")
-        if len(self.m0) != 3 or self.m0 == (0, 0, 0):
-            raise ConfigError("m0: needs 3 integer components, not all zero")
         if self.shape not in ("sphere", "ellipsoid", "mesh"):
             raise ConfigError(f"shape: unknown {self.shape!r}")
         if self.problem == "transmission" and self.shape != "sphere":
@@ -96,9 +95,6 @@ class ScanConfig:
         lattice.require_between("g_max", self.g_max, MIN_G_MAX, MAX_G_MAX)
         if not self.c > 0.0:
             raise ConfigError("c: must be > 0")
-        # here, not at their first use: with a mesh shape that comes after the BEM solve
-        lattice.require_nonnegative("exclusion_band", self.exclusion_band)
-        lattice.require_nonnegative("tol", self.tol)
         return self
 
     def params(self) -> DirichletParams | TransmissionParams:

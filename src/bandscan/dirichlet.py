@@ -86,18 +86,13 @@ def epsilon_nonexceptional(k, p: DirichletParams, tol: float = lattice.DEFAULT_T
     return 2.0 * math.pi * p.q * p.a / (k2 * CELL_VOLUME)
 
 
-def pair_model(
-    k0,
-    m0,
-    p: DirichletParams,
-    exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
-    tol: float = lattice.DEFAULT_TOL,
-) -> TwoModeModel:
-    """Two-mode model of (k0, m0): centre |k0| + a_tilde/(2|k0|), splitting a_tilde."""
+def pair_model(k0, m0, p: DirichletParams, admissibility=None) -> TwoModeModel:
+    """Two-mode model of (k0, m0): centre |k0| + a_tilde/(2|k0|), splitting a_tilde; the pair's
+    `admissibility` is `order_two_admissibility(k0, m0)` unless given."""
+    if admissibility is None:
+        admissibility = order_two_admissibility(k0, m0)
     knorm = lattice.wavevector_norm("k0", k0)
-    return TwoModeModel(
-        k0, m0, knorm + p.a_tilde / (2.0 * knorm), p.a_tilde, exclusion_band, tol
-    )
+    return TwoModeModel(k0, m0, knorm + p.a_tilde / (2.0 * knorm), p.a_tilde, admissibility)
 
 
 def exceptional_splitting_check(

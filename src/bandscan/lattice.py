@@ -162,9 +162,9 @@ def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, i
 
 
 def _on_plane(M: np.ndarray, m2, k: np.ndarray, tol: float):
-    """|2 k.m - |m|^2| <= tol * max(1, |m|^2) per shift m in M (..., 3).  It sums elementwise
-    in one order (a BLAS product rounds one row unlike a block of rows), so that
-    `is_ewald_pair` accepts exactly the shifts the classification lists."""
+    """|2 k.m - |m|^2| <= tol * max(1, |m|^2) per shift m in M (..., 3), the one evaluation of
+    the plane condition.  It sums elementwise in one order, so a shift's residual does not
+    depend on how many are tested with it (a BLAS product rounds one row unlike a block)."""
     resid = 2.0 * (M[..., 0] * k[0] + M[..., 1] * k[1] + M[..., 2] * k[2]) - m2
     return np.abs(resid) <= tol * np.maximum(1.0, m2)
 
@@ -208,12 +208,6 @@ def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
     M, m2 = _search_box("k", math.sqrt(float(norm2)))
     hits = 2 * (M.astype(object) @ p) == D * m2.astype(object)
     return ExceptionalClass(tuple(_shifts(M[hits])))
-
-
-def is_ewald_pair(k0, m0, tol: float = DEFAULT_TOL) -> bool:
-    """Whether (k0, m0) satisfies 2 k0.m0 = |m0|^2 within tolerance."""
-    m0 = as_shift(m0)
-    return bool(_on_plane(np.array(m0), sum(c * c for c in m0), as_wavevector("k0", k0), tol))
 
 
 def gap_admissible(

@@ -58,7 +58,7 @@ from scipy.special import ive
 
 from ..dirichlet import MAX_N, MIN_N, require_scale
 from ..errors import DomainError, ResolutionError
-from ..lattice import as_wavevector, integer_cube, orbits, require_between, stabiliser
+from ..lattice import as_wavevector, orbits, require_between, stabiliser
 from .eig import EigResult, hermitian_eigensolve, outside_stacklevel
 
 TWO_PI = 2.0 * math.pi
@@ -391,20 +391,18 @@ def lattice_green(m1: int, m2: int, m3: int) -> float:
     return v1 + v2
 
 
-def mask_pattern(radius_cells: float) -> np.ndarray:
-    """Integer nodes with |m| < radius_cells (the staircase ball pattern)."""
-    if radius_cells <= 0:
-        return np.zeros((0, 3), dtype=int)
-    cube = integer_cube(math.ceil(radius_cells))
-    return cube[np.sum(cube * cube, axis=1) < radius_cells**2]
+def mask_pattern(n: int, a: float) -> np.ndarray:
+    """The nodes that `sphere_mask(n, a)` masks (the staircase ball pattern), as integer
+    offsets from node n // 2 in lexicographic order: the oracle's rule, ties included."""
+    return np.argwhere(sphere_mask(n, a)) - n // 2
 
 
 def discrete_inclusion_capacitance(pattern: np.ndarray, h: float) -> float:
     """Exact Gaussian capacitance of a masked node pattern at spacing h.
 
     Solves the discrete equilibrium problem sum_j g(m_i - m_j) c_j = 1 on
-    the pattern and returns h * sum(c) / (4 pi); a grid sphere of radius a
-    centered on a node has pattern mask_pattern(a / h).  This is the
+    the pattern and returns h * sum(c) / (4 pi); the oracle's grid sphere of
+    radius a on the n^3 grid has pattern mask_pattern(n, a).  This is the
     staircase-consistent stand-in for the shape capacitance q*a.
     """
     pattern = np.asarray(pattern, dtype=int)

@@ -93,21 +93,18 @@ class TransmissionParams:
         return cls(materials=materials, a=a)
 
 
-def khat_dot(k0, m0, tol: float = lattice.DEFAULT_TOL) -> float:
-    """kh0 . kh1 for k1 = k0 - m0 on the Ewald sphere (|k1| = |k0|)."""
+def khat_dot(k0, m0) -> float:
+    """kh0 . kh1 of an admitted pair, for k1 = k0 - m0 on the Ewald sphere (|k1| = |k0|)."""
     k0 = lattice.as_wavevector("k0", k0)
-    m0 = lattice.as_shift(m0)
-    if not lattice.is_ewald_pair(k0, m0, tol):
-        raise DomainError(f"(k0={tuple(k0.tolist())}, m0={m0}) violates the plane condition")
-    k1 = k0 - np.asarray(m0, dtype=float)
+    k1 = k0 - np.asarray(lattice.as_shift(m0), dtype=float)
     return float(np.dot(k0, k1) / (np.linalg.norm(k0) * np.linalg.norm(k1)))
 
 
-def coupling_mu(k0, m0, params: TransmissionParams, tol: float = lattice.DEFAULT_TOL) -> float:
-    """Splitting amplitude mu = |alpha + beta kh0.kh1| |k0|^2 f."""
+def coupling_mu(k0, m0, params: TransmissionParams) -> float:
+    """Splitting amplitude mu = |alpha + beta kh0.kh1| |k0|^2 f of an admitted pair."""
     k0v = np.asarray(k0, dtype=float)
     mats = params.materials
-    c1 = khat_dot(k0, m0, tol)
+    c1 = khat_dot(k0, m0)
     return abs(mats.alpha + mats.beta * c1) * float(np.dot(k0v, k0v)) * params.f
 
 
@@ -127,7 +124,7 @@ def matrix_M_transmission(
     k2 = float(np.dot(k0, k0))
     V = CELL_VOLUME
     mats = params.materials
-    c1 = khat_dot(k0, m0t, tol)
+    c1 = khat_dot(k0, m0t)
     ab = mats.alpha + mats.beta
     off = mats.alpha + mats.beta * c1
     m2 = m0t[0] ** 2 + m0t[1] ** 2 + m0t[2] ** 2
@@ -137,19 +134,16 @@ def matrix_M_transmission(
     return M
 
 
-def pair_model(
-    k0,
-    m0,
-    params: TransmissionParams,
-    exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
-    tol: float = lattice.DEFAULT_TOL,
-) -> TwoModeModel:
-    """Two-mode model of (k0, m0): centre |k0|(1 + (alpha+beta)f/2), splitting mu."""
+def pair_model(k0, m0, params: TransmissionParams, admissibility=None) -> TwoModeModel:
+    """Two-mode model of (k0, m0): centre |k0|(1 + (alpha+beta)f/2), splitting mu; the pair's
+    `admissibility` is `order_two_admissibility(k0, m0)` unless given."""
+    if admissibility is None:
+        admissibility = order_two_admissibility(k0, m0)
     knorm = lattice.wavevector_norm("k0", k0)
     mats = params.materials
     return TwoModeModel(
         k0, m0, knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * params.f),
-        coupling_mu(k0, m0, params, tol), exclusion_band, tol,
+        coupling_mu(k0, m0, params), admissibility,
     )
 
 

@@ -17,7 +17,9 @@ upper branch dips at -dt*, which leaves the local gap
 
     centre -+ s sqrt(1 - nu^2) / (2 |k0|).
 
-For nu > 1 the branch ranges overlap and there is no gap.
+For nu > 1 the branch ranges overlap and there is no gap.  Whether a pair
+has one depends on the pair alone: `order_two_admissibility` admits it before
+anything of the inclusion is computed, and the model takes that admission.
 """
 
 from __future__ import annotations
@@ -69,33 +71,34 @@ class BranchCurve:
 
 def order_two_admissibility(k0, m0, exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
                             tol: float = lattice.DEFAULT_TOL) -> lattice.GapAdmissibility:
-    """`lattice.gap_admissible` of (k0, m0), which classifies k0 once, refusing a higher-order
-    k0: three or more degenerate plane waves have no two-mode gap."""
+    """`lattice.gap_admissible` of (k0, m0), which classifies k0 once, refusing what a gap
+    request refuses: a higher-order k0 (three or more degenerate plane waves have no two-mode
+    gap) and a ratio |k0|/|m0| inside the exclusion band around sqrt(2)/2."""
     adm = lattice.gap_admissible(k0, m0, exclusion_band, tol)
     if adm.verdict is lattice.Verdict.HIGHER_ORDER_EXCLUDED:
         raise DomainError(f"k0={tuple(lattice.as_wavevector('k0', k0).tolist())} is a "
                           "higher-order exceptional point (three or more plane waves "
                           "degenerate); no gap theory here")
+    if adm.verdict is lattice.Verdict.BOUNDARY_EXCLUDED:
+        raise DomainError(f"|k0|/|m0|={adm.ratio} inside the exclusion band around sqrt(2)/2")
     return adm
 
 
 class TwoModeModel:
-    """Branches, scans and the local gap of one pair that `order_two_admissibility` accepts."""
+    """Branches, scans and the local gap of one pair, given its admission by
+    `order_two_admissibility`; the model classifies nothing itself."""
 
-    def __init__(
-        self,
-        k0,
-        m0,
-        centre: float,
-        s: float,
-        exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
-        tol: float = lattice.DEFAULT_TOL,
-    ):
-        self.admissibility = order_two_admissibility(k0, m0, exclusion_band, tol)
+    def __init__(self, k0, m0, centre: float, s: float,
+                 admissibility: lattice.GapAdmissibility):
+        self.knorm = lattice.wavevector_norm("k0", k0)
         self.k0 = tuple(float(x) for x in np.asarray(k0, dtype=float))
         self.m0 = lattice.as_shift(m0)
-        self.knorm = float(np.linalg.norm(self.k0))
-        self.nu = self.admissibility.nu
+        # the ratio as `lattice.shift_admissibility` computes it, so an admission's is equal
+        if (admissibility.verdict not in (lattice.Verdict.GAP_PREDICTED, lattice.Verdict.NO_GAP)
+                or admissibility.ratio != self.knorm / math.sqrt(sum(c * c for c in self.m0))):
+            raise DomainError(f"admissibility: does not admit (k0={self.k0}, m0={self.m0})")
+        self.admissibility = admissibility
+        self.nu = admissibility.nu
         self.centre = float(centre)
         self.s = float(s)
 
@@ -133,12 +136,7 @@ class TwoModeModel:
         predicts touching bands there.  So is a splitting too small to move
         omega by one rounding step.
         """
-        adm = self.admissibility
-        if adm.verdict is lattice.Verdict.BOUNDARY_EXCLUDED:
-            raise DomainError(
-                f"|k0|/|m0|={adm.ratio} inside the exclusion band around sqrt(2)/2"
-            )
-        if adm.verdict is lattice.Verdict.NO_GAP:
+        if self.admissibility.verdict is lattice.Verdict.NO_GAP:
             return GapStatus.NO_GAP_NU, None
         half = self.s * math.sqrt(1.0 - self.nu * self.nu) / (2.0 * self.knorm)
         if not self.centre - half < self.centre + half:  # also a splitting below omega's rounding

@@ -18,6 +18,7 @@ from bandscan.globalscan import global_scan
 from bandscan.oracle import fd as fd_oracle
 from bandscan.oracle.pwe import pwe_transmission_eigenvalues
 from bandscan.transmission import MaterialSpec, TransmissionParams
+from bandscan.twomode import order_two_admissibility
 
 PI3 = (2.0 * math.pi) ** 3
 SQ2 = math.sqrt(2.0) / 2.0
@@ -43,8 +44,9 @@ def test_criterion_1_gap_condition_property():
         want = ratio < SQ2
         below += want
         above += not want
-        _, gd = dirichlet.pair_model(k0, m0, p_dir, exclusion_band=1e-3).gap()
-        _, gt = transmission.pair_model(k0, m0, p_tr, exclusion_band=1e-3).gap()
+        adm = order_two_admissibility(k0, m0, 1e-3)
+        _, gd = dirichlet.pair_model(k0, m0, p_dir, admissibility=adm).gap()
+        _, gt = transmission.pair_model(k0, m0, p_tr, admissibility=adm).gap()
         ok &= (gd is not None) == want
         ok &= (gt is not None) == want
     elapsed = time.time() - t0
@@ -109,7 +111,7 @@ def test_criterion_3_dirichlet_oracle_agreement():
 
     def remainder(a, n):
         h = 2.0 * math.pi / n
-        pattern = fd_oracle.mask_pattern(a / h)
+        pattern = fd_oracle.mask_pattern(n, a)
         assert int(fd_oracle.sphere_mask(n, a).sum()) == len(pattern)
         cap_d = fd_oracle.discrete_inclusion_capacitance(pattern, h)
         pred = 2.0 * math.pi * cap_d / (k2 * PI3) * knorm

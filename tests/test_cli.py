@@ -564,6 +564,50 @@ def test_bad_a_with_a_mesh_is_refused_before_the_bem_solve(tmp_path, monkeypatch
     assert calls == [] and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "gap --k0 0.3,0.1,0.2 --m0 1,0,0",  # off the plane of m0
+    "gap --k0 0.5,0.5,0.5",  # higher order
+    "bands --k0 40,0,0",  # past the cap of the shift search
+    "gap --k0 0.5,0.3,0.4 --m0 1,0,0",  # |k0|/|m0| = sqrt(2)/2, in the exclusion band
+])
+def test_pair_refusal_with_a_mesh_runs_no_bem_solve(tmp_path, monkeypatch, capsys, argv):
+    # each once waited 2.5-3.6 s for the BEM solve of this 5,120-panel mesh
+    from bandscan import capacitance, meshes
+
+    path = tmp_path / "s.off"
+    meshes.write_off(meshes.icosphere(4), path)
+    calls = []
+    monkeypatch.setattr(capacitance, "capacitance_bem", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split() + ["--shape", "mesh", "--mesh", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "k0" in err
+    assert calls == [] and os.listdir() == ["s.off"]
+
+
+@pytest.mark.parametrize("argv", [
+    "gap --out o", "gap --problem transmission --a 0.5 --out o", "bands",
+    "gap --shape ellipsoid --semiaxes 0.2,0.1,0.1 --out o",
+])
+def test_a_request_classifies_k0_once(tmp_path, monkeypatch, capsys, argv):
+    calls = []
+    classify = lattice.classify_wavevector
+    monkeypatch.setattr(lattice, "classify_wavevector", lambda *a: calls.append(a) or classify(*a))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split() + ["--k0", "0.5,0.2,0", "--m0", "1,0,0"]) == 0
+    assert len(calls) == 1
+
+
+def test_transmission_pair_is_judged_at_the_request_tol(tmp_path, monkeypatch, capsys):
+    # 2 k0.m0 - |m0|^2 = 2e-7: on the plane at tol 1e-6, off it at the default 1e-9
+    monkeypatch.chdir(tmp_path)
+    argv = ["gap", "--problem", "transmission", "--k0=0.5000001,0.2,0", "--m0=1,0,0",
+            "--a", "0.5", "--gamma-minus", "1.3", "--out", "o"]
+    assert run(argv + ["--tol", "1e-6"]) == 0
+    assert run(argv) == 2
+    assert "violates the plane condition" in capsys.readouterr().err
+
+
 _NUMBERS =("0", "1", "-1", "0.5", "2e-3", " 1 ")
 _NOT_NUMBERS = ("", " ", "x", "1e", "--", "0x1", "1.2.3", "+-1", "1;2")
 #: Vector text that is not 3 numbers: an empty component, a non-numeric

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bandscan import GapStatus, dirichlet, lattice
 from bandscan.dirichlet import DirichletParams
 from bandscan.errors import DomainError
+from bandscan.twomode import order_two_admissibility
 
 PI3 = (2.0 * math.pi) ** 3
 K_EX = (0.0, 0.0, 0.5)
@@ -220,7 +221,8 @@ class TestProperties:
     def test_gap_exists_iff_nu_below_one(self, pair_rng):
         p = DirichletParams(a=0.1)
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 1000):
-            gap = dirichlet.pair_model(k0, m0, p, exclusion_band=1e-3).gap()[1]
+            adm = order_two_admissibility(k0, m0, 1e-3)
+            gap = dirichlet.pair_model(k0, m0, p, admissibility=adm).gap()[1]
             assert (gap is not None) == (lattice.gap_admissible(k0, m0).nu < 1.0)
 
     def test_gap_scales_linearly_in_a_and_q(self):

@@ -12,6 +12,7 @@ PI3 = (2.0 * math.pi) ** 3
 K = np.array([0.2, 0.1, 0.15])
 K2 = float(K @ K)
 TRIVIAL = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)  # the group of the identity alone
+H32 = 2.0 * math.pi / 32  # the grid spacing at n = 32
 
 
 def reference_csr(n, k, mask):
@@ -86,8 +87,19 @@ class TestUnperturbed:
 
 class TestMaskedProblem:
     def test_mask_matches_pattern(self):
-        pat = fd.mask_pattern(0.3 / (2.0 * math.pi / 32))
+        pat = fd.mask_pattern(32, 0.3)
         assert int(fd.sphere_mask(32, 0.3).sum()) == len(pat)
+        # a = h sqrt(q) puts nodes on the sphere; |m| < a/h in floats once listed 93 nodes at
+        # n = 24, a = pi/4, where the oracle masks 123
+        assert len(fd.mask_pattern(24, math.pi / 4)) == 123
+        for n in (16, 24, 32, 48, 96):
+            for q in range(1, 60):
+                a0 = 2.0 * math.pi / n * math.sqrt(q)
+                for a in (np.nextafter(a0, 0.0), a0, np.nextafter(a0, 4.0)):
+                    if a < 0.5 * math.pi:
+                        mask = fd.sphere_mask(n, float(a))
+                        pat = fd.mask_pattern(n, float(a))
+                        assert len(pat) == mask.sum() and mask[tuple((pat + n // 2).T)].all()
 
     def test_shift_tracks_asymptotic(self):
         res = fd.fd_dirichlet_eigenvalues(K, 0.3, 32, 1)
@@ -236,30 +248,30 @@ class TestLatticeGreen:
 
 class TestDiscreteCapacitance:
     def test_single_node(self):
-        pat = fd.mask_pattern(0.5)
+        pat = fd.mask_pattern(32, 0.5 * H32)
         assert len(pat) == 1
         c = fd.discrete_inclusion_capacitance(pat, 1.0)
         assert c == pytest.approx(1.0 / (4.0 * math.pi * 0.2527310098), rel=1e-8)
 
     def test_scaling_in_h(self):
-        pat = fd.mask_pattern(2.2)
+        pat = fd.mask_pattern(32, 2.2 * H32)
         c1 = fd.discrete_inclusion_capacitance(pat, 0.1)
         c2 = fd.discrete_inclusion_capacitance(pat, 0.2)
         assert c2 == pytest.approx(2.0 * c1, rel=1e-14)
 
     def test_monotone_in_pattern(self):
         h = 0.13
-        c_small = fd.discrete_inclusion_capacitance(fd.mask_pattern(1.2), h)
-        c_big = fd.discrete_inclusion_capacitance(fd.mask_pattern(2.2), h)
+        c_small = fd.discrete_inclusion_capacitance(fd.mask_pattern(32, 1.2 * H32), h)
+        c_big = fd.discrete_inclusion_capacitance(fd.mask_pattern(32, 2.2 * H32), h)
         assert c_big > c_small
 
     def test_approaches_continuum_radius(self):
         # a well-resolved staircase ball has capacitance close to its radius
-        c = fd.discrete_inclusion_capacitance(fd.mask_pattern(6.0), 1.0)
+        c = fd.discrete_inclusion_capacitance(fd.mask_pattern(32, 6.0 * H32), 1.0)
         assert c == pytest.approx(6.0, rel=0.08)
 
     def test_green_matrix_matches_the_pairwise_loop(self, monkeypatch):
-        pat = fd.mask_pattern(2.2)
+        pat = fd.mask_pattern(32, 2.2 * H32)
         loop = np.array([[fd.lattice_green(*np.abs(p - q)) for q in pat] for p in pat])
         seen = []
         solve = np.linalg.solve

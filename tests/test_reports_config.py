@@ -169,11 +169,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="samples"):
             parse_config_file(path)
 
-    def test_validation_names_field(self):
+    def test_validation_names_field(self, tmp_path, capsys):
+        from bandscan import cli
+
         with pytest.raises(ConfigError, match="problem"):
             build_config({}, {"problem": "heat"})
-        with pytest.raises(ConfigError, match="m0"):
-            build_config({}, {"m0": (0, 0, 0)})
+        # the pair's rules have their owners, which the request meets before any shape solve
+        assert cli.main(["gap", "--m0", "0,0,0", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: m0: lattice shift must be nonzero\n"
         with pytest.raises(ConfigError, match="g_max"):
             build_config({}, {"g_max": 1})
         with pytest.raises(ConfigError, match="semiaxes"):

@@ -7,6 +7,7 @@ from conftest import random_order_two_pairs
 from bandscan import GapStatus, lattice, transmission
 from bandscan.errors import DomainError
 from bandscan.transmission import MaterialSpec, TransmissionParams
+from bandscan.twomode import order_two_admissibility
 
 PI3 = (2.0 * math.pi) ** 3
 K_EX = (0.0, 0.0, 0.5)
@@ -145,7 +146,8 @@ class TestLocalGap:
     def test_gap_iff_nu_below_one(self, pair_rng):
         p = weak_params(0.01)
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 300):
-            gap = transmission.pair_model(k0, m0, p, exclusion_band=1e-3).gap()[1]
+            adm = order_two_admissibility(k0, m0, 1e-3)
+            gap = transmission.pair_model(k0, m0, p, admissibility=adm).gap()[1]
             assert (gap is not None) == (lattice.gap_admissible(k0, m0).nu < 1.0)
 
     def test_samples_respect_gap(self):

@@ -91,7 +91,7 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     # The extrema sit where the splitting terms do, whatever the centre. Near
     # them the branches bend by ~1e-6 s per step, which rounding at the pair
     # frequency hides when s is small, so locate them on the centre-free model.
-    shape = twomode.TwoModeModel(k0, m0, 0.0, model.s)
+    shape = twomode.TwoModeModel(k0, m0, 0.0, model.s, model.admissibility)
     offsets = shape.scan((-2.0 * d, 2.0 * d), 2001)
     step = 4.0 * d / 2000
     assert abs(offsets.delta_tilde[np.argmax(offsets.omega_minus_over_c)] - d) <= step
@@ -125,6 +125,32 @@ def test_pair_is_classified_once(monkeypatch):
     model.scan((-0.05, 0.05), 2001)
     model.gap()
     assert len(calls) == 1
+
+
+def test_exclusion_band_is_refused_by_the_admission():
+    # |k0|/|m0| = sqrt(2)/2 on the plane of m0; once refused only by the model's gap()
+    with pytest.raises(DomainError) as exc:
+        twomode.order_two_admissibility((0.5, 0.3, 0.4), (1, 0, 0))
+    ratio = lattice.gap_admissible((0.5, 0.3, 0.4), (1, 0, 0)).ratio
+    assert str(exc.value) == f"|k0|/|m0|={ratio} inside the exclusion band around sqrt(2)/2"
+
+
+@pytest.mark.parametrize("p", [
+    DirichletParams(a=0.1),
+    TransmissionParams.from_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01),
+])
+def test_pair_model_refuses_an_admission_of_another_pair(p):
+    module = dirichlet if isinstance(p, DirichletParams) else transmission
+    k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
+    for adm in (twomode.order_two_admissibility(K_EX, M_EX),
+                lattice.gap_admissible((0.5, 0.3, 0.4), (1, 0, 0)),  # in the exclusion band
+                # this pair's ratio, but inside a band of 0.2
+                lattice.gap_admissible((0.5, 0.2, 0.0), (1, 0, 0), exclusion_band=0.2)):
+        with pytest.raises(DomainError, match=r"^admissibility: does not admit \(k0="):
+            module.pair_model(k0, m0, p, admissibility=adm)
+    # the admission of the pair itself, at another band, is the model's
+    adm = twomode.order_two_admissibility(k0, m0, exclusion_band=1e-3)
+    assert module.pair_model(k0, m0, p, admissibility=adm).admissibility is adm
 
 
 def test_centre_and_splitting_per_problem():
