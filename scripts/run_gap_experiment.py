@@ -13,7 +13,7 @@ import csv
 import sys
 import time
 
-from bandscan import dirichlet
+from bandscan import dirichlet, twomode
 from bandscan.config import coerce
 from bandscan.errors import ConfigError, DomainError, NumericalError
 from bandscan.oracle.gapscan import measure_gap_numeric
@@ -22,7 +22,7 @@ from bandscan.oracle.gapscan import measure_gap_numeric
 def sweep_row(a, k0, m0, args):
     """The predicted and, under --verify, the measured gap at inclusion scale a, printed."""
     p = dirichlet.DirichletParams(a=a, q=args.q)
-    model = dirichlet.pair_model(k0, m0, p)
+    model = twomode.pair_model(k0, m0, p)
     _, gap = model.gap()
     row = {
         "a": a,

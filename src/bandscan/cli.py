@@ -18,10 +18,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
-from . import __version__, dirichlet, lattice, transmission, twomode
+from . import __version__, dirichlet, lattice, twomode
 from .config import KNOWN_KEYS, ScanConfig, build_config, coerce, parse_config_file
 from .errors import (
     ConfigError,
@@ -142,15 +142,8 @@ def _predict(cfg: ScanConfig):
     # the pair first: a mesh's q is a BEM solve of seconds, run only for an admitted pair
     adm = twomode.order_two_admissibility(cfg.k0, cfg.m0, cfg.exclusion_band, cfg.tol)
     params = cfg.params()
-    if isinstance(params, dirichlet.DirichletParams):
-        model = dirichlet.pair_model(cfg.k0, cfg.m0, params, adm)
-        extra = dict(q=params.q, a_tilde=model.s)
-        if model.nu <= 1.0:
-            root = math.sqrt(1.0 - model.nu**2)
-            extra.update(nu_minus=1.0 - root, nu_plus=1.0 + root)
-    else:
-        model = transmission.pair_model(cfg.k0, cfg.m0, params, adm)
-        extra = dict(asdict(params.materials), mu=model.s, k0_tilde_norm=model.centre)
+    model = twomode.pair_model(cfg.k0, cfg.m0, params, adm)
+    extra = params.report_fields(model)
     status, interval = model.gap()
     if interval is not None:
         extra.update(predicted_lo_over_c=interval.lo_over_c,

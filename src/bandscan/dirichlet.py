@@ -15,6 +15,12 @@ and for nu < 1 the local gap is
 
     (|k0| + a_tilde*nu_minus/(2|k0|),  |k0| + a_tilde*nu_plus/(2|k0|)),
     nu_pm = 1 +- sqrt(1 - nu^2).
+
+`DirichletParams` owns what is particular to this problem: the order-one
+shift eps = 2 pi q a / (|k|^2 |Pi|) at a non-exceptional k (`epsilon`), the
+pair centre and splitting that it supplies to `twomode.pair_model`
+(`centre_and_splitting`), and the report's q, a_tilde and nu_pm
+(`report_fields`).
 """
 
 from __future__ import annotations
@@ -23,11 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import lattice
 from .errors import DomainError
-from .twomode import TwoModeModel, order_two_admissibility
 
 #: Cell volume |Pi| of the cube [-pi, pi]^3.
 CELL_VOLUME = (2.0 * math.pi) ** 3
@@ -69,46 +71,19 @@ class DirichletParams:
     def a_tilde(self) -> float:
         return 4.0 * math.pi * self.a * self.q / CELL_VOLUME
 
+    def epsilon(self, knorm: float) -> float:
+        """Order-one shift eps = 2 pi q a / (|k|^2 |Pi|) at a non-exceptional k of norm knorm:
+        omega = (1 + eps) c |k|."""
+        return 2.0 * math.pi * self.q * self.a / CELL_VOLUME / (knorm * knorm)
 
-def epsilon_nonexceptional(k, p: DirichletParams, tol: float = lattice.DEFAULT_TOL) -> float:
-    """Leading-order dispersion correction eps = 2 pi q a / (|k|^2 |Pi|).
+    def centre_and_splitting(self, k0, m0, knorm: float) -> tuple[float, float]:
+        """The pair centre |k0| + a_tilde/(2|k0|) and the splitting a_tilde of an admitted pair."""
+        return knorm + self.a_tilde / (2.0 * knorm), self.a_tilde
 
-    The dispersion point is omega = (1 + eps) c |k|.  Only valid for
-    non-exceptional k; exceptional vectors must go through pair_model.
-    """
-    k = np.asarray(k, dtype=float)
-    cls = lattice.classify_wavevector(k, tol)
-    if cls.order != 1:
-        raise DomainError(
-            f"k={tuple(k.tolist())} is exceptional of order {cls.order}; use pair_model"
-        )
-    k2 = float(np.dot(k, k))
-    return 2.0 * math.pi * p.q * p.a / (k2 * CELL_VOLUME)
-
-
-def pair_model(k0, m0, p: DirichletParams, admissibility=None) -> TwoModeModel:
-    """Two-mode model of (k0, m0): centre |k0| + a_tilde/(2|k0|), splitting a_tilde; the pair's
-    `admissibility` is `order_two_admissibility(k0, m0)` unless given."""
-    if admissibility is None:
-        admissibility = order_two_admissibility(k0, m0)
-    knorm = lattice.wavevector_norm("k0", k0)
-    return TwoModeModel(k0, m0, knorm + p.a_tilde / (2.0 * knorm), p.a_tilde, admissibility)
-
-
-def exceptional_splitting_check(
-    k0, m0, p: DirichletParams, tol: float = lattice.DEFAULT_TOL
-) -> tuple[float, float]:
-    """The two eps roots at delta = 0 from the 2x2 interaction matrix.
-
-    det(2 eps |k0|^2 |Pi| Id - 4 pi q a J) = 0 with J the all-ones matrix;
-    the eigenvalues of J give eps2 = 0 and eps1 = a_tilde / |k0|^2, which
-    matches the upper branch of pair_model at delta_tilde = 0.
-    """
-    order_two_admissibility(k0, m0, tol=tol)  # refuses what a gap request refuses
-    k0 = np.asarray(k0, dtype=float)
-    k2 = float(np.dot(k0, k0))
-    J = np.ones((2, 2))
-    lam = np.linalg.eigvalsh(J)
-    eps = 4.0 * math.pi * p.q * p.a * lam / (2.0 * k2 * CELL_VOLUME)
-    eps = np.sort(eps)
-    return float(eps[1]), float(eps[0])
+    def report_fields(self, model) -> dict:
+        """The `GapReport` fields of this problem for the pair's `model`."""
+        fields = dict(q=self.q, a_tilde=model.s)
+        if model.nu <= 1.0:
+            root = math.sqrt(1.0 - model.nu**2)
+            fields.update(nu_minus=1.0 - root, nu_plus=1.0 + root)
+        return fields

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .dirichlet import CELL_VOLUME, DirichletParams
+from .dirichlet import DirichletParams
 from .errors import DomainError, NumericalError
 
 #: Generic default ray: rationally independent components.
@@ -40,7 +40,7 @@ class CoverageRow:
 
 
 def _root_along_ray(omega: float, A: float) -> float:
-    """Upper root of t + A/t = omega (A = 2 pi q a / |Pi|)."""
+    """Upper root of t + A/t = omega, the dispersion relation (1 + A/t^2) t = omega."""
     disc = omega * omega - 4.0 * A
     if disc <= 0.0:
         raise NumericalError(
@@ -61,14 +61,14 @@ def cover_frequency(
     d = np.asarray(direction, dtype=float)
     if np.linalg.norm(d) == 0:
         raise DomainError("direction: must be nonzero")
-    A = 2.0 * math.pi * p.q * p.a / CELL_VOLUME
+    A = p.epsilon(1.0)  # eps(k) = A / |k|^2
     for attempt in range(MAX_PERTURBATIONS + 1):
         dhat = d / np.linalg.norm(d)
         t = _root_along_ray(omega_over_c, A)
         k = t * dhat
         cls = lattice.classify_wavevector(k, tol)
         if cls.order == 1:
-            eps = A / (t * t)
+            eps = p.epsilon(t)
             residual = abs((1.0 + eps) * float(np.linalg.norm(k)) - omega_over_c)
             return CoverageRow(
                 omega_over_c, tuple(float(x) for x in k), cls.order, residual

@@ -109,10 +109,12 @@ def orbits(points: np.ndarray, group, period: int) -> tuple[np.ndarray, np.ndarr
     """(first, number) of the orbits of `group` on `points` (N, 3), distinct mod `period`.
 
     `first` indexes, in the order of `points`, each orbit's point of smallest code (p mod
-    `period` in mixed radix), and point i lies in the orbit of `points[first[number[i]]]`."""
-    radix = np.array([period * period, period, 1])
-    key = reduce(np.minimum, (points @ np.transpose(R) % period @ radix for R in group))
-    first = np.flatnonzero(points % period @ radix == key)
+    `period` in mixed radix), and point i lies in the orbit of `points[first[number[i]]]`.
+    The points are mapped in int32 on their (3, N) transpose: codes below 2^31 are exact."""
+    radix = np.array([period * period, period, 1], dtype=np.int32)
+    p = np.asarray(points, dtype=np.int32).T
+    key = reduce(np.minimum, (radix @ (np.array(R, dtype=np.int32) @ p % period) for R in group))
+    first = np.flatnonzero(radix @ (p % period) == key)
     order = np.argsort(key[first])
     return first, order[np.searchsorted(key[first], key, sorter=order)]
 

@@ -16,19 +16,24 @@ with dt = delta |m0|^2 / 2 and mu = |alpha + beta kh0.kh1| |k0|^2 f, where
 kh0, kh1 are the unit vectors of k0 and k1 = k0 - m0.  For nu < 1 the local
 gap is the interval of half-width mu*sqrt(1-nu^2)/(2|k0|) centered at
 |k0|(1 + (alpha+beta) f / 2); frequencies are in units of the host speed.
+
+`TransmissionParams` owns what is particular to this problem: the order-one
+shift eps = (alpha + beta) f / 2 (`epsilon`), the pair centre |k0|(1 + eps)
+and the splitting mu that it supplies to `twomode.pair_model`
+(`centre_and_splitting`), and the report's materials, mu and centre
+(`report_fields`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import lattice
 from .dirichlet import CELL_VOLUME
 from .errors import DomainError
-from .twomode import TwoModeModel, order_two_admissibility
 
 #: Range of the plane-wave oracle's truncation.  The dense solve of the full
 #: basis, (2 g_max + 1)^3 modes, peaks at 259 MB at 6 and 513 MB at 7.
@@ -85,12 +90,20 @@ class TransmissionParams:
     def f(self) -> float:
         return volume_fraction(self.a)
 
-    @classmethod
-    def from_volume_fraction(cls, materials: MaterialSpec, f: float) -> "TransmissionParams":
-        if not (0.0 < f < 1.0):
-            raise DomainError(f"f: volume fraction must lie in (0, 1), got {f}")
-        a = (f * CELL_VOLUME * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
-        return cls(materials=materials, a=a)
+    @property
+    def epsilon(self) -> float:
+        """Order-one shift eps = (alpha + beta) f / 2, the same at every non-exceptional k:
+        omega = (1 + eps) c |k| with c the host speed."""
+        mats = self.materials
+        return 0.5 * (mats.alpha + mats.beta) * self.f
+
+    def centre_and_splitting(self, k0, m0, knorm: float) -> tuple[float, float]:
+        """The pair centre |k0|(1 + eps) and the splitting mu of an admitted pair."""
+        return knorm * (1.0 + self.epsilon), coupling_mu(k0, m0, self)
+
+    def report_fields(self, model) -> dict:
+        """The `GapReport` fields of this problem for the pair's `model`."""
+        return dict(asdict(self.materials), mu=model.s, k0_tilde_norm=model.centre)
 
 
 def khat_dot(k0, m0) -> float:
@@ -106,59 +119,3 @@ def coupling_mu(k0, m0, params: TransmissionParams) -> float:
     mats = params.materials
     c1 = khat_dot(k0, m0)
     return abs(mats.alpha + mats.beta * c1) * float(np.dot(k0v, k0v)) * params.f
-
-
-def matrix_M_transmission(
-    k0,
-    m0,
-    params: TransmissionParams,
-    epsilon: float,
-    delta: float,
-    tol: float = lattice.DEFAULT_TOL,
-) -> np.ndarray:
-    """Leading-order 2x2 interaction matrix whose determinant vanishes on
-    the dispersion surface (spherical inclusions)."""
-    order_two_admissibility(k0, m0, tol=tol)  # refuses what a gap request refuses
-    k0 = np.asarray(k0, dtype=float)
-    m0t = lattice.as_shift(m0)
-    k2 = float(np.dot(k0, k0))
-    V = CELL_VOLUME
-    mats = params.materials
-    c1 = khat_dot(k0, m0t)
-    ab = mats.alpha + mats.beta
-    off = mats.alpha + mats.beta * c1
-    m2 = m0t[0] ** 2 + m0t[1] ** 2 + m0t[2] ** 2
-    M = 2.0 * epsilon * k2 * V * np.eye(2, dtype=complex)
-    M -= params.f * k2 * V * np.array([[ab, off], [off, ab]], dtype=complex)
-    M += delta * V * np.diag([0.0, float(m2)]).astype(complex)
-    return M
-
-
-def pair_model(k0, m0, params: TransmissionParams, admissibility=None) -> TwoModeModel:
-    """Two-mode model of (k0, m0): centre |k0|(1 + (alpha+beta)f/2), splitting mu; the pair's
-    `admissibility` is `order_two_admissibility(k0, m0)` unless given."""
-    if admissibility is None:
-        admissibility = order_two_admissibility(k0, m0)
-    knorm = lattice.wavevector_norm("k0", k0)
-    mats = params.materials
-    return TwoModeModel(
-        k0, m0, knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * params.f),
-        coupling_mu(k0, m0, params), admissibility,
-    )
-
-
-def epsilon_nonexceptional_transmission(
-    k, params: TransmissionParams, tol: float = lattice.DEFAULT_TOL
-) -> float:
-    """Single-mode dispersion correction eps = (alpha + beta) f / 2.
-
-    The dispersion point is omega = (1 + eps) c |k| with c the host speed.
-    """
-    k = np.asarray(k, dtype=float)
-    cls = lattice.classify_wavevector(k, tol)
-    if cls.order != 1:
-        raise DomainError(
-            f"k={tuple(k.tolist())} is exceptional of order {cls.order}; use pair_model"
-        )
-    mats = params.materials
-    return 0.5 * (mats.alpha + mats.beta) * params.f

@@ -7,7 +7,8 @@ splits into the two branches
     omega_pm / c = centre + (nu*dt +- sqrt(s^2 + dt^2)) / (2 |k0|),
 
 with dt = delta |m0|^2 / 2 and nu = 4 |k0|^2 / |m0|^2 - 1.  A problem only
-supplies the pair centre and the splitting s:
+supplies the pair centre and the splitting s, from the
+`centre_and_splitting` of its params:
 
     Dirichlet      centre = |k0| + a_tilde / (2 |k0|),       s = a_tilde
     transmission   centre = |k0| (1 + (alpha + beta) f / 2),  s = mu
@@ -19,7 +20,9 @@ upper branch dips at -dt*, which leaves the local gap
 
 For nu > 1 the branch ranges overlap and there is no gap.  Whether a pair
 has one depends on the pair alone: `order_two_admissibility` admits it before
-anything of the inclusion is computed, and the model takes that admission.
+anything of the inclusion is computed, and `pair_model`, the one constructor
+of a pair's model for either problem, checks that admission before it asks
+the params for anything.
 """
 
 from __future__ import annotations
@@ -84,12 +87,21 @@ def order_two_admissibility(k0, m0, exclusion_band: float = lattice.DEFAULT_EXCL
     return adm
 
 
+def pair_model(k0, m0, params, admissibility=None) -> TwoModeModel:
+    """The model of the pair (k0, m0) with the inclusion `params`, a `DirichletParams` or a
+    `TransmissionParams`; the pair's `admissibility` is `order_two_admissibility(k0, m0)`
+    unless given."""
+    if admissibility is None:
+        admissibility = order_two_admissibility(k0, m0)
+    return TwoModeModel(k0, m0, params, admissibility)
+
+
 class TwoModeModel:
     """Branches, scans and the local gap of one pair, given its admission by
-    `order_two_admissibility`; the model classifies nothing itself."""
+    `order_two_admissibility` and the params that supply its centre and splitting;
+    the model classifies nothing itself."""
 
-    def __init__(self, k0, m0, centre: float, s: float,
-                 admissibility: lattice.GapAdmissibility):
+    def __init__(self, k0, m0, params, admissibility: lattice.GapAdmissibility):
         self.knorm = lattice.wavevector_norm("k0", k0)
         self.k0 = tuple(float(x) for x in np.asarray(k0, dtype=float))
         self.m0 = lattice.as_shift(m0)
@@ -99,6 +111,7 @@ class TwoModeModel:
             raise DomainError(f"admissibility: does not admit (k0={self.k0}, m0={self.m0})")
         self.admissibility = admissibility
         self.nu = admissibility.nu
+        centre, s = params.centre_and_splitting(self.k0, self.m0, self.knorm)
         self.centre = float(centre)
         self.s = float(s)
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bandscan import lattice, meshes
+from bandscan import lattice, meshes, transmission
+from bandscan.dirichlet import CELL_VOLUME
+from bandscan.transmission import TransmissionParams
 
 
 def random_order_two_pairs(rng, n_pairs, ratio_band=1e-3, max_attempts_factor=20):
@@ -39,6 +41,59 @@ def random_order_two_pairs(rng, n_pairs, ratio_band=1e-3, max_attempts_factor=20
     if len(out) < n_pairs:
         raise RuntimeError("pair generation starved")
     return out
+
+
+def at_volume_fraction(materials, f: float) -> TransmissionParams:
+    """The penetrable sphere of volume fraction f: (4/3) pi a^3 = f |Pi|."""
+    a = (f * CELL_VOLUME * 3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
+    return TransmissionParams(materials=materials, a=a)
+
+
+# PAPER.md's leading-order formulas, written out on their own as references for the
+# two-mode model and the params that feed it.
+
+def epsilon_nonexceptional(k, p) -> float:
+    """Dirichlet order-one shift eps = 2 pi q a / (|k|^2 |Pi|) at a non-exceptional k."""
+    k = np.asarray(k, dtype=float)
+    return 2.0 * math.pi * p.q * p.a / (float(np.dot(k, k)) * CELL_VOLUME)
+
+
+def epsilon_nonexceptional_transmission(params) -> float:
+    """Transmission order-one shift eps = (alpha + beta) f / 2, the same at every
+    non-exceptional k."""
+    mats = params.materials
+    return 0.5 * (mats.alpha + mats.beta) * params.f
+
+
+def exceptional_splitting_check(k0, m0, p) -> tuple[float, float]:
+    """The two Dirichlet eps roots (eps1, eps2) at delta = 0 from the 2x2 interaction matrix.
+
+    det(2 eps |k0|^2 |Pi| Id - 4 pi q a J) = 0 with J the all-ones matrix;
+    the eigenvalues of J give eps2 = 0 and eps1 = a_tilde / |k0|^2, the
+    upper branch of the pair's model at delta_tilde = 0.
+    """
+    k0 = np.asarray(k0, dtype=float)
+    k2 = float(np.dot(k0, k0))
+    lam = np.linalg.eigvalsh(np.ones((2, 2)))
+    eps = np.sort(4.0 * math.pi * p.q * p.a * lam / (2.0 * k2 * CELL_VOLUME))
+    return float(eps[1]), float(eps[0])
+
+
+def matrix_M_transmission(k0, m0, params, epsilon: float, delta: float) -> np.ndarray:
+    """Leading-order 2x2 transmission interaction matrix, whose determinant vanishes on
+    the dispersion surface (spherical inclusions)."""
+    k0 = np.asarray(k0, dtype=float)
+    m0 = lattice.as_shift(m0)
+    k2 = float(np.dot(k0, k0))
+    V = CELL_VOLUME
+    mats = params.materials
+    ab = mats.alpha + mats.beta
+    off = mats.alpha + mats.beta * transmission.khat_dot(k0, m0)
+    m2 = m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2
+    M = 2.0 * epsilon * k2 * V * np.eye(2, dtype=complex)
+    M -= params.f * k2 * V * np.array([[ab, off], [off, ab]], dtype=complex)
+    M += delta * V * np.diag([0.0, float(m2)]).astype(complex)
+    return M
 
 
 def cube_mesh(side: float = 1.0, refinements: int = 3) -> meshes.TriangleMesh:

@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_order_two_pairs
+from conftest import at_volume_fraction, exceptional_splitting_check, random_order_two_pairs
 
 from bandscan import capacitance as cap
-from bandscan import dirichlet, lattice, meshes, transmission
+from bandscan import dirichlet, lattice, meshes, twomode
 from bandscan.globalscan import global_scan
 from bandscan.oracle import fd as fd_oracle
 from bandscan.oracle.pwe import pwe_transmission_eigenvalues
@@ -37,7 +37,7 @@ def test_criterion_1_gap_condition_property():
     rng = np.random.default_rng(20260811)
     pairs = random_order_two_pairs(rng, 500, ratio_band=1e-3)
     p_dir = dirichlet.DirichletParams(a=0.1)
-    p_tr = TransmissionParams.from_volume_fraction(WEAK, 0.01)
+    p_tr = at_volume_fraction(WEAK, 0.01)
     ok = True
     below = above = 0
     for k0, m0, ratio in pairs:
@@ -45,8 +45,8 @@ def test_criterion_1_gap_condition_property():
         below += want
         above += not want
         adm = order_two_admissibility(k0, m0, 1e-3)
-        _, gd = dirichlet.pair_model(k0, m0, p_dir, admissibility=adm).gap()
-        _, gt = transmission.pair_model(k0, m0, p_tr, admissibility=adm).gap()
+        _, gd = twomode.pair_model(k0, m0, p_dir, admissibility=adm).gap()
+        _, gt = twomode.pair_model(k0, m0, p_tr, admissibility=adm).gap()
         ok &= (gd is not None) == want
         ok &= (gt is not None) == want
     elapsed = time.time() - t0
@@ -69,10 +69,10 @@ def test_criterion_2_splitting_consistency():
     for k0, m0, a, q in cases:
         p = dirichlet.DirichletParams(a=a, q=q)
         knorm = float(np.linalg.norm(k0))
-        lo, hi = dirichlet.pair_model(k0, m0, p).branches(0.0)
+        lo, hi = twomode.pair_model(k0, m0, p).branches(0.0)
         split = hi - lo
         ok &= abs(split - p.a_tilde / knorm) <= 1e-12 * (p.a_tilde / knorm)
-        e1, e2 = dirichlet.exceptional_splitting_check(k0, m0, p)
+        e1, e2 = exceptional_splitting_check(k0, m0, p)
         ok &= abs(split - (e1 - e2) * knorm) <= 1e-12 * split
     elapsed = time.time() - t0
     ok &= elapsed < 1.0
@@ -136,7 +136,7 @@ def test_criterion_4_transmission_oracle_and_factor_discrimination():
     ok = True
     details = []
 
-    params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
+    params = at_volume_fraction(WEAK, 0.01)
     res = pwe_transmission_eigenvalues((0.0, 0.0, 0.5), params, 3, 2)
     omegas = np.sqrt(res.eigenvalues) / params.materials.c_plus
     split = float(omegas[1] - omegas[0])
@@ -227,7 +227,7 @@ def test_criterion_8_cone_recovery():
     ok = True
     worst = 0.0
     for k0, m0 in cases:
-        models = (dirichlet.pair_model(k0, m0, p0), transmission.pair_model(k0, m0, pt0))
+        models = (twomode.pair_model(k0, m0, p0), twomode.pair_model(k0, m0, pt0))
         k0v = np.asarray(k0)
         m0v = np.asarray(m0, dtype=float)
         m2 = float(m0v @ m0v)

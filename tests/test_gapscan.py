@@ -2,8 +2,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import at_volume_fraction
 
-from bandscan import dirichlet, transmission
+from bandscan import dirichlet, twomode
 from bandscan.errors import DomainError, TrackingError
 from bandscan.lattice import integer_cube, stabiliser
 from bandscan.oracle.gapscan import measure_gap_numeric
@@ -14,15 +15,15 @@ TRIVIAL = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)  # the group of the identity alon
 
 
 def test_zero_contrast_has_no_gap():
-    params = TransmissionParams.from_volume_fraction(MaterialSpec(1, 1, 1, 1), 0.01)
-    model = transmission.pair_model((0, 0, 0.5), (0, 0, 1), params)
+    params = at_volume_fraction(MaterialSpec(1, 1, 1, 1), 0.01)
+    model = twomode.pair_model((0, 0, 0.5), (0, 0, 1), params)
     got = measure_gap_numeric(model, params, g_max=3, n_deltas=5)
     assert got is None
 
 
 def test_transmission_gap_matches_prediction():
-    params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
-    model = transmission.pair_model((0, 0, 0.5), (0, 0, 1), params)
+    params = at_volume_fraction(WEAK, 0.01)
+    model = twomode.pair_model((0, 0, 0.5), (0, 0, 1), params)
     got = measure_gap_numeric(model, params, g_max=3, n_deltas=7)
     _, pred = model.gap()
     assert got is not None
@@ -32,7 +33,7 @@ def test_transmission_gap_matches_prediction():
 
 def test_dirichlet_gap_brackets_from_above():
     p = dirichlet.DirichletParams(a=0.4)
-    model = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p)
+    model = twomode.pair_model((0, 0, 0.5), (0, 0, 1), p)
     got = measure_gap_numeric(model, p, n=24, n_deltas=7)
     _, pred = model.gap()
     assert got is not None
@@ -46,7 +47,7 @@ def test_nu_above_one_leaves_no_robust_gap():
     p = dirichlet.DirichletParams(a=0.3)
     at = p.a_tilde
     knorm = float(np.linalg.norm([0.5, 0.6, 0.3]))
-    model = dirichlet.pair_model((0.5, 0.6, 0.3), (1, 0, 0), p)
+    model = twomode.pair_model((0.5, 0.6, 0.3), (1, 0, 0), p)
     got = measure_gap_numeric(
         model, p, n=24, deltas=np.linspace(-at, at, 7), window_factor=2.5
     )
@@ -56,7 +57,7 @@ def test_nu_above_one_leaves_no_robust_gap():
 
 def test_tracking_error_reports_diagnostics():
     p = dirichlet.DirichletParams(a=0.4)
-    model = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p)
+    model = twomode.pair_model((0, 0, 0.5), (0, 0, 1), p)
     with pytest.raises(TrackingError, match="bands"):
         measure_gap_numeric(model, p, n=16, deltas=np.array([0.0]), window_factor=1e-6)
 
@@ -65,10 +66,10 @@ def test_requires_order_two_and_params():
     # the oracle measures a pair model, and only an order-two k0 has one
     p = dirichlet.DirichletParams(a=0.2)
     with pytest.raises(DomainError):
-        dirichlet.pair_model((0.3, 0.1, 0.2), (1, 0, 0), p)
-    params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
+        twomode.pair_model((0.3, 0.1, 0.2), (1, 0, 0), p)
+    params = at_volume_fraction(WEAK, 0.01)
     with pytest.raises(DomainError):
-        transmission.pair_model((0.3, 0.1, 0.2), (1, 0, 0), params)
+        twomode.pair_model((0.3, 0.1, 0.2), (1, 0, 0), params)
 
 
 def test_fd_oracle_refuses_q_other_than_the_sphere_before_any_solve(monkeypatch):
@@ -79,7 +80,7 @@ def test_fd_oracle_refuses_q_other_than_the_sphere_before_any_solve(monkeypatch)
     calls = []
     monkeypatch.setattr(gapscan, "fd_dirichlet_eigenvalues", lambda *a, **kw: calls.append(a))
     p = dirichlet.DirichletParams(a=0.4, q=2.0)
-    model = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p)
+    model = twomode.pair_model((0, 0, 0.5), (0, 0, 1), p)
     with pytest.raises(DomainError, match=r"^q: the finite-difference oracle masks a sphere"):
         measure_gap_numeric(model, p, n=24)
     assert calls == []
@@ -102,7 +103,7 @@ def test_warm_started_ray_matches_cold_solves(monkeypatch):
     monkeypatch.setattr(gapscan, "fd_dirichlet_eigenvalues", recording)
     k0, a = np.array([0.5, 0.2, 0.0]), 0.3
     p = dirichlet.DirichletParams(a=a)
-    got = measure_gap_numeric(dirichlet.pair_model(k0, (1, 0, 0), p), p, n=24, n_deltas=5)
+    got = measure_gap_numeric(twomode.pair_model(k0, (1, 0, 0), p), p, n=24, n_deltas=5)
     assert starts == [False, True, True, True, True]
     assert counts == [2] * 5
     for i, d in enumerate(got.deltas):
@@ -123,7 +124,7 @@ def test_ray_solves_the_mirror_sector_of_the_pair(monkeypatch, n, even):
     sector = fd._sector
     monkeypatch.setattr(fd, "_sector", lambda *args: seen.append(args[2]) or sector(*args))
     p = dirichlet.DirichletParams(a=0.5)
-    got = measure_gap_numeric(dirichlet.pair_model((0.0, 0.0, 0.5), (0, 0, 1), p), p,
+    got = measure_gap_numeric(twomode.pair_model((0.0, 0.0, 0.5), (0, 0, 1), p), p,
                               n=n, n_deltas=3)
     group = stabiliser((0.0, 0.0, 0.5)) if n % 2 == 0 else TRIVIAL
     assert got is not None and set(seen) == {group}
@@ -138,7 +139,7 @@ def test_window_follows_predicted_pair_centre():
         0.6113107428044207, 1.036763700143883, 0.6396129353284337, 1.4858520721376596
     )
     params = TransmissionParams(materials=mats, a=0.6271676470847247)
-    model = transmission.pair_model((0.0, -0.2, 0.5), (0, 0, 1), params)
+    model = twomode.pair_model((0.0, -0.2, 0.5), (0, 0, 1), params)
     got = measure_gap_numeric(model, params, g_max=3)
     _, pred = model.gap()
     assert got is not None
@@ -152,7 +153,7 @@ def test_dirichlet_guard_eigenvalue_changes_no_band(monkeypatch):
     from bandscan.oracle import gapscan
 
     k0, p = (0.5, 0.2, 0.0), dirichlet.DirichletParams(a=0.33)
-    model = dirichlet.pair_model(k0, (1, 0, 0), p)
+    model = twomode.pair_model(k0, (1, 0, 0), p)
     got = measure_gap_numeric(model, p, n=24, n_deltas=5)
     count = gapscan._auto_count
     monkeypatch.setattr(gapscan, "_auto_count", lambda *args: count(*args) + 1)
@@ -169,8 +170,8 @@ def test_transmission_ray_matches_full_pencil():
     from bandscan.oracle import gapscan, pwe
 
     k0 = np.array([0.2, 0.0, 0.5])
-    params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
-    model = transmission.pair_model(k0, (0, 0, 1), params)
+    params = at_volume_fraction(WEAK, 0.01)
+    model = twomode.pair_model(k0, (0, 0, 1), params)
     got = measure_gap_numeric(model, params, g_max=3, n_deltas=7)
     assert got is not None
     window = max(5.0 * model.s / model.knorm, 1e-3)
@@ -192,8 +193,8 @@ def test_transmission_ray_solves_one_even_sector(monkeypatch, k0, even):
 
     from bandscan.oracle import fd, gapscan, pwe
 
-    params = TransmissionParams.from_volume_fraction(WEAK, 0.01)
-    model = transmission.pair_model(k0, (0, 0, 1), params)
+    params = at_volume_fraction(WEAK, 0.01)
+    model = twomode.pair_model(k0, (0, 0, 1), params)
     oracle = gapscan._oracle
 
     def whole(params, n, g_max):
@@ -255,10 +256,10 @@ def test_group_sector_keeps_the_mirror_sectors_edges(problem, k0, m0, size, lo, 
     # the smaller sector of that whole group holds the same two bands; `size`
     # is g_max or n
     if problem == "transmission":
-        p = TransmissionParams.from_volume_fraction(WEAK, 0.01)
-        got = measure_gap_numeric(transmission.pair_model(k0, m0, p), p, g_max=size, n_deltas=7)
+        p = at_volume_fraction(WEAK, 0.01)
+        got = measure_gap_numeric(twomode.pair_model(k0, m0, p), p, g_max=size, n_deltas=7)
     else:
         p = dirichlet.DirichletParams(a=0.4)
-        got = measure_gap_numeric(dirichlet.pair_model(k0, m0, p), p, n=size, n_deltas=7)
+        got = measure_gap_numeric(twomode.pair_model(k0, m0, p), p, n=size, n_deltas=7)
     assert got.lo_over_c == pytest.approx(lo, rel=1e-12, abs=0.0)
     assert got.hi_over_c == pytest.approx(hi, rel=1e-12, abs=0.0)

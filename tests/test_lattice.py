@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import math
@@ -258,10 +259,24 @@ class TestStabiliser:
             orbit = {index[tuple(np.asarray(R) @ p % period)] for R in group}
             assert set(np.flatnonzero(number == number[i])) == orbit
 
+    @pytest.mark.parametrize("k", [(0, 0, 0.5), (0.5, 0.2, 0), (0.5, 0.2, 0.2)])
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_orbits_match_the_int64_form_on_fd_grids(self, k, n):
+        # the reference maps the (N, 3) points in int64; orbits maps them in int32
+        group = lattice.stabiliser(k)
+        points = np.stack(np.unravel_index(np.arange(n**3), (n, n, n)), axis=1)
+        radix = np.array([n * n, n, 1], dtype=np.int64)
+        key = functools.reduce(np.minimum, (points @ np.transpose(R) % n @ radix for R in group))
+        first = np.flatnonzero(points % n @ radix == key)
+        order = np.argsort(key[first])
+        got = lattice.orbits(points, group, n)
+        assert np.array_equal(got[0], first)
+        assert np.array_equal(got[1], order[np.searchsorted(key[first], key, sorter=order)])
+
 
 def test_wave_vector_messages_print_plain_floats(monkeypatch):
     # numpy 2 prints np.float64(0.5) for a scalar taken from an array
-    from bandscan import dirichlet, transmission
+    from bandscan import dirichlet, transmission, twomode
     from bandscan.errors import TrackingError
     from bandscan.oracle import gapscan
 
@@ -275,18 +290,11 @@ def test_wave_vector_messages_print_plain_floats(monkeypatch):
     generic = (0.3, 0.1, 0.2)
     materials = transmission.MaterialSpec(1.0, 1.2, 1.2, 1.0)
     assert "(0.3, 0.1, 0.2)" in message(lambda: lattice.gap_admissible(generic, (1, 0, 0)))
-    # the paper's identities validate the pair through their module's pair_model
-    dparams = dirichlet.DirichletParams(a=0.1)
-    tparams = transmission.TransmissionParams(materials, a=0.5)
-    for check in (lambda k0, m0: dirichlet.exceptional_splitting_check(k0, m0, dparams),
-                  lambda k0, m0: transmission.matrix_M_transmission(k0, m0, tparams, 0.0, 0.0)):
-        assert "(0.3, 0.1, 0.2)" in message(lambda: check(generic, (1, 0, 0)))
-        higher = message(lambda: check((0.5, 0.5, 0.5), (1, 0, 0)))
+    # the model of either problem admits the pair through the one pair_model
+    for p in (dirichlet.DirichletParams(a=0.1), transmission.TransmissionParams(materials, a=0.5)):
+        assert "(0.3, 0.1, 0.2)" in message(lambda: twomode.pair_model(generic, (1, 0, 0), p))
+        higher = message(lambda: twomode.pair_model((0.5, 0.5, 0.5), (1, 0, 0), p))
         assert "(0.5, 0.5, 0.5)" in higher and "higher-order" in higher
-    assert "(0.0, 0.0, 0.5)" in message(
-        lambda: dirichlet.epsilon_nonexceptional(k, dirichlet.DirichletParams(a=0.1)))
-    assert "(0.0, 0.0, 0.5)" in message(lambda: transmission.epsilon_nonexceptional_transmission(
-        k, transmission.TransmissionParams(materials, a=0.5)))
     assert "(0.0, 0.0, 0.5)" in message(
         lambda: gapscan._auto_count(np.zeros(20), k, center=1.0, window=1.0, margin=0))
     # a pair on its plane that the classification, patched, calls non-exceptional

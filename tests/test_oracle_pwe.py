@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import at_volume_fraction, epsilon_nonexceptional_transmission
 
-from bandscan import transmission
+from bandscan import twomode
 from bandscan.errors import DomainError, NumericalError
 from bandscan.lattice import integer_cube, stabiliser
 from bandscan.oracle import pwe
 from bandscan.oracle.gapscan import measure_gap_numeric
-from bandscan.transmission import (
-    MaterialSpec,
-    TransmissionParams,
-    epsilon_nonexceptional_transmission,
-)
+from bandscan.transmission import MaterialSpec, TransmissionParams
 
 PI3 = (2.0 * math.pi) ** 3
 
@@ -23,7 +20,7 @@ STRONG = MaterialSpec(gamma_plus=1.0, gamma_minus=3.0, rho_plus=1.0, rho_minus=0
 
 
 def weak_params(f=0.01):
-    return TransmissionParams.from_volume_fraction(WEAK, f)
+    return at_volume_fraction(WEAK, f)
 
 
 TRIVIAL = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)  # the group of the identity alone
@@ -135,10 +132,10 @@ class TestEigenvalues:
         # isolates one of alpha (measured 0.14 % off) and beta (1.0-1.6 %);
         # in WEAK they nearly cancel, and the remainder dominates eps
         k = (0.2, 0.1, 0.15)
-        params = TransmissionParams.from_volume_fraction(mats, f)
+        params = at_volume_fraction(mats, f)
         res = pwe.pwe_transmission_eigenvalues(k, params, 3, 1)
         eps = math.sqrt(res.eigenvalues[0]) / (mats.c_plus * math.hypot(*k)) - 1.0
-        assert eps == pytest.approx(epsilon_nonexceptional_transmission(k, params), rel=0.05)
+        assert eps == pytest.approx(epsilon_nonexceptional_transmission(params), rel=0.05)
 
     @pytest.mark.parametrize("mats", [WEAK, STRONG])
     def test_residual_is_small_when_the_lowest_value_is_zero(self, mats):
@@ -194,7 +191,7 @@ class TestAssembly:
     @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
     def test_matches_broadcast_formula(self, g_max, k, mats, f):
         # the whole pencil: at k = 0 the solve would keep the sector of all 48 R
-        params = TransmissionParams.from_volume_fraction(mats, f)
+        params = at_volume_fraction(mats, f)
         A, B = pwe._pencil(k, params, g_max, TRIVIAL)
         A_ref, B_ref = broadcast_pencil(k, params, g_max)
         assert np.array_equal(A, A_ref)
@@ -211,7 +208,7 @@ class TestAssembly:
         monkeypatch.setattr(pwe, "sphere_indicator_fourier", counted)
         pwe._coefficient_matrices.cache_clear()
         params = weak_params(0.01)
-        model = transmission.pair_model((0, 0, 0.5), (0, 0, 1), params)
+        model = twomode.pair_model((0, 0, 0.5), (0, 0, 1), params)
         got = measure_gap_numeric(model, params, g_max=3, n_deltas=7)
         pwe._coefficient_matrices.cache_clear()
         assert got is not None and len(got.deltas) == 7
@@ -255,7 +252,7 @@ class TestSectorProjection:
         # U's column for a representative r is the normalised sum of e_g over
         # the orbit of r under the group of k: the mirrors on `axes` and, for
         # k on a coordinate axis, the swaps that fix it
-        params = TransmissionParams.from_volume_fraction(mats, 0.05)
+        params = at_volume_fraction(mats, 0.05)
         k = tuple(0.0 if i in axes else 0.1 * (i + 2) for i in range(3))
         group = stabiliser(k)
         row = {g: j for j, g in enumerate(map(tuple, integer_cube(3).tolist()))}
@@ -285,7 +282,7 @@ class TestSectorSolve:
     @pytest.mark.parametrize("k", [(0.2, 0.0, 0.5), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
     @pytest.mark.parametrize("mats,f", [(WEAK, 0.02), (STRONG, 0.1)])
     def test_matches_full_pencil(self, g_max, k, mats, f):
-        params = TransmissionParams.from_volume_fraction(mats, f)
+        params = at_volume_fraction(mats, f)
         ref = full_pencil_values(k, params, g_max, 12)
         # at k = 0 the lowest value is 0, so it is held to an absolute bound
         atol = 1e-12 * ref[-1] if not any(k) else 0.0
@@ -314,7 +311,7 @@ class TestEvenSector:
         # diagonal elements are the mirrors of k's zero components, a subgroup
         # whose sector holds G's: G's values are among the mirrors', and those
         # among the whole pencil's
-        params = TransmissionParams.from_volume_fraction(mats, f)
+        params = at_volume_fraction(mats, f)
         group = stabiliser(k)
         mirrors = tuple(R for R in group if not np.any(np.asarray(R) - np.diag(np.diag(R))))
         assert len(mirrors) == 2 ** len(even)

@@ -29,7 +29,6 @@ def _identity(V):
     ("a", lambda: TransmissionParams(UNIFORM, a=4.0)),  # volume fraction 1.09
     ("gamma_minus", lambda: MaterialSpec(1.0, -1.0, 1.0, 1.0)),
     ("rho_minus", lambda: MaterialSpec(1.0, 1.0, 1.0, math.inf)),
-    ("f", lambda: TransmissionParams.from_volume_fraction(UNIFORM, 1.5)),
     ("count", lambda: fd.fd_dirichlet_eigenvalues(K, 0.0, 16, 0)),
     ("a", lambda: fd.fd_dirichlet_eigenvalues(K, 2.0, 24, 1)),
     ("a", lambda: fd.fd_dirichlet_eigenvalues(K, -0.1, 24, 1)),

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from bandscan import dirichlet
+from bandscan import dirichlet, twomode
 from bandscan.config import (
     KNOWN_KEYS,
     ScanConfig,
@@ -80,7 +80,7 @@ class TestGapReport:
 class TestCsvWriters:
     def test_branch_csv_deterministic(self):
         p = dirichlet.DirichletParams(a=0.1)
-        curve = dirichlet.pair_model((0, 0, 0.5), (0, 0, 1), p).scan((-0.02, 0.02), 11)
+        curve = twomode.pair_model((0, 0, 0.5), (0, 0, 1), p).scan((-0.02, 0.02), 11)
         s1, s2 = io.StringIO(), io.StringIO()
         write_branch_csv(curve, s1)
         write_branch_csv(curve, s2)

@@ -1,11 +1,14 @@
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conftest import at_volume_fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bandscan import GapStatus, dirichlet, lattice, transmission, twomode
+from bandscan import GapStatus, lattice, transmission, twomode
 from bandscan.dirichlet import DirichletParams
 from bandscan.errors import DomainError
 from bandscan.transmission import MaterialSpec, TransmissionParams
@@ -40,11 +43,6 @@ params = st.one_of(
 )
 
 
-def pair_model(k0, m0, p):
-    module = dirichlet if isinstance(p, DirichletParams) else transmission
-    return module.pair_model(k0, m0, p)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(SHIFTS),
@@ -74,7 +72,7 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     # [-2 delta_tilde*, 2 delta_tilde*]
     k0 = face_point(m0, theta, ratio)
     assume(lattice.classify_wavevector(k0).order == 2)
-    model = pair_model(k0, m0, p)
+    model = twomode.pair_model(k0, m0, p)
     assume(model.s > 0.0)
     assert 0.0 < model.nu < 1.0
     status, gap = model.gap()
@@ -91,7 +89,8 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     # The extrema sit where the splitting terms do, whatever the centre. Near
     # them the branches bend by ~1e-6 s per step, which rounding at the pair
     # frequency hides when s is small, so locate them on the centre-free model.
-    shape = twomode.TwoModeModel(k0, m0, 0.0, model.s, model.admissibility)
+    shape = copy.copy(model)
+    shape.centre = 0.0
     offsets = shape.scan((-2.0 * d, 2.0 * d), 2001)
     step = 4.0 * d / 2000
     assert abs(offsets.delta_tilde[np.argmax(offsets.omega_minus_over_c)] - d) <= step
@@ -105,11 +104,11 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     "p",
     [
         DirichletParams(a=0.2),
-        TransmissionParams.from_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01),
+        at_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01),
     ],
 )
 def test_one_sample_scan_is_the_scalar_branch(p):
-    model = pair_model((0.5, 0.2, 0.0), (1, 0, 0), p)
+    model = twomode.pair_model((0.5, 0.2, 0.0), (1, 0, 0), p)
     for dt in (-0.07, 0.0, 0.013):
         curve = model.scan((dt, dt), 1)
         lo, hi = model.branches(dt)
@@ -121,7 +120,7 @@ def test_pair_is_classified_once(monkeypatch):
     calls = []
     classify = lattice.classify_wavevector
     monkeypatch.setattr(lattice, "classify_wavevector", lambda *a: calls.append(a) or classify(*a))
-    model = dirichlet.pair_model(K_EX, M_EX, DirichletParams(a=0.1))
+    model = twomode.pair_model(K_EX, M_EX, DirichletParams(a=0.1))
     model.scan((-0.05, 0.05), 2001)
     model.gap()
     assert len(calls) == 1
@@ -137,37 +136,48 @@ def test_exclusion_band_is_refused_by_the_admission():
 
 @pytest.mark.parametrize("p", [
     DirichletParams(a=0.1),
-    TransmissionParams.from_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01),
+    at_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01),
 ])
 def test_pair_model_refuses_an_admission_of_another_pair(p):
-    module = dirichlet if isinstance(p, DirichletParams) else transmission
     k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
     for adm in (twomode.order_two_admissibility(K_EX, M_EX),
                 lattice.gap_admissible((0.5, 0.3, 0.4), (1, 0, 0)),  # in the exclusion band
                 # this pair's ratio, but inside a band of 0.2
                 lattice.gap_admissible((0.5, 0.2, 0.0), (1, 0, 0), exclusion_band=0.2)):
         with pytest.raises(DomainError, match=r"^admissibility: does not admit \(k0="):
-            module.pair_model(k0, m0, p, admissibility=adm)
+            twomode.pair_model(k0, m0, p, admissibility=adm)
     # the admission of the pair itself, at another band, is the model's
     adm = twomode.order_two_admissibility(k0, m0, exclusion_band=1e-3)
-    assert module.pair_model(k0, m0, p, admissibility=adm).admissibility is adm
+    assert twomode.pair_model(k0, m0, p, admissibility=adm).admissibility is adm
+
+
+def test_the_admission_is_checked_before_the_splitting():
+    # k0 = m0 puts k1 = k0 - m0 at 0, where kh0.kh1 divides by zero; the admission of another
+    # pair is refused before the params are asked for the splitting, so nothing warns
+    p = at_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01)
+    adm = twomode.order_two_admissibility(K_EX, M_EX)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=r"^admissibility: "):
+            twomode.pair_model((1, 0, 0), (1, 0, 0), p, admissibility=adm)
+    assert record == []
 
 
 def test_centre_and_splitting_per_problem():
     k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
     knorm = float(np.linalg.norm(k0))
     p = DirichletParams(a=0.15)
-    model = dirichlet.pair_model(k0, m0, p)
+    model = twomode.pair_model(k0, m0, p)
     assert (model.centre, model.s) == (knorm + p.a_tilde / (2.0 * knorm), p.a_tilde)
-    tp = TransmissionParams.from_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01)
-    model = transmission.pair_model(k0, m0, tp)
+    tp = at_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01)
+    model = twomode.pair_model(k0, m0, tp)
     mats = tp.materials
     assert model.centre == knorm * (1.0 + 0.5 * (mats.alpha + mats.beta) * tp.f)
     assert model.s == transmission.coupling_mu(k0, m0, tp)
 
 
 def test_extremizer_needs_nu_below_one():
-    model = dirichlet.pair_model((0.5, 0.6, 0.3), (1, 0, 0), DirichletParams(a=0.1))
+    model = twomode.pair_model((0.5, 0.6, 0.3), (1, 0, 0), DirichletParams(a=0.1))
     with pytest.raises(DomainError, match="nu < 1"):
         model.extremizer()
 
@@ -175,7 +185,7 @@ def test_extremizer_needs_nu_below_one():
 def gap_outcome(k0, m0, p):
     """(status, lo, hi) of the pair's model, or the error the model raises."""
     try:
-        status, gap = pair_model(k0, m0, p).gap()
+        status, gap = twomode.pair_model(k0, m0, p).gap()
     except DomainError as exc:
         return str(exc), None, None
     if gap is None:
