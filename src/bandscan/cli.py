@@ -165,7 +165,7 @@ def _summarize(report, cfg: ScanConfig) -> None:
         if cfg.c != 1.0:
             print(f"scaled by c = {cfg.c}: ({lo * cfg.c!r}, {hi * cfg.c!r})")
     else:
-        print(f"no gap: {report.status}")
+        print(report.status)
     if report.measured_lo_over_c is not None:
         print(
             f"measured gap: ({report.measured_lo_over_c!r}, "
@@ -208,6 +208,8 @@ def cmd_gap(args) -> int:
     if failure is not None:
         print(f"oracle failure: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if cfg.verify and measured is None:
+        print("measured gap: none (the measured bands overlap)")
     print(f"wrote {report_path} and {csv_path}")
     return EXIT_OK
 

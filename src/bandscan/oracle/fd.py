@@ -65,11 +65,6 @@ TWO_PI = 2.0 * math.pi
 SQRT_HALF = math.sqrt(0.5)
 
 
-def axis_coords(n: int) -> np.ndarray:
-    """The node coordinates h (j - n/2) along one axis."""
-    return (TWO_PI / n) * (np.arange(n) - n / 2)
-
-
 def sphere_mask(n: int, a: float) -> np.ndarray:
     """Boolean (n,n,n) array, True at nodes with |x| < a.  |x|^2 is (pi/n)^2 times the
     integer sum of the (2 j - n)^2, so every signed permutation of the axes keeps the mask."""
@@ -97,20 +92,15 @@ def _frequencies(n: int, group) -> np.ndarray:
 
 def fourier_symbol(n: int, k) -> np.ndarray:
     """Exact eigenvalues of the unmasked operator in the sector solved at k, one per orbit."""
-    return _symbol(n, k, ()).ravel()[_frequencies(n, _group(n, k))]
+    return _symbol(n, k).ravel()[_frequencies(n, _group(n, k))]
 
 
-def _symbol(n: int, k, axes) -> np.ndarray:
-    """The symbol per FFT mode; along each axis of `axes` (k_i = 0, so it is even in
-    g_i) only the indices 0..n//2 are kept, one mode g_i >= 0 per mirror orbit."""
+def _symbol(n: int, k) -> np.ndarray:
+    """The symbol per FFT mode, an (n, n, n) array in FFT index order."""
     h = TWO_PI / n
-    g = np.fft.fftfreq(n, d=1.0 / n)
-    th = g * h
-    per_axis = []
-    for i, ki in enumerate(k):
-        sym = 4.0 * np.sin(th / 2) ** 2 / h**2 - 2.0 * ki * np.sin(th) / h + ki**2
-        per_axis.append(sym[: n // 2 + 1] if i in axes else sym)
-    return per_axis[0][:, None, None] + per_axis[1][None, :, None] + per_axis[2][None, None, :]
+    th = np.fft.fftfreq(n, d=1.0 / n) * h
+    s = [4.0 * np.sin(th / 2) ** 2 / h**2 - 2.0 * ki * np.sin(th) / h + ki**2 for ki in k]
+    return s[0][:, None, None] + s[1][None, :, None] + s[2][None, None, :]
 
 
 class _Sector:
@@ -127,7 +117,8 @@ class _Sector:
     cached CSR pattern (`matrix`): `P` has one row per position of the pattern
     and one column per part, U^H L U, I, then each U^H D_j U, so the pattern's
     values are P @ (1, |k|^2, k_j), summed in that column order.  On the grid
-    `shape` reduced by G's mirrors (index <= n//2 on each axis of `axes`),
+    `shape` reduced by G's mirrors (index <= n//2 on each axis of `axes`, the
+    others are `fft_axes`),
     `scatter` maps sector coefficients to the values of the grid function they
     stand for (U restricted there), and `gather` maps the values of a
     mirror-even, P-invariant grid function back to its sector coefficients
@@ -136,6 +127,7 @@ class _Sector:
 
     def __init__(self, n: int, a: float, group):
         self.n, self.axes = n, _mirrored(group)
+        self.fft_axes = tuple(i for i in range(3) if i not in self.axes)
         free = np.flatnonzero(~sphere_mask(n, a).ravel())
         node = np.stack(np.unravel_index(free, (n, n, n)))
         self.shape = tuple(n // 2 + 1 if i in self.axes else n for i in range(3))
@@ -188,8 +180,7 @@ class _Sector:
         # Re(U^H i D' U) = -(X + X^T), X = Re(U)^T D' Im(U), for D_j = i D'_j with
         # D'_j the real antisymmetric centred difference.  D_j maps the even
         # sector of mirror j to its odd one: nothing for a mirrored axis
-        rest = [j for j in range(3) if j not in self.axes]
-        for j in rest:
+        for j in self.fft_axes:
             X = re_ut @ ((N[j, 1] - N[j, -1]) / h @ im_u)
             parts.append(-(X + X.T))
         del lap, N
@@ -204,7 +195,8 @@ class _Sector:
         code = pattern.data
         data = np.concatenate([M.data for M in parts])
         del parts, M  # P's values are held once at the peak of the build
-        rows = [np.flatnonzero(code & (1 << b)).astype(np.int32) for b in range(len(rest) + 2)]
+        rows = [np.flatnonzero(code & (1 << b)).astype(np.int32)
+                for b in range(len(self.fft_axes) + 2)]
         self.P = sp.csc_matrix((data, np.concatenate(rows), np.cumsum([0, *map(len, rows)])),
                                shape=(code.size, len(rows)))
         self.indices, self.indptr = pattern.indices, pattern.indptr
@@ -216,7 +208,7 @@ class _Sector:
 
     def matrix(self, k) -> sp.csr_matrix:
         """U^H H(k) U, real symmetric; every R of the sector's group must fix k."""
-        coef = [1.0, float(k @ k)] + [k[j] for j in range(3) if j not in self.axes]
+        coef = [1.0, float(k @ k)] + [k[j] for j in self.fft_axes]
         return sp.csr_matrix((self.P @ np.array(coef), self.indices, self.indptr),
                              shape=(self.size, self.size))
 
@@ -230,16 +222,17 @@ class _GridOperator:
     """H(k) in the real basis of a `_Sector`, and its FFT preconditioner.
 
     `op @ V` applies the real CSR matrix through `matmat`, so the eigensolver
-    takes the operator itself.
+    takes the operator itself.  `sym` is `_symbol(sector.n, k)`; the sector
+    data is even along a mirrored axis, as the symbol is there (k_i = 0), so
+    the grid reduced by the mirrors keeps one mode g_i >= 0 per mirror orbit.
     """
 
-    def __init__(self, sector: _Sector, k):
+    def __init__(self, sector: _Sector, k, sym: np.ndarray):
         self.sector = sector
-        self.n = sector.n
         self.k = np.asarray(k, dtype=float)
         self.matrix = sector.matrix(self.k)
         self.shape = self.matrix.shape
-        sym = _symbol(self.n, self.k, sector.axes)
+        sym = sym[tuple(slice(m) for m in sector.shape)]
         # the masked sector operator is a principal submatrix of the periodic
         # one in the orbit basis, so its eigenvalues lie within the symbol's range
         self.spectrum = (float(sym.min()), float(sym.max()))
@@ -260,27 +253,19 @@ class _GridOperator:
         # the symbol's inverse on the periodic grid, restricted to the sector.
         # Sector data is even along a mirrored axis, where its DFT is a DCT-I
         # of the reduced grid, and P-invariant, so its DFT along the other
-        # axes is real
+        # axes is real.  An empty axis list leaves the data as it is
         s, p = self.sector, V.shape[1]
-        dct_axes = list(s.axes)
-        fft_axes = [i for i in range(3) if i not in s.axes]
-        G = (s.scatter @ V).reshape(*s.shape, p)
-        if fft_axes:
-            G = scipy.fft.fftn(G, axes=fft_axes, overwrite_x=True)
-        G = np.ascontiguousarray(G.real)
-        if dct_axes:
-            G = scipy.fft.dctn(G, type=1, axes=dct_axes, overwrite_x=True)
+        G = scipy.fft.fftn((s.scatter @ V).reshape(*s.shape, p), axes=s.fft_axes, overwrite_x=True)
+        G = scipy.fft.dctn(np.ascontiguousarray(G.real), type=1, axes=s.axes, overwrite_x=True)
         G *= self.pre_sym[..., None]
-        if dct_axes:
-            G = scipy.fft.idctn(G, type=1, axes=dct_axes, overwrite_x=True)
-        if fft_axes:
-            G = scipy.fft.ifftn(G, axes=fft_axes, overwrite_x=True)
+        G = scipy.fft.idctn(G, type=1, axes=s.axes, overwrite_x=True)
+        G = scipy.fft.ifftn(G, axes=s.fft_axes, overwrite_x=True)
         return (s.gather @ G.reshape(-1, p)).real
 
     def plane_wave_block(self, gs) -> np.ndarray:
         """Sector coefficients of the even plane waves: cos(g_i x_i) on mirrored axes."""
         s = self.sector
-        x = axis_coords(self.n)
+        x = (TWO_PI / s.n) * (np.arange(s.n) - s.n / 2)  # the node coordinates
         cols = []
         for g in gs:
             f = [np.cos(g[i] * x[: s.shape[i]]) if i in s.axes else np.exp(1j * g[i] * x)
@@ -289,20 +274,23 @@ class _GridOperator:
         return (s.gather @ np.stack(cols, axis=1)).real
 
 
-def _block_modes(n: int, k, count: int, group, max_extra: int = 8):
-    """Sector start modes, one per orbit of `group`; block boundary avoids degenerate shells."""
+#: Start modes the block may take past `count`, so that it ends between two symbol shells.
+EXTRA_MODES = 8
+
+
+def _block_modes(sym: np.ndarray, count: int, group):
+    """Sector start modes of the lowest values of `sym` (`_symbol`), one per orbit of
+    `group`; the block ends at the first gap between values within EXTRA_MODES past
+    `count`, or EXTRA_MODES past it."""
+    n = sym.shape[0]
     codes = _frequencies(n, group)
     g = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    flat = _symbol(n, k, ()).ravel()[codes]
+    flat = sym.ravel()[codes]
     order = np.argsort(flat)
     vals = flat[order]
-    size = count
-    for b in range(count, min(count + max_extra, len(vals) - 1) + 1):
-        if b >= len(vals) or vals[b] - vals[b - 1] > 1e-8 * (1.0 + abs(vals[b])):
-            size = b
-            break
-    else:
-        size = min(count + max_extra, len(vals))
+    last = min(count + EXTRA_MODES, len(vals))
+    size = next((b for b in range(count, last)
+                 if vals[b] - vals[b - 1] > 1e-8 * (1.0 + abs(vals[b]))), last)
     i, j, l = np.unravel_index(codes[order[:size]], (n, n, n))
     return [(int(g[p]), int(g[q]), int(g[r])) for p, q, r in zip(i, j, l)]
 
@@ -322,7 +310,8 @@ def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> Eig
     The block eigensolver starts from the sector's plane waves of the lowest
     symbol modes, or from `v0`, the real `vectors` block of a solve at a
     nearby k on the same grid, mask and sector (plane waves fill any missing
-    columns).  The result carries that Ritz block in `vectors`.
+    columns).  The result carries that Ritz block in `vectors`.  A `count`
+    past the sector's size is refused before any block is built.
     """
     k = as_wavevector("k", k)
     require_between("n", n, MIN_N, MAX_N)
@@ -348,18 +337,18 @@ def fd_dirichlet_eigenvalues(k, a: float, n: int, count: int, *, v0=None) -> Eig
 
 def _solve(k, a: float, n: int, count: int, v0, group) -> EigResult:
     """The solve of `fd_dirichlet_eigenvalues` in the sector symmetric under `group`."""
-    op = _GridOperator(_sector(n, a, group), k)
-    modes = _block_modes(n, k, count, group)
-    if v0 is None:
-        X = op.plane_wave_block(modes)
-    else:
-        X = np.asarray(v0)
-        if X.ndim != 2 or X.shape[0] != op.shape[0] or np.iscomplexobj(X):
-            raise DomainError(f"v0: must be real with {op.shape[0]} rows, one per basis vector")
-        if X.shape[1] < len(modes):
-            X = np.hstack([X, op.plane_wave_block(modes[X.shape[1]:])])
-        else:
-            X = X[:, : len(modes)]
+    sector = _sector(n, a, group)
+    if count > sector.size:
+        raise DomainError(f"count: {count} exceeds the {sector.size} unknowns of the sector")
+    X = np.empty((sector.size, 0)) if v0 is None else np.asarray(v0)
+    if X.ndim != 2 or X.shape[0] != sector.size or np.iscomplexobj(X):
+        raise DomainError(f"v0: must be real with {sector.size} rows, one per basis vector")
+    sym = _symbol(n, k)
+    op = _GridOperator(sector, k, sym)
+    modes = _block_modes(sym, count, group)
+    if X.shape[1] < len(modes):
+        X = np.hstack([X, op.plane_wave_block(modes[X.shape[1]:])])
+    X = X[:, : len(modes)]
     vals, res, vecs = hermitian_eigensolve(
         op, count, precond=op.precmat, v0=X, spectrum=op.spectrum
     )

@@ -71,7 +71,7 @@ def _auto_count(unperturbed: np.ndarray, kv, center: float, window: float, margi
     0).  Contrast moves PWE eigenvalues both ways, so the PWE margin is 1.
     """
     top = (center + 1.5 * window) ** 2
-    below = int(np.searchsorted(np.sort(unperturbed, axis=None), top))
+    below = int(np.count_nonzero(unperturbed < top))
     if below > 12:
         raise TrackingError(
             f"{below} unperturbed bands below the tracking window top at "
@@ -105,8 +105,9 @@ def measure_gap_numeric(
     `params` is the DirichletParams or TransmissionParams `model` was built
     from.  The FD oracle masks the sphere of q = 1, so a DirichletParams of
     any other q is refused, naming `q`, before any solve.  `deltas` is the
-    grid of relative ray offsets; by default it spans twice the predicted
-    extremizer range, which brackets both branch extrema.
+    grid of relative ray offsets.  By default dt = delta |m0|^2 / 2 spans
+    +-2 max(s, dt*) with dt* = s nu / sqrt(1 - nu^2) (`model.extremizer()`,
+    for nu < 1), so the grid brackets both branch extrema.
     """
     unperturbed, solve, c_host, margin = _oracle(params, n, g_max)
     k0 = np.asarray(model.k0)
@@ -116,8 +117,8 @@ def measure_gap_numeric(
 
     if deltas is None:
         m2 = sum(c * c for c in model.m0)
-        # delta_tilde spans +-2 splittings; convert to relative ray offset
-        dt_half = 2.0 * max(split * knorm, 1e-4)
+        # delta_tilde spans +-2 splittings or +-2 dt*; convert to relative ray offset
+        dt_half = 2.0 * max(split * knorm, 1e-4, model.extremizer() if model.nu < 1.0 else 0.0)
         deltas = np.linspace(-2.0 * dt_half / m2, 2.0 * dt_half / m2, n_deltas)
     deltas = np.asarray(deltas, dtype=float)
 

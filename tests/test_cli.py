@@ -132,7 +132,8 @@ class TestGap:
             "--out", str(out),
         ])
         assert rc == 0
-        assert "no gap: nu >= 1" in capsys.readouterr().out
+        # the status carries its own "no gap: "
+        assert "no gap: nu >= 1" in capsys.readouterr().out.splitlines()
         report = GapReport.from_text((out / "report.txt").read_text())
         assert report.predicted_lo_over_c is None
 
@@ -143,7 +144,17 @@ class TestGap:
             "--a", "0.5", "--out", str(out),
         ])
         assert rc == 0
-        assert "no gap: zero splitting" in capsys.readouterr().out
+        assert "no gap: zero splitting" in capsys.readouterr().out.splitlines()
+
+    def test_verified_overlap_is_reported(self, tmp_path, capsys):
+        # zero contrast: the measured bands cross, so the oracle measures no gap
+        argv = ["gap", "--problem", "transmission", "--k0", "0,0,0.5", "--m0", "0,0,1",
+                "--a", "0.5", "--g-max", "3", "--out", str(tmp_path / "run")]
+        assert run(argv) == 0
+        assert "measured gap" not in capsys.readouterr().out
+        assert run(argv + ["--verify"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "measured gap: none (the measured bands overlap)" in out
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []

@@ -7,6 +7,7 @@ from conftest import at_volume_fraction
 from bandscan import dirichlet, twomode
 from bandscan.errors import DomainError, TrackingError
 from bandscan.lattice import integer_cube, stabiliser
+from bandscan.oracle.eig import EigResult
 from bandscan.oracle.gapscan import measure_gap_numeric
 from bandscan.transmission import MaterialSpec, TransmissionParams
 
@@ -111,6 +112,52 @@ def test_warm_started_ray_matches_cold_solves(monkeypatch):
         omegas = np.sqrt(cold.eigenvalues)
         assert got.lower_band[i] == pytest.approx(omegas[0], rel=1e-10, abs=0.0)
         assert got.upper_band[i] == pytest.approx(omegas[1], rel=1e-10, abs=0.0)
+
+
+def test_transmission_ray_solves_once_per_delta_through_the_traced_name(monkeypatch):
+    # the PWE twin of the test above: the traced oracle.gapscan.solves and
+    # ray_points count the spans of the module-level name, and read k from
+    # its first argument and g_max from its third
+    from bandscan.oracle import gapscan
+
+    calls = []
+    solve = gapscan.pwe_transmission_eigenvalues
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gapscan, "pwe_transmission_eigenvalues", recording)
+    params = at_volume_fraction(WEAK, 0.01)
+    model = twomode.pair_model((0, 0, 0.5), (0, 0, 1), params)
+    got = measure_gap_numeric(model, params, g_max=3, n_deltas=5)
+    assert len(calls) == 5
+    for (args, kwargs), d in zip(calls, got.deltas):
+        assert np.array_equal(args[0], (1.0 + d) * np.asarray(model.k0))
+        assert args[1] is params and args[2] == 3 and kwargs == {}
+
+
+@pytest.mark.parametrize("k0, m0, unchanged", [((0, 0, 0.5), (0, 0, 1), True),
+                                               ((0.5, 0.2, 0), (1, 0, 0), True),
+                                               ((0.5, 0.48, 0), (1, 0, 0), False)])
+def test_default_grid_brackets_both_branch_extrema(monkeypatch, k0, m0, unchanged):
+    # nu = 0, 0.16 and 0.92.  The grid of dt = delta |m0|^2 / 2 once spanned
+    # +-2 s alone, which misses dt* = s nu / sqrt(1 - nu^2) for nu > 2 / sqrt(5);
+    # it is unchanged where 2 dt* <= 2 s, that is nu <= 1 / sqrt(2)
+    from bandscan.oracle import gapscan
+
+    p = dirichlet.DirichletParams(a=0.3)
+    model = twomode.pair_model(k0, m0, p)
+    lo, hi = model.centre - 1e-4, model.centre + 1e-4  # two bands inside the window
+    bands = EigResult(np.array([lo * lo, hi * hi]), 0.0)
+    monkeypatch.setattr(gapscan, "_oracle", lambda params, n, g_max: (
+        lambda kv: np.zeros(0), lambda kv, count, v0: bands, 1.0, 0))
+    deltas = measure_gap_numeric(model, p).deltas
+    m2 = sum(c * c for c in m0)
+    star = 2.0 * model.extremizer() / m2  # dt* as a relative ray offset
+    assert deltas[0] <= -star and deltas[-1] >= star
+    before = 2.0 * max(model.s / model.knorm * model.knorm, 1e-4)
+    assert np.array_equal(deltas, np.linspace(-2.0 * before / m2, 2.0 * before / m2, 7)) == unchanged
 
 
 @pytest.mark.parametrize("n, even", [(16, (0, 1)), (17, ())])

@@ -57,7 +57,7 @@ class TestUnperturbed:
     def test_symbol_matches_cone_family(self):
         # discrete symbol approximates |k - m|^2 to O(h^2) for small m
         n = 32
-        sym = fd._symbol(n, K, ())
+        sym = fd._symbol(n, K)
         # no R but the identity fixes K: the sector is the whole grid, in grid order
         assert np.array_equal(fd.fourier_symbol(n, K), sym.ravel())
         g = np.fft.fftfreq(n, d=1.0 / n).astype(int)
@@ -223,6 +223,22 @@ class TestGuards:
         with pytest.raises(DomainError):
             fd.fd_dirichlet_eigenvalues(K, 0.3, 16, 0)
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_count_past_the_sector_is_refused_before_any_block(self, n):
+        # the start block was once built first, one plane wave per sector
+        # value: at a = 0.5 it peaked at 808 MB for n = 16, and at n = 32 it
+        # would take about 17 GB, before the refusal
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^count: 1000000 exceeds the \d+ unknowns"):
+                fd.fd_dirichlet_eigenvalues((0.31, 0.17, 0.05), 0.8, n, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_radius_bound(self):
         with pytest.raises(DomainError):
             fd.fd_dirichlet_eigenvalues(K, math.pi / 2, 16, 1)
@@ -303,7 +319,7 @@ class TestIterativeSolver:
 
     def test_csr_operator_matches_stencil(self):
         sector = fd._Sector(16, 0.5, TRIVIAL)
-        op = fd._GridOperator(sector, K)
+        op = fd._GridOperator(sector, K, fd._symbol(16, K))
         rng = np.random.default_rng(1)
         V = rng.standard_normal((op.shape[0], 3))
         G = full_grid(16, 0.5, sector_vectors(sector, 0.5, V))
@@ -438,11 +454,11 @@ class TestSector:
     def test_preconditioner_is_the_compressed_symbol_inverse(self, k, even):
         # U^H F^-1 diag(1 / (symbol + tau)) F U, with F the DFT of the whole grid
         sector = fd._Sector(self.N, self.A, stabiliser(k))
-        op = fd._GridOperator(sector, k)
+        op = fd._GridOperator(sector, k, fd._symbol(self.N, k))
         V, W = self.blocks(sector)
         UV, UW = sector_vectors(sector, self.A, V), sector_vectors(sector, self.A, W)
         G = np.fft.fftn(full_grid(self.N, self.A, UV), axes=(0, 1, 2))
-        G /= (fd._symbol(self.N, k, ()) + max(float(np.dot(k, k)), 0.1))[..., None]
+        G /= (fd._symbol(self.N, k) + max(float(np.dot(k, k)), 0.1))[..., None]
         G = np.fft.ifftn(G, axes=(0, 1, 2)).reshape(-1, V.shape[1])
         ref = UW.conj().T @ G[free_nodes(self.N, self.A)]
         assert np.abs(W.T @ op.precmat(V) - ref).max() <= 1e-12 * np.abs(ref).max()
