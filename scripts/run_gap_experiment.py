@@ -19,10 +19,10 @@ from bandscan.errors import ConfigError, DomainError, NumericalError
 from bandscan.oracle.gapscan import measure_gap_numeric
 
 
-def sweep_row(a, k0, m0, args):
-    """The predicted and, under --verify, the measured gap at inclusion scale a, printed."""
-    p = dirichlet.DirichletParams(a=a, q=args.q)
-    model = twomode.pair_model(k0, m0, p)
+def sweep_row(a, adm, args):
+    """The predicted and, under --verify, the measured gap of the admitted pair `adm` at
+    inclusion scale a, printed."""
+    model = twomode.TwoModeModel(adm, dirichlet.DirichletParams(a=a, q=args.q))
     _, gap = model.gap()
     row = {
         "a": a,
@@ -36,7 +36,7 @@ def sweep_row(a, k0, m0, args):
     if args.verify and gap is not None:
         t0 = time.time()
         try:
-            got = measure_gap_numeric(model, p, n=args.n)
+            got = measure_gap_numeric(model, n=args.n)
         except NumericalError as exc:  # e.g. too few grid cells at this a: go on
             got, failure = None, f" oracle failure: {exc}"
         row["seconds"] = f"{time.time() - t0:.1f}"
@@ -61,9 +61,9 @@ def main():
 
     rows = []
     try:
-        k0, m0 = coerce("k0", args.k0), coerce("m0", args.m0)
+        adm = twomode.order_two_admissibility(coerce("k0", args.k0), coerce("m0", args.m0))
         for a in args.scales:
-            rows.append(sweep_row(a, k0, m0, args))
+            rows.append(sweep_row(a, adm, args))
     except (ConfigError, DomainError) as exc:  # refused input, such as a q the oracle cannot mask
         ap.error(str(exc))
 

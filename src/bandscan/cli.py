@@ -111,10 +111,9 @@ def cmd_classify(args) -> int:
     k = args.k
     lattice.require_nonnegative("exclusion_band", args.exclusion_band)  # even with no shifts
     cls = lattice.classify_wavevector(k, args.tol)
-    knorm = lattice.wavevector_norm("k", k)
     shifts_out = []
     for m in cls.shifts:  # all judged before anything is printed
-        adm = lattice.shift_admissibility(knorm, m, cls.order, args.exclusion_band)
+        adm = lattice.shift_admissibility(k, m, cls.order, args.exclusion_band)
         shifts_out.append({"m": list(m), "nu": adm.nu, "ratio": adm.ratio,
                            "verdict": adm.verdict.value})
     print(f"k = ({k[0]}, {k[1]}, {k[2]})")
@@ -138,12 +137,11 @@ def _output(field: str, path: str, make_dir: bool = False):
 
 
 def _predict(cfg: ScanConfig):
-    """Shared gap prediction: (report, curve, interval, model, model's params)."""
+    """Shared gap prediction: (report, curve, interval, model)."""
     # the pair first: a mesh's q is a BEM solve of seconds, run only for an admitted pair
     adm = twomode.order_two_admissibility(cfg.k0, cfg.m0, cfg.exclusion_band, cfg.tol)
-    params = cfg.params()
-    model = twomode.pair_model(cfg.k0, cfg.m0, params, adm)
-    extra = params.report_fields(model)
+    model = twomode.TwoModeModel(adm, cfg.params())
+    extra = model.params.report_fields(model)
     status, interval = model.gap()
     if interval is not None:
         extra.update(predicted_lo_over_c=interval.lo_over_c,
@@ -153,7 +151,7 @@ def _predict(cfg: ScanConfig):
         problem=cfg.problem, k0=cfg.k0, m0=cfg.m0, a=cfg.a, verdict=adm.verdict.value,
         status=status.value, nu=adm.nu, ratio=adm.ratio, **extra,
     )
-    return report, curve, interval, model, params
+    return report, curve, interval, model
 
 
 def _summarize(report, cfg: ScanConfig) -> None:
@@ -177,13 +175,13 @@ def _summarize(report, cfg: ScanConfig) -> None:
 
 def cmd_gap(args) -> int:
     cfg = _config_from_args(args)
-    report, curve, interval, model, params = _predict(cfg)
+    report, curve, interval, model = _predict(cfg)
     measured = failure = None
     if cfg.verify:
         from .oracle.gapscan import measure_gap_numeric  # loads scipy
 
         try:
-            measured = measure_gap_numeric(model, params, n=cfg.n, g_max=cfg.g_max)
+            measured = measure_gap_numeric(model, n=cfg.n, g_max=cfg.g_max)
         except NumericalError as exc:  # the report keeps the prediction
             failure = exc
     if measured is not None:
@@ -228,7 +226,7 @@ def cmd_bands(args) -> int:
 
 def cmd_face_map(args) -> int:
     fmap = lattice.face_gap_region(
-        coerce("m0", args.m0), samples=args.resolution, half_width=args.half_width,
+        coerce("m0", args.m0), resolution=args.resolution, half_width=args.half_width,
         exclusion_band=args.exclusion_band, tol=args.tol,
     )
     with _output("out", args.out) as fh:

@@ -18,7 +18,7 @@ and for nu < 1 the local gap is
 
 `DirichletParams` owns what is particular to this problem: the order-one
 shift eps = 2 pi q a / (|k|^2 |Pi|) at a non-exceptional k (`epsilon`), the
-pair centre and splitting that it supplies to `twomode.pair_model`
+pair centre and splitting that it supplies to `twomode.TwoModeModel`
 (`centre_and_splitting`), and the report's q, a_tilde and nu_pm
 (`report_fields`).
 """

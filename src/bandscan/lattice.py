@@ -58,6 +58,10 @@ class ExceptionalClass:
 
 @dataclass(frozen=True)
 class GapAdmissibility:
+    """The verdict on the pair (k0, m0) it judged, with the pair's ratio |k0|/|m0| and nu."""
+
+    k0: tuple[float, float, float]
+    m0: tuple[int, int, int]
     verdict: Verdict
     ratio: float
     nu: float
@@ -231,26 +235,25 @@ def gap_admissible(
     if m0 not in cls.shifts:
         raise DomainError(f"(k0={tuple(as_wavevector('k0', k0).tolist())}, m0={m0}) violates "
                           "the plane condition")
-    return shift_admissibility(knorm, m0, cls.order, exclusion_band)
+    return shift_admissibility(k0, m0, cls.order, exclusion_band)
 
 
-def shift_admissibility(knorm: float, m0, order: int, exclusion_band: float) -> GapAdmissibility:
+def shift_admissibility(k0, m0, order: int, exclusion_band: float) -> GapAdmissibility:
     """`gap_admissible` for a shift m0 of a k0 already classified.
 
-    `knorm` is |k0| and `order` the order of its classification, so the
-    shifts of one classification are judged without classifying k0 again.
+    `order` is the order of k0's classification, so the shifts of one
+    classification are judged without classifying k0 again.
     """
     require_nonnegative("exclusion_band", exclusion_band)
-    mnorm = math.sqrt(m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2)
-    ratio = knorm / mnorm
-    nu_val = 4.0 * ratio * ratio - 1.0
+    k0 = np.asarray(k0, dtype=float)
+    ratio = float(np.linalg.norm(k0)) / math.sqrt(m0[0] ** 2 + m0[1] ** 2 + m0[2] ** 2)
     if order > 2:
-        return GapAdmissibility(Verdict.HIGHER_ORDER_EXCLUDED, ratio, nu_val)
-    if abs(ratio - SQRT_HALF) <= exclusion_band:
-        return GapAdmissibility(Verdict.BOUNDARY_EXCLUDED, ratio, nu_val)
-    if ratio < SQRT_HALF:
-        return GapAdmissibility(Verdict.GAP_PREDICTED, ratio, nu_val)
-    return GapAdmissibility(Verdict.NO_GAP, ratio, nu_val)
+        verdict = Verdict.HIGHER_ORDER_EXCLUDED
+    elif abs(ratio - SQRT_HALF) <= exclusion_band:
+        verdict = Verdict.BOUNDARY_EXCLUDED
+    else:
+        verdict = Verdict.GAP_PREDICTED if ratio < SQRT_HALF else Verdict.NO_GAP
+    return GapAdmissibility(tuple(k0.tolist()), m0, verdict, ratio, 4.0 * ratio * ratio - 1.0)
 
 
 @dataclass(frozen=True)
@@ -293,13 +296,13 @@ def _face_basis(m0: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Caps within about 256 MB: 86 bytes a pixel, and a candidate box growing as (4 half_width)^3.
-MAX_FACE_SAMPLES = 1601
+MAX_FACE_RESOLUTION = 1601
 MAX_FACE_HALF_WIDTH = 8.0
 
 
 def face_gap_region(
     m0,
-    samples: int = 101,
+    resolution: int = 101,
     half_width: float = 1.0,
     exclusion_band: float = DEFAULT_EXCLUSION_BAND,
     tol: float = DEFAULT_TOL,
@@ -312,7 +315,7 @@ def face_gap_region(
     the disk k1^2 + k2^2 < 1/4.  Vectorized over blocks of pixels.
     """
     m0 = as_shift(m0)
-    require_between("samples", samples, 2, MAX_FACE_SAMPLES)
+    require_between("resolution", resolution, 2, MAX_FACE_RESOLUTION)
     if not 0.0 < half_width <= MAX_FACE_HALF_WIDTH:  # NaN fails too
         raise DomainError(f"half_width: must be > 0 and <= {MAX_FACE_HALF_WIDTH}, "
                           f"got {half_width}")
@@ -323,7 +326,7 @@ def face_gap_region(
     e1, e2 = _face_basis(m0)
     center = m / 2.0
 
-    t1 = t2 = np.linspace(-half_width, half_width, samples)
+    t1 = t2 = np.linspace(-half_width, half_width, resolution)
     T1, T2 = np.meshgrid(t1, t2, indexing="ij")
     K = center[None, None, :] + T1[..., None] * e1 + T2[..., None] * e2
     Kf = K.reshape(-1, 3)
@@ -352,7 +355,7 @@ def face_gap_region(
         m0=m0,
         t1=t1,
         t2=t2,
-        flagged=flagged.reshape(samples, samples),
+        flagged=flagged.reshape(resolution, resolution),
         half_width=half_width,
     )
 

@@ -48,13 +48,13 @@ def outside_stacklevel() -> int:
 class EigResult:
     """Sorted lowest eigenvalues of one discretized Bloch problem.
 
-    `vectors` is the eigenvector (Ritz) block when the solver returns one;
-    it warm-starts the solve at a nearby wave vector.
+    `vectors` is their eigenvector (Ritz) block, one column per value at
+    least; an FD solve starts from it at a nearby wave vector.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
     residual_norm: float
-    vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    vectors: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)

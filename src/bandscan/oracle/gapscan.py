@@ -1,7 +1,7 @@
 """Numeric measurement of a local gap along the ray k = (1 + delta) k0.
 
-`measure_gap_numeric(model, params)` measures the pair of a two-mode model
-with the oracle that the type of `params` names: DirichletParams runs the
+`measure_gap_numeric(model)` measures the pair of a two-mode model with the
+oracle that the type of the model's params names: DirichletParams runs the
 finite-difference oracle on an n^3 grid, TransmissionParams the plane-wave
 oracle with |g_i| <= g_max.  At each delta the oracle computes every band of
 the spectrum without the inclusion below the tracking window top, plus one
@@ -92,7 +92,6 @@ def _pick_two_bands(omegas: np.ndarray, center: float, window: float) -> tuple[f
 
 def measure_gap_numeric(
     model: TwoModeModel,
-    params,
     *,
     n: int = 32,
     g_max: int = 3,
@@ -100,16 +99,15 @@ def measure_gap_numeric(
     n_deltas: int = 7,
     window_factor: float = 5.0,
 ) -> MeasuredGap | None:
-    """Measure the local gap of `model`'s pair with the oracle `params` names.
+    """Measure the local gap of `model`'s pair with the oracle its params name.
 
-    `params` is the DirichletParams or TransmissionParams `model` was built
-    from.  The FD oracle masks the sphere of q = 1, so a DirichletParams of
-    any other q is refused, naming `q`, before any solve.  `deltas` is the
+    The FD oracle masks the sphere of q = 1, so a model whose DirichletParams
+    have any other q is refused, naming `q`, before any solve.  `deltas` is the
     grid of relative ray offsets.  By default dt = delta |m0|^2 / 2 spans
     +-2 max(s, dt*) with dt* = s nu / sqrt(1 - nu^2) (`model.extremizer()`,
     for nu < 1), so the grid brackets both branch extrema.
     """
-    unperturbed, solve, c_host, margin = _oracle(params, n, g_max)
+    unperturbed, solve, c_host, margin = _oracle(model.params, n, g_max)
     k0 = np.asarray(model.k0)
     knorm = model.knorm
     split = model.s / knorm

@@ -160,7 +160,8 @@ def _lowest(A, L, count: int):
 
 def pwe_transmission_eigenvalues(k, params: TransmissionParams, g_max: int,
                                  count: int) -> EigResult:
-    """Lowest `count` omega^2 values of the transmission cell problem.
+    """Lowest `count` omega^2 values of the transmission cell problem, with their
+    B-orthonormal eigenvectors in the sector's basis as `vectors`.
 
     Only the eigenvalues of the sector symmetric under every signed
     permutation R of the axes with R k = k are solved.
@@ -182,4 +183,4 @@ def pwe_transmission_eigenvalues(k, params: TransmissionParams, g_max: int,
     w, vecs = _lowest(A, _coefficient_matrices(params, g_max, stabiliser(k))[3], count)
     # relative to ||A||_F, which, unlike the eigenvalues, cannot be near 0
     res = np.linalg.norm(A @ vecs - (B @ vecs) * w[None, :], axis=0) / norm
-    return EigResult(w, float(np.max(res)))
+    return EigResult(w, float(np.max(res)), vecs)

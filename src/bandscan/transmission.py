@@ -19,7 +19,7 @@ gap is the interval of half-width mu*sqrt(1-nu^2)/(2|k0|) centered at
 
 `TransmissionParams` owns what is particular to this problem: the order-one
 shift eps = (alpha + beta) f / 2 (`epsilon`), the pair centre |k0|(1 + eps)
-and the splitting mu that it supplies to `twomode.pair_model`
+and the splitting mu that it supplies to `twomode.TwoModeModel`
 (`centre_and_splitting`), and the report's materials, mu and centre
 (`report_fields`).
 """

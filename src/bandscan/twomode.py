@@ -20,9 +20,11 @@ upper branch dips at -dt*, which leaves the local gap
 
 For nu > 1 the branch ranges overlap and there is no gap.  Whether a pair
 has one depends on the pair alone: `order_two_admissibility` admits it before
-anything of the inclusion is computed, and `pair_model`, the one constructor
-of a pair's model for either problem, checks that admission before it asks
-the params for anything.
+anything of the inclusion is computed, and the admission carries the pair it
+judged.  `TwoModeModel(admissibility, params)` takes the pair from it, refuses
+an admission that excludes the pair before it asks the params for anything,
+and keeps the params, so the model is all an oracle needs to measure it.
+`pair_model(k0, m0, params)` admits the pair at the default band and tol.
 """
 
 from __future__ import annotations
@@ -79,49 +81,38 @@ def order_two_admissibility(k0, m0, exclusion_band: float = lattice.DEFAULT_EXCL
     gap) and a ratio |k0|/|m0| inside the exclusion band around sqrt(2)/2."""
     adm = lattice.gap_admissible(k0, m0, exclusion_band, tol)
     if adm.verdict is lattice.Verdict.HIGHER_ORDER_EXCLUDED:
-        raise DomainError(f"k0={tuple(lattice.as_wavevector('k0', k0).tolist())} is a "
-                          "higher-order exceptional point (three or more plane waves "
-                          "degenerate); no gap theory here")
+        raise DomainError(f"k0={adm.k0} is a higher-order exceptional point (three or more "
+                          "plane waves degenerate); no gap theory here")
     if adm.verdict is lattice.Verdict.BOUNDARY_EXCLUDED:
         raise DomainError(f"|k0|/|m0|={adm.ratio} inside the exclusion band around sqrt(2)/2")
     return adm
 
 
-def pair_model(k0, m0, params, admissibility=None) -> TwoModeModel:
-    """The model of the pair (k0, m0) with the inclusion `params`, a `DirichletParams` or a
-    `TransmissionParams`; the pair's `admissibility` is `order_two_admissibility(k0, m0)`
-    unless given."""
-    if admissibility is None:
-        admissibility = order_two_admissibility(k0, m0)
-    return TwoModeModel(k0, m0, params, admissibility)
+def pair_model(k0, m0, params) -> TwoModeModel:
+    """The model of the pair (k0, m0), admitted by `order_two_admissibility` at the default
+    band and tol, with the inclusion `params`, a `DirichletParams` or a `TransmissionParams`."""
+    return TwoModeModel(order_two_admissibility(k0, m0), params)
 
 
 class TwoModeModel:
-    """Branches, scans and the local gap of one pair, given its admission by
-    `order_two_admissibility` and the params that supply its centre and splitting;
-    the model classifies nothing itself."""
+    """Branches, scans and the local gap of the pair that `admissibility` judged, with the
+    `params` that supply its centre and splitting; the model classifies nothing itself."""
 
-    def __init__(self, k0, m0, params, admissibility: lattice.GapAdmissibility):
-        self.knorm = lattice.wavevector_norm("k0", k0)
-        self.k0 = tuple(float(x) for x in np.asarray(k0, dtype=float))
-        self.m0 = lattice.as_shift(m0)
-        # the ratio as `lattice.shift_admissibility` computes it, so an admission's is equal
-        if (admissibility.verdict not in (lattice.Verdict.GAP_PREDICTED, lattice.Verdict.NO_GAP)
-                or admissibility.ratio != self.knorm / math.sqrt(sum(c * c for c in self.m0))):
-            raise DomainError(f"admissibility: does not admit (k0={self.k0}, m0={self.m0})")
+    def __init__(self, admissibility: lattice.GapAdmissibility, params):
+        if admissibility.verdict not in (lattice.Verdict.GAP_PREDICTED, lattice.Verdict.NO_GAP):
+            raise DomainError(f"admissibility: {admissibility.verdict.value} admits no model of "
+                              f"(k0={admissibility.k0}, m0={admissibility.m0})")
         self.admissibility = admissibility
-        self.nu = admissibility.nu
+        self.params = params
+        self.k0, self.m0, self.nu = admissibility.k0, admissibility.m0, admissibility.nu
+        self.knorm = float(np.linalg.norm(self.k0))
         centre, s = params.centre_and_splitting(self.k0, self.m0, self.knorm)
         self.centre = float(centre)
         self.s = float(s)
 
-    def branches(self, delta_tilde, delta0: float = DEFAULT_DELTA0):
+    def branches(self, delta_tilde):
         """(omega_minus/c, omega_plus/c) at a scalar or an array of delta_tilde."""
         dt = np.asarray(delta_tilde, dtype=float)
-        if np.any(np.abs(dt) > delta0):
-            raise DomainError(
-                f"|delta_tilde|={float(np.max(np.abs(dt)))} exceeds the ray half-width {delta0}"
-            )
         half = np.hypot(self.s, dt) / (2.0 * self.knorm)
         base = self.centre + self.nu * dt / (2.0 * self.knorm)
         return base - half, base + half
@@ -138,7 +129,7 @@ class TwoModeModel:
         if hi < lo:
             raise DomainError("delta_range must be increasing")
         dts = np.linspace(lo, hi, n_samples)
-        lower, upper = self.branches(dts, max(abs(lo), abs(hi), DEFAULT_DELTA0))
+        lower, upper = self.branches(dts)
         return BranchCurve(dts, lower, upper)
 
     def gap(self) -> tuple[GapStatus, GapInterval | None]:

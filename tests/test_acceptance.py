@@ -45,8 +45,8 @@ def test_criterion_1_gap_condition_property():
         below += want
         above += not want
         adm = order_two_admissibility(k0, m0, 1e-3)
-        _, gd = twomode.pair_model(k0, m0, p_dir, admissibility=adm).gap()
-        _, gt = twomode.pair_model(k0, m0, p_tr, admissibility=adm).gap()
+        _, gd = twomode.TwoModeModel(adm, p_dir).gap()
+        _, gt = twomode.TwoModeModel(adm, p_tr).gap()
         ok &= (gd is not None) == want
         ok &= (gt is not None) == want
     elapsed = time.time() - t0
@@ -179,7 +179,7 @@ def test_criterion_6_face_map_disk():
     pixel; flagged area within 3% of pi/4 (pi/16 per unit window area with
     the [-1,1]^2 window documented in the report)."""
     t0 = time.time()
-    fmap = lattice.face_gap_region((0, 0, 1), samples=101)
+    fmap = lattice.face_gap_region((0, 0, 1), resolution=101)
     T1, T2 = np.meshgrid(fmap.t1, fmap.t2, indexing="ij")
     r2 = T1**2 + T2**2
     pix = (2.0 / 100.0) * math.sqrt(2.0)

@@ -242,7 +242,7 @@ class TestGap:
         monkeypatch.setattr(
             gapscan, "fd_dirichlet_eigenvalues",
             lambda k, a, n, count, v0=None: SimpleNamespace(
-                eigenvalues=np.array([0.25, 0.26]), vectors=None),
+                eigenvalues=np.array([0.25, 0.26]), vectors=np.eye(2)),
         )
         out = tmp_path / "once"
         assert run(["gap", "--a", "0.1", "--verify", "--out", str(out)]) == 0
@@ -255,7 +255,7 @@ class TestGap:
 
         monkeypatch.setattr(
             gapscan, "measure_gap_numeric",
-            lambda model, params, **kw: (_ for _ in ()).throw(NumericalError("boom")),
+            lambda model, **kw: (_ for _ in ()).throw(NumericalError("boom")),
         )
         out = tmp_path / "run5"
         rc = run(["gap", "--a", "0.1", "--verify", "--out", str(out)])
@@ -278,7 +278,7 @@ class TestGap:
                             calls.append(bem(mesh, refine_check)) or calls[-1])
         oracle_params = []
         monkeypatch.setattr(gapscan, "measure_gap_numeric",
-                            lambda model, params, **kw: oracle_params.append(params))
+                            lambda model, **kw: oracle_params.append(model.params))
         out = tmp_path / "run7"
         argv = ["gap", "--shape", "mesh", "--mesh", str(path), "--a", "0.1", "--out", str(out)]
         assert run(argv + ["--verify"]) == 2
@@ -315,6 +315,27 @@ class TestGap:
         report = GapReport.from_text((out / "report.txt").read_text())
         assert report.measured_lo_over_c is not None
         assert report.rel_discrepancy == pytest.approx(0.0, abs=0.25)
+
+    @pytest.mark.parametrize("argv", [
+        ["--a", "0.4", "--n", "16"],
+        ["--problem", "transmission", "--a", "0.5", "--gamma-minus", "1.3", "--g-max", "3"],
+    ])
+    def test_verify_report_does_not_depend_on_the_oracle_caches(self, tmp_path, capsys, argv):
+        # the second run reuses the cached sector, modes and coefficient matrices of the
+        # first; the third builds them again
+        from bandscan.oracle import fd, pwe
+
+        reports = []
+        for i in range(3):
+            if i == 2:
+                for cached in (fd._sector, fd._frequencies, pwe._modes, pwe._coefficient_matrices):
+                    cached.cache_clear()
+            out = tmp_path / str(i)
+            assert run(["gap", "--verify", "--k0", "0.5,0.2,0", "--m0", "1,0,0", *argv,
+                        "--out", str(out)]) == 0
+            reports.append((out / "report.txt").read_bytes())
+        assert GapReport.from_text(reports[0].decode()).measured_lo_over_c is not None
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_verify_prints_staircase_warning_once(self, tmp_path):
         # 2.52 grid cells across the sphere: every FD solve of the ray warns
@@ -913,7 +934,9 @@ def test_one_parser_serves_every_request(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("face-map --resolution 100000", "samples: must be >= 2 and <= 1601"),
+    ("face-map --resolution 100000", "resolution: must be >= 2 and <= 1601"),
+    # the range's other end; both were once refused as the library's `samples`
+    ("face-map --resolution 1", "resolution: must be >= 2 and <= 1601"),
     ("face-map --half-width 1000", "half_width: must be > 0 and <= 8.0, got 1000.0"),
     ("bands --samples 100000000000", "samples: must be >= 1 and <= 1000000"),
     ("gap --samples 1000001", "samples: must be >= 1 and <= 1000000"),

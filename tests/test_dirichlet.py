@@ -80,12 +80,6 @@ class TestBranchPair:
             assert lo == pytest.approx(0.5 + (nu * dt - abs(dt)) / 1.0, abs=1e-15)
             assert hi == pytest.approx(0.5 + (nu * dt + abs(dt)) / 1.0, abs=1e-15)
 
-    def test_ray_width_enforced(self):
-        p = DirichletParams(a=0.1)
-        with pytest.raises(DomainError):
-            twomode.pair_model(K_EX, M_EX, p).branches(0.2)
-        twomode.pair_model(K_EX, M_EX, p).branches(0.2, delta0=0.25)
-
     def test_non_order_two_rejected(self):
         p = DirichletParams(a=0.1)
         with pytest.raises(DomainError):
@@ -221,7 +215,7 @@ class TestProperties:
         p = DirichletParams(a=0.1)
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 1000):
             adm = order_two_admissibility(k0, m0, 1e-3)
-            gap = twomode.pair_model(k0, m0, p, admissibility=adm).gap()[1]
+            gap = twomode.TwoModeModel(adm, p).gap()[1]
             assert (gap is not None) == (lattice.gap_admissible(k0, m0).nu < 1.0)
 
     def test_gap_scales_linearly_in_a_and_q(self):

@@ -313,12 +313,12 @@ def test_shift_search_past_its_cap_is_refused_and_named():
     with pytest.raises(DomainError, match=r"^k0: the candidate-shift search"):
         lattice.gap_admissible((0.0, 0.0, 36.5), (0, 0, 73))
     with pytest.raises(DomainError, match=r"^m0: the candidate-shift search"):
-        lattice.face_gap_region((72, 0, 0), samples=11)
+        lattice.face_gap_region((72, 0, 0), resolution=11)
 
 
 @pytest.fixture(scope="module")
 def fmap():
-    return lattice.face_gap_region((0, 0, 1), samples=101)
+    return lattice.face_gap_region((0, 0, 1), resolution=101)
 
 class TestFaceGapRegion:
     def _flag(self, fmap, t1, t2):
@@ -350,16 +350,16 @@ class TestFaceGapRegion:
         assert fmap.flagged_fraction() == pytest.approx(math.pi / 16.0, rel=0.03)
 
     def test_other_axes_match(self):
-        a = lattice.face_gap_region((0, 0, 1), samples=41)
-        b = lattice.face_gap_region((0, 1, 0), samples=41)
-        c = lattice.face_gap_region((-1, 0, 0), samples=41)
+        a = lattice.face_gap_region((0, 0, 1), resolution=41)
+        b = lattice.face_gap_region((0, 1, 0), resolution=41)
+        c = lattice.face_gap_region((-1, 0, 0), resolution=41)
         assert int(a.flagged.sum()) == int(b.flagged.sum()) == int(c.flagged.sum())
 
     def test_bad_input(self):
         with pytest.raises(DomainError):
             lattice.face_gap_region((0, 0, 0))
         with pytest.raises(DomainError):
-            lattice.face_gap_region((0, 0, 1), samples=1)
+            lattice.face_gap_region((0, 0, 1), resolution=1)
 
     @pytest.mark.parametrize("samples, half_width", [(41, 1.0), (64, 2.0), (31, 3.0)])
     def test_pruned_blocks_match_the_full_residual_matrix(self, samples, half_width):
@@ -383,7 +383,7 @@ class TestFaceGapRegion:
             for tol in (0.0, 1e-9, 1e-3):
                 want = np.zeros(samples * samples, dtype=bool)
                 want[inside] = (resid <= tol * np.maximum(1.0, msq)[None, :]).sum(axis=1) == 1
-                fmap = lattice.face_gap_region(m0, samples=samples, half_width=half_width,
+                fmap = lattice.face_gap_region(m0, resolution=samples, half_width=half_width,
                                                tol=tol)
                 np.testing.assert_array_equal(fmap.flagged, want.reshape(samples, samples))
             # the writer reads only the map, so one tolerance per shift will do

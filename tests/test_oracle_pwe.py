@@ -209,7 +209,7 @@ class TestAssembly:
         pwe._coefficient_matrices.cache_clear()
         params = weak_params(0.01)
         model = twomode.pair_model((0, 0, 0.5), (0, 0, 1), params)
-        got = measure_gap_numeric(model, params, g_max=3, n_deltas=7)
+        got = measure_gap_numeric(model, g_max=3, n_deltas=7)
         pwe._coefficient_matrices.cache_clear()
         assert got is not None and len(got.deltas) == 7
         assert calls == [params.a]

@@ -94,7 +94,7 @@ class TestCsvWriters:
         assert (lo, hi) == (curve.omega_minus_over_c[0], curve.omega_plus_over_c[0])
 
     def test_face_map_csv(self):
-        fmap = lattice.face_gap_region((0, 0, 1), samples=11)
+        fmap = lattice.face_gap_region((0, 0, 1), resolution=11)
         out = io.StringIO()
         write_face_map_csv(fmap, out)
         lines = out.getvalue().splitlines()

@@ -150,7 +150,7 @@ class TestLocalGap:
         p = weak_params(0.01)
         for k0, m0, ratio in random_order_two_pairs(pair_rng, 300):
             adm = order_two_admissibility(k0, m0, 1e-3)
-            gap = twomode.pair_model(k0, m0, p, admissibility=adm).gap()[1]
+            gap = twomode.TwoModeModel(adm, p).gap()[1]
             assert (gap is not None) == (lattice.gap_admissible(k0, m0).nu < 1.0)
 
     def test_samples_respect_gap(self):

@@ -95,9 +95,9 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     step = 4.0 * d / 2000
     assert abs(offsets.delta_tilde[np.argmax(offsets.omega_minus_over_c)] - d) <= step
     assert abs(offsets.delta_tilde[np.argmin(offsets.omega_plus_over_c)] + d) <= step
-    # dt* may lie beyond the default ray half-width; use the scan's window
-    assert abs(model.branches(d, 2.0 * d)[0] - gap.lo_over_c) <= 1e-12
-    assert abs(model.branches(-d, 2.0 * d)[1] - gap.hi_over_c) <= 1e-12
+    # dt* may lie beyond the default ray half-width 0.1, which the branches do not bound
+    assert abs(model.branches(d)[0] - gap.lo_over_c) <= 1e-12
+    assert abs(model.branches(-d)[1] - gap.hi_over_c) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -134,33 +134,41 @@ def test_exclusion_band_is_refused_by_the_admission():
     assert str(exc.value) == f"|k0|/|m0|={ratio} inside the exclusion band around sqrt(2)/2"
 
 
-@pytest.mark.parametrize("p", [
-    DirichletParams(a=0.1),
-    at_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01),
-])
-def test_pair_model_refuses_an_admission_of_another_pair(p):
-    k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
-    for adm in (twomode.order_two_admissibility(K_EX, M_EX),
-                lattice.gap_admissible((0.5, 0.3, 0.4), (1, 0, 0)),  # in the exclusion band
-                # this pair's ratio, but inside a band of 0.2
-                lattice.gap_admissible((0.5, 0.2, 0.0), (1, 0, 0), exclusion_band=0.2)):
-        with pytest.raises(DomainError, match=r"^admissibility: does not admit \(k0="):
-            twomode.pair_model(k0, m0, p, admissibility=adm)
-    # the admission of the pair itself, at another band, is the model's
-    adm = twomode.order_two_admissibility(k0, m0, exclusion_band=1e-3)
-    assert twomode.pair_model(k0, m0, p, admissibility=adm).admissibility is adm
-
-
-def test_the_admission_is_checked_before_the_splitting():
-    # k0 = m0 puts k1 = k0 - m0 at 0, where kh0.kh1 divides by zero; the admission of another
-    # pair is refused before the params are asked for the splitting, so nothing warns
+def test_the_admission_is_checked_before_the_splitting(monkeypatch):
+    # the model refuses an admission that excludes its pair, naming it, before it asks the
+    # params for their centre and splitting; k0 = m0 would put k1 = k0 - m0 at 0, where
+    # kh0.kh1 divides by zero
     p = at_volume_fraction(MaterialSpec(1.0, 1.2, 1.2, 1.0), 0.01)
-    adm = twomode.order_two_admissibility(K_EX, M_EX)
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        with pytest.raises(DomainError, match=r"^admissibility: "):
-            twomode.pair_model((1, 0, 0), (1, 0, 0), p, admissibility=adm)
-    assert record == []
+    asked = []
+    splitting = TransmissionParams.centre_and_splitting
+    monkeypatch.setattr(TransmissionParams, "centre_and_splitting",
+                        lambda self, *args: asked.append(args) or splitting(self, *args))
+    boundary = lattice.gap_admissible((0.5, 0.3, 0.4), (1, 0, 0))
+    higher = lattice.gap_admissible((0.5, 0.5, 0.5), (1, 0, 0))
+    k1_at_zero = lattice.shift_admissibility((1, 0, 0), (1, 0, 0), 2, 0.5)
+    for adm, verdict in ((boundary, "BoundaryExcluded"), (higher, "HigherOrderExcluded"),
+                         (k1_at_zero, "BoundaryExcluded")):
+        assert adm.verdict.value == verdict
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError) as exc:
+                twomode.TwoModeModel(adm, p)
+        assert str(exc.value) == (f"admissibility: {verdict} admits no model of "
+                                  f"(k0={adm.k0}, m0={adm.m0})")
+        assert record == []
+    assert asked == []
+
+
+def test_the_model_is_the_admitted_pair_with_its_params():
+    k0, m0 = [0.5, 0.2, 0], np.array([1, 0, 0])
+    adm = twomode.order_two_admissibility(k0, m0, exclusion_band=1e-3)
+    assert (adm.k0, adm.m0) == ((0.5, 0.2, 0.0), (1, 0, 0))
+    assert adm == lattice.shift_admissibility((0.5, 0.2, 0.0), (1, 0, 0), 2, 1e-3)
+    p = DirichletParams(a=0.1)
+    model = twomode.TwoModeModel(adm, p)
+    assert model.admissibility is adm and model.params is p
+    assert (model.k0, model.m0, model.nu) == (adm.k0, adm.m0, adm.nu)
+    assert model.knorm == lattice.wavevector_norm("k0", k0)
 
 
 def test_centre_and_splitting_per_problem():
