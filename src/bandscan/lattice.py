@@ -168,10 +168,10 @@ def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, i
 
 
 def _on_plane(M: np.ndarray, m2, k: np.ndarray, tol: float):
-    """|2 k.m - |m|^2| <= tol * max(1, |m|^2) per shift m in M (..., 3), the one evaluation of
-    the plane condition.  It sums elementwise in one order, so a shift's residual does not
-    depend on how many are tested with it (a BLAS product rounds one row unlike a block)."""
-    resid = 2.0 * (M[..., 0] * k[0] + M[..., 1] * k[1] + M[..., 2] * k[2]) - m2
+    """|2 k.m - |m|^2| <= tol * max(1, |m|^2) per shift m in M (..., 3) and k (..., 3), broadcast:
+    the one evaluation of the plane condition.  It sums elementwise in one order, so a residual
+    does not depend on how many are tested with it (BLAS rounds one row unlike a block)."""
+    resid = 2.0 * (M[..., 0] * k[..., 0] + M[..., 1] * k[..., 1] + M[..., 2] * k[..., 2]) - m2
     return np.abs(resid) <= tol * np.maximum(1.0, m2)
 
 
@@ -295,7 +295,7 @@ def _face_basis(m0: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-#: Caps within about 256 MB: 86 bytes a pixel, and a candidate box growing as (4 half_width)^3.
+#: Caps within about 256 MB: 64 bytes a pixel, and a candidate box growing as (4 half_width)^3.
 MAX_FACE_RESOLUTION = 1601
 MAX_FACE_HALF_WIDTH = 8.0
 
@@ -312,7 +312,7 @@ def face_gap_region(
     Every face point satisfies the plane condition for m0 by construction;
     a pixel is flagged when the classification there is exactly order two
     and |k|/|m0| < sqrt(2)/2 - band.  For m0 = (0,0,1) the flagged set is
-    the disk k1^2 + k2^2 < 1/4.  Vectorized over blocks of pixels.
+    the disk k1^2 + k2^2 < 1/4.  Vectorized over blocks of rows.
     """
     m0 = as_shift(m0)
     require_between("resolution", resolution, 2, MAX_FACE_RESOLUTION)
@@ -327,11 +327,10 @@ def face_gap_region(
     center = m / 2.0
 
     t1 = t2 = np.linspace(-half_width, half_width, resolution)
-    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
-    K = center[None, None, :] + T1[..., None] * e1 + T2[..., None] * e2
-    Kf = K.reshape(-1, 3)
+    Kf = ((center + t1[:, None, None] * e1) + t2[None, :, None] * e2).reshape(-1, 3)
 
-    kmax = float(np.max(np.linalg.norm(Kf, axis=1)))
+    norms = np.linalg.norm(Kf, axis=1)
+    kmax = float(np.max(norms))
     ms, msq = _search_box("m0", kmax)
     limit = tol * np.maximum(1.0, msq)
     # The residual 2 k.m - |m|^2 is affine in (t1, t2), so a candidate whose
@@ -339,23 +338,36 @@ def face_gap_region(
     # covers rounding, far below the terms 2|k||m| and |m|^2 of the residual.
     nearest = np.abs(2.0 * (ms @ center) - msq) - 2.0 * half_width * (
         np.abs(ms @ e1) + np.abs(ms @ e2))
-    near = nearest <= limit + 1e-9 * (msq + 2.0 * kmax * np.sqrt(msq))
-    ms, msq, limit = ms[near], msq[near], limit[near]
-    # residual of the plane condition for every (pixel, candidate) pair, a
-    # block of pixels at a time, at the pixels whose ratio admits a gap
-    ratio = np.linalg.norm(Kf, axis=1) / math.sqrt(m2)
-    inside = np.flatnonzero(ratio < SQRT_HALF - exclusion_band)
-    flagged = np.zeros(len(Kf), dtype=bool)
-    step = max(1, 2**16 // len(ms))  # pixels per block of 2^16 residuals; m0 is always kept
-    for lo in range(0, len(inside), step):
-        pixels = inside[lo:lo + step]
-        resid = np.abs(2.0 * (Kf[pixels] @ ms.T) - msq[None, :])
-        flagged[pixels] = (resid <= limit[None, :]).sum(axis=1) == 1
+    reach = limit + 1e-9 * (msq + 2.0 * kmax * np.sqrt(msq))
+    near = nearest <= reach
+    ms, msq, limit, reach = ms[near].astype(float), msq[near], limit[near], reach[near]
+    # Along a row t1 the residual at pixel j is r0 + slope * j, r0 its value at t2 = -hw, so
+    # it is within reach on one index interval (all or none of the row where slope = 0): the
+    # strip of the candidate's plane.  The residual itself, as the product K @ ms.T rounds it,
+    # is evaluated on those pixels only, where the ratio admits a gap, a block of rows at once.
+    inside = norms / math.sqrt(m2) < SQRT_HALF - exclusion_band
+    slope = 2.0 * (ms @ e2) * (2.0 * half_width / (resolution - 1))  # per pixel along a row
+    hits = np.zeros(len(Kf), dtype=np.int32)
+    step = max(1, 2**18 // max(len(ms), resolution))  # rows per 2^18 (row, candidate) pairs
+    for lo in range(0, resolution, step):
+        r0 = 2.0 * (Kf[lo * resolution:(lo + step) * resolution:resolution] @ ms.T) - msq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = ((-reach - r0) / slope, (reach - r0) / slope)
+        first = np.fmax(np.ceil(np.minimum(*ends)), 0.0)  # NaN (0/0) counts as the whole row
+        last = np.fmin(np.floor(np.maximum(*ends)), resolution - 1.0)
+        row, cand = np.nonzero(last >= first)
+        start = (row + lo) * resolution + first[row, cand].astype(np.intp)
+        count = (last - first)[row, cand].astype(np.intp) + 1
+        offset = np.repeat(np.cumsum(count) - count - start, count)
+        pixel, cand = np.arange(offset.size) - offset, np.repeat(cand, count)
+        pixel, cand = pixel[inside[pixel]], cand[inside[pixel]]
+        resid = np.abs(2.0 * np.vecdot(Kf[pixel], ms[cand]) - msq[cand])
+        np.add.at(hits, pixel[resid <= limit[cand]], 1)
     return FaceGapMap(
         m0=m0,
         t1=t1,
         t2=t2,
-        flagged=flagged.reshape(resolution, resolution),
+        flagged=(inside & (hits == 1)).reshape(resolution, resolution),
         half_width=half_width,
     )
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .config import encode, read_fields
 from .errors import ConfigError
 from .twomode import BranchCurve
@@ -71,11 +73,12 @@ def write_branch_csv(curve: BranchCurve, fh) -> None:
 
 def write_face_map_csv(face_map, fh) -> None:
     fh.write("k1,k2,gap_flag\n")
-    # each t is formatted once per axis, not once per pixel; a flag indexes its tail
-    tails = [(f",{float(t2)!r},0\n", f",{float(t2)!r},1\n") for t2 in face_map.t2]
-    for t1, row in zip(face_map.t1, face_map.flagged.tolist()):
-        head = repr(float(t1))
-        fh.write("".join([head + tail[flag] for tail, flag in zip(tails, row)]))
+    # each t is formatted once per axis, not once per pixel; a row's flags pick its tails
+    off, on = (np.array([f",{t2!r},{flag}\n" for t2 in face_map.t2.tolist()], dtype=object)
+               for flag in (0, 1))
+    for t1, row in zip(face_map.t1.tolist(), face_map.flagged):
+        head = repr(t1)
+        fh.write(head + head.join(np.where(row, on, off).tolist()))
 
 
 def write_global_scan_csv(rows, fh) -> None:

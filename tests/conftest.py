@@ -121,3 +121,25 @@ def cube_mesh(side: float = 1.0, refinements: int = 3) -> meshes.TriangleMesh:
 @pytest.fixture
 def pair_rng():
     return np.random.default_rng(20260811)
+
+
+def reference_cover_frequency(omega: float, p, direction=(1.0, math.sqrt(2.0), math.sqrt(3.0)),
+                              tol: float = lattice.DEFAULT_TOL):
+    """One omega at a time, the cover of `globalscan.cover_frequency` as
+    (k, order, residual, attempt): the closed-form root along the ray, one
+    `classify_wavevector` per attempt, a fixed nudge of the direction between
+    attempts, and None once `globalscan.MAX_PERTURBATIONS` nudges all land on
+    exceptional vectors."""
+    from bandscan import globalscan
+
+    A = p.epsilon(1.0)
+    t = 0.5 * (omega + math.sqrt(omega * omega - 4.0 * A))
+    d = np.asarray(direction, dtype=float)
+    for attempt in range(globalscan.MAX_PERTURBATIONS + 1):
+        k = t * (d / np.linalg.norm(d))
+        cls = lattice.classify_wavevector(k, tol)
+        if cls.order == 1:
+            residual = abs((1.0 + p.epsilon(t)) * float(np.linalg.norm(k)) - omega)
+            return tuple(float(x) for x in k), cls.order, residual, attempt
+        d = d + (attempt + 1) * 1e-3 * np.array([1.0, -0.5, 0.25])
+    return None

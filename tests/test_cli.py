@@ -693,6 +693,17 @@ def test_unwritable_output_path_exits_2_and_is_named(tmp_path, monkeypatch, caps
     assert sorted(os.listdir()) == ["taken"]
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "scan.csv"]])
+def test_window_without_a_propagating_branch_exits_3(tmp_path, monkeypatch, capsys, out):
+    # omega/c = 0.1 at a = 0.6 is below 2 sqrt(A), where t + A/t = omega has no
+    # real root: the whole window is refused before any row is written
+    monkeypatch.chdir(tmp_path)
+    assert run(["global-scan", "--omega-lo", "0.1", "--omega-hi", "1", "--a", "0.6", *out]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: no propagating branch at "
+                                   "omega/c=0.1: a too large for the window\n")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, field", [
     ("gap --k0 0,0,0", "k0"), ("bands --k0 0,0,0", "k0"), ("face-map --m0 0,0,0", "m0"),
 ])

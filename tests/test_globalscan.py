@@ -1,9 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bandscan import globalscan
+from conftest import reference_cover_frequency
+
+from bandscan import globalscan, lattice
 from bandscan.dirichlet import CELL_VOLUME, DirichletParams
 from bandscan.errors import DomainError, NumericalError
 
@@ -55,3 +58,48 @@ def test_closed_form_root_along_ray():
         assert abs(t + A / t - omega) <= 1e-12 * omega
     with pytest.raises(NumericalError):
         globalscan._root_along_ray(0.3, 0.04)
+
+
+@pytest.mark.parametrize("seed, samples", [(0, 1), (1, 2), (2, 37), (3, 500), (4, 1333), (5, 2000)])
+def test_array_pass_matches_the_per_omega_reference(seed, samples):
+    # one pass over the whole grid gives, bit for bit, the rows of one cover
+    # per omega: the same root, direction, norm and residual
+    rng = np.random.default_rng(seed)
+    p = DirichletParams(a=float(rng.uniform(0.0, 0.3)))
+    lo = float(rng.uniform(0.2, 2.0))
+    rows = globalscan.global_scan(lo, lo + float(rng.uniform(1e-3, 3.0)), samples, p)
+    assert len(rows) == samples
+    for row in rows:
+        k, order, residual, _ = reference_cover_frequency(row.omega_over_c, p)
+        assert (row.k, row.order, row.residual) == (k, order, residual)
+
+
+@pytest.mark.parametrize("tol", [lattice.DEFAULT_TOL, 1e-5])
+def test_perturbed_rows_take_the_reference_attempt(tol):
+    # on the (0, 0, 1) ray, k = (0, 0, t) is exceptional at t = 0.5 and 1 (and,
+    # at tol 1e-5, on a band around each); each row that the per-omega loop
+    # perturbs must land on the same direction in the array pass
+    p = DirichletParams(a=0.1)
+    A = p.epsilon(1.0)
+    stars = [t + A / t for t in (0.5, 1.0)]
+    omegas = np.sort(np.concatenate(
+        [np.linspace(0.4, 1.6, 301), stars, np.linspace(stars[0] - 2e-5, stars[0] + 2e-5, 41)]))
+    rows = globalscan.cover_frequency(omegas, p, direction=(0.0, 0.0, 1.0), tol=tol)
+    refs = [reference_cover_frequency(om, p, (0.0, 0.0, 1.0), tol) for om in omegas.tolist()]
+    assert [(r.k, r.order, r.residual) for r in rows] == [ref[:3] for ref in refs]
+    attempts = np.array([ref[3] for ref in refs])
+    perturbed = omegas[attempts > 0]
+    assert set(stars) <= set(perturbed.tolist())
+    if tol > lattice.DEFAULT_TOL:
+        assert len(perturbed) > len(stars)
+
+
+def test_running_out_of_perturbations_names_the_first_uncovered_omega(monkeypatch):
+    monkeypatch.setattr(globalscan, "MAX_PERTURBATIONS", 0)
+    p = DirichletParams(a=0.1)
+    A = p.epsilon(1.0)
+    stars = [t + A / t for t in (0.5, 1.0)]
+    with pytest.raises(NumericalError, match=re.escape(
+            f"could not find a non-exceptional cover for omega/c={stars[0]}") + "$"):
+        globalscan.cover_frequency(np.array([0.45, stars[0], 0.8, stars[1]]), p,
+                                   direction=(0.0, 0.0, 1.0))

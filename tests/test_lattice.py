@@ -361,31 +361,58 @@ class TestFaceGapRegion:
         with pytest.raises(DomainError):
             lattice.face_gap_region((0, 0, 1), resolution=1)
 
-    @pytest.mark.parametrize("samples, half_width", [(41, 1.0), (64, 2.0), (31, 3.0)])
-    def test_pruned_blocks_match_the_full_residual_matrix(self, samples, half_width):
-        # the flags of the plain formula, every candidate of the box in one
-        # residual matrix, against the pruned, blocked map; and the CSV
-        # against a writer that formats every pixel's coordinates
-        shifts = [m for m in itertools.product(range(-2, 3), repeat=3) if any(m)]
-        assert len(shifts) == 124
+    SMALL_SHIFTS = [m for m in itertools.product(range(-2, 3), repeat=3) if any(m)]
+
+    @pytest.mark.parametrize("samples, half_width, shifts", [
+        pytest.param(41, 1.0, SMALL_SHIFTS, id="41-1.0"),
+        pytest.param(64, 2.0, SMALL_SHIFTS, id="64-2.0"),
+        pytest.param(31, 3.0, SMALL_SHIFTS, id="31-3.0"),
+        # at tol 0 about 20 of these flags follow the rounding of the residual:
+        # summed elementwise instead of as the product K @ ms.T, they flip
+        pytest.param(12, 1.0, [(1, 2, 3)], id="12-1.0-m0=1,2,3"),
+        # large |m0|: 3.3e4 and 1.6e5 candidates cross the window, and each map
+        # flags a few pixels at tol 0 and 1e-9 (coarser grids here flag none);
+        # (0, 0, 71) at half-width 8 passes the search cap
+        pytest.param(12, 1.0, [(0, 0, 71)], id="12-1.0-m0=0,0,71"),
+        pytest.param(14, 8.0, [(53, 0, 0)], id="14-8.0-m0=53,0,0"),
+    ])
+    def test_pruned_blocks_match_the_full_residual_matrix(self, samples, half_width, shifts):
+        # the flags of the plain formula, every candidate of the box whose plane
+        # crosses the window in one residual matrix (a block of pixels at a time
+        # for the large boxes), against the pruned map, which evaluates the
+        # residual on each candidate's strip only; and the CSV against a writer
+        # that formats every pixel's coordinates
+        assert len(self.SMALL_SHIFTS) == 124
         t = np.linspace(-half_width, half_width, samples)
         T1, T2 = np.meshgrid(t, t, indexing="ij")
+        tols = (0.0, 1e-9, 1e-3)
         for m0 in shifts:
             m = np.asarray(m0, dtype=float)
             e1, e2 = lattice._face_basis(m0)
             Kf = (m / 2.0 + T1[..., None] * e1 + T2[..., None] * e2).reshape(-1, 3)
             kmax = float(np.max(np.linalg.norm(Kf, axis=1)))
             ms, msq = lattice._candidate_box(math.ceil(2.0 * kmax) + 1)
+            # the residual is affine in (t1, t2), so over the window it lies
+            # between its values at the four corners; the slack is far above
+            # rounding and above the largest tolerance
+            corners = 2.0 * (Kf[[0, samples - 1, -samples, -1]] @ ms.T) - msq
+            slack = 1e-6 * (msq + 2.0 * kmax * np.sqrt(msq)) + max(tols) * np.maximum(1.0, msq)
+            crossing = (corners.min(axis=0) <= slack) & (corners.max(axis=0) >= -slack)
+            ms, msq = ms[crossing], msq[crossing]
             ratio = np.linalg.norm(Kf, axis=1) / math.sqrt(m @ m)
             # a pixel outside the gap ratio is never flagged, whatever its count
-            inside = ratio < SQ2 - lattice.DEFAULT_EXCLUSION_BAND
-            resid = np.abs(2.0 * (Kf[inside] @ ms.T) - msq[None, :])
-            for tol in (0.0, 1e-9, 1e-3):
-                want = np.zeros(samples * samples, dtype=bool)
-                want[inside] = (resid <= tol * np.maximum(1.0, msq)[None, :]).sum(axis=1) == 1
+            inside = np.flatnonzero(ratio < SQ2 - lattice.DEFAULT_EXCLUSION_BAND)
+            hits = np.zeros((len(tols), samples * samples), dtype=int)
+            step = max(1, 2**20 // len(ms))
+            for lo in range(0, len(inside), step):
+                block = inside[lo:lo + step]
+                resid = np.abs(2.0 * (Kf[block] @ ms.T) - msq[None, :])
+                for i, tol in enumerate(tols):
+                    hits[i, block] = (resid <= tol * np.maximum(1.0, msq)[None, :]).sum(axis=1)
+            for i, tol in enumerate(tols):
                 fmap = lattice.face_gap_region(m0, resolution=samples, half_width=half_width,
                                                tol=tol)
-                np.testing.assert_array_equal(fmap.flagged, want.reshape(samples, samples))
+                np.testing.assert_array_equal(fmap.flagged, (hits[i] == 1).reshape(samples, samples))
             # the writer reads only the map, so one tolerance per shift will do
             lines = ["k1,k2,gap_flag\n"]
             for t1, row in zip(fmap.t1.tolist(), fmap.flagged.tolist()):
