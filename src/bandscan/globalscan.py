@@ -76,8 +76,9 @@ def cover_frequency(
     on omega, so each attempt classifies at once every omega still on an exceptional vector.
     """
     om = np.ravel(omega_over_c).astype(float)
-    if not np.all(om > 0):  # NaN fails too
-        raise DomainError(f"omega_over_c: must be > 0, got {om[np.argmin(om > 0)]}")
+    ok = (0.0 < om) & (om < math.inf)  # NaN fails too
+    if not ok.all():
+        raise DomainError(f"omega_over_c: must be > 0 and finite, got {om[np.argmin(ok)]}")
     d = np.asarray(direction, dtype=float)
     if np.linalg.norm(d) == 0:
         raise DomainError("direction: must be nonzero")

@@ -48,6 +48,11 @@ def test_window_validation():
         globalscan.global_scan(0.4, 1.2, 0, p)
     with pytest.raises(DomainError):
         globalscan.cover_frequency(0.5, p, direction=(0, 0, 0))
+    # on an axis ray an infinite omega would give NaN components (inf * 0)
+    for omega, shown in ((math.inf, "inf"), (math.nan, "nan"), ([0.5, -1.0], "-1.0")):
+        text = f"omega_over_c: must be > 0 and finite, got {shown}"
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            globalscan.cover_frequency(omega, p, direction=(0.0, 0.0, 1.0))
 
 
 def test_closed_form_root_along_ray():
