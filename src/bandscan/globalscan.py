@@ -50,19 +50,6 @@ def _root_along_ray(omega, A: float):
     return 0.5 * (omega + np.sqrt(disc))
 
 
-def _on_no_plane(K: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
-    """Per row k of K (R, 3) of norm `norms`, `lattice.classify_wavevector`'s order-one test:
-    no shift of k's search box is on its plane.  About 2^16 residuals go at once."""
-    clear = np.empty(len(K), dtype=bool)
-    bounds = np.ceil(2.0 * norms)
-    for bound in np.unique(bounds):
-        rows = np.flatnonzero(bounds == bound)
-        M, m2 = lattice._search_box("k", float(norms[rows[0]]))
-        for block in np.array_split(rows, math.ceil(len(rows) * len(M) / 2**16)):
-            clear[block] = ~lattice._on_plane(M, m2, K[block, None, :], tol).any(axis=1)
-    return clear
-
-
 def cover_frequency(
     omega_over_c,
     p: DirichletParams,
@@ -90,7 +77,7 @@ def cover_frequency(
         Kt = t[todo, None] * (d / np.linalg.norm(d))
         # bit for bit each row's float(np.linalg.norm(k)); np.linalg.norm(Kt, axis=1) is not
         nt = np.sqrt(np.vecdot(Kt, Kt))
-        clear = _on_no_plane(Kt, nt, tol)
+        clear = lattice.order_one(Kt, nt, tol)
         K[todo[clear]], norms[todo[clear]] = Kt[clear], nt[clear]
         todo = todo[~clear]
         if not len(todo):

@@ -137,8 +137,12 @@ def _search_box(name: str, norm: float) -> tuple[np.ndarray, np.ndarray]:
     if not norm <= MAX_SEARCH_NORM:
         raise DomainError(f"{name}: the candidate-shift search at |k| = {norm:.6g} passes "
                           f"its cap |k| <= {MAX_SEARCH_NORM:g}")
-    bound = math.ceil(2.0 * norm) + 1
+    bound = int(_box_bound(norm))
     return (_candidate_box if bound <= MAX_CACHED_BOUND else _last_large_box)(bound)
+
+
+def _box_bound(norm):  # ceil(2|k|) + 1, of one norm or an array: k's box |m|_inf <= bound
+    return np.ceil(2.0 * norm) + 1
 
 
 @lru_cache(maxsize=MAX_CACHED_BOUND)
@@ -165,6 +169,19 @@ def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, i
     require_nonnegative("tol", tol)
     M, m2 = _search_box("k", knorm)
     return _shifts(M[_on_plane(M, m2, as_wavevector("k", k), tol)])
+
+
+def order_one(K: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
+    """Per row k of K (R, 3) of norm `norms`, whether `classify_wavevector(k, tol)` has order
+    one: no shift of k's search box is on its plane.  About 2^16 residuals go at once."""
+    clear = np.empty(len(K), dtype=bool)
+    bounds = _box_bound(norms)
+    for bound in np.unique(bounds):
+        rows = np.flatnonzero(bounds == bound)
+        M, m2 = _search_box("k", float(norms[rows[0]]))
+        for block in np.array_split(rows, math.ceil(len(rows) * len(M) / 2**16)):
+            clear[block] = ~_on_plane(M, m2, K[block, None, :], tol).any(axis=1)
+    return clear
 
 
 def _on_plane(M: np.ndarray, m2, k: np.ndarray, tol: float):
@@ -341,28 +358,36 @@ def face_gap_region(
     reach = limit + 1e-9 * (msq + 2.0 * kmax * np.sqrt(msq))
     near = nearest <= reach
     ms, msq, limit, reach = ms[near].astype(float), msq[near], limit[near], reach[near]
-    # Along a row t1 the residual at pixel j is r0 + slope * j, r0 its value at t2 = -hw, so
-    # it is within reach on one index interval (all or none of the row where slope = 0): the
-    # strip of the candidate's plane.  The residual itself, as the product K @ ms.T rounds it,
-    # is evaluated on those pixels only, where the ratio admits a gap, a block of rows at once.
+    # Along a row the residual at pixel j is r0 + slope * j, so it is within reach on one
+    # interval (all or none of the row where slope = 0), clipped to the row's span of pixels
+    # where the ratio admits a gap (hits between them are never read): the residual, rounded
+    # as by K @ ms.T, is evaluated there only.
     inside = norms / math.sqrt(m2) < SQRT_HALF - exclusion_band
     slope = 2.0 * (ms @ e2) * (2.0 * half_width / (resolution - 1))  # per pixel along a row
     hits = np.zeros(len(Kf), dtype=np.int32)
     step = max(1, 2**18 // max(len(ms), resolution))  # rows per 2^18 (row, candidate) pairs
+    cols = np.arange(resolution)
     for lo in range(0, resolution, step):
-        r0 = 2.0 * (Kf[lo * resolution:(lo + step) * resolution:resolution] @ ms.T) - msq
+        block = slice(lo * resolution, (lo + step) * resolution)
+        held = inside[block].reshape(-1, resolution)
+        r0 = 2.0 * (Kf[block][::resolution] @ ms.T) - msq
         with np.errstate(divide="ignore", invalid="ignore"):
             ends = ((-reach - r0) / slope, (reach - r0) / slope)
-        first = np.fmax(np.ceil(np.minimum(*ends)), 0.0)  # NaN (0/0) counts as the whole row
-        last = np.fmin(np.floor(np.maximum(*ends)), resolution - 1.0)
+        span = (np.where(held, cols, resolution).min(1, keepdims=True),
+                np.where(held, cols, -1).max(1, keepdims=True))
+        first = np.fmax(np.ceil(np.minimum(*ends)), span[0])  # NaN (0/0) counts as all the span
+        last = np.fmin(np.floor(np.maximum(*ends)), span[1])
         row, cand = np.nonzero(last >= first)
-        start = (row + lo) * resolution + first[row, cand].astype(np.intp)
+        start = row * resolution + first[row, cand].astype(np.intp)  # pixels of the block
         count = (last - first)[row, cand].astype(np.intp) + 1
-        offset = np.repeat(np.cumsum(count) - count - start, count)
-        pixel, cand = np.arange(offset.size) - offset, np.repeat(cand, count)
-        pixel, cand = pixel[inside[pixel]], cand[inside[pixel]]
-        resid = np.abs(2.0 * np.vecdot(Kf[pixel], ms[cand]) - msq[cand])
-        np.add.at(hits, pixel[resid <= limit[cand]], 1)
+        # the strips' pixels go about 2^18 at a time, however wide the tolerance makes them
+        total = np.cumsum(np.r_[0, count])
+        cuts = np.searchsorted(total, np.r_[np.arange(0, total[-1], 2**18), total[-1]])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            pixel = np.arange(total[a], total[b]) - np.repeat(total[a:b] - start[a:b], count[a:b])
+            c = np.repeat(cand[a:b], count[a:b])
+            resid = np.abs(2.0 * np.vecdot(Kf[block][pixel], ms[c]) - msq[c])
+            hits[block] += np.bincount(pixel[resid <= limit[c]], minlength=held.size)
     return FaceGapMap(
         m0=m0,
         t1=t1,

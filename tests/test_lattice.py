@@ -2,6 +2,7 @@ import functools
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -361,44 +362,65 @@ class TestFaceGapRegion:
         with pytest.raises(DomainError):
             lattice.face_gap_region((0, 0, 1), resolution=1)
 
+    def test_wide_tolerance_gathers_its_strips_in_parts(self):
+        # at tol 10 every candidate's strip is its whole row, about 1e7 (pixel,
+        # candidate) pairs in all; gathered at once they took 280 MB here, in
+        # parts 24 MB
+        tracemalloc.start()
+        try:
+            lattice.face_gap_region((0, 0, 1), resolution=201, tol=10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     SMALL_SHIFTS = [m for m in itertools.product(range(-2, 3), repeat=3) if any(m)]
 
-    @pytest.mark.parametrize("samples, half_width, shifts", [
-        pytest.param(41, 1.0, SMALL_SHIFTS, id="41-1.0"),
-        pytest.param(64, 2.0, SMALL_SHIFTS, id="64-2.0"),
-        pytest.param(31, 3.0, SMALL_SHIFTS, id="31-3.0"),
+    TOLS = (0.0, 1e-9, 1e-3)
+
+    @pytest.mark.parametrize("samples, half_width, shifts, tols", [
+        pytest.param(41, 1.0, SMALL_SHIFTS, TOLS, id="41-1.0"),
+        pytest.param(64, 2.0, SMALL_SHIFTS, TOLS, id="64-2.0"),
+        pytest.param(31, 3.0, SMALL_SHIFTS, TOLS, id="31-3.0"),
         # at tol 0 about 20 of these flags follow the rounding of the residual:
         # summed elementwise instead of as the product K @ ms.T, they flip
-        pytest.param(12, 1.0, [(1, 2, 3)], id="12-1.0-m0=1,2,3"),
+        pytest.param(12, 1.0, [(1, 2, 3)], TOLS, id="12-1.0-m0=1,2,3"),
         # large |m0|: 3.3e4 and 1.6e5 candidates cross the window, and each map
         # flags a few pixels at tol 0 and 1e-9 (coarser grids here flag none);
         # (0, 0, 71) at half-width 8 passes the search cap
-        pytest.param(12, 1.0, [(0, 0, 71)], id="12-1.0-m0=0,0,71"),
-        pytest.param(14, 8.0, [(53, 0, 0)], id="14-8.0-m0=53,0,0"),
+        pytest.param(12, 1.0, [(0, 0, 71)], TOLS, id="12-1.0-m0=0,0,71"),
+        pytest.param(14, 8.0, [(53, 0, 0)], TOLS, id="14-8.0-m0=53,0,0"),
+        # wide tolerances: strips cover whole rows, and the strips' pixels of one
+        # block of rows (about 2.5e6 at resolution 101) go in several parts
+        pytest.param(101, 1.0, [(0, 0, 1), (1, 1, 0)], (0.05, 0.5, 10.0), id="101-1.0-wide-tol"),
     ])
-    def test_pruned_blocks_match_the_full_residual_matrix(self, samples, half_width, shifts):
-        # the flags of the plain formula, every candidate of the box whose plane
-        # crosses the window in one residual matrix (a block of pixels at a time
-        # for the large boxes), against the pruned map, which evaluates the
-        # residual on each candidate's strip only; and the CSV against a writer
-        # that formats every pixel's coordinates
+    def test_pruned_blocks_match_the_full_residual_matrix(self, samples, half_width, shifts,
+                                                          tols):
+        # the flags of the plain formula, every candidate of the box in one
+        # residual matrix (a block of pixels at a time for the large boxes),
+        # against the pruned map, which evaluates the residual on each
+        # candidate's strip only; and the CSV against a writer that formats
+        # every pixel's coordinates
         assert len(self.SMALL_SHIFTS) == 124
         t = np.linspace(-half_width, half_width, samples)
         T1, T2 = np.meshgrid(t, t, indexing="ij")
-        tols = (0.0, 1e-9, 1e-3)
         for m0 in shifts:
             m = np.asarray(m0, dtype=float)
             e1, e2 = lattice._face_basis(m0)
             Kf = (m / 2.0 + T1[..., None] * e1 + T2[..., None] * e2).reshape(-1, 3)
             kmax = float(np.max(np.linalg.norm(Kf, axis=1)))
             ms, msq = lattice._candidate_box(math.ceil(2.0 * kmax) + 1)
-            # the residual is affine in (t1, t2), so over the window it lies
-            # between its values at the four corners; the slack is far above
-            # rounding and above the largest tolerance
-            corners = 2.0 * (Kf[[0, samples - 1, -samples, -1]] @ ms.T) - msq
-            slack = 1e-6 * (msq + 2.0 * kmax * np.sqrt(msq)) + max(tols) * np.maximum(1.0, msq)
-            crossing = (corners.min(axis=0) <= slack) & (corners.max(axis=0) >= -slack)
-            ms, msq = ms[crossing], msq[crossing]
+            if len(ms) > 10**4:
+                # the boxes of large |m0| are too large for the whole residual
+                # matrix: keep the candidates whose plane crosses the window.
+                # The residual is affine in (t1, t2), so over the window it lies
+                # between its values at the four corners; the slack is far above
+                # rounding and above the largest tolerance
+                corners = 2.0 * (Kf[[0, samples - 1, -samples, -1]] @ ms.T) - msq
+                slack = (1e-6 * (msq + 2.0 * kmax * np.sqrt(msq))
+                         + max(tols) * np.maximum(1.0, msq))
+                crossing = (corners.min(axis=0) <= slack) & (corners.max(axis=0) >= -slack)
+                ms, msq = ms[crossing], msq[crossing]
             ratio = np.linalg.norm(Kf, axis=1) / math.sqrt(m @ m)
             # a pixel outside the gap ratio is never flagged, whatever its count
             inside = np.flatnonzero(ratio < SQ2 - lattice.DEFAULT_EXCLUSION_BAND)
