@@ -17,11 +17,9 @@ import sys
 import numpy as np
 
 from bandscan.config import coerce
-from bandscan.dirichlet import MAX_N, MIN_N, require_scale
+from bandscan.dirichlet import MAX_N, MIN_N, DirichletParams, require_scale
 from bandscan.errors import ConfigError, DomainError
 from bandscan.oracle import fd
-
-PI3 = (2.0 * math.pi) ** 3
 
 
 def remainder(k, a, n):
@@ -29,9 +27,10 @@ def remainder(k, a, n):
     pattern = fd.mask_pattern(n, a)
     cap = fd.discrete_inclusion_capacitance(pattern, h)
     res = fd.fd_dirichlet_eigenvalues(k, a, n, 1)
-    k2 = float(np.dot(k, k))
-    shift = math.sqrt(res.eigenvalues[0]) - math.sqrt(k2)
-    pred = 2.0 * math.pi * cap / (k2 * PI3) * math.sqrt(k2)
+    knorm = math.sqrt(float(np.dot(k, k)))
+    shift = math.sqrt(res.eigenvalues[0]) - knorm
+    # the order-one shift eps |k| of an inclusion with q a = cap
+    pred = DirichletParams(a, q=cap / a).epsilon(knorm) * knorm
     return shift - pred, cap
 
 

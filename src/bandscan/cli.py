@@ -244,14 +244,13 @@ def cmd_face_map(args) -> int:
 
 def cmd_global_scan(args) -> int:
     p = dirichlet.DirichletParams(a=args.a, q=args.q)
-    rows = global_scan(args.omega_lo, args.omega_hi, args.samples, p)
-    worst = max(r.residual for r in rows)
+    omega, K, residual = global_scan(args.omega_lo, args.omega_hi, args.samples, p)
     if args.out:
         with _output("out", args.out) as fh:
-            write_global_scan_csv([(r.omega_over_c, r.k, r.order, r.residual) for r in rows], fh)
+            write_global_scan_csv(omega, K, residual, fh)
         print(f"wrote {args.out}")
-    print(f"covered {len(rows)} frequencies in [{args.omega_lo}, {args.omega_hi}]")
-    print(f"max residual = {worst:.3e}; all wave vectors non-exceptional")
+    print(f"covered {len(omega)} frequencies in [{args.omega_lo}, {args.omega_hi}]")
+    print(f"max residual = {residual.max():.3e}; all wave vectors non-exceptional")
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ covers the window and failure indicates a bug rather than physics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,17 +25,8 @@ DEFAULT_DIRECTION = (1.0, math.sqrt(2.0), math.sqrt(3.0))
 #: Perturbations of the ray tried before a frequency counts as uncovered.
 MAX_PERTURBATIONS = 8
 
-#: Cap of `samples`: near omega/c = 1 a scan at the cap, CSV included, runs in about 0.7 s
-#: and peaks near 80 MB, most of it its rows (0.3 KB each).
+#: Cap of `samples`: near omega/c = 1 a scan at the cap, CSV included, takes 0.5 s and 65 MB.
 MAX_SAMPLES = 100_000
-
-
-@dataclass(frozen=True)
-class CoverageRow:
-    omega_over_c: float
-    k: tuple[float, float, float]
-    order: int
-    residual: float
 
 
 def _root_along_ray(omega, A: float):
@@ -55,9 +45,9 @@ def cover_frequency(
     p: DirichletParams,
     direction=DEFAULT_DIRECTION,
     tol: float = lattice.DEFAULT_TOL,
-) -> CoverageRow | list[CoverageRow]:
-    """A non-exceptional k with (1 + eps(a, k)) |k| = omega/c on a ray, one row per omega of
-    an array (a scalar gives its row).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K, residual): per omega of `omega_over_c` (a scalar gives one row), a non-exceptional k
+    on a ray with (1 + eps(a, k)) |k| = omega/c, and the residual of that relation.
 
     The roots along the ray come in closed form, and the perturbed directions do not depend
     on omega, so each attempt classifies at once every omega still on an exceptional vector.
@@ -69,7 +59,7 @@ def cover_frequency(
     d = np.asarray(direction, dtype=float)
     if np.linalg.norm(d) == 0:
         raise DomainError("direction: must be nonzero")
-    lattice.require_nonnegative("tol", tol)
+    lattice.require_tol(tol)
     t = _root_along_ray(om, p.epsilon(1.0))  # eps(k) = A / |k|^2
     K, norms = np.empty((len(om), 3)), np.empty(len(om))
     todo = np.arange(len(om))
@@ -86,10 +76,7 @@ def cover_frequency(
         d = d + (attempt + 1) * 1e-3 * np.array([1.0, -0.5, 0.25])
     else:
         raise NumericalError(f"could not find a non-exceptional cover for omega/c={om[todo[0]]}")
-    residual = np.abs((1.0 + p.epsilon(t)) * norms - om)
-    rows = [CoverageRow(o, k, 1, r)
-            for o, k, r in zip(om.tolist(), zip(*K.T.tolist()), residual.tolist())]
-    return rows if np.ndim(omega_over_c) else rows[0]
+    return K, np.abs((1.0 + p.epsilon(t)) * norms - om)
 
 
 def global_scan(
@@ -97,10 +84,11 @@ def global_scan(
     omega_hi: float,
     samples: int,
     p: DirichletParams,
-) -> list[CoverageRow]:
-    """Cover every omega in [omega_lo, omega_hi] by a propagating wave."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, K, residual): `samples` omegas in [omega_lo, omega_hi], each covered by a wave."""
     if not 0.0 < omega_lo < omega_hi < math.inf:  # NaN fails too
         raise DomainError(f"omega_lo, omega_hi: must satisfy 0 < omega_lo < omega_hi < inf, "
                           f"got {omega_lo}, {omega_hi}")
     lattice.require_between("samples", samples, 1, MAX_SAMPLES)
-    return cover_frequency(np.linspace(omega_lo, omega_hi, samples), p)
+    omega = np.linspace(omega_lo, omega_hi, samples)
+    return (omega, *cover_frequency(omega, p))

@@ -34,6 +34,10 @@ SQRT_HALF = math.sqrt(2.0) / 2.0
 #: Default relative tolerance for the floating-point plane condition.
 DEFAULT_TOL = 1e-9
 
+#: Largest tolerance: the search ball |m| <= ceil(2|k|) + 1 holds every shift within tol of
+#: k's plane, |m| <= 2|k| / (1 - tol), for tol <= 1/(2|k| + 1), and 1/73 at the cap |k| <= 36.
+MAX_TOL = 0.01
+
 #: Default half-width of the band excluded around |k0|/|m0| = sqrt(2)/2.
 DEFAULT_EXCLUSION_BAND = 1e-6
 
@@ -161,12 +165,12 @@ _last_large_box = lru_cache(maxsize=1)(_candidate_box.__wrapped__)
 def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, int, int]]:
     """All nonzero integer m with |2 k.m - |m|^2| <= tol * max(1, |m|^2).
 
-    The search box |m| <= ceil(2|k|) + 1 is exhaustive: the plane condition
-    plus Cauchy-Schwarz forces |m|^2 = 2 k.m <= 2|k||m|, and the +1 guard
-    absorbs the tolerance.
+    The search ball |m| <= ceil(2|k|) + 1 is exhaustive: the plane condition
+    plus Cauchy-Schwarz forces (1 - tol)|m|^2 <= 2 k.m <= 2|k||m|, and
+    `require_tol` keeps 2|k| / (1 - tol) inside the ball.
     """
     knorm = wavevector_norm("k", k)
-    require_nonnegative("tol", tol)
+    require_tol(tol)
     M, m2 = _search_box("k", knorm)
     return _shifts(M[_on_plane(M, m2, as_wavevector("k", k), tol)])
 
@@ -190,6 +194,12 @@ def _on_plane(M: np.ndarray, m2, k: np.ndarray, tol: float):
     does not depend on how many are tested with it (BLAS rounds one row unlike a block)."""
     resid = 2.0 * (M[..., 0] * k[..., 0] + M[..., 1] * k[..., 1] + M[..., 2] * k[..., 2]) - m2
     return np.abs(resid) <= tol * np.maximum(1.0, m2)
+
+
+def require_tol(tol: float) -> None:
+    """Refuses a plane-condition tolerance outside [0, MAX_TOL], where the search misses none."""
+    if not 0.0 <= tol <= MAX_TOL:  # NaN fails too
+        raise DomainError(f"tol: must be finite and >= 0 and <= {MAX_TOL}, got {tol}")
 
 
 def require_nonnegative(name: str, value: float) -> None:
@@ -326,17 +336,17 @@ def face_gap_region(
 ) -> FaceGapMap:
     """Boolean map of the GapPredicted region on the face k.m0 = |m0|^2/2.
 
-    Every face point satisfies the plane condition for m0 by construction;
-    a pixel is flagged when the classification there is exactly order two
-    and |k|/|m0| < sqrt(2)/2 - band.  For m0 = (0,0,1) the flagged set is
-    the disk k1^2 + k2^2 < 1/4.  Vectorized over blocks of rows.
+    Every face point satisfies the plane condition for m0 by construction, so
+    m0 is not tested; a pixel is flagged when no other shift is on its plane
+    within tol (order two) and |k|/|m0| < sqrt(2)/2 - band.  For m0 = (0,0,1)
+    the flagged set is the disk k1^2 + k2^2 < 1/4.  Vectorized over blocks of rows.
     """
     m0 = as_shift(m0)
     require_between("resolution", resolution, 2, MAX_FACE_RESOLUTION)
     if not 0.0 < half_width <= MAX_FACE_HALF_WIDTH:  # NaN fails too
         raise DomainError(f"half_width: must be > 0 and <= {MAX_FACE_HALF_WIDTH}, "
                           f"got {half_width}")
-    require_nonnegative("tol", tol)
+    require_tol(tol)
     require_nonnegative("exclusion_band", exclusion_band)
     m = np.asarray(m0, dtype=float)
     m2 = float(m @ m)
@@ -356,7 +366,7 @@ def face_gap_region(
     nearest = np.abs(2.0 * (ms @ center) - msq) - 2.0 * half_width * (
         np.abs(ms @ e1) + np.abs(ms @ e2))
     reach = limit + 1e-9 * (msq + 2.0 * kmax * np.sqrt(msq))
-    near = nearest <= reach
+    near = (nearest <= reach) & (ms != m0).any(axis=1)
     ms, msq, limit, reach = ms[near].astype(float), msq[near], limit[near], reach[near]
     # Along a row the residual at pixel j is r0 + slope * j, so it is within reach on one
     # interval (all or none of the row where slope = 0), clipped to the row's span of pixels
@@ -364,7 +374,7 @@ def face_gap_region(
     # as by K @ ms.T, is evaluated there only.
     inside = norms / math.sqrt(m2) < SQRT_HALF - exclusion_band
     slope = 2.0 * (ms @ e2) * (2.0 * half_width / (resolution - 1))  # per pixel along a row
-    hits = np.zeros(len(Kf), dtype=np.int32)
+    hit = np.zeros(len(Kf), dtype=bool)
     step = max(1, 2**18 // max(len(ms), resolution))  # rows per 2^18 (row, candidate) pairs
     cols = np.arange(resolution)
     for lo in range(0, resolution, step):
@@ -387,12 +397,12 @@ def face_gap_region(
             pixel = np.arange(total[a], total[b]) - np.repeat(total[a:b] - start[a:b], count[a:b])
             c = np.repeat(cand[a:b], count[a:b])
             resid = np.abs(2.0 * np.vecdot(Kf[block][pixel], ms[c]) - msq[c])
-            hits[block] += np.bincount(pixel[resid <= limit[c]], minlength=held.size)
+            hit[block][pixel[resid <= limit[c]]] = True
     return FaceGapMap(
         m0=m0,
         t1=t1,
         t2=t2,
-        flagged=(inside & (hits == 1)).reshape(resolution, resolution),
+        flagged=(inside & ~hit).reshape(resolution, resolution),
         half_width=half_width,
     )
 

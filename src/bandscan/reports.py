@@ -63,12 +63,17 @@ class GapReport:
         return cls(**values)
 
 
+def _write_columns(fh, header: str, *cols) -> None:
+    """The CSV of `header` and one row per index of the columns `cols`, each value by repr."""
+    fh.write(header + "\n")
+    for lo in range(0, len(cols[0]), 65_536):  # a long table is never held as text at once
+        rows = zip(*(map(repr, c[lo:lo + 65_536].tolist()) for c in cols))
+        fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
 def write_branch_csv(curve: BranchCurve, fh) -> None:
-    fh.write("delta_tilde,omega_minus_over_c,omega_plus_over_c\n")
-    cols = (curve.delta_tilde, curve.omega_minus_over_c, curve.omega_plus_over_c)
-    for lo in range(0, len(curve), 65_536):  # a long scan is never held as text at once
-        rows = zip(*(c[lo:lo + 65_536].tolist() for c in cols))
-        fh.write("".join(f"{dt!r},{om!r},{op!r}\n" for dt, om, op in rows))
+    _write_columns(fh, "delta_tilde,omega_minus_over_c,omega_plus_over_c",
+                   curve.delta_tilde, curve.omega_minus_over_c, curve.omega_plus_over_c)
 
 
 def write_face_map_csv(face_map, fh) -> None:
@@ -81,10 +86,7 @@ def write_face_map_csv(face_map, fh) -> None:
         fh.write(head + head.join(np.where(row, on, off).tolist()))
 
 
-def write_global_scan_csv(rows, fh) -> None:
-    fh.write("omega_over_c,k1,k2,k3,order,residual\n")
-    for om, k, order, resid in rows:
-        fh.write(
-            f"{float(om)!r},{float(k[0])!r},{float(k[1])!r},{float(k[2])!r},"
-            f"{int(order)},{float(resid)!r}\n"
-        )
+def write_global_scan_csv(omega, K, residual, fh) -> None:
+    """The rows of `globalscan.global_scan`; each wave vector is non-exceptional (order 1)."""
+    _write_columns(fh, "omega_over_c,k1,k2,k3,order,residual",
+                   omega, *K.T, np.broadcast_to(1, len(omega)), residual)

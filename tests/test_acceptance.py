@@ -202,10 +202,10 @@ def test_criterion_7_no_global_gap():
     non-exceptional Bloch wave with residual < 1e-10."""
     t0 = time.time()
     p = dirichlet.DirichletParams(a=0.1)
-    rows = global_scan(0.4, 1.2, 100, p)
-    worst = max(r.residual for r in rows)
-    ok = len(rows) == 100
-    ok &= all(r.order == 1 for r in rows)
+    omega, K, residual = global_scan(0.4, 1.2, 100, p)
+    worst = residual.max()
+    ok = len(omega) == len(K) == 100
+    ok &= all(lattice.classify_wavevector(k, lattice.DEFAULT_TOL).order == 1 for k in K)
     ok &= worst < 1e-10
     elapsed = time.time() - t0
     ok &= elapsed < 5.0

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_order_two_pairs
+from conftest import random_order_two_pairs, reference_cover_frequency
 
-from bandscan import cli, lattice
+from bandscan import cli, lattice, twomode
 from bandscan.config import KNOWN_KEYS, ScanConfig
+from bandscan.dirichlet import DirichletParams
 from bandscan.errors import NumericalError
 from bandscan.reports import GapReport
 
@@ -396,6 +397,18 @@ class TestBands:
         assert run(argv) == 0
         assert capsys.readouterr().out == path.read_text()
 
+    def test_long_scan_crosses_the_writer_chunk(self, tmp_path):
+        # 70,000 rows: the writer formats 65,536 at a time
+        path = tmp_path / "bands.csv"
+        assert run(["bands", "--a", "0.1", "--k0", "0.5,0.2,0", "--m0", "1,0,0",
+                    "--samples", "70000", "--out-file", str(path)]) == 0
+        curve = twomode.pair_model((0.5, 0.2, 0.0), (1, 0, 0), DirichletParams(a=0.1)).scan(
+            (-0.05, 0.05), 70_000)
+        rows = zip(curve.delta_tilde.tolist(), curve.omega_minus_over_c.tolist(),
+                   curve.omega_plus_over_c.tolist())
+        assert path.read_text() == "delta_tilde,omega_minus_over_c,omega_plus_over_c\n" + "".join(
+            f"{dt!r},{lo!r},{hi!r}\n" for dt, lo, hi in rows)
+
 
 class TestFaceMap:
     def test_writes_and_reports(self, tmp_path, capsys):
@@ -423,6 +436,21 @@ class TestGlobalScan:
         assert len(rows) == 25
         assert all(int(r.split(",")[4]) == 1 for r in rows)
         assert max(float(r.split(",")[5]) for r in rows) < 1e-10
+
+    def test_csv_rows_are_the_per_omega_reference(self, tmp_path, capsys):
+        path = tmp_path / "cover.csv"
+        assert run(["global-scan", "--omega-lo", "0.3", "--omega-hi", "2.5", "--samples", "301",
+                    "--a", "0.2", "--q", "1.5", "--out", str(path)]) == 0
+        p = DirichletParams(a=0.2, q=1.5)
+        lines, worst = ["omega_over_c,k1,k2,k3,order,residual\n"], 0.0
+        for om in np.linspace(0.3, 2.5, 301).tolist():
+            k, order, residual, _ = reference_cover_frequency(om, p)
+            lines.append(f"{om!r},{k[0]!r},{k[1]!r},{k[2]!r},{order},{residual!r}\n")
+            worst = max(worst, residual)
+        assert path.read_text() == "".join(lines)
+        assert capsys.readouterr().out == (
+            f"wrote {path}\ncovered 301 frequencies in [0.3, 2.5]\n"
+            f"max residual = {worst:.3e}; all wave vectors non-exceptional\n")
 
     def test_bad_window_exits_2(self):
         assert run(["global-scan", "--omega-lo", "1.2", "--omega-hi", "0.4"]) == 2
@@ -555,6 +583,21 @@ def test_bad_lattice_tolerance_exits_2_and_is_named(tmp_path, monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {field}: must be finite and >= 0")
+
+
+@pytest.mark.parametrize("argv, tol", [
+    ("classify 0 0 0.5 --tol 0.6", "0.6"),
+    ("face-map --tol 10 --out f.csv", "10.0"),
+    ("gap --tol 0.02 --out o", "0.02"),
+])
+def test_tolerance_past_the_shift_search_bound_exits_2(tmp_path, monkeypatch, capsys, argv, tol):
+    # at tol 0.6 classify printed "order = 7" for (0, 0, 0.5), where 10 shifts
+    # meet the plane condition: the search ball holds them only up to 0.01
+    monkeypatch.chdir(tmp_path)
+    assert run(argv.split()) == 2
+    assert capsys.readouterr() == (
+        "", f"error: tol: must be finite and >= 0 and <= {lattice.MAX_TOL}, got {tol}\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, field", [

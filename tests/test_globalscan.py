@@ -13,18 +13,20 @@ from bandscan.errors import DomainError, NumericalError
 
 def test_zero_inclusion_is_exact_cone():
     p = DirichletParams(a=0.0)
-    row = globalscan.cover_frequency(0.7, p)
-    assert row.residual < 1e-14
-    assert np.linalg.norm(row.k) == pytest.approx(0.7, rel=1e-15)
-    assert row.order == 1
+    K, residual = globalscan.cover_frequency(0.7, p)
+    assert K.shape == (1, 3) and residual.shape == (1,)
+    assert residual[0] < 1e-14
+    assert np.linalg.norm(K[0]) == pytest.approx(0.7, rel=1e-15)
+    assert lattice.classify_wavevector(K[0]).order == 1
 
 
 def test_residuals_below_contract():
     p = DirichletParams(a=0.1)
-    rows = globalscan.global_scan(0.4, 1.2, 50, p)
-    assert len(rows) == 50
-    assert max(r.residual for r in rows) < 1e-10
-    assert all(r.order == 1 for r in rows)
+    omega, K, residual = globalscan.global_scan(0.4, 1.2, 50, p)
+    assert omega.tolist() == np.linspace(0.4, 1.2, 50).tolist()
+    assert K.shape == (50, 3)
+    assert residual.max() < 1e-10
+    assert all(lattice.classify_wavevector(k).order == 1 for k in K)
 
 
 def test_exceptional_direction_gets_perturbed():
@@ -33,9 +35,10 @@ def test_exceptional_direction_gets_perturbed():
     p = DirichletParams(a=0.1)
     A = 2.0 * math.pi * p.q * p.a / CELL_VOLUME
     omega_star = 0.5 + A / 0.5
-    row = globalscan.cover_frequency(omega_star, p, direction=(0.0, 0.0, 1.0))
-    assert row.order == 1
-    assert row.residual < 1e-10
+    K, residual = globalscan.cover_frequency(omega_star, p, direction=(0.0, 0.0, 1.0))
+    assert lattice.classify_wavevector(K[0]).order == 1
+    assert K[0, 0] != 0.0  # off the axis
+    assert residual[0] < 1e-10
 
 
 def test_window_validation():
@@ -72,11 +75,10 @@ def test_array_pass_matches_the_per_omega_reference(seed, samples):
     rng = np.random.default_rng(seed)
     p = DirichletParams(a=float(rng.uniform(0.0, 0.3)))
     lo = float(rng.uniform(0.2, 2.0))
-    rows = globalscan.global_scan(lo, lo + float(rng.uniform(1e-3, 3.0)), samples, p)
-    assert len(rows) == samples
-    for row in rows:
-        k, order, residual, _ = reference_cover_frequency(row.omega_over_c, p)
-        assert (row.k, row.order, row.residual) == (k, order, residual)
+    omega, K, residual = globalscan.global_scan(lo, lo + float(rng.uniform(1e-3, 3.0)), samples, p)
+    assert len(omega) == len(K) == len(residual) == samples
+    for om, k, res in zip(omega.tolist(), K.tolist(), residual.tolist()):
+        assert (tuple(k), 1, res) == reference_cover_frequency(om, p)[:3]
 
 
 @pytest.mark.parametrize("tol", [lattice.DEFAULT_TOL, 1e-5])
@@ -89,9 +91,10 @@ def test_perturbed_rows_take_the_reference_attempt(tol):
     stars = [t + A / t for t in (0.5, 1.0)]
     omegas = np.sort(np.concatenate(
         [np.linspace(0.4, 1.6, 301), stars, np.linspace(stars[0] - 2e-5, stars[0] + 2e-5, 41)]))
-    rows = globalscan.cover_frequency(omegas, p, direction=(0.0, 0.0, 1.0), tol=tol)
+    K, residual = globalscan.cover_frequency(omegas, p, direction=(0.0, 0.0, 1.0), tol=tol)
     refs = [reference_cover_frequency(om, p, (0.0, 0.0, 1.0), tol) for om in omegas.tolist()]
-    assert [(r.k, r.order, r.residual) for r in rows] == [ref[:3] for ref in refs]
+    assert [(tuple(k), 1, r) for k, r in zip(K.tolist(), residual.tolist())] == [
+        ref[:3] for ref in refs]
     attempts = np.array([ref[3] for ref in refs])
     perturbed = omegas[attempts > 0]
     assert set(stars) <= set(perturbed.tolist())

@@ -2,6 +2,7 @@ import functools
 import io
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import random_order_two_pairs
 
-from bandscan import lattice
+from bandscan import globalscan, lattice
+from bandscan.dirichlet import DirichletParams
 from bandscan.errors import DomainError
 from bandscan.reports import write_face_map_csv
 
@@ -42,6 +44,17 @@ class TestEnumeration:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(DomainError):
             lattice.enumerate_candidate_shifts((0, 0, 0.5), tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [0.6, lattice.MAX_TOL * (1.0 + 1e-9), math.inf, math.nan])
+    def test_tolerance_past_the_search_bound_is_refused(self, tol):
+        # the search ball misses shifts past MAX_TOL: at tol 0.6 it gave (0, 0, 0.5)
+        # order 7, while 10 shifts meet the plane condition there
+        text = re.escape(f"tol: must be finite and >= 0 and <= {lattice.MAX_TOL}, got {tol}")
+        for call in (lambda: lattice.enumerate_candidate_shifts((0, 0, 0.5), tol),
+                     lambda: lattice.face_gap_region((0, 0, 1), resolution=11, tol=tol),
+                     lambda: globalscan.cover_frequency(0.7, DirichletParams(a=0.1), tol=tol)):
+            with pytest.raises(DomainError, match=f"^{text}$"):
+                call()
 
 
 class TestClassification:
@@ -199,23 +212,22 @@ class TestProperties:
             lattice.gap_admissible(k, s, tol=tol)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.tuples(coord, coord, coord))
-    def test_enumeration_box_is_exhaustive(self, k):
+    @given(st.tuples(coord, coord, coord),
+           st.one_of(st.just(lattice.DEFAULT_TOL), st.floats(0.0, lattice.MAX_TOL)))
+    def test_enumeration_box_is_exhaustive(self, k, tol):
+        # a shift within tol of k's plane has |m| <= 2|k| / (1 - tol), inside
+        # the brute-force box |m|_inf <= ceil(4|k|) + 2 at every admitted tol
         kv = np.asarray(k)
         norm = np.linalg.norm(kv)
         if norm < 1e-3:
             return
-        tol = lattice.DEFAULT_TOL
         inside = set(lattice.enumerate_candidate_shifts(kv, tol))
-        big = math.ceil(4.0 * norm) + 2
-        brute = set()
-        rng = np.arange(-big, big + 1)
-        M = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), -1).reshape(-1, 3)
+        M = lattice.integer_cube(math.ceil(4.0 * norm) + 2)
         m2 = np.sum(M * M, axis=1)
-        ok = m2 > 0
-        resid = np.abs(2.0 * (M[ok] @ kv) - m2[ok]) <= tol * np.maximum(1.0, m2[ok])
-        for m in M[ok][resid]:
-            brute.add(tuple(int(c) for c in m))
+        M, m2 = M[m2 > 0], m2[m2 > 0]
+        # summed in the order of lattice._on_plane, so no residual rounds unlike the search's
+        resid = 2.0 * (M[:, 0] * kv[0] + M[:, 1] * kv[1] + M[:, 2] * kv[2]) - m2
+        brute = {tuple(m) for m in M[np.abs(resid) <= tol * np.maximum(1.0, m2)].tolist()}
         assert brute == inside
 
 
@@ -363,16 +375,24 @@ class TestFaceGapRegion:
             lattice.face_gap_region((0, 0, 1), resolution=1)
 
     def test_wide_tolerance_gathers_its_strips_in_parts(self):
-        # at tol 10 every candidate's strip is its whole row, about 1e7 (pixel,
-        # candidate) pairs in all; gathered at once they took 280 MB here, in
-        # parts 24 MB
+        # at the largest tol the strips of (0, 0, 4)'s many candidates hold
+        # about 5e5 (pixel, candidate) pairs, which go in two parts of 2^18
         tracemalloc.start()
         try:
-            lattice.face_gap_region((0, 0, 1), resolution=201, tol=10.0)
+            lattice.face_gap_region((0, 0, 4), resolution=401, half_width=2.0,
+                                    tol=lattice.MAX_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_m0_is_on_its_plane_by_construction(self):
+        # m0's own residual rounds off zero on most of this face, which once
+        # dropped those pixels at tol 0 (8,789 flagged against 10,100)
+        at_zero, above = (lattice.face_gap_region((1, 2, 3), resolution=101, tol=tol)
+                          for tol in (0.0, 1e-15))
+        np.testing.assert_array_equal(at_zero.flagged, above.flagged)
+        assert int(at_zero.flagged.sum()) == 10_100
 
     SMALL_SHIFTS = [m for m in itertools.product(range(-2, 3), repeat=3) if any(m)]
 
@@ -382,22 +402,23 @@ class TestFaceGapRegion:
         pytest.param(41, 1.0, SMALL_SHIFTS, TOLS, id="41-1.0"),
         pytest.param(64, 2.0, SMALL_SHIFTS, TOLS, id="64-2.0"),
         pytest.param(31, 3.0, SMALL_SHIFTS, TOLS, id="31-3.0"),
-        # at tol 0 about 20 of these flags follow the rounding of the residual:
-        # summed elementwise instead of as the product K @ ms.T, they flip
+        # m0's own residual rounds off zero on this face; m0 is not tested
         pytest.param(12, 1.0, [(1, 2, 3)], TOLS, id="12-1.0-m0=1,2,3"),
         # large |m0|: 3.3e4 and 1.6e5 candidates cross the window, and each map
         # flags a few pixels at tol 0 and 1e-9 (coarser grids here flag none);
         # (0, 0, 71) at half-width 8 passes the search cap
         pytest.param(12, 1.0, [(0, 0, 71)], TOLS, id="12-1.0-m0=0,0,71"),
         pytest.param(14, 8.0, [(53, 0, 0)], TOLS, id="14-8.0-m0=53,0,0"),
-        # wide tolerances: strips cover whole rows, and the strips' pixels of one
-        # block of rows (about 2.5e6 at resolution 101) go in several parts
-        pytest.param(101, 1.0, [(0, 0, 1), (1, 1, 0)], (0.05, 0.5, 10.0), id="101-1.0-wide-tol"),
+        # the largest tolerance; at (0, 0, 5) the strips' pixels of one block
+        # of rows go in two parts
+        pytest.param(101, 1.0, [(0, 0, 1), (1, 1, 0)], (lattice.MAX_TOL,),
+                     id="101-1.0-wide-tol"),
+        pytest.param(251, 2.5, [(0, 0, 5)], (lattice.MAX_TOL,), id="251-2.5-m0=0,0,5-wide-tol"),
     ])
     def test_pruned_blocks_match_the_full_residual_matrix(self, samples, half_width, shifts,
                                                           tols):
-        # the flags of the plain formula, every candidate of the box in one
-        # residual matrix (a block of pixels at a time for the large boxes),
+        # the flags of the plain formula, every candidate of the box but m0 in
+        # one residual matrix (a block of pixels at a time for the large boxes),
         # against the pruned map, which evaluates the residual on each
         # candidate's strip only; and the CSV against a writer that formats
         # every pixel's coordinates
@@ -410,6 +431,8 @@ class TestFaceGapRegion:
             Kf = (m / 2.0 + T1[..., None] * e1 + T2[..., None] * e2).reshape(-1, 3)
             kmax = float(np.max(np.linalg.norm(Kf, axis=1)))
             ms, msq = lattice._candidate_box(math.ceil(2.0 * kmax) + 1)
+            other = (ms != m0).any(axis=1)
+            ms, msq = ms[other], msq[other]
             if len(ms) > 10**4:
                 # the boxes of large |m0| are too large for the whole residual
                 # matrix: keep the candidates whose plane crosses the window.
@@ -422,7 +445,7 @@ class TestFaceGapRegion:
                 crossing = (corners.min(axis=0) <= slack) & (corners.max(axis=0) >= -slack)
                 ms, msq = ms[crossing], msq[crossing]
             ratio = np.linalg.norm(Kf, axis=1) / math.sqrt(m @ m)
-            # a pixel outside the gap ratio is never flagged, whatever its count
+            # a pixel outside the gap ratio is never flagged, whatever its hits
             inside = np.flatnonzero(ratio < SQ2 - lattice.DEFAULT_EXCLUSION_BAND)
             hits = np.zeros((len(tols), samples * samples), dtype=int)
             step = max(1, 2**20 // len(ms))
@@ -434,7 +457,9 @@ class TestFaceGapRegion:
             for i, tol in enumerate(tols):
                 fmap = lattice.face_gap_region(m0, resolution=samples, half_width=half_width,
                                                tol=tol)
-                np.testing.assert_array_equal(fmap.flagged, (hits[i] == 1).reshape(samples, samples))
+                flagged = np.zeros(samples * samples, dtype=bool)
+                flagged[inside] = hits[i, inside] == 0
+                np.testing.assert_array_equal(fmap.flagged, flagged.reshape(samples, samples))
             # the writer reads only the map, so one tolerance per shift will do
             lines = ["k1,k2,gap_flag\n"]
             for t1, row in zip(fmap.t1.tolist(), fmap.flagged.tolist()):
