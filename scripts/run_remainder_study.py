@@ -18,7 +18,7 @@ import numpy as np
 
 from bandscan.config import coerce
 from bandscan.dirichlet import MAX_N, MIN_N, DirichletParams, require_scale
-from bandscan.errors import ConfigError, DomainError
+from bandscan.errors import ConfigError, DomainError, NumericalError
 from bandscan.oracle import fd
 
 
@@ -57,8 +57,12 @@ def main():
     print("a      n    cap_d     remainder      ratio_vs_half")
     try:
         for a in args.scales:
-            rem_a, cap_a = remainder(k, a, args.n)
-            rem_h, _ = remainder(k, a / 2.0, 2 * args.n)
+            try:
+                rem_a, cap_a = remainder(k, a, args.n)
+                rem_h, _ = remainder(k, a / 2.0, 2 * args.n)
+            except NumericalError as exc:  # e.g. too few grid cells at this a: go on
+                print(f"{a:<6.3g} {args.n:<4d} oracle failure: {exc}")
+                continue
             print(f"{a:<6.3g} {args.n:<4d} {cap_a:<9.5f} {rem_a:+.6e} "
                   f"{abs(rem_a) / abs(rem_h):9.2f}")
     except DomainError as exc:  # refused input, such as a scale too large for the cell

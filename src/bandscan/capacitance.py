@@ -4,8 +4,8 @@ Gaussian-units convention: the unit sphere has q = 1, and a shape scaled by
 a has capacitance q*a.  Spheres and ellipsoids are analytic (the ellipsoid
 through Carlson's R_F, with estimated_error = 0.0); arbitrary closed triangle
 meshes go through a first-kind single-layer BEM (collocation at centroids,
-piecewise-constant densities, analytic flat self-integral, dense direct
-solve) whose matrix is assembled in blocks of rows and factored in place.
+piecewise-constant densities, analytic flat self-integral) whose symmetric
+kernel is assembled in blocks of rows and factored in place by Cholesky.
 `shape_factor` is the one path from a shape to its q.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
+from scipy.linalg import blas, lapack, lu_factor, lu_solve  # lu_*: unused; perfbench wraps them
 
 from .errors import ConfigError, DomainError, MeshError, NumericalError
 from .meshes import TriangleMesh, read_off, subdivide, validate_mesh
@@ -24,7 +24,7 @@ from .meshes import TriangleMesh, read_off, subdivide, validate_mesh
 #: Dense-solve cap on the number of panels.
 MAX_PANELS = 10_000
 
-#: Rows of A^T filled per pass: a block of 5,120 panels is 5 MB.
+#: Rows of S^T filled per pass: a block of 5,120 panels is at most 5 MB.
 _BLOCK = 128
 
 #: Reciprocal-condition threshold below which the system is rejected.
@@ -41,6 +41,8 @@ class CapacitanceResult:
     q: float
     method: Method
     mesh_size: int | None = None
+    #: BEM: the change of q under one flat subdivision, not a bound: icosphere(4)'s
+    #: q = 1.00031 exceeds 1, the q of the ball that holds its polyhedron
     estimated_error: float = 0.0
 
     def __post_init__(self):
@@ -92,49 +94,50 @@ def triangle_self_potential(tri: np.ndarray, point: np.ndarray) -> np.ndarray:
     return np.sum(d * np.log((rb + sb) / (ra + sa)), axis=-1)
 
 
-def _assemble(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    """(A, areas) with A Fortran-ordered, for LAPACK to factor in place: A^T is built by rows."""
-    areas = mesh.areas()
+def _assemble(mesh: TriangleMesh) -> np.ndarray:
+    """The lower triangle of S, S_ij = 1 / (4 pi r_ij) and S_jj the flat self-potential over
+    area_j, Fortran-ordered for LAPACK to factor in place: S^T's upper triangle, by rows."""
     cents = mesh.centroids()
-    inv4pi = 1.0 / (4.0 * math.pi)
-    At = np.zeros((len(cents), len(cents)))  # row j: area_j / (4 pi r_ij) over i
-    for lo in range(0, len(cents), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        r = At[rows]
+    n, inv4pi = len(cents), 1.0 / (4.0 * math.pi)
+    St = np.zeros((n, n))
+    for lo in range(0, n, _BLOCK):
+        r = St[lo:lo + _BLOCK, lo:]  # row j: 1 / (4 pi r_ij) over i >= lo
         for c in cents.T:
-            r += np.subtract.outer(c[rows], c) ** 2
+            r += np.subtract.outer(c[lo:lo + _BLOCK], c[lo:]) ** 2
         np.sqrt(r, out=r)
-        r[:, rows][np.diag_indices(len(r))] = 1.0  # placeholder, replaced below
-        np.divide(inv4pi * areas[rows, None], r, out=r)
-    np.fill_diagonal(At, inv4pi * triangle_self_potential(mesh.triangle_vertices(), cents))
-    return At.T, areas
+        r[np.diag_indices(len(r))] = 1.0  # placeholder, replaced below
+        np.divide(inv4pi, r, out=r)
+    np.fill_diagonal(St, inv4pi * triangle_self_potential(mesh.triangle_vertices(), cents)
+                     / mesh.areas())
+    return St.T
 
 
 def capacitance_bem(mesh: TriangleMesh, refine_check: bool = False) -> CapacitanceResult:
     """Capacitance of a closed mesh by first-kind single-layer collocation.
 
-    q = total charge / (4 pi) at unit surface potential.  With
-    refine_check, the mesh is midpoint-subdivided once (same polyhedral
-    surface) and the difference of the two solutions is reported as the
-    discretization error estimate.
+    The collocation matrix is S diag(area), so the charge at unit surface
+    potential is 1^T S^-1 1 and q is that over 4 pi.  With refine_check,
+    the mesh is midpoint-subdivided once (same polyhedral surface) and the
+    change of q is reported as the discretization error estimate; a
+    subdivided mesh past the cap is refused before anything is solved.
     """
     validate_mesh(mesh)
-    if mesh.n_triangles > MAX_PANELS:
-        raise DomainError(
-            f"{mesh.n_triangles} panels exceeds the dense-solve cap {MAX_PANELS}"
-        )
-    A, areas = _assemble(mesh)
-    anorm = lapack.dlange("1", A)
-    lu, piv = lu_factor(A, overwrite_a=True)
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
+    n = mesh.n_triangles
+    if n > MAX_PANELS:
+        raise DomainError(f"{n} panels exceeds the dense-solve cap {MAX_PANELS}")
+    if refine_check and 4 * n > MAX_PANELS:
+        raise ConfigError(f"refine_check: subdividing {n} panels gives {4 * n}, "
+                          f"past the dense-solve cap {MAX_PANELS}")
+    S = _assemble(mesh)
+    snorm = blas.dsymv(1.0, S, np.ones(n), lower=1).max()  # ||S||_1: every entry is positive
+    c, info = lapack.dpotrf(S, lower=1, clean=0, overwrite_a=1)
+    rcond, info = lapack.dpocon(c, snorm, uplo="L") if info == 0 else (0.0, info)
     if info != 0 or rcond < RCOND_MIN:
         raise NumericalError(f"BEM system ill-conditioned (rcond={rcond:.2e})")
-    sigma = lu_solve((lu, piv), np.ones(mesh.n_triangles))
-    q = float(np.dot(sigma, areas)) / (4.0 * math.pi)
+    x, _ = lapack.dpotrs(c, np.ones(n), lower=1)
+    q = float(x.sum()) / (4.0 * math.pi)
     err = abs(capacitance_bem(subdivide(mesh)).q - q) if refine_check else math.nan
-    return CapacitanceResult(
-        q=q, method=Method.BEM, mesh_size=mesh.n_triangles, estimated_error=err
-    )
+    return CapacitanceResult(q=q, method=Method.BEM, mesh_size=n, estimated_error=err)
 
 
 def shape_factor(shape: str, semiaxes=None, mesh=None,

@@ -118,6 +118,23 @@ def cube_mesh(side: float = 1.0, refinements: int = 3) -> meshes.TriangleMesh:
     return mesh
 
 
+def reference_bem_q(mesh: meshes.TriangleMesh) -> float:
+    """q of the nonsymmetric collocation system A sigma = 1, solved by np.linalg.solve:
+    A_ij = area_j / (4 pi r_ij) off the diagonal and A_jj = the flat self-potential / 4 pi,
+    built a row at a time from the entry formula, with no symmetry or blocking."""
+    from bandscan.capacitance import triangle_self_potential
+
+    areas, cents, tris = mesh.areas(), mesh.centroids(), mesh.triangle_vertices()
+    A = np.empty((len(cents), len(cents)))
+    for i, c in enumerate(cents):
+        r = np.sqrt(np.sum((c - cents) ** 2, axis=1))
+        r[i] = 1.0
+        A[i] = areas / (4.0 * math.pi * r)
+        A[i, i] = triangle_self_potential(tris[i], c) / (4.0 * math.pi)
+    sigma = np.linalg.solve(A, np.ones(len(A)))
+    return float(sigma @ areas) / (4.0 * math.pi)
+
+
 @pytest.fixture
 def pair_rng():
     return np.random.default_rng(20260811)

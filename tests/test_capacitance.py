@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cube_mesh
+from conftest import cube_mesh, reference_bem_q
 
 from bandscan import capacitance as cap
 from bandscan import meshes
-from bandscan.errors import ConfigError, DomainError, MeshError
+from bandscan.errors import ConfigError, DomainError, MeshError, NumericalError
 
 
 def prolate_spheroid_capacitance(a1: float, a3: float) -> float:
@@ -102,31 +102,60 @@ class TestSelfIntegral:
 
 class TestBem:
     def test_assemble_off_diagonal_is_the_entry_formula(self):
-        # bit for bit: area_j / (4 pi r_ij), r_ij summed over x, y, z in order
+        # bit for bit on the lower triangle: 1 / (4 pi r_ij), r_ij summed over x, y, z in
+        # order; the diagonal is the flat self-potential over the panel's area
         mesh = meshes.ellipsoid_mesh(1.3, 1.0, 0.8, 2)
-        A, areas = cap._assemble(mesh)
-        cents = mesh.centroids().tolist()
+        S = cap._assemble(mesh)
+        areas, cents = mesh.areas(), mesh.centroids()
         inv4pi = 1.0 / (4.0 * math.pi)
-        for i, ci in enumerate(cents):
-            for j, cj in enumerate(cents):
-                if i != j:
-                    dx, dy, dz = (u - v for u, v in zip(ci, cj))
-                    r = math.sqrt(dx * dx + dy * dy + dz * dz)
-                    assert A[i, j] == inv4pi * areas[j] / r, (i, j)
+        for i, ci in enumerate(cents.tolist()):
+            for j, cj in enumerate(cents[:i].tolist()):
+                dx, dy, dz = (u - v for u, v in zip(ci, cj))
+                assert S[i, j] == inv4pi / math.sqrt(dx * dx + dy * dy + dz * dz), (i, j)
+        self_potential = cap.triangle_self_potential(mesh.triangle_vertices(), cents)
+        np.testing.assert_array_equal(np.diag(S), inv4pi * self_potential / areas)
 
     def test_factors_a_fortran_matrix_in_place(self, monkeypatch):
-        # LAPACK takes a Fortran-ordered A without a copy, so the solve holds one n x n matrix
+        # LAPACK takes the Fortran-ordered S without a copy, so the solve holds one n x n matrix
         mesh = meshes.ellipsoid_mesh(1.3, 1.0, 0.8, 2)
-        A, areas = cap._assemble(mesh)
-        sigma = np.linalg.solve(np.ascontiguousarray(A), np.ones(len(A)))
-        reference = float(sigma @ areas) / (4.0 * math.pi)
         seen = []
-        lu_factor = cap.lu_factor
-        monkeypatch.setattr(cap, "lu_factor", lambda a, **kw: seen.append(
-            (a.flags.f_contiguous, kw)) or lu_factor(a, **kw))
+        dpotrf = cap.lapack.dpotrf
+
+        def spy(a, **kw):
+            c, info = dpotrf(a, **kw)
+            seen.append((a.flags.f_contiguous, np.shares_memory(a, c), kw["lower"], info))
+            return c, info
+
+        monkeypatch.setattr(cap.lapack, "dpotrf", spy)
         q = cap.capacitance_bem(mesh).q
-        assert seen == [(True, {"overwrite_a": True})]
-        assert q == pytest.approx(reference, rel=1e-13, abs=0.0)
+        assert seen == [(True, True, 1, 0)]
+        assert q == pytest.approx(reference_bem_q(mesh), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("mesh", [
+        pytest.param(meshes.icosahedron(), id="icosahedron"),
+        pytest.param(cube_mesh(0.3, 1), id="cube-0.3-1"),
+        pytest.param(cube_mesh(1.0, 3), id="cube-1-3"),
+        pytest.param(cube_mesh(1.0, 4), id="cube-1-4"),
+        *(pytest.param(meshes.icosphere(s), id=f"icosphere-{s}") for s in (1, 2, 3)),
+        *(pytest.param(meshes.ellipsoid_mesh(1.3, 1.0, 0.8, s), id=f"ellipsoid-{s}")
+          for s in (2, 3)),
+    ])
+    def test_matches_the_nonsymmetric_collocation_solve(self, mesh):
+        # the Cholesky solve of S gives the q of the LU solve of A = S diag(area)
+        assert cap.capacitance_bem(mesh).q == pytest.approx(reference_bem_q(mesh), rel=1e-12,
+                                                            abs=0.0)
+
+    @pytest.mark.parametrize("diagonal, off", [
+        pytest.param(1.0, 2.0, id="indefinite"),  # eigenvalues -1 and 3 in the leading block
+        pytest.param(1e-14, 0.0, id="near-singular"),  # rcond 1e-14
+    ])
+    def test_refuses_a_system_cholesky_cannot_trust(self, monkeypatch, diagonal, off):
+        mesh = meshes.icosahedron()
+        S = np.eye(mesh.n_triangles, order="F")
+        S[0, 0], S[1, 0] = diagonal, off
+        monkeypatch.setattr(cap, "_assemble", lambda m: S)
+        with pytest.raises(NumericalError, match=r"^BEM system ill-conditioned \(rcond="):
+            cap.capacitance_bem(mesh)
 
     def test_unit_sphere(self):
         mesh = meshes.icosphere(3)
@@ -180,6 +209,16 @@ class TestBem:
     def test_panel_cap(self):
         with pytest.raises(DomainError):
             cap.capacitance_bem(meshes.icosphere(5))  # 20480 panels
+
+    def test_refine_check_past_the_cap_is_refused_before_any_solve(self, monkeypatch):
+        # a 5,120-panel mesh once solved for 2.4 s and only then refused its
+        # 20,480-panel subdivision, a count the user never gave
+        calls = []
+        monkeypatch.setattr(cap, "_assemble", lambda mesh: calls.append(mesh))
+        with pytest.raises(ConfigError, match=r"^refine_check: subdividing 5120 panels gives "
+                                              r"20480, past the dense-solve cap 10000$"):
+            cap.capacitance_bem(meshes.icosphere(4), refine_check=True)
+        assert calls == []
 
 
 class TestShapeFactor:

@@ -416,7 +416,7 @@ class TestFaceMap:
         rc = run(["face-map", "--m0", "0,0,1", "--resolution", "51", "--out", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "flagged area" in out
+        assert "flagged area: " in out and "pi/" not in out  # no unit-face expectation
         lines = path.read_text().splitlines()
         assert lines[0] == "k1,k2,gap_flag"
         assert len(lines) == 1 + 51 * 51
@@ -497,6 +497,21 @@ class TestCapacitance:
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == "" and f"error: {message}" in err
+
+    def test_refine_check_past_the_cap_exits_2_before_any_solve(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # once solved the 5,120 panels for 2.4 s, then refused "20480 panels" under `mesh`
+        from bandscan import capacitance, meshes
+
+        path = tmp_path / "ico4.off"
+        meshes.write_off(meshes.icosphere(4), path)
+        calls = []
+        monkeypatch.setattr(capacitance, "_assemble", lambda mesh: calls.append(mesh))
+        assert run(["capacitance", "--mesh", str(path), "--refine-check"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert err == ("error: refine_check: subdividing 5120 panels gives 20480, "
+                       "past the dense-solve cap 10000\n")
 
 
 _TETRA_FACES = "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"

@@ -24,6 +24,20 @@ def test_remainder_study_runs(tmp_path):
     assert proc.stdout.splitlines()[1].split()[:2] == ["0.3", "24"]
 
 
+def test_remainder_study_reports_an_oracle_failure_on_its_row(tmp_path):
+    # at a = 0.2 and n = 24 the inclusion spans only 1.53 grid cells, which the
+    # FD oracle refuses; the study once ended there in a traceback
+    proc = _run_script("run_remainder_study.py", "--scales", "0.2", "0.3", "--n", "24",
+                       cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[1].split()[:2] == ["0.2", "24"]
+    assert "oracle failure: only 1.53 grid cells" in lines[1]
+    assert lines[2].split()[:2] == ["0.3", "24"] and "oracle failure" not in lines[2]
+
+
 def test_gap_experiment_reports_an_oracle_failure_on_its_row(tmp_path):
     # at a = 0.2 and n = 24 the inclusion spans only 1.53 grid cells, which
     # the FD oracle refuses; the sweep goes on to the next scale
