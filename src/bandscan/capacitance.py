@@ -3,9 +3,9 @@
 Gaussian-units convention: the unit sphere has q = 1, and a shape scaled by
 a has capacitance q*a.  Spheres and ellipsoids are analytic (the ellipsoid
 through Carlson's R_F, with estimated_error = 0.0); arbitrary closed triangle
-meshes go through a first-kind single-layer BEM (collocation at centroids,
-piecewise-constant densities, analytic flat self-integral) whose symmetric
-kernel is assembled in blocks of rows and factored in place by Cholesky.
+meshes go through a first-kind single-layer BEM (collocation at centroids, piecewise-constant
+densities, analytic flat self-integral) whose symmetric kernel is assembled in blocks of rows
+and factored in place by Cholesky, or by LU where sliver or long panels leave it indefinite.
 `shape_factor` is the one path from a shape to its q.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import blas, lapack, lu_factor, lu_solve  # lu_*: unused; perfbench wraps them
+from scipy.linalg import blas, lapack, lu_factor, lu_solve
 
 from .errors import ConfigError, DomainError, MeshError, NumericalError
 from .meshes import TriangleMesh, read_off, subdivide, validate_mesh
@@ -94,18 +94,19 @@ def triangle_self_potential(tri: np.ndarray, point: np.ndarray) -> np.ndarray:
     return np.sum(d * np.log((rb + sb) / (ra + sa)), axis=-1)
 
 
-def _assemble(mesh: TriangleMesh) -> np.ndarray:
-    """The lower triangle of S, S_ij = 1 / (4 pi r_ij) and S_jj the flat self-potential over
-    area_j, Fortran-ordered for LAPACK to factor in place: S^T's upper triangle, by rows."""
+def _assemble(mesh: TriangleMesh, full: bool = False) -> np.ndarray:
+    """S, S_ij = 1 / (4 pi r_ij) and S_jj the flat self-potential over area_j, Fortran-ordered
+    for LAPACK to factor in place: S^T by rows, only its upper triangle unless full."""
     cents = mesh.centroids()
     n, inv4pi = len(cents), 1.0 / (4.0 * math.pi)
     St = np.zeros((n, n))
     for lo in range(0, n, _BLOCK):
-        r = St[lo:lo + _BLOCK, lo:]  # row j: 1 / (4 pi r_ij) over i >= lo
+        first = 0 if full else lo
+        r = St[lo:lo + _BLOCK, first:]  # row j: 1 / (4 pi r_ij) over i >= first
         for c in cents.T:
-            r += np.subtract.outer(c[lo:lo + _BLOCK], c[lo:]) ** 2
+            r += np.subtract.outer(c[lo:lo + _BLOCK], c[first:]) ** 2
         np.sqrt(r, out=r)
-        r[np.diag_indices(len(r))] = 1.0  # placeholder, replaced below
+        r[:, lo - first:][np.diag_indices(len(r))] = 1.0  # placeholder, replaced below
         np.divide(inv4pi, r, out=r)
     np.fill_diagonal(St, inv4pi * triangle_self_potential(mesh.triangle_vertices(), cents)
                      / mesh.areas())
@@ -131,10 +132,16 @@ def capacitance_bem(mesh: TriangleMesh, refine_check: bool = False) -> Capacitan
     S = _assemble(mesh)
     snorm = blas.dsymv(1.0, S, np.ones(n), lower=1).max()  # ||S||_1: every entry is positive
     c, info = lapack.dpotrf(S, lower=1, clean=0, overwrite_a=1)
-    rcond, info = lapack.dpocon(c, snorm, uplo="L") if info == 0 else (0.0, info)
+    if info == 0:
+        rcond, info = lapack.dpocon(c, snorm, uplo="L")
+        x, _ = lapack.dpotrs(c, np.ones(n), lower=1)
+    else:  # S is indefinite, as long or sliver panels make it: fill it whole for the LU
+        del S, c  # so that one n x n matrix is held
+        lu, piv = lu_factor(_assemble(mesh, full=True), overwrite_a=True)
+        rcond, info = lapack.dgecon(lu, snorm, norm="1")
+        x = lu_solve((lu, piv), np.ones(n))
     if info != 0 or rcond < RCOND_MIN:
         raise NumericalError(f"BEM system ill-conditioned (rcond={rcond:.2e})")
-    x, _ = lapack.dpotrs(c, np.ones(n), lower=1)
     q = float(x.sum()) / (4.0 * math.pi)
     err = abs(capacitance_bem(subdivide(mesh)).q - q) if refine_check else math.nan
     return CapacitanceResult(q=q, method=Method.BEM, mesh_size=n, estimated_error=err)

@@ -145,17 +145,55 @@ class TestBem:
         assert cap.capacitance_bem(mesh).q == pytest.approx(reference_bem_q(mesh), rel=1e-12,
                                                             abs=0.0)
 
-    @pytest.mark.parametrize("diagonal, off", [
-        pytest.param(1.0, 2.0, id="indefinite"),  # eigenvalues -1 and 3 in the leading block
-        pytest.param(1e-14, 0.0, id="near-singular"),  # rcond 1e-14
+    @pytest.mark.parametrize("mesh", [
+        pytest.param(meshes.ellipsoid_mesh(10.0, 1.0, 1.0, 2), id="ellipsoid-10-1-1"),
+        pytest.param(meshes.TriangleMesh(cube_mesh(1.0, 0).vertices * [10.0, 1.0, 1.0],
+                                         cube_mesh(1.0, 0).triangles), id="box-10-1-1"),
     ])
-    def test_refuses_a_system_cholesky_cannot_trust(self, monkeypatch, diagonal, off):
+    def test_an_indefinite_kernel_is_solved_by_lu(self, monkeypatch, mesh):
+        # panels ten times longer than wide make S indefinite (lowest eigenvalues -0.20 and
+        # -0.09), so Cholesky fails on meshes that validate_mesh admits; the LU of the whole
+        # S solves them
+        factored = []
+        lu_factor = cap.lu_factor
+        monkeypatch.setattr(cap, "lu_factor",
+                            lambda a, **kw: factored.append(a) or lu_factor(a, **kw))
+        q = cap.capacitance_bem(mesh).q
+        assert len(factored) == 1 and factored[0].flags.f_contiguous
+        assert q == pytest.approx(reference_bem_q(mesh), rel=1e-12, abs=0.0)
+
+    def test_full_assembly_mirrors_the_lower_triangle(self):
+        mesh = meshes.ellipsoid_mesh(1.3, 1.0, 0.8, 2)
+        full = cap._assemble(mesh, full=True)
+        np.testing.assert_array_equal(full, full.T)
+        np.testing.assert_array_equal(np.tril(full), np.tril(cap._assemble(mesh)))
+
+    @pytest.mark.parametrize("diagonal", [
+        pytest.param(1e-14, id="positive-definite"),  # Cholesky, rcond from dpocon
+        pytest.param(-1e-14, id="indefinite"),  # dpotrf fails: LU, rcond from dgecon
+    ])
+    def test_refuses_a_near_singular_system(self, monkeypatch, diagonal):
         mesh = meshes.icosahedron()
         S = np.eye(mesh.n_triangles, order="F")
-        S[0, 0], S[1, 0] = diagonal, off
-        monkeypatch.setattr(cap, "_assemble", lambda m: S)
-        with pytest.raises(NumericalError, match=r"^BEM system ill-conditioned \(rcond="):
+        S[0, 0] = diagonal
+        monkeypatch.setattr(cap, "_assemble", lambda m, full=False: S.copy(order="F"))
+        with pytest.raises(NumericalError,
+                           match=r"^BEM system ill-conditioned \(rcond=1\.00e-14\)$"):
             cap.capacitance_bem(mesh)
+
+    def test_a_well_conditioned_indefinite_system_is_not_refused(self, monkeypatch):
+        # eigenvalues -1 and 3 in the leading block: dpotrf fails, the LU solves it
+        mesh = meshes.icosahedron()
+
+        def assemble(m, full=False):
+            S = np.eye(m.n_triangles, order="F")
+            S[1, 0] = 2.0
+            S[0, 1] = 2.0 if full else 0.0
+            return S
+
+        monkeypatch.setattr(cap, "_assemble", assemble)
+        x = np.linalg.solve(assemble(mesh, full=True), np.ones(mesh.n_triangles))
+        assert cap.capacitance_bem(mesh).q == pytest.approx(x.sum() / (4.0 * math.pi), rel=1e-15)
 
     def test_unit_sphere(self):
         mesh = meshes.icosphere(3)
