@@ -26,11 +26,10 @@ from .lattice import (
     gap_admissible,
 )
 from .transmission import MaterialSpec, TransmissionParams
-from .twomode import BranchCurve, GapInterval, GapStatus, TwoModeModel
+from .twomode import GapInterval, GapStatus, TwoModeModel
 
 __all__ = [
     "BandscanError",
-    "BranchCurve",
     "ConfigError",
     "DirichletParams",
     "DomainError",

@@ -69,8 +69,10 @@ def capacitance_ellipsoid(a1: float, a2: float, a3: float) -> CapacitanceResult:
         )
     from scipy.special import elliprf  # lazily: the mesh path does not need it
 
-    q = 1.0 / float(elliprf(a1 * a1, a2 * a2, a3 * a3))
-    return CapacitanceResult(q=q, method=Method.ANALYTIC, estimated_error=0.0)
+    rf = float(elliprf(a1 * a1, a2 * a2, a3 * a3))
+    if not 0.0 < rf < math.inf:  # a square past float64's range: R_F vanishes or overflows
+        raise DomainError(f"semiaxes: their squares leave float64's range, got {(a1, a2, a3)}")
+    return CapacitanceResult(q=1.0 / rf, method=Method.ANALYTIC, estimated_error=0.0)
 
 
 def triangle_self_potential(tri: np.ndarray, point: np.ndarray) -> np.ndarray:

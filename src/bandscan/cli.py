@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import lru_cache
 
 from . import __version__, dirichlet, lattice, twomode
@@ -136,21 +136,11 @@ def _output(field: str, path: str, make_dir: bool = False):
 
 
 def _predict(cfg: ScanConfig):
-    """Shared gap prediction: (report, curve, interval, model)."""
+    """The configured pair's `TwoModeModel` and its `scan`, shared by gap and bands."""
     # the pair first: a mesh's q is a BEM solve of seconds, run only for an admitted pair
     adm = twomode.order_two_admissibility(cfg.k0, cfg.m0, cfg.exclusion_band, cfg.tol)
     model = twomode.TwoModeModel(adm, cfg.params())
-    extra = model.params.report_fields(model)
-    status, interval = model.gap()
-    if interval is not None:
-        extra.update(predicted_lo_over_c=interval.lo_over_c,
-                     predicted_hi_over_c=interval.hi_over_c)
-    curve = model.scan((cfg.delta_tilde_min, cfg.delta_tilde_max), cfg.samples)
-    report = GapReport(
-        problem=cfg.problem, k0=cfg.k0, m0=cfg.m0, a=cfg.a, verdict=adm.verdict.value,
-        status=status.value, nu=adm.nu, ratio=adm.ratio, **extra,
-    )
-    return report, curve, interval, model
+    return model, model.scan((cfg.delta_tilde_min, cfg.delta_tilde_max), cfg.samples)
 
 
 def _summarize(report, cfg: ScanConfig) -> None:
@@ -174,7 +164,12 @@ def _summarize(report, cfg: ScanConfig) -> None:
 
 def cmd_gap(args) -> int:
     cfg = _config_from_args(args)
-    report, curve, interval, model = _predict(cfg)
+    model, scan = _predict(cfg)
+    extra = model.params.report_fields(model)
+    status, interval = model.gap()
+    if interval is not None:
+        extra.update(predicted_lo_over_c=interval.lo_over_c,
+                     predicted_hi_over_c=interval.hi_over_c)
     measured = failure = None
     if cfg.verify:
         from .oracle.gapscan import measure_gap_numeric  # loads scipy
@@ -184,21 +179,19 @@ def cmd_gap(args) -> int:
         except NumericalError as exc:  # the report keeps the prediction
             failure = exc
     if measured is not None:
-        rel = None
+        extra.update(measured_lo_over_c=measured.lo_over_c, measured_hi_over_c=measured.hi_over_c)
         if interval is not None:
-            rel = abs(
-                (measured.hi_over_c - measured.lo_over_c) - interval.width_over_c
-            ) / interval.width_over_c
-        report = replace(
-            report,
-            measured_lo_over_c=measured.lo_over_c,
-            measured_hi_over_c=measured.hi_over_c,
-            rel_discrepancy=rel,
-        )
+            width = interval.width_over_c
+            extra["rel_discrepancy"] = abs(measured.hi_over_c - measured.lo_over_c - width) / width
+    adm = model.admissibility
+    report = GapReport(
+        problem=cfg.problem, k0=cfg.k0, m0=cfg.m0, a=cfg.a, verdict=adm.verdict.value,
+        status=status.value, nu=adm.nu, ratio=adm.ratio, **extra,
+    )
     csv_path = os.path.join(cfg.out_dir, "branches.csv")
     report_path = os.path.join(cfg.out_dir, "report.txt")
     with _output("out_dir", csv_path, make_dir=True) as fh:
-        write_branch_csv(curve, fh)
+        write_branch_csv(*scan, fh)
     with _output("out_dir", report_path) as fh:
         fh.write(report.to_text())
     _summarize(report, cfg)
@@ -213,13 +206,13 @@ def cmd_gap(args) -> int:
 
 def cmd_bands(args) -> int:
     cfg = _config_from_args(args)
-    curve = _predict(cfg)[1]
+    scan = _predict(cfg)[1]
     if args.out_file:
         with _output("out_file", args.out_file) as fh:
-            write_branch_csv(curve, fh)
+            write_branch_csv(*scan, fh)
         print(f"wrote {args.out_file}")
     else:
-        write_branch_csv(curve, sys.stdout)
+        write_branch_csv(*scan, sys.stdout)
     return EXIT_OK
 
 

@@ -90,6 +90,8 @@ class ScanConfig:
                                   f"does not use it, got {value!r}")
         if not self.delta_tilde_min <= self.delta_tilde_max:
             raise ConfigError("delta_tilde_min: must not exceed delta_tilde_max")
+        if not self.delta_tilde_max - self.delta_tilde_min < math.inf:
+            raise ConfigError("delta_tilde_max: must lie within float64's range of delta_tilde_min")
         lattice.require_between("samples", self.samples, 1, MAX_SAMPLES)
         lattice.require_between("n", self.n, MIN_N, MAX_N)
         lattice.require_between("g_max", self.g_max, MIN_G_MAX, MAX_G_MAX)

@@ -61,6 +61,8 @@ class DirichletParams:
         require_scale(self.a)
         if not (self.q > 0.0 and math.isfinite(self.q)):
             raise DomainError(f"q: must be finite and > 0, got {self.q}")
+        if not (math.isfinite(self.a_tilde) and math.isfinite(self.epsilon(1.0))):
+            raise DomainError(f"q: a * q must keep a_tilde and eps finite, got {self.q}")
         if self.a > 0.2 * math.pi:
             warnings.warn(
                 f"a={self.a} above 0.2*pi; asymptotic accuracy degrades",

@@ -32,7 +32,8 @@ MAX_SAMPLES = 100_000
 def _root_along_ray(omega, A: float):
     """Upper root of t + A/t = omega, the dispersion relation (1 + A/t^2) t = omega, for one
     omega or an array of them; refused at the first omega without a real root."""
-    disc = omega * omega - 4.0 * A
+    with np.errstate(over="ignore"):  # past 1.3e154 the root is inf, refused as |k| past its cap
+        disc = omega * omega - 4.0 * A
     dry = np.ravel(disc <= 0.0)
     if dry.any():
         raise NumericalError(f"no propagating branch at omega/c={np.ravel(omega)[dry.argmax()]}"
@@ -90,5 +91,6 @@ def global_scan(
         raise DomainError(f"omega_lo, omega_hi: must satisfy 0 < omega_lo < omega_hi < inf, "
                           f"got {omega_lo}, {omega_hi}")
     lattice.require_between("samples", samples, 1, MAX_SAMPLES)
-    omega = np.linspace(omega_lo, omega_hi, samples)
+    with np.errstate(over="ignore"):  # the step overflows on its way to an omega_hi near 1.8e308
+        omega = np.linspace(omega_lo, omega_hi, samples)
     return (omega, *cover_frequency(omega, p))

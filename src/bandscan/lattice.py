@@ -82,8 +82,9 @@ def as_wavevector(name: str, k) -> np.ndarray:
 
 
 def wavevector_norm(name: str, k) -> float:
-    """|k| of the finite, nonzero wave vector `name`."""
-    norm = float(np.linalg.norm(as_wavevector(name, k)))
+    """|k| of the finite, nonzero wave vector `name`, inf past float64's range."""
+    with np.errstate(over="ignore"):  # every caller refuses it as past the search cap
+        norm = float(np.linalg.norm(as_wavevector(name, k)))
     if norm == 0.0:
         raise DomainError(f"{name}: zero wave vector is not classifiable")
     return norm
@@ -288,27 +289,24 @@ class FaceGapMap:
     """Rasterized gap-admissibility map over a Brillouin-zone face.
 
     The face {k . m0 = |m0|^2 / 2} is parameterized by coordinates (t1, t2)
-    along two orthonormal in-plane directions; the sample window is the
-    square |t1|, |t2| <= half_width around the face center m0/2.  For
-    m0 = (0,0,1) the coordinates are literally (k1, k2).
+    along two orthonormal in-plane directions, both sampled at `t`; the sample
+    window is the square |t1|, |t2| <= half_width around the face center m0/2.
+    For m0 = (0,0,1) the coordinates are literally (k1, k2).
     """
 
     m0: tuple[int, int, int]
-    t1: np.ndarray
-    t2: np.ndarray
-    flagged: np.ndarray  # bool, shape (len(t1), len(t2))
+    t: np.ndarray
+    flagged: np.ndarray  # bool, shape (len(t), len(t)): t1 by row, t2 by column
     half_width: float
 
     def flagged_area(self) -> float:
         """Flagged area: pixel count times the grid-spacing cell area."""
-        n1, n2 = self.flagged.shape
-        d1 = 2.0 * self.half_width / (n1 - 1) if n1 > 1 else 2.0 * self.half_width
-        d2 = 2.0 * self.half_width / (n2 - 1) if n2 > 1 else 2.0 * self.half_width
-        return float(self.flagged.sum()) * d1 * d2
+        d = 2.0 * self.half_width / (len(self.t) - 1)
+        return float(self.flagged.sum()) * d * d
 
     def flagged_fraction(self) -> float:
-        """Flagged area divided by the window area (2*half_width)^2."""
-        return self.flagged_area() / (2.0 * self.half_width) ** 2
+        """Flagged area divided by the window area (2*half_width)^2, from the pixel counts."""
+        return float(self.flagged.sum()) / (len(self.t) - 1) ** 2
 
 
 def _face_basis(m0: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -349,29 +347,27 @@ def face_gap_region(
     require_tol(tol)
     require_nonnegative("exclusion_band", exclusion_band)
     m = np.asarray(m0, dtype=float)
-    m2 = float(m @ m)
-    e1, e2 = _face_basis(m0)
-    center = m / 2.0
-
-    t1 = t2 = np.linspace(-half_width, half_width, resolution)
-    Kf = ((center + t1[:, None, None] * e1) + t2[None, :, None] * e2).reshape(-1, 3)
-
-    norms = np.linalg.norm(Kf, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge m0: kmax inf or nan, refused
+        m2 = float(m @ m)
+        e1, e2 = _face_basis(m0)
+        center = m / 2.0
+        t = np.linspace(-half_width, half_width, resolution)
+        Kf = ((center + t[:, None, None] * e1) + t[None, :, None] * e2).reshape(-1, 3)
+        norms = np.linalg.norm(Kf, axis=1)
     kmax = float(np.max(norms))
     ms, msq = _search_box("m0", kmax)
-    limit = tol * np.maximum(1.0, msq)
-    # The residual 2 k.m - |m|^2 is affine in (t1, t2), so a candidate whose
-    # plane stays beyond its limit over the whole window never hits; the slack
+    # The residual 2 k.m - |m|^2 is affine in (t1, t2), so a candidate whose plane stays
+    # beyond its limit tol * max(1, |m|^2) over the whole window never hits; the slack
     # covers rounding, far below the terms 2|k||m| and |m|^2 of the residual.
     nearest = np.abs(2.0 * (ms @ center) - msq) - 2.0 * half_width * (
         np.abs(ms @ e1) + np.abs(ms @ e2))
-    reach = limit + 1e-9 * (msq + 2.0 * kmax * np.sqrt(msq))
+    reach = tol * np.maximum(1.0, msq) + 1e-9 * (msq + 2.0 * kmax * np.sqrt(msq))
     near = (nearest <= reach) & (ms != m0).any(axis=1)
-    ms, msq, limit, reach = ms[near].astype(float), msq[near], limit[near], reach[near]
+    ms, msq, reach = ms[near].astype(float), msq[near], reach[near]
     # Along a row the residual at pixel j is r0 + slope * j, so it is within reach on one
     # interval (all or none of the row where slope = 0), clipped to the row's span of pixels
-    # where the ratio admits a gap (hits between them are never read): the residual, rounded
-    # as by K @ ms.T, is evaluated there only.
+    # where the ratio admits a gap (hits between them are never read): `_on_plane` decides
+    # there only.
     inside = norms / math.sqrt(m2) < SQRT_HALF - exclusion_band
     slope = 2.0 * (ms @ e2) * (2.0 * half_width / (resolution - 1))  # per pixel along a row
     hit = np.zeros(len(Kf), dtype=bool)
@@ -396,15 +392,8 @@ def face_gap_region(
         for a, b in zip(cuts[:-1], cuts[1:]):
             pixel = np.arange(total[a], total[b]) - np.repeat(total[a:b] - start[a:b], count[a:b])
             c = np.repeat(cand[a:b], count[a:b])
-            resid = np.abs(2.0 * np.vecdot(Kf[block][pixel], ms[c]) - msq[c])
-            hit[block][pixel[resid <= limit[c]]] = True
-    return FaceGapMap(
-        m0=m0,
-        t1=t1,
-        t2=t2,
-        flagged=(inside & ~hit).reshape(resolution, resolution),
-        half_width=half_width,
-    )
+            hit[block][pixel[_on_plane(ms[c], msq[c], Kf[block][pixel], tol)]] = True
+    return FaceGapMap(m0, t, (inside & ~hit).reshape(resolution, resolution), half_width)
 
 
 @lru_cache(maxsize=1)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import encode, read_fields
 from .errors import ConfigError
-from .twomode import BranchCurve
 
 SCHEMA_VERSION = 1
 
@@ -71,17 +70,18 @@ def _write_columns(fh, header: str, *cols) -> None:
         fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def write_branch_csv(curve: BranchCurve, fh) -> None:
+def write_branch_csv(delta_tilde, omega_minus, omega_plus, fh) -> None:
+    """The rows of `TwoModeModel.scan`: both branches over c at each delta_tilde."""
     _write_columns(fh, "delta_tilde,omega_minus_over_c,omega_plus_over_c",
-                   curve.delta_tilde, curve.omega_minus_over_c, curve.omega_plus_over_c)
+                   delta_tilde, omega_minus, omega_plus)
 
 
 def write_face_map_csv(face_map, fh) -> None:
     fh.write("k1,k2,gap_flag\n")
     # each t is formatted once per axis, not once per pixel; a row's flags pick its tails
-    off, on = (np.array([f",{t2!r},{flag}\n" for t2 in face_map.t2.tolist()], dtype=object)
+    off, on = (np.array([f",{t2!r},{flag}\n" for t2 in face_map.t.tolist()], dtype=object)
                for flag in (0, 1))
-    for t1, row in zip(face_map.t1.tolist(), face_map.flagged):
+    for t1, row in zip(face_map.t.tolist(), face_map.flagged):
         head = repr(t1)
         fh.write(head + head.join(np.where(row, on, off).tolist()))
 

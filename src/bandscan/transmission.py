@@ -52,6 +52,9 @@ class MaterialSpec:
             v = getattr(self, f.name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{f.name}: must be finite and > 0, got {v}")
+        for num, den in (("gamma_minus", "gamma_plus"), ("rho_plus", "rho_minus")):  # alpha, sigma
+            if not math.isfinite(getattr(self, num) / getattr(self, den)):
+                raise DomainError(f"{num}: its ratio to {den} must be finite")
 
     @property
     def sigma(self) -> float:
@@ -83,7 +86,8 @@ class TransmissionParams:
     a: float
 
     def __post_init__(self):
-        if not 0.0 < volume_fraction(self.a) < 1.0:  # NaN fails too
+        # a ball of radius 2 pi outweighs the cell, and a**3 of a far larger a overflows
+        if not (0.0 < self.a < 2.0 * math.pi and 0.0 < volume_fraction(self.a) < 1.0):
             raise DomainError(f"a: must be > 0 with a volume fraction below 1, got {self.a}")
 
     @property

@@ -30,7 +30,7 @@ and keeps the params, so the model is all an oracle needs to measure it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -60,18 +60,6 @@ class GapInterval:
     @property
     def width_over_c(self) -> float:
         return self.hi_over_c - self.lo_over_c
-
-
-@dataclass(frozen=True, eq=False)
-class BranchCurve:
-    """Two-branch dispersion samples along the ray k = (1 + delta) k0."""
-
-    delta_tilde: np.ndarray = field(repr=False)
-    omega_minus_over_c: np.ndarray = field(repr=False)
-    omega_plus_over_c: np.ndarray = field(repr=False)
-
-    def __len__(self):
-        return len(self.delta_tilde)
 
 
 def order_two_admissibility(k0, m0, exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND,
@@ -121,16 +109,22 @@ class TwoModeModel:
         self,
         delta_range: tuple[float, float] = (-DEFAULT_DELTA0, DEFAULT_DELTA0),
         n_samples: int = 101,
-    ) -> BranchCurve:
-        """Both branches at n_samples uniform delta_tilde over delta_range."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(delta_tilde, omega_minus_over_c, omega_plus_over_c): both branches along the ray
+        k = (1 + delta) k0, at n_samples uniform delta_tilde over delta_range."""
         lo, hi = float(delta_range[0]), float(delta_range[1])
         if n_samples < 1:
             raise DomainError("n_samples must be >= 1")
         if hi < lo:
             raise DomainError("delta_range must be increasing")
         dts = np.linspace(lo, hi, n_samples)
-        lower, upper = self.branches(dts)
-        return BranchCurve(dts, lower, upper)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower, upper = self.branches(dts)
+        bad = ~(np.isfinite(lower) & np.isfinite(upper))  # at a ray end past float64's range
+        if bad.any():
+            raise DomainError(f"{'delta_tilde_min' if bad[0] else 'delta_tilde_max'}: the "
+                              f"branches at {dts[bad.argmax()]} leave float64's range")
+        return dts, lower, upper
 
     def gap(self) -> tuple[GapStatus, GapInterval | None]:
         """Local gap from the branch extrema, with its status.

@@ -180,7 +180,7 @@ def test_criterion_6_face_map_disk():
     the [-1,1]^2 window documented in the report)."""
     t0 = time.time()
     fmap = lattice.face_gap_region((0, 0, 1), resolution=101)
-    T1, T2 = np.meshgrid(fmap.t1, fmap.t2, indexing="ij")
+    T1, T2 = np.meshgrid(fmap.t, fmap.t, indexing="ij")
     r2 = T1**2 + T2**2
     pix = (2.0 / 100.0) * math.sqrt(2.0)
     interior = r2 < (0.5 - pix) ** 2

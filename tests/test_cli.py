@@ -402,10 +402,9 @@ class TestBands:
         path = tmp_path / "bands.csv"
         assert run(["bands", "--a", "0.1", "--k0", "0.5,0.2,0", "--m0", "1,0,0",
                     "--samples", "70000", "--out-file", str(path)]) == 0
-        curve = twomode.pair_model((0.5, 0.2, 0.0), (1, 0, 0), DirichletParams(a=0.1)).scan(
+        scan = twomode.pair_model((0.5, 0.2, 0.0), (1, 0, 0), DirichletParams(a=0.1)).scan(
             (-0.05, 0.05), 70_000)
-        rows = zip(curve.delta_tilde.tolist(), curve.omega_minus_over_c.tolist(),
-                   curve.omega_plus_over_c.tolist())
+        rows = zip(*(column.tolist() for column in scan))
         assert path.read_text() == "delta_tilde,omega_minus_over_c,omega_plus_over_c\n" + "".join(
             f"{dt!r},{lo!r},{hi!r}\n" for dt, lo, hi in rows)
 
@@ -625,6 +624,16 @@ def test_tolerance_past_the_shift_search_bound_exits_2(tmp_path, monkeypatch, ca
     ("gap --problem transmission --g-max 7", "g_max"),
     ("global-scan --omega-lo 0.5 --omega-hi 1 --q 0 --out g.csv", "q"),
     ("global-scan --omega-lo 0.5 --omega-hi 1 --a -1 --out g.csv", "a"),
+    # past float64's range: a1^2 overflows, so R_F = 0 (a ZeroDivisionError traceback), or
+    # a2^2 and a3^2 underflow, so R_F = inf ("capacitance must be positive, got 0.0", exit 3)
+    ("capacitance --ellipsoid 1e200,1,1", "semiaxes"),
+    ("gap --shape ellipsoid --semiaxes 1e200,1,1 --a 0.1", "semiaxes"),
+    ("capacitance --ellipsoid 1,1e-320,1e-320", "semiaxes"),
+    # |k|^2 overflows (numpy's warning came first), and a span that overflows in np.linspace
+    # (nan and inf rows with exit 0)
+    ("classify 1e308 0 0", "k"),
+    ("gap --k0=0,0,1e308 --m0 0,0,1", "k0"),
+    ("bands --delta-tilde-min=-1e308 --delta-tilde-max=1e308 --samples 3", "delta_tilde_max"),
 ])
 def test_refusal_of_the_params_owner_exits_2_and_is_named(tmp_path, monkeypatch, capsys, argv,
                                                           field):
@@ -760,6 +769,17 @@ def test_window_without_a_propagating_branch_exits_3(tmp_path, monkeypatch, caps
     assert capsys.readouterr() == ("", "numerical failure: no propagating branch at "
                                    "omega/c=0.1: a too large for the window\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_face_map_of_a_tiny_window_takes_its_fraction_from_the_pixel_counts(tmp_path, capsys):
+    # (2 half_width)^2 underflows at 1e-320: flagged_fraction once divided by zero after the
+    # CSV was written; every pixel of the window sits at the face centre, so all are flagged
+    path = tmp_path / "f.csv"
+    assert run(["face-map", "--half-width", "1e-320", "--resolution", "3", "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "flagged pixels: 9 of 9\n" in out
+    assert "flagged area per unit window area: 2.250000\n" in out
+    assert len(path.read_text().splitlines()) == 10
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -142,31 +142,31 @@ class TestDispersionScan:
     def test_single_sample_matches_branch_pair(self):
         p = DirichletParams(a=0.1)
         model = twomode.pair_model(K_EX, M_EX, p)
-        curve = model.scan((0.03, 0.03), 1)
+        _, lower, upper = model.scan((0.03, 0.03), 1)
         lo, hi = model.branches(0.03)
-        assert curve.omega_minus_over_c[0] == lo
-        assert curve.omega_plus_over_c[0] == hi
+        assert lower[0] == lo
+        assert upper[0] == hi
 
     def test_symmetric_for_nu_zero(self):
         p = DirichletParams(a=0.1)
-        curve = twomode.pair_model(K_EX, M_EX, p).scan((-0.05, 0.05), 21)
-        assert np.allclose(curve.omega_plus_over_c, curve.omega_plus_over_c[::-1])
-        assert np.allclose(curve.omega_minus_over_c, curve.omega_minus_over_c[::-1])
+        _, lower, upper = twomode.pair_model(K_EX, M_EX, p).scan((-0.05, 0.05), 21)
+        assert np.allclose(upper, upper[::-1])
+        assert np.allclose(lower, lower[::-1])
 
     def test_samples_respect_gap(self):
         k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
         p = DirichletParams(a=0.15)
         model = twomode.pair_model(k0, m0, p)
         gap = model.gap()[1]
-        curve = model.scan((-0.05, 0.05), 301)
-        assert curve.omega_minus_over_c.max() <= gap.lo_over_c + 1e-12
-        assert curve.omega_plus_over_c.min() >= gap.hi_over_c - 1e-12
+        _, lower, upper = model.scan((-0.05, 0.05), 301)
+        assert lower.max() <= gap.lo_over_c + 1e-12
+        assert upper.min() >= gap.hi_over_c - 1e-12
 
     def test_sorted_and_sized(self):
         p = DirichletParams(a=0.1)
-        curve = twomode.pair_model(K_EX, M_EX, p).scan((-0.02, 0.02), 9)
-        assert len(curve) == 9
-        assert np.all(np.diff(curve.delta_tilde) > 0)
+        scan = twomode.pair_model(K_EX, M_EX, p).scan((-0.02, 0.02), 9)
+        assert [len(column) for column in scan] == [9, 9, 9]
+        assert np.all(np.diff(scan[0]) > 0)
 
 
 class TestSplittingCheck:

@@ -348,7 +348,7 @@ class TestFaceGapRegion:
         assert not self._flag(fmap, 0.5, 0.5)
 
     def test_flagged_set_is_the_disk(self, fmap):
-        T1, T2 = np.meshgrid(fmap.t1, fmap.t2, indexing="ij")
+        T1, T2 = np.meshgrid(fmap.t, fmap.t, indexing="ij")
         r2 = T1**2 + T2**2
         # strict interior/exterior pixels must match; the circle itself may
         # land either way within one pixel
@@ -462,9 +462,29 @@ class TestFaceGapRegion:
                 np.testing.assert_array_equal(fmap.flagged, flagged.reshape(samples, samples))
             # the writer reads only the map, so one tolerance per shift will do
             lines = ["k1,k2,gap_flag\n"]
-            for t1, row in zip(fmap.t1.tolist(), fmap.flagged.tolist()):
-                for t2, flag in zip(fmap.t2.tolist(), row):
+            for t1, row in zip(fmap.t.tolist(), fmap.flagged.tolist()):
+                for t2, flag in zip(fmap.t.tolist(), row):
                     lines.append(f"{t1!r},{t2!r},{int(flag)}\n")
             out = io.StringIO()
             write_face_map_csv(fmap, out)
             assert out.getvalue() == "".join(lines), m0
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("m0", [(0, 0, 1), (1, 1, 0), (1, 2, 3), (2, 1, 0)])
+    def test_pixels_agree_with_the_classification(self, m0, tol):
+        # a pixel inside the ratio disk is flagged exactly when `classify_wavevector` finds
+        # no shift but m0 on its plane; m0 is not tested, as its own residual may round
+        # off zero at tol 0
+        fmap = lattice.face_gap_region(m0, resolution=41, tol=tol)
+        e1, e2 = lattice._face_basis(m0)
+        center = np.asarray(m0, dtype=float) / 2.0
+        inside = 0
+        for i, j in itertools.product(range(41), repeat=2):
+            k = (center + fmap.t[i] * e1) + fmap.t[j] * e2  # the map's own pixel, bit for bit
+            if not np.linalg.norm(k) / math.sqrt(np.dot(m0, m0)) < SQ2 - 1e-6:
+                assert not fmap.flagged[i, j]
+                continue
+            inside += 1
+            others = set(lattice.classify_wavevector(k, tol).shifts) - {m0}
+            assert fmap.flagged[i, j] == (not others), (i, j, others)
+        assert 0 < int(fmap.flagged.sum()) <= inside

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bandscan import twomode
 from bandscan.capacitance import capacitance_ellipsoid
 from bandscan.dirichlet import DirichletParams
 from bandscan.errors import DomainError
@@ -14,6 +15,7 @@ from bandscan.transmission import MaterialSpec, TransmissionParams
 K = (0.2, 0.1, 0.15)
 UNIFORM = MaterialSpec(1.0, 1.0, 1.0, 1.0)
 PWE = TransmissionParams(UNIFORM, a=0.5)
+BIGGEST = 1.7976931348623157e308
 
 
 def _identity(V):
@@ -53,6 +55,27 @@ def _identity(V):
                                             v0=np.eye(2) * 1j)),
     ("v0", lambda: eig.hermitian_eigensolve(np.eye(3), 2, precond=_identity, v0=np.eye(2))),
     ("semiaxes", lambda: capacitance_ellipsoid(1.0, 2.0, 3.0)),
+    # past float64's range: a1^2 overflows and R_F is 0, which once raised ZeroDivisionError;
+    # a2^2 and a3^2 underflow and R_F is inf, which once left q = 0 to a NumericalError
+    pytest.param("semiaxes", lambda: capacitance_ellipsoid(1e200, 1.0, 1.0), id="semiaxes-rf-0"),
+    pytest.param("semiaxes", lambda: capacitance_ellipsoid(1.0, 1e-320, 1e-320),
+                 id="semiaxes-rf-inf"),
+    # a q whose a_tilde or eps overflows, an a whose a**3 raised OverflowError, and materials
+    # whose alpha or beta overflows: each once gave nan or inf branches or a traceback
+    pytest.param("q", lambda: DirichletParams(a=0.1, q=BIGGEST), id="q-a_tilde-overflow"),
+    pytest.param("q", lambda: DirichletParams(a=0.1, q=1e308), id="q-eps-overflow"),
+    pytest.param("a", lambda: TransmissionParams(UNIFORM, a=1e308), id="a-cube-overflow"),
+    pytest.param("gamma_minus", lambda: MaterialSpec(5e-324, 1.0, 1.0, 1.0),
+                 id="gamma_minus-ratio-overflow"),
+    pytest.param("rho_plus", lambda: MaterialSpec(1.0, 1.0, 1.0, 5e-324),
+                 id="rho_plus-ratio-overflow"),
+    # a ray end whose branches overflow once gave inf and nan rows
+    pytest.param("delta_tilde_max", lambda: twomode.pair_model(
+        (0.5, 0.2, 0.0), (1, 0, 0), DirichletParams(a=0.1)).scan((-0.05, BIGGEST), 3),
+                 id="delta_tilde_max-branch-overflow"),
+    pytest.param("delta_tilde_min", lambda: twomode.pair_model(
+        (0.5, 0.2, 0.0), (1, 0, 0), DirichletParams(a=0.1)).scan((-BIGGEST, 0.05), 3),
+                 id="delta_tilde_min-branch-overflow"),
 ])
 def test_refusal_is_a_domain_error_that_names_its_field(field, call):
     with pytest.raises(DomainError) as exc:

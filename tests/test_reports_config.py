@@ -80,18 +80,17 @@ class TestGapReport:
 class TestCsvWriters:
     def test_branch_csv_deterministic(self):
         p = dirichlet.DirichletParams(a=0.1)
-        curve = twomode.pair_model((0, 0, 0.5), (0, 0, 1), p).scan((-0.02, 0.02), 11)
+        scan = twomode.pair_model((0, 0, 0.5), (0, 0, 1), p).scan((-0.02, 0.02), 11)
         s1, s2 = io.StringIO(), io.StringIO()
-        write_branch_csv(curve, s1)
-        write_branch_csv(curve, s2)
+        write_branch_csv(*scan, s1)
+        write_branch_csv(*scan, s2)
         assert s1.getvalue() == s2.getvalue()
         lines = s1.getvalue().splitlines()
         assert lines[0] == "delta_tilde,omega_minus_over_c,omega_plus_over_c"
         assert len(lines) == 12
         # values parse back exactly
         dt, lo, hi = (float(t) for t in lines[1].split(","))
-        assert dt == curve.delta_tilde[0]
-        assert (lo, hi) == (curve.omega_minus_over_c[0], curve.omega_plus_over_c[0])
+        assert (dt, lo, hi) == tuple(column[0] for column in scan)
 
     def test_face_map_csv(self):
         fmap = lattice.face_gap_region((0, 0, 1), resolution=11)

@@ -114,9 +114,7 @@ class TestBranches:
     def test_scan_matches_pointwise(self):
         p = weak_params(0.01)
         model = twomode.pair_model(K_EX, M_EX, p)
-        curve = model.scan((-0.02, 0.02), 5)
-        for dt, lo, hi in zip(curve.delta_tilde.tolist(), curve.omega_minus_over_c.tolist(),
-                              curve.omega_plus_over_c.tolist()):
+        for dt, lo, hi in zip(*(column.tolist() for column in model.scan((-0.02, 0.02), 5))):
             wlo, whi = model.branches(dt)
             assert (lo, hi) == (wlo, whi)
 
@@ -158,9 +156,9 @@ class TestLocalGap:
         k0, m0 = (0.5, 0.2, 0.0), (1, 0, 0)
         model = twomode.pair_model(k0, m0, p)
         gap = model.gap()[1]
-        curve = model.scan((-0.01, 0.01), 401)
-        assert curve.omega_minus_over_c.max() <= gap.lo_over_c + 1e-14
-        assert curve.omega_plus_over_c.min() >= gap.hi_over_c - 1e-14
+        _, lower, upper = model.scan((-0.01, 0.01), 401)
+        assert lower.max() <= gap.lo_over_c + 1e-14
+        assert upper.min() >= gap.hi_over_c - 1e-14
 
 
 class TestEpsilonNonexceptional:

@@ -82,8 +82,7 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
         return
     assert status is GapStatus.PREDICTED
     d = model.extremizer()
-    curve = model.scan((-2.0 * d, 2.0 * d), 2001)
-    lower, upper = curve.omega_minus_over_c, curve.omega_plus_over_c
+    _, lower, upper = model.scan((-2.0 * d, 2.0 * d), 2001)
     assert abs(lower.max() - gap.lo_over_c) <= 1e-12
     assert abs(upper.min() - gap.hi_over_c) <= 1e-12
     # The extrema sit where the splitting terms do, whatever the centre. Near
@@ -91,10 +90,10 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
     # frequency hides when s is small, so locate them on the centre-free model.
     shape = copy.copy(model)
     shape.centre = 0.0
-    offsets = shape.scan((-2.0 * d, 2.0 * d), 2001)
+    dts, lower, upper = shape.scan((-2.0 * d, 2.0 * d), 2001)
     step = 4.0 * d / 2000
-    assert abs(offsets.delta_tilde[np.argmax(offsets.omega_minus_over_c)] - d) <= step
-    assert abs(offsets.delta_tilde[np.argmin(offsets.omega_plus_over_c)] + d) <= step
+    assert abs(dts[np.argmax(lower)] - d) <= step
+    assert abs(dts[np.argmin(upper)] + d) <= step
     # dt* may lie beyond the default ray half-width 0.1, which the branches do not bound
     assert abs(model.branches(d)[0] - gap.lo_over_c) <= 1e-12
     assert abs(model.branches(-d)[1] - gap.hi_over_c) <= 1e-12
@@ -110,10 +109,10 @@ def test_gap_edges_are_the_extrema_of_a_fine_scan(m0, theta, ratio, p):
 def test_one_sample_scan_is_the_scalar_branch(p):
     model = twomode.pair_model((0.5, 0.2, 0.0), (1, 0, 0), p)
     for dt in (-0.07, 0.0, 0.013):
-        curve = model.scan((dt, dt), 1)
+        _, lower, upper = model.scan((dt, dt), 1)
         lo, hi = model.branches(dt)
-        assert curve.omega_minus_over_c[0] == lo
-        assert curve.omega_plus_over_c[0] == hi
+        assert lower[0] == lo
+        assert upper[0] == hi
 
 
 def test_pair_is_classified_once(monkeypatch):
