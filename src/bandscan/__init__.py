@@ -16,12 +16,10 @@ from .errors import (
     TrackingError,
 )
 from .lattice import (
-    ExceptionalClass,
     GapAdmissibility,
     Verdict,
     classify_wavevector,
     classify_wavevector_exact,
-    enumerate_candidate_shifts,
     face_gap_region,
     gap_admissible,
 )
@@ -33,7 +31,6 @@ __all__ = [
     "ConfigError",
     "DirichletParams",
     "DomainError",
-    "ExceptionalClass",
     "GapAdmissibility",
     "GapInterval",
     "GapStatus",
@@ -50,7 +47,6 @@ __all__ = [
     "classify_wavevector_exact",
     "config",
     "dirichlet",
-    "enumerate_candidate_shifts",
     "face_gap_region",
     "gap_admissible",
     "globalscan",

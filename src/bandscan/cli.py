@@ -2,8 +2,7 @@
 
 Subcommands: classify, gap, bands, face-map, global-scan, capacitance.
 Exit codes: 0 success, 2 usage/config error, 3 numerical or oracle
-failure.  All frequencies are emitted as omega/c; the --c flag only
-rescales the console summary.
+failure.  All frequencies are emitted as omega/c.
 
 gap and bands take one flag per ScanConfig field, made from the field's
 name, less the keys the command never reads (`_UNREAD_KEYS`); argparse
@@ -72,7 +71,7 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
 #: Config keys that a config-driven command never reads: it has no flag for them.
 _UNREAD_KEYS = {
     "gap": frozenset(),
-    "bands": frozenset({"out_dir", "verify", "n", "g_max", "c"}),
+    "bands": frozenset({"out_dir", "verify", "n", "g_max"}),
 }
 
 
@@ -109,18 +108,19 @@ def _config_from_args(args) -> ScanConfig:
 def cmd_classify(args) -> int:
     k = args.k
     lattice.require_nonnegative("exclusion_band", args.exclusion_band)  # even with no shifts
-    cls = lattice.classify_wavevector(k, args.tol)
+    shifts = lattice.classify_wavevector(k, args.tol)
+    order = 1 + len(shifts)
     shifts_out = []
-    for m in cls.shifts:  # all judged before anything is printed
-        adm = lattice.shift_admissibility(k, m, cls.order, args.exclusion_band)
+    for m in shifts:  # all judged before anything is printed
+        adm = lattice.shift_admissibility(k, m, order, args.exclusion_band)
         shifts_out.append({"m": list(m), "nu": adm.nu, "ratio": adm.ratio,
                            "verdict": adm.verdict.value})
     print(f"k = ({k[0]}, {k[1]}, {k[2]})")
-    print(f"order = {cls.order}" + ("  (non-exceptional)" if cls.order == 1 else ""))
+    print(f"order = {order}" + ("  (non-exceptional)" if order == 1 else ""))
     for s in shifts_out:
         print(f"  shift m = {tuple(s['m'])}: nu = {s['nu']:.12g}, ratio = {s['ratio']:.12g}, "
               f"{s['verdict']}")
-    print(json.dumps({"k": list(k), "order": cls.order, "shifts": shifts_out}))
+    print(json.dumps({"k": list(k), "order": order, "shifts": shifts_out}))
     return EXIT_OK
 
 
@@ -143,14 +143,12 @@ def _predict(cfg: ScanConfig):
     return model, model.scan((cfg.delta_tilde_min, cfg.delta_tilde_max), cfg.samples)
 
 
-def _summarize(report, cfg: ScanConfig) -> None:
+def _summarize(report) -> None:
     print(f"problem = {report.problem}, k0 = {report.k0}, m0 = {report.m0}")
     print(f"verdict = {report.verdict} (nu = {report.nu:.9g}, ratio = {report.ratio:.9g})")
     if report.predicted_lo_over_c is not None:
         lo, hi = report.predicted_lo_over_c, report.predicted_hi_over_c
         print(f"predicted gap: ({lo!r}, {hi!r}) * c")
-        if cfg.c != 1.0:
-            print(f"scaled by c = {cfg.c}: ({lo * cfg.c!r}, {hi * cfg.c!r})")
     else:
         print(report.status)
     if report.measured_lo_over_c is not None:
@@ -194,7 +192,7 @@ def cmd_gap(args) -> int:
         write_branch_csv(*scan, fh)
     with _output("out_dir", report_path) as fh:
         fh.write(report.to_text())
-    _summarize(report, cfg)
+    _summarize(report)
     if failure is not None:
         print(f"oracle failure: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL

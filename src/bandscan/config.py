@@ -56,7 +56,6 @@ class ScanConfig:
     out_dir: str = "bandscan_out"
     exclusion_band: float = lattice.DEFAULT_EXCLUSION_BAND
     tol: float = lattice.DEFAULT_TOL
-    c: float = 1.0
 
     def validated(self) -> "ScanConfig":
         """This config, after the checks that no lower layer makes: finite values, the problem
@@ -95,8 +94,6 @@ class ScanConfig:
         lattice.require_between("samples", self.samples, 1, MAX_SAMPLES)
         lattice.require_between("n", self.n, MIN_N, MAX_N)
         lattice.require_between("g_max", self.g_max, MIN_G_MAX, MAX_G_MAX)
-        if not self.c > 0.0:
-            raise ConfigError("c: must be > 0")
         return self
 
     def params(self) -> DirichletParams | TransmissionParams:

@@ -50,17 +50,6 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class ExceptionalClass:
-    """Classification of a Bloch vector: order and the witnessing shifts."""
-
-    shifts: tuple[tuple[int, int, int], ...]
-
-    @property
-    def order(self) -> int:
-        return 1 + len(self.shifts)
-
-
-@dataclass(frozen=True)
 class GapAdmissibility:
     """The verdict on the pair (k0, m0) it judged, with the pair's ratio |k0|/|m0| and nu."""
 
@@ -163,19 +152,6 @@ def _candidate_box(bound: int) -> tuple[np.ndarray, np.ndarray]:
 _last_large_box = lru_cache(maxsize=1)(_candidate_box.__wrapped__)
 
 
-def enumerate_candidate_shifts(k, tol: float = DEFAULT_TOL) -> list[tuple[int, int, int]]:
-    """All nonzero integer m with |2 k.m - |m|^2| <= tol * max(1, |m|^2).
-
-    The search ball |m| <= ceil(2|k|) + 1 is exhaustive: the plane condition
-    plus Cauchy-Schwarz forces (1 - tol)|m|^2 <= 2 k.m <= 2|k||m|, and
-    `require_tol` keeps 2|k| / (1 - tol) inside the ball.
-    """
-    knorm = wavevector_norm("k", k)
-    require_tol(tol)
-    M, m2 = _search_box("k", knorm)
-    return _shifts(M[_on_plane(M, m2, as_wavevector("k", k), tol)])
-
-
 def order_one(K: np.ndarray, norms: np.ndarray, tol: float) -> np.ndarray:
     """Per row k of K (R, 3) of norm `norms`, whether `classify_wavevector(k, tol)` has order
     one: no shift of k's search box is on its plane.  About 2^16 residuals go at once."""
@@ -214,17 +190,26 @@ def require_between(name: str, value: int, lo: int, hi: int) -> None:
         raise DomainError(f"{name}: must be >= {lo} and <= {hi}")
 
 
-def _shifts(M: np.ndarray) -> list[tuple[int, int, int]]:
-    return sorted(tuple(int(c) for c in m) for m in M)
+def _shifts(M: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    return tuple(sorted(tuple(int(c) for c in m) for m in M))
 
 
-def classify_wavevector(k, tol: float = DEFAULT_TOL) -> ExceptionalClass:
-    """Order and shift set of a Bloch vector (order 1 = non-exceptional)."""
-    return ExceptionalClass(tuple(enumerate_candidate_shifts(k, tol)))
+def classify_wavevector(k, tol: float = DEFAULT_TOL) -> tuple[tuple[int, int, int], ...]:
+    """The classification of k: the sorted nonzero integer m with |2 k.m - |m|^2| <= tol *
+    max(1, |m|^2).  k has order 1 + len(shifts) (order 1 = non-exceptional).
+
+    The search ball |m| <= ceil(2|k|) + 1 is exhaustive: the plane condition
+    plus Cauchy-Schwarz forces (1 - tol)|m|^2 <= 2 k.m <= 2|k||m|, and
+    `require_tol` keeps 2|k| / (1 - tol) inside the ball.
+    """
+    knorm = wavevector_norm("k", k)
+    require_tol(tol)
+    M, m2 = _search_box("k", knorm)
+    return _shifts(M[_on_plane(M, m2, as_wavevector("k", k), tol)])
 
 
-def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
-    """Exact-arithmetic classification for rational k.
+def classify_wavevector_exact(k_rational: Sequence) -> tuple[tuple[int, int, int], ...]:
+    """Exact-arithmetic `classify_wavevector` for rational k: its sorted shifts.
 
     Components may be Fractions, ints, or (numerator, denominator) pairs.
     With D the common denominator and p = D k, the plane condition is
@@ -241,7 +226,7 @@ def classify_wavevector_exact(k_rational: Sequence) -> ExceptionalClass:
     norm2 = sum(c * c for c in comps)
     M, m2 = _search_box("k", math.sqrt(float(norm2)))
     hits = 2 * (M.astype(object) @ p) == D * m2.astype(object)
-    return ExceptionalClass(tuple(_shifts(M[hits])))
+    return _shifts(M[hits])
 
 
 def gap_admissible(
@@ -259,11 +244,11 @@ def gap_admissible(
     knorm = wavevector_norm("k0", k0)
     m0 = as_shift(m0)
     _search_box("k0", knorm)  # past the cap, named here rather than as k by the search
-    cls = classify_wavevector(k0, tol)
-    if m0 not in cls.shifts:
+    shifts = classify_wavevector(k0, tol)
+    if m0 not in shifts:
         raise DomainError(f"(k0={tuple(as_wavevector('k0', k0).tolist())}, m0={m0}) violates "
                           "the plane condition")
-    return shift_admissibility(k0, m0, cls.order, exclusion_band)
+    return shift_admissibility(k0, m0, 1 + len(shifts), exclusion_band)
 
 
 def shift_admissibility(k0, m0, order: int, exclusion_band: float) -> GapAdmissibility:
@@ -299,14 +284,19 @@ class FaceGapMap:
     flagged: np.ndarray  # bool, shape (len(t), len(t)): t1 by row, t2 by column
     half_width: float
 
+    def _cells(self) -> float:
+        """Flagged pixels by the trapezoid rule (edges 1/2, corners 1/4): (len(t) - 1)^2 at most."""
+        w = np.r_[0.5, np.ones(len(self.t) - 2), 0.5]
+        return float(w @ self.flagged @ w)
+
     def flagged_area(self) -> float:
-        """Flagged area: pixel count times the grid-spacing cell area."""
+        """Flagged area: the trapezoid count of flagged pixels times the grid cell area."""
         d = 2.0 * self.half_width / (len(self.t) - 1)
-        return float(self.flagged.sum()) * d * d
+        return self._cells() * d * d
 
     def flagged_fraction(self) -> float:
-        """Flagged area divided by the window area (2*half_width)^2, from the pixel counts."""
-        return float(self.flagged.sum()) / (len(self.t) - 1) ** 2
+        """Flagged area divided by the window area (2*half_width)^2, from the trapezoid count."""
+        return self._cells() / (len(self.t) - 1) ** 2
 
 
 def _face_basis(m0: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:

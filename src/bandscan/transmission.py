@@ -102,8 +102,12 @@ class TransmissionParams:
         return 0.5 * (mats.alpha + mats.beta) * self.f
 
     def centre_and_splitting(self, k0, m0, knorm: float) -> tuple[float, float]:
-        """The pair centre |k0|(1 + eps) and the splitting mu of an admitted pair."""
-        return knorm * (1.0 + self.epsilon), coupling_mu(k0, m0, self)
+        """The pair centre |k0|(1 + eps) and the splitting mu of an admitted pair, refused past
+        float64's range as gamma_minus: |beta| < 3, f < 1 and |k0| <= 36 leave only alpha."""
+        centre, mu = knorm * (1.0 + self.epsilon), coupling_mu(k0, m0, self)
+        if not (math.isfinite(centre) and math.isfinite(mu)):
+            raise DomainError(f"gamma_minus: centre {centre} and splitting {mu} must be finite")
+        return centre, mu
 
     def report_fields(self, model) -> dict:
         """The `GapReport` fields of this problem for the pair's `model`."""

@@ -38,9 +38,6 @@ import numpy as np
 from . import lattice
 from .errors import DomainError
 
-#: Default half-width of the scan ray in delta_tilde.
-DEFAULT_DELTA0 = 0.1
-
 
 class GapStatus(Enum):
     PREDICTED = "predicted"
@@ -105,11 +102,7 @@ class TwoModeModel:
         base = self.centre + self.nu * dt / (2.0 * self.knorm)
         return base - half, base + half
 
-    def scan(
-        self,
-        delta_range: tuple[float, float] = (-DEFAULT_DELTA0, DEFAULT_DELTA0),
-        n_samples: int = 101,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def scan(self, delta_range: tuple[float, float], n_samples: int) -> tuple[np.ndarray, ...]:
         """(delta_tilde, omega_minus_over_c, omega_plus_over_c): both branches along the ray
         k = (1 + delta) k0, at n_samples uniform delta_tilde over delta_range."""
         lo, hi = float(delta_range[0]), float(delta_range[1])

@@ -31,8 +31,7 @@ def random_order_two_pairs(rng, n_pairs, ratio_band=1e-3, max_attempts_factor=20
         r = rng.uniform(0.05, 0.95) * math.sqrt(m2)
         k0 = m / 2.0 + (t / norm_t) * r
         m0 = tuple(int(x) for x in m)
-        cls = lattice.classify_wavevector(k0)
-        if cls.order != 2 or cls.shifts[0] != m0:
+        if lattice.classify_wavevector(k0) != (m0,):
             continue
         ratio = float(np.linalg.norm(k0)) / math.sqrt(m2)
         if abs(ratio - lattice.SQRT_HALF) <= ratio_band:
@@ -154,9 +153,8 @@ def reference_cover_frequency(omega: float, p, direction=(1.0, math.sqrt(2.0), m
     d = np.asarray(direction, dtype=float)
     for attempt in range(globalscan.MAX_PERTURBATIONS + 1):
         k = t * (d / np.linalg.norm(d))
-        cls = lattice.classify_wavevector(k, tol)
-        if cls.order == 1:
+        if lattice.classify_wavevector(k, tol) == ():  # order one
             residual = abs((1.0 + p.epsilon(t)) * float(np.linalg.norm(k)) - omega)
-            return tuple(float(x) for x in k), cls.order, residual, attempt
+            return tuple(float(x) for x in k), 1, residual, attempt
         d = d + (attempt + 1) * 1e-3 * np.array([1.0, -0.5, 0.25])
     return None

@@ -211,10 +211,22 @@ class TestGap:
             run(["gap", "--count", "3", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
+    def test_removed_c_key_and_flag_exit_2(self, tmp_path, capsys):
+        # c only rescaled a console line; every frequency is omega/c
+        cfgf = tmp_path / "scan.cfg"
+        cfgf.write_text("a = 0.1\nc = 2\n")
+        assert run(["gap", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {cfgf}:2: unknown key 'c'\n"
+        with pytest.raises(SystemExit) as exc:
+            run(["gap", "--c", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --c 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag", [
         "--a", "--q", "--gamma-plus", "--gamma-minus", "--rho-plus", "--rho-minus",
-        "--delta-tilde-min", "--delta-tilde-max", "--exclusion-band", "--tol", "--c",
+        "--delta-tilde-min", "--delta-tilde-max", "--exclusion-band", "--tol",
         "--k0", "--semiaxes",
     ])
     def test_non_finite_value_exits_2_and_is_named(self, tmp_path, capsys, flag, value):
@@ -778,8 +790,26 @@ def test_face_map_of_a_tiny_window_takes_its_fraction_from_the_pixel_counts(tmp_
     assert run(["face-map", "--half-width", "1e-320", "--resolution", "3", "--out", str(path)]) == 0
     out = capsys.readouterr().out
     assert "flagged pixels: 9 of 9\n" in out
-    assert "flagged area per unit window area: 2.250000\n" in out
+    assert "flagged area per unit window area: 1.000000\n" in out
     assert len(path.read_text().splitlines()) == 10
+
+
+def test_face_map_of_a_window_flagged_whole_prints_its_area(tmp_path, capsys):
+    # every pixel of |t| <= 0.2 on the face of (0, 0, 1) is in the gap disk of radius 1/2
+    assert run(["face-map", "--half-width", "0.2", "--out", str(tmp_path / "f.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "flagged pixels: 10201 of 10201\n" in out
+    assert "flagged area: 0.160000\n" in out
+    assert "flagged area per unit window area: 1.000000\n" in out
+
+
+def test_gap_whose_splitting_overflows_exits_2_and_names_gamma_minus(tmp_path, capsys):
+    # the ray's first sample once took the blame: "delta_tilde_min: the branches at -0.05 ..."
+    argv = ["gap", "--problem", "transmission", "--k0=3,0.31,0.17", "--m0=6,0,0", "--a", "3.8",
+            "--gamma-minus", "1e308", "--out", str(tmp_path / "o")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: gamma_minus: centre ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -825,7 +855,7 @@ def test_config_field_the_request_ignores_exits_2_and_is_named(tmp_path, monkeyp
 #: The config keys that each config-driven command has no flag for.
 UNREAD = {
     "gap": set(),
-    "bands": {"out_dir", "verify", "n", "g_max", "c"},
+    "bands": {"out_dir", "verify", "n", "g_max"},
 }
 
 
@@ -842,8 +872,7 @@ def test_config_command_flags_are_the_keys_it_reads(command):
 def test_flag_the_command_never_reads_exits_2_and_is_named(tmp_path, monkeypatch, capsys,
                                                            command, flag):
     # each once exited 0 and dropped the value: `bands --out DIR` wrote to stdout
-    # and created nothing; an abbreviated `--c` or `--out` would reach `--config`
-    # or `--out-file`
+    # and created nothing; an abbreviated `--out` would reach `--out-file`
     monkeypatch.chdir(tmp_path)
     argv = [command, flag] if flag == "--verify" else [command, flag, "2"]
     with pytest.raises(SystemExit) as exc:

@@ -27,7 +27,7 @@ _MATERIALS = dict.fromkeys(("gamma_plus", "gamma_minus", "rho_plus", "rho_minus"
 REQUESTS = {
     "classify": (["classify"], {"k": ["0.5", "0.2", "0"], **_LATTICE}),
     "gap": (["gap", "--out", "{out}"],
-            {**_PAIR, "a": "0.1", "q": "1", **_RAY, **_LATTICE, "c": "1"}),
+            {**_PAIR, "a": "0.1", "q": "1", **_RAY, **_LATTICE}),
     "gap-transmission": (["gap", "--problem", "transmission", "--out", "{out}"],
                          {**_PAIR, "a": "0.5", **_MATERIALS, **_RAY}),
     "gap-ellipsoid": (["gap", "--shape", "ellipsoid", "--out", "{out}"],

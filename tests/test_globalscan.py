@@ -17,7 +17,7 @@ def test_zero_inclusion_is_exact_cone():
     assert K.shape == (1, 3) and residual.shape == (1,)
     assert residual[0] < 1e-14
     assert np.linalg.norm(K[0]) == pytest.approx(0.7, rel=1e-15)
-    assert lattice.classify_wavevector(K[0]).order == 1
+    assert lattice.classify_wavevector(K[0]) == ()
 
 
 def test_residuals_below_contract():
@@ -26,7 +26,7 @@ def test_residuals_below_contract():
     assert omega.tolist() == np.linspace(0.4, 1.2, 50).tolist()
     assert K.shape == (50, 3)
     assert residual.max() < 1e-10
-    assert all(lattice.classify_wavevector(k).order == 1 for k in K)
+    assert all(lattice.classify_wavevector(k) == () for k in K)
 
 
 def test_exceptional_direction_gets_perturbed():
@@ -36,7 +36,7 @@ def test_exceptional_direction_gets_perturbed():
     A = 2.0 * math.pi * p.q * p.a / CELL_VOLUME
     omega_star = 0.5 + A / 0.5
     K, residual = globalscan.cover_frequency(omega_star, p, direction=(0.0, 0.0, 1.0))
-    assert lattice.classify_wavevector(K[0]).order == 1
+    assert lattice.classify_wavevector(K[0]) == ()
     assert K[0, 0] != 0.0  # off the axis
     assert residual[0] < 1e-10
 

@@ -23,34 +23,32 @@ SQ2 = math.sqrt(2.0) / 2.0
 
 class TestEnumeration:
     def test_single_shift(self):
-        assert lattice.enumerate_candidate_shifts((0, 0, 0.5)) == [(0, 0, 1)]
+        assert lattice.classify_wavevector((0, 0, 0.5)) == ((0, 0, 1),)
 
     def test_generic_vector_has_none(self):
-        assert lattice.enumerate_candidate_shifts((0.3, 0.1, 0.2)) == []
+        assert lattice.classify_wavevector((0.3, 0.1, 0.2)) == ()
 
     def test_corner_vector(self):
-        got = lattice.enumerate_candidate_shifts((0.5, 0.5, 0.5))
-        want = sorted(
+        got = lattice.classify_wavevector((0.5, 0.5, 0.5))
+        want = tuple(sorted(
             [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-        )
+        ))
         assert got == want
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DomainError):
-            lattice.enumerate_candidate_shifts((0.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             lattice.classify_wavevector((0.0, 0.0, 0.0))
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(DomainError):
-            lattice.enumerate_candidate_shifts((0, 0, 0.5), tol=-1.0)
+            lattice.classify_wavevector((0, 0, 0.5), tol=-1.0)
 
     @pytest.mark.parametrize("tol", [0.6, lattice.MAX_TOL * (1.0 + 1e-9), math.inf, math.nan])
     def test_tolerance_past_the_search_bound_is_refused(self, tol):
         # the search ball misses shifts past MAX_TOL: at tol 0.6 it gave (0, 0, 0.5)
         # order 7, while 10 shifts meet the plane condition there
         text = re.escape(f"tol: must be finite and >= 0 and <= {lattice.MAX_TOL}, got {tol}")
-        for call in (lambda: lattice.enumerate_candidate_shifts((0, 0, 0.5), tol),
+        for call in (lambda: lattice.classify_wavevector((0, 0, 0.5), tol),
                      lambda: lattice.face_gap_region((0, 0, 1), resolution=11, tol=tol),
                      lambda: globalscan.cover_frequency(0.7, DirichletParams(a=0.1), tol=tol)):
             with pytest.raises(DomainError, match=f"^{text}$"):
@@ -59,27 +57,25 @@ class TestEnumeration:
 
 class TestClassification:
     def test_order_two(self):
-        cls = lattice.classify_wavevector((0, 0, 0.5))
-        assert cls.order == 2
-        assert cls.shifts == ((0, 0, 1),)
+        shifts = lattice.classify_wavevector((0, 0, 0.5))
+        assert 1 + len(shifts) == 2
+        assert shifts == ((0, 0, 1),)
 
     def test_face_diagonal_is_order_four(self):
         # (1,1,0) also satisfies 2 k.m = |m|^2 here: 2*(0.5+0.5) = 2 = |m|^2
-        cls = lattice.classify_wavevector((0.5, 0.5, 0))
-        assert cls.order == 4
-        assert set(cls.shifts) == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
+        shifts = lattice.classify_wavevector((0.5, 0.5, 0))
+        assert 1 + len(shifts) == 4
+        assert set(shifts) == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
 
     def test_non_exceptional(self):
-        assert lattice.classify_wavevector((0.3, 0.1, 0.2)).order == 1
+        assert lattice.classify_wavevector((0.3, 0.1, 0.2)) == ()
 
     def test_exact_rational_mode(self):
-        cls = lattice.classify_wavevector_exact((0, 0, Fraction(1, 2)))
-        assert cls.order == 2 and cls.shifts == ((0, 0, 1),)
-        cls = lattice.classify_wavevector_exact(((1, 2), (1, 2), (1, 2)))
-        assert cls.order == 8
+        assert lattice.classify_wavevector_exact((0, 0, Fraction(1, 2))) == ((0, 0, 1),)
+        assert 1 + len(lattice.classify_wavevector_exact(((1, 2), (1, 2), (1, 2)))) == 8
         # knife edge: a tiny perturbation along m flips the exact predicate
-        cls = lattice.classify_wavevector_exact((Fraction(1, 2) + Fraction(1, 10**9), 0, 0))
-        assert (1, 0, 0) not in cls.shifts
+        shifts = lattice.classify_wavevector_exact((Fraction(1, 2) + Fraction(1, 10**9), 0, 0))
+        assert (1, 0, 0) not in shifts
 
     def test_exact_matches_float_on_rationals(self, pair_rng):
         for _ in range(50):
@@ -90,8 +86,7 @@ class TestClassification:
             kf = num / den
             exact = lattice.classify_wavevector_exact([(int(n), int(den)) for n in num])
             approx = lattice.classify_wavevector(kf)
-            assert exact.order == approx.order
-            assert exact.shifts == approx.shifts
+            assert exact == approx
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12),
@@ -99,15 +94,14 @@ class TestClassification:
     def test_exact_matches_float_on_random_small_rationals(self, comps):
         exact = lattice.classify_wavevector_exact(comps)
         approx = lattice.classify_wavevector([float(c) for c in comps])
-        assert exact.shifts == approx.shifts
+        assert exact == approx
 
     def test_exact_mode_has_no_integer_overflow(self):
         # denominators far beyond int64 still give the exact predicate
         big = 10**30
-        cls = lattice.classify_wavevector_exact((Fraction(1, 2), Fraction(7, big), 0))
-        assert cls.shifts == ((1, 0, 0),)
-        cls = lattice.classify_wavevector_exact((Fraction(1, 2) + Fraction(1, big), 0, 0))
-        assert cls.order == 1
+        assert lattice.classify_wavevector_exact((Fraction(1, 2), Fraction(7, big), 0)) == (
+            (1, 0, 0),)
+        assert lattice.classify_wavevector_exact((Fraction(1, 2) + Fraction(1, big), 0, 0)) == ()
 
 
 class TestNu:
@@ -143,7 +137,7 @@ class TestGapAdmissible:
     def test_boundary_excluded(self):
         # |k0|^2 = 0.5 with the plane condition for (1,0,0) and order two
         k0 = (0.5, 0.3, 0.4)
-        assert lattice.classify_wavevector(k0).order == 2
+        assert 1 + len(lattice.classify_wavevector(k0)) == 2
         adm = lattice.gap_admissible(k0, (1, 0, 0))
         assert adm.verdict is lattice.Verdict.BOUNDARY_EXCLUDED
 
@@ -160,7 +154,7 @@ class TestGapAdmissible:
                                          ((0.5, 0.5, 0.0), (1, 0, 1))])
     def test_unlisted_shift_refused_with_k0_in_plain_floats(self, k0, m0):
         # a pair is valid only when m0 is a shift of k0's classification
-        assert m0 not in lattice.classify_wavevector(k0).shifts
+        assert m0 not in lattice.classify_wavevector(k0)
         with pytest.raises(DomainError) as exc:
             lattice.gap_admissible(np.array(k0), m0)
         assert f"k0={k0}" in str(exc.value)
@@ -188,9 +182,9 @@ class TestProperties:
         base = lattice.classify_wavevector(k)
         for P in lattice.cubic_symmetries():
             mapped = lattice.classify_wavevector(P @ np.asarray(k))
-            assert mapped.order == base.order
-            want = sorted(tuple(int(c) for c in P @ np.asarray(m)) for m in base.shifts)
-            assert list(mapped.shifts) == want
+            assert len(mapped) == len(base)
+            want = sorted(tuple(int(c) for c in P @ np.asarray(m)) for m in base)
+            assert list(mapped) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*3 * [st.integers(-3, 3)]).filter(any),
@@ -208,7 +202,7 @@ class TestProperties:
         k[j] = round((sum(c * c for c in m) - 2.0 * rest) / (2 * m[j]), digits + 1)
         if not any(k):
             return
-        for s in lattice.enumerate_candidate_shifts(k, tol):
+        for s in lattice.classify_wavevector(k, tol):
             lattice.gap_admissible(k, s, tol=tol)
 
     @settings(max_examples=60, deadline=None)
@@ -221,7 +215,7 @@ class TestProperties:
         norm = np.linalg.norm(kv)
         if norm < 1e-3:
             return
-        inside = set(lattice.enumerate_candidate_shifts(kv, tol))
+        inside = set(lattice.classify_wavevector(kv, tol))
         M = lattice.integer_cube(math.ceil(4.0 * norm) + 2)
         m2 = np.sum(M * M, axis=1)
         M, m2 = M[m2 > 0], m2[m2 > 0]
@@ -311,7 +305,7 @@ def test_wave_vector_messages_print_plain_floats(monkeypatch):
     assert "(0.0, 0.0, 0.5)" in message(
         lambda: gapscan._auto_count(np.zeros(20), k, center=1.0, window=1.0, margin=0))
     # a pair on its plane that the classification, patched, calls non-exceptional
-    monkeypatch.setattr(lattice, "classify_wavevector", lambda *a: lattice.ExceptionalClass(()))
+    monkeypatch.setattr(lattice, "classify_wavevector", lambda *a: ())
     assert "(0.0, 0.0, 0.5)" in message(lambda: lattice.gap_admissible(k, (0, 0, 1)))
 
 
@@ -361,6 +355,15 @@ class TestFaceGapRegion:
     def test_area_conventions(self, fmap):
         assert fmap.flagged_area() == pytest.approx(math.pi / 4.0, rel=0.03)
         assert fmap.flagged_fraction() == pytest.approx(math.pi / 16.0, rel=0.03)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 41])
+    def test_a_window_flagged_whole_is_its_area(self, resolution):
+        # the window |t| <= 0.2 lies inside the disk of radius 1/2; a pixel count over the
+        # (resolution - 1)^2 cells once gave 2.25 of it at resolution 3
+        fmap = lattice.face_gap_region((0, 0, 1), resolution=resolution, half_width=0.2)
+        assert fmap.flagged.all()
+        assert fmap.flagged_fraction() == 1.0
+        assert fmap.flagged_area() == pytest.approx(0.4**2, rel=1e-15)
 
     def test_other_axes_match(self):
         a = lattice.face_gap_region((0, 0, 1), resolution=41)
@@ -485,6 +488,6 @@ class TestFaceGapRegion:
                 assert not fmap.flagged[i, j]
                 continue
             inside += 1
-            others = set(lattice.classify_wavevector(k, tol).shifts) - {m0}
+            others = set(lattice.classify_wavevector(k, tol)) - {m0}
             assert fmap.flagged[i, j] == (not others), (i, j, others)
         assert 0 < int(fmap.flagged.sum()) <= inside

@@ -143,7 +143,7 @@ class TestConfig:
         cfg = ScanConfig(
             problem="transmission", k0=(0.1 + 0.2, -0.25, 0.5), m0=(-1, 0, 2), a=1.0 / 3.0,
             shape="ellipsoid", semiaxes=(2.0, 1.5, 1e-3), mesh="in clusion.off",
-            samples=7, verify=True, exclusion_band=1e-300, c=2.5,
+            samples=7, verify=True, exclusion_band=1e-300,
         )
         path = tmp_path / "scan.cfg"
         path.write_text("".join(f"{f.name} = {encode(getattr(cfg, f.name))}\n"

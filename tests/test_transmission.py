@@ -134,6 +134,13 @@ class TestLocalGap:
         status, gap = twomode.pair_model(K_EX, M_EX, p).gap()
         assert gap is None and status is GapStatus.DEGENERATE_SPLITTING
 
+    def test_splitting_past_float64_is_refused_as_gamma_minus(self):
+        # alpha = 1 - 1e308 overflows mu: the model once gave the gap (-inf, inf)
+        p = TransmissionParams(materials=MaterialSpec(1, 1e308, 1, 1), a=3.8)
+        with pytest.raises(DomainError,
+                           match=r"^gamma_minus: centre .* and splitting inf must be finite$"):
+            twomode.pair_model((3, 0.31, 0.17), (6, 0, 0), p)
+
     def test_nu_above_one_empty(self):
         p = weak_params(0.01)
         status, gap = twomode.pair_model((0.5, 0.6, 0.3), (1, 0, 0), p).gap()
